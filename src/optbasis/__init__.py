@@ -48,7 +48,7 @@ from .experiments import (
     solve_linear_projection,
 )
 from .grids import Grid2D, PhaseGrid
-from .linalg import FactorizedSolver, factorize, qr_thin, solve_multi, svd_dense
+from .linalg import FactorizedSolver, factorize, qr_thin, svd_dense
 from .nonlinear import (
     CubicTerm,
     FixedPointResult,

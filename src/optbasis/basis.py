@@ -173,7 +173,8 @@ class SourceProjector:
     """Coefficient map g -> (Pi_X-inner products of g with the leading right vectors).
 
     Shared by the linear projection solve and the nonlinear fixed point so
-    both take the identical floating-point path.
+    both take the identical floating-point path.  Building applies F_X to n
+    vectors, so an error curve builds one at its largest n and slices it.
     """
 
     def __init__(self, basis: SVDBasis, fx, n):
@@ -183,8 +184,14 @@ class SourceProjector:
         self.fx = fx
         self._fv = fx.apply(basis.right_vectors[:, :n])
 
-    def coefficients(self, g):
-        return self._fv.T @ self.fx.apply(g)
+    def coefficients(self, g, n=None):
+        """Inner products of g with the leading n <= self.n right vectors (default: all)."""
+        n = self.n if n is None else n
+        if n > self.n:
+            raise RankExhausted(f"requested n = {n} but projector was built for {self.n}")
+        # A contiguous slice gives the BLAS call, and so the bits, of a projector built at n.
+        fv = self._fv if n == self.n else np.ascontiguousarray(self._fv[:, :n])
+        return fv.T @ self.fx.apply(g)
 
 
 def reconstruct(basis: SVDBasis, coeffs, n=None):

@@ -10,6 +10,7 @@ family are rejected too.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -117,6 +118,9 @@ def _coerce(value, kind, where):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigInvalid(f"'{where}' must be a number")
+        # NaN fails both comparisons, as does an integer beyond the float range.
+        if not -sys.float_info.max <= value <= sys.float_info.max:
+            raise ConfigInvalid(f"'{where}' must be a finite number")
         return float(value)
     if kind is str:
         if not isinstance(value, str):

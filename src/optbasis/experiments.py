@@ -13,9 +13,9 @@ from .elliptic import EllipticMedium, assemble_elliptic, eval_source_elliptic
 from .exceptions import ConfigInvalid
 from .grids import Grid2D, PhaseGrid
 from .linalg import factorize
-from .nonlinear import CubicTerm, TwoPhotonTerm, fixed_point_solve, newton_reference
+from .nonlinear import CubicTerm, TwoPhotonTerm, _fixed_point, newton_reference
 from .transport import RteCoefficients, assemble_rte, eval_source_rte
-from .weights import build_rte_weight, build_sobolev_weight, energy_norm, identity_weight
+from .weights import _energy_norm_on, build_rte_weight, build_sobolev_weight, identity_weight
 
 
 @dataclass
@@ -143,31 +143,30 @@ def error_curve(u_ref, basis: SVDBasis, fx, f, n_values, grid=None) -> ErrorCurv
     Passing a Grid2D adds the relative energy seminorm column (spatial
     fields only).
     """
-    u_ref = np.asarray(u_ref, dtype=float)
-    ref_l2 = np.linalg.norm(u_ref)
-    ref_energy = energy_norm(u_ref, grid) if grid is not None else None
-    l2 = []
-    energy = [] if grid is not None else None
-    for n in n_values:
-        u_n = solve_linear_projection(basis, fx, f, n)
-        l2.append(float(np.linalg.norm(u_n - u_ref) / ref_l2))
-        if grid is not None:
-            energy.append(energy_norm(u_n - u_ref, grid) / ref_energy)
-    return ErrorCurve(list(n_values), l2, energy)
+    return _curve(u_ref, basis, fx, n_values, grid,
+                  lambda projector, n: reconstruct(basis, projector.coefficients(f, n), n))
 
 
 def nonlinear_error_curve(u_ref, basis: SVDBasis, fx, f, term, n_values,
                           settings, grid=None) -> ErrorCurve:
     """Fixed-point solution errors over a range of truncation levels."""
+    return _curve(u_ref, basis, fx, n_values, grid,
+                  lambda projector, n: _fixed_point(basis, projector, f, term, n, settings.tol,
+                                                    settings.max_iter, settings.relax).solution)
+
+
+def _curve(u_ref, basis, fx, n_values, grid, solution) -> ErrorCurve:
+    """Errors of solution(projector, n) against u_ref, with one projector built at max n."""
+    n_values = list(n_values)
+    projector = SourceProjector(basis, fx, max(n_values, default=0))
     u_ref = np.asarray(u_ref, dtype=float)
     ref_l2 = np.linalg.norm(u_ref)
-    ref_energy = energy_norm(u_ref, grid) if grid is not None else None
-    l2 = []
-    energy = [] if grid is not None else None
+    energy_norm = _energy_norm_on(grid) if grid is not None else None
+    ref_energy = energy_norm(u_ref) if grid is not None else None
+    l2, energy = [], []
     for n in n_values:
-        result = fixed_point_solve(basis, fx, f, term, n, tol=settings.tol,
-                                   max_iter=settings.max_iter, relax=settings.relax)
-        l2.append(float(np.linalg.norm(result.solution - u_ref) / ref_l2))
+        err = solution(projector, n) - u_ref
+        l2.append(float(np.linalg.norm(err) / ref_l2))
         if grid is not None:
-            energy.append(energy_norm(result.solution - u_ref, grid) / ref_energy)
-    return ErrorCurve(list(n_values), l2, energy)
+            energy.append(energy_norm(err) / ref_energy)
+    return ErrorCurve(n_values, l2, energy if grid is not None else None)

@@ -81,13 +81,6 @@ def factorize(operator):
     return FactorizedSolver(operator)
 
 
-def solve_multi(solver, rhs, transpose=False):
-    """Solve against every column of ``rhs``, preserving column order."""
-    if transpose:
-        return solver.solve_transpose(rhs)
-    return solver.solve(rhs)
-
-
 def qr_thin(a):
     """Thin QR factor with dependent columns dropped.
 

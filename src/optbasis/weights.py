@@ -308,11 +308,21 @@ def identity_weight(dim):
 
 def energy_norm(u, grid: Grid2D):
     """Discrete H^1 seminorm: h^2 sum of squared first differences, square-rooted."""
-    u = np.asarray(u, dtype=float)
-    if u.shape[0] != grid.n_interior:
-        raise DimensionMismatch(
-            f"field has {u.shape[0]} values, grid has {grid.n_interior} interior nodes"
-        )
-    dx = fd_operator_2d(grid.m_intervals, 1, 0, grid.h) @ u
-    dy = fd_operator_2d(grid.m_intervals, 0, 1, grid.h) @ u
-    return float(np.sqrt(grid.h ** 2 * (np.dot(dx, dx) + np.dot(dy, dy))))
+    return _energy_norm_on(grid)(u)
+
+
+def _energy_norm_on(grid: Grid2D):
+    """energy_norm on one grid, with its two difference operators built once."""
+    d_x = fd_operator_2d(grid.m_intervals, 1, 0, grid.h)
+    d_y = fd_operator_2d(grid.m_intervals, 0, 1, grid.h)
+
+    def norm(u):
+        u = np.asarray(u, dtype=float)
+        if u.shape[0] != grid.n_interior:
+            raise DimensionMismatch(
+                f"field has {u.shape[0]} values, grid has {grid.n_interior} interior nodes"
+            )
+        dx, dy = d_x @ u, d_y @ u
+        return float(np.sqrt(grid.h ** 2 * (np.dot(dx, dx) + np.dot(dy, dy))))
+
+    return norm

@@ -246,3 +246,20 @@ class TestProjectionPieces:
             SourceProjector(basis, fx, 5)
         with pytest.raises(RankExhausted):
             reconstruct(basis, np.ones(5), 5)
+
+    def test_leading_coefficients_are_bitwise_those_of_a_smaller_projector(self):
+        solver, fx, fy = elliptic_setup(8, 2)
+        basis = dense_svd_oracle(solver, fx, fy)
+        g = np.random.Generator(np.random.Philox(23)).normal(size=solver.n)
+        big = SourceProjector(basis, fx, 12)
+        for n in range(13):
+            np.testing.assert_array_equal(big.coefficients(g, n),
+                                          SourceProjector(basis, fx, n).coefficients(g))
+        np.testing.assert_array_equal(big.coefficients(g), big.coefficients(g, 12))
+
+    def test_coefficients_beyond_the_built_size_raise(self):
+        solver, fx, fy = elliptic_setup(6, 1)
+        basis = dense_svd_oracle(solver, fx, fy)
+        projector = SourceProjector(basis, fx, 3)
+        with pytest.raises(RankExhausted, match="built for 3"):
+            projector.coefficients(np.ones(solver.n), 4)

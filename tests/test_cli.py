@@ -82,6 +82,25 @@ class TestAssembleCheck:
         assert main(["assemble-check", "--config", str(tmp_path / "gone.json")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token, extra, where", [
+        ("Infinity", {"grid": {"length": float("inf")}}, "grid.length"),
+        ("NaN", {"problem": {"source": {"amplitude": float("nan")}}},
+         "problem.source.amplitude"),
+    ])
+    @pytest.mark.parametrize("command", ["assemble-check", "solve-linear"])
+    def test_non_finite_numbers_exit_two(self, tmp_path, capsys, token, extra, where,
+                                         command):
+        cfg = write_config(tmp_path, **extra)
+        assert token in cfg.read_text()
+        argv = [command, "--config", str(cfg)]
+        if command == "solve-linear":
+            argv += ["--out", str(tmp_path / "curve.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"'{where}' must be a finite number" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "curve.csv").exists()
+
 
 class TestBasisCommand:
     def test_writes_a_readable_basis_with_sidecar(self, tmp_path, capsys):

@@ -130,6 +130,21 @@ class TestRejections:
         with pytest.raises(ConfigInvalid, match="must be a number"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("section, key", [
+        ("problem", "eps"), ("grid", "length"), ("source", "amplitude"), ("nonlinear", "tol"),
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10 ** 400])
+    def test_float_rejects_non_finite(self, section, key, value):
+        raw = minimal("semilinear_elliptic")
+        if section == "source":
+            raw["problem"]["source"] = {"amplitude": value}
+            where = "problem.source.amplitude"
+        else:
+            raw.setdefault(section, {})[key] = value
+            where = f"{section}.{key}"
+        with pytest.raises(ConfigInvalid, match=f"'{where}' must be a finite number"):
+            config_from_dict(raw)
+
     def test_str_rejects_number(self):
         raw = minimal()
         raw["problem"]["family"] = 3

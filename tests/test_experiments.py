@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from optbasis.basis import RsvdParams
+from optbasis.basis import RsvdParams, SourceProjector
 from optbasis.config import NonlinearSettings, config_from_dict
 from optbasis.elliptic import eval_source_elliptic
-from optbasis.exceptions import ProblemTooLarge
+from optbasis.exceptions import ProblemTooLarge, RankExhausted
 from optbasis.experiments import (
     ErrorCurve,
     build_problem,
@@ -19,7 +19,8 @@ from optbasis.experiments import (
     solve_linear_projection,
 )
 from optbasis.linalg import factorize
-from optbasis.nonlinear import ZeroTerm
+from optbasis.nonlinear import ZeroTerm, fixed_point_solve
+from optbasis.weights import energy_norm
 from optbasis.transport import eval_source_rte
 
 
@@ -196,3 +197,78 @@ class TestErrorCurves:
         assert curve.rows() == [(1, 0.5), (2, 0.25)]
         curve = ErrorCurve([1], [0.5], [0.4])
         assert curve.rows() == [(1, 0.5, 0.4)]
+
+
+# An elliptic grid exercises the energy column; semilinear_rte has no grid.
+SHARED_KERNEL_CASES = [
+    pytest.param("semilinear_elliptic", {"m_intervals": 8}, 2, True, id="elliptic-grid"),
+    pytest.param("semilinear_rte", {"m_intervals": 6, "n_angles": 4}, 1, False,
+                 id="rte-no-grid"),
+]
+
+
+def curve_case(family, grid, p):
+    config = make_config(family, p=p, grid=grid,
+                         rsvd={"rank": 14, "oversample": 6, "power": 2, "seed": 3})
+    setup = build_problem(config)
+    solver = factorize(setup.operator)
+    basis = compute_problem_basis(setup, solver=solver)
+    return config, setup, basis, reference_solution(setup, solver)
+
+
+def per_n_errors(u_ref, solutions, grid):
+    """The curve bookkeeping done by hand, one public solve per n."""
+    l2 = [float(np.linalg.norm(u - u_ref) / np.linalg.norm(u_ref)) for u in solutions]
+    if grid is None:
+        return l2, None
+    return l2, [energy_norm(u - u_ref, grid) / energy_norm(u_ref, grid) for u in solutions]
+
+
+class TestSharedCurveKernel:
+    @pytest.mark.parametrize("family, grid, p, with_grid", SHARED_KERNEL_CASES)
+    def test_nonlinear_curve_equals_per_n_fixed_points(self, family, grid, p, with_grid):
+        config, setup, basis, u_ref = curve_case(family, grid, p)
+        grid = setup.grid if with_grid else None
+        ns = list(range(1, basis.rank + 1))
+        curve = nonlinear_error_curve(u_ref, basis, setup.fx, setup.source, setup.term, ns,
+                                      config.nonlinear, grid=grid)
+        settings = config.nonlinear
+        solutions = [fixed_point_solve(basis, setup.fx, setup.source, setup.term, n,
+                                       tol=settings.tol, max_iter=settings.max_iter,
+                                       relax=settings.relax).solution for n in ns]
+        l2, energy = per_n_errors(u_ref, solutions, grid)
+        assert curve.rel_l2 == l2
+        assert curve.rel_energy == energy
+
+    @pytest.mark.parametrize("family, grid, p, with_grid", SHARED_KERNEL_CASES)
+    def test_linear_curve_equals_per_n_projections(self, family, grid, p, with_grid):
+        _, setup, basis, u_ref = curve_case(family, grid, p)
+        grid = setup.grid if with_grid else None
+        ns = list(range(1, basis.rank + 1))
+        curve = error_curve(u_ref, basis, setup.fx, setup.source, ns, grid=grid)
+        solutions = [solve_linear_projection(basis, setup.fx, setup.source, n) for n in ns]
+        l2, energy = per_n_errors(u_ref, solutions, grid)
+        assert curve.rel_l2 == l2
+        assert curve.rel_energy == energy
+
+    def test_each_curve_builds_one_projector(self, monkeypatch):
+        config, setup, basis, u_ref = curve_case("semilinear_elliptic", {"m_intervals": 8}, 2)
+        builds = []
+        original = SourceProjector.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(args[-1])
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SourceProjector, "__init__", counting_init)
+        ns = list(range(1, basis.rank + 1))
+        error_curve(u_ref, basis, setup.fx, setup.source, ns, grid=setup.grid)
+        assert builds == [basis.rank]
+        nonlinear_error_curve(u_ref, basis, setup.fx, setup.source, setup.term, ns,
+                              config.nonlinear, grid=setup.grid)
+        assert builds == [basis.rank, basis.rank]
+
+    def test_curve_beyond_the_basis_rank_raises(self):
+        _, setup, basis, u_ref = curve_case("semilinear_elliptic", {"m_intervals": 8}, 2)
+        with pytest.raises(RankExhausted):
+            error_curve(u_ref, basis, setup.fx, setup.source, [1, basis.rank + 1])

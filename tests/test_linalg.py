@@ -10,7 +10,7 @@ from optbasis.exceptions import (
     SingularOperator,
     SvdFailure,
 )
-from optbasis.linalg import FactorizedSolver, factorize, qr_thin, solve_multi, svd_dense
+from optbasis.linalg import FactorizedSolver, factorize, qr_thin, svd_dense
 
 
 def dirichlet_laplacian_1d(m, h):
@@ -55,16 +55,6 @@ class TestFactorizedSolver:
         block = solver.solve(rhs)
         for j in range(3):
             np.testing.assert_array_equal(block[:, j], solver.solve(rhs[:, j]))
-
-    def test_solve_multi_transpose_flag(self):
-        a = sp.csc_matrix(np.array([[2.0, 1.0], [0.0, 3.0]]))
-        solver = factorize(a)
-        rhs = np.eye(2)
-        np.testing.assert_allclose(
-            solve_multi(solver, rhs, transpose=True),
-            np.linalg.inv(a.toarray().T),
-            atol=1e-15,
-        )
 
     def test_rectangular_operator_rejected(self):
         with pytest.raises(DimensionMismatch):

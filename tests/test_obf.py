@@ -8,6 +8,7 @@ import pytest
 
 from optbasis import obf
 from optbasis.basis import SVDBasis, dense_svd_oracle
+from optbasis.config import PROBLEM_FAMILIES
 from optbasis.elliptic import EllipticMedium, assemble_elliptic
 from optbasis.grids import Grid2D
 from optbasis.linalg import factorize
@@ -99,6 +100,9 @@ class TestRoundTrip:
         stored = json.loads(side.read_text())
         assert stored["basis_meta"]["spectral_gap"] == 0.5
         assert stored["basis_meta"]["sweeps"] == 3
+
+    def test_family_tags_cover_exactly_the_config_families(self):
+        assert set(obf.FAMILY_TAGS) == set(PROBLEM_FAMILIES)
 
     @pytest.mark.parametrize("family", sorted(obf.FAMILY_TAGS))
     def test_every_family_tag_round_trips(self, tmp_path, family):
