@@ -34,6 +34,7 @@ from .exceptions import (
     RankDeficient,
     RankDeficientWarning,
     RankExhausted,
+    SidecarMismatch,
     SingularOperator,
     SingularTheta,
     SvdFailure,

@@ -50,6 +50,8 @@ class RsvdParams:
             raise ValueError("rank must be at least 1")
         if self.oversampling < 0 or self.power < 0:
             raise ValueError("oversampling and power must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass

@@ -11,16 +11,17 @@ if _threads:
         os.environ.setdefault(_var, _threads)
 
 import argparse
+import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import obf
-from .basis import RsvdParams, defining_relation_errors
+from .basis import defining_relation_errors
 from .bayes import check_reconstruction_bound, nwidth_eval, trace_objective
-from .config import ELLIPTIC_FAMILIES, config_to_dict, load_config
+from .config import ELLIPTIC_FAMILIES, config_to_dict, load_config, rsvd_params
 from .exceptions import BoundViolation, OptbasisError
 from .experiments import (
     build_problem,
@@ -47,6 +48,19 @@ def _write_csv(path, header, rows):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _write_decay_csv(path, basis):
+    """Singular values relative to the largest, one row per index."""
+    lam = basis.singular_values
+    _write_csv(path, "i,lambda_rel", [(i + 1, lam[i] / lam[0]) for i in range(basis.rank)])
+
+
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _load_config(args):
     config = load_config(args.config)
     if getattr(args, "paper_scale", False):
@@ -55,7 +69,6 @@ def _load_config(args):
 
 
 def _rsvd_params(config, args):
-    params = config.rsvd
     updates = {}
     if getattr(args, "rank", None) is not None:
         updates["rank"] = args.rank
@@ -65,7 +78,7 @@ def _rsvd_params(config, args):
         updates["power"] = args.power
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
-    return replace(params, **updates) if updates else params
+    return rsvd_params(**{**asdict(config.rsvd), **updates})
 
 
 def _nonlinear_settings(config, args):
@@ -104,7 +117,8 @@ def cmd_assemble_check(args):
 
     try:
         solver = factorize(setup.operator)
-        checks.record("operator factorizes", True, f"N = {setup.n_dofs}")
+        checks.record("operator factorizes", True,
+                      f"N = {setup.n_dofs}, nnz(L+U) = {solver.nnz}")
     except OptbasisError as exc:
         checks.record("operator factorizes", False, str(exc))
         return checks.exit_code()
@@ -154,9 +168,10 @@ def _relation_summary(basis, solver, setup):
 
 def cmd_basis(args):
     config = _load_config(args)
+    params = _rsvd_params(config, args)
     setup = build_problem(config)
     solver = factorize(setup.operator)
-    basis = compute_problem_basis(setup, _rsvd_params(config, args), solver)
+    basis = compute_problem_basis(setup, params, solver)
     errors = _relation_summary(basis, solver, setup)
     for name, value in errors.items():
         print(f"{name}: {value:.3e}")
@@ -167,12 +182,11 @@ def cmd_basis(args):
 
 def cmd_sv_decay(args):
     config = _load_config(args)
+    params = _rsvd_params(config, args)
     setup = build_problem(config)
-    basis = compute_problem_basis(setup, _rsvd_params(config, args))
-    lam = basis.singular_values
-    rows = [(i + 1, lam[i] / lam[0]) for i in range(basis.rank)]
-    _write_csv(args.out, "i,lambda_rel", rows)
-    print(f"wrote {len(rows)} singular value ratios to {args.out}")
+    basis = compute_problem_basis(setup, params)
+    _write_decay_csv(args.out, basis)
+    print(f"wrote {basis.rank} singular value ratios to {args.out}")
     return 0
 
 
@@ -187,9 +201,10 @@ def cmd_solve_linear(args):
     if config.is_semilinear:
         print("error: solve-linear needs a linear problem family", file=sys.stderr)
         return 2
+    params = _rsvd_params(config, args)
     setup = build_problem(config)
     solver = factorize(setup.operator)
-    basis = compute_problem_basis(setup, _rsvd_params(config, args), solver)
+    basis = compute_problem_basis(setup, params, solver)
     u_ref = reference_solution(setup, solver)
     if np.linalg.norm(u_ref) == 0.0:
         print("error: reference solution vanishes, relative errors undefined",
@@ -209,10 +224,11 @@ def cmd_solve_nonlinear(args):
     if not config.is_semilinear:
         print("error: solve-nonlinear needs a semilinear problem family", file=sys.stderr)
         return 2
+    params = _rsvd_params(config, args)
+    settings = _nonlinear_settings(config, args)
     setup = build_problem(config)
     solver = factorize(setup.operator)
-    basis = compute_problem_basis(setup, _rsvd_params(config, args), solver)
-    settings = _nonlinear_settings(config, args)
+    basis = compute_problem_basis(setup, params, solver)
     u_ref = reference_solution(setup, solver)
     nmax = args.nmax if args.nmax is not None else basis.rank
     nmax = min(nmax, basis.rank)
@@ -300,6 +316,7 @@ def cmd_bayes_check(args):
 
 def cmd_sweep(args):
     config = _load_config(args)
+    params = _rsvd_params(config, args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -312,11 +329,9 @@ def cmd_sweep(args):
             print("error: sweep needs a PDE problem family", file=sys.stderr)
             return 2
         setup = build_problem(swept)
-        basis = compute_problem_basis(setup, _rsvd_params(swept, args))
-        lam = basis.singular_values
-        rows = [(i + 1, lam[i] / lam[0]) for i in range(basis.rank)]
+        basis = compute_problem_basis(setup, params)
         path = out_dir / f"sv_decay_eps{eps:g}.csv"
-        _write_csv(path, "i,lambda_rel", rows)
+        _write_decay_csv(path, basis)
         written.append(path)
     for path in written:
         print(f"wrote {path}")
@@ -338,10 +353,10 @@ def _add_common(sub, out_required=False, rsvd=False, nmax=False, nonlinear=False
     if nmax:
         sub.add_argument("--nmax", type=int, help="largest truncation level in the curve")
     if nonlinear:
-        sub.add_argument("--tol", type=float, help="fixed-point step tolerance")
+        sub.add_argument("--tol", type=_finite_float, help="fixed-point step tolerance")
         sub.add_argument("--max-iter", type=int, dest="max_iter",
                          help="fixed-point iteration budget")
-        sub.add_argument("--relax", type=float, help="fixed-point relaxation factor")
+        sub.add_argument("--relax", type=_finite_float, help="fixed-point relaxation factor")
     if samples is not None:
         sub.add_argument("--samples", type=int, default=samples,
                          help="number of random draws")

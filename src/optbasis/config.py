@@ -47,6 +47,14 @@ class NonlinearSettings:
     max_iter: int = 500
     relax: float = 1.0
 
+    def __post_init__(self):
+        if not self.tol > 0:
+            raise ConfigInvalid("'nonlinear.tol' must be positive")
+        if self.max_iter < 1:
+            raise ConfigInvalid("'nonlinear.max_iter' must be at least 1")
+        if not 0.0 < self.relax <= 1.0:
+            raise ConfigInvalid("'nonlinear.relax' must be in (0, 1]")
+
 
 @dataclass(frozen=True)
 class OutputSettings:
@@ -127,6 +135,14 @@ def _coerce(value, kind, where):
             raise ConfigInvalid(f"'{where}' must be a string")
         return value
     raise TypeError(f"unsupported coercion {kind}")
+
+
+def rsvd_params(**fields):
+    """RsvdParams from configured values; a bad value raises ConfigInvalid."""
+    try:
+        return RsvdParams(**fields)
+    except ValueError as exc:
+        raise ConfigInvalid(f"invalid 'rsvd' section: {exc}") from exc
 
 
 def config_from_dict(raw):
@@ -222,22 +238,14 @@ def config_from_dict(raw):
     power = rsvd_sec.take("power", int, default=2)
     seed = rsvd_sec.take("seed", int, default=0)
     rsvd_sec.finish()
-    try:
-        rsvd = RsvdParams(rank=rank, oversampling=oversample, power=power, seed=seed)
-    except ValueError as exc:
-        raise ConfigInvalid(f"invalid 'rsvd' section: {exc}") from exc
+    rsvd = rsvd_params(rank=rank, oversampling=oversample, power=power, seed=seed)
 
     nl_sec = _Section("nonlinear", raw.get("nonlinear", {}))
     tol = nl_sec.take("tol", float, default=1e-12)
     max_iter = nl_sec.take("max_iter", int, default=500)
     relax = nl_sec.take("relax", float, default=1.0)
     nl_sec.finish()
-    if tol <= 0:
-        raise ConfigInvalid("'nonlinear.tol' must be positive")
-    if max_iter < 1:
-        raise ConfigInvalid("'nonlinear.max_iter' must be at least 1")
-    if not 0.0 < relax <= 1.0:
-        raise ConfigInvalid("'nonlinear.relax' must be in (0, 1]")
+    nonlinear = NonlinearSettings(tol, max_iter, relax)
 
     out_sec = _Section("output", raw.get("output", {}))
     directory = out_sec.take("directory", str, default=".")
@@ -256,7 +264,7 @@ def config_from_dict(raw):
         g=g,
         source=SourceSpec(kind, amplitude),
         rsvd=rsvd,
-        nonlinear=NonlinearSettings(tol, max_iter, relax),
+        nonlinear=nonlinear,
         output=OutputSettings(directory, stem),
     )
 

@@ -49,5 +49,13 @@ class ConfigInvalid(OptbasisError):
     """Experiment configuration failed validation; message names the key."""
 
 
+class SidecarMismatch(OptbasisError, OSError):
+    """A basis file's metadata sidecar describes a different basis than its header.
+
+    Also an OSError, like the other malformed-file errors of ``obf.read_basis``,
+    so callers that catch those catch this one too.
+    """
+
+
 class RankDeficientWarning(UserWarning):
     """Non-fatal notice that an orthonormalization dropped dependent columns."""

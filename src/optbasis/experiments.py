@@ -95,6 +95,12 @@ def compute_problem_basis(setup: ProblemSetup, params=None, solver=None) -> SVDB
     """Randomized basis for an assembled problem, tagged with the problem it came from."""
     solver = solver if solver is not None else factorize(setup.operator)
     params = params if params is not None else setup.config.rsvd
+    sketch = params.rank + params.oversampling
+    if sketch > setup.n_dofs:
+        raise ConfigInvalid(
+            f"'rsvd.rank' + 'rsvd.oversample' = {sketch} exceeds the "
+            f"{setup.n_dofs} unknowns of the problem"
+        )
     return compute_basis(solver, setup.fx, setup.fy, params, meta=basis_meta(setup))
 
 

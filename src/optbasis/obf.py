@@ -13,7 +13,8 @@ Layout of an .obf file::
 
 All scalars little-endian.  The sidecar <stem>.meta.json carries the full
 experiment configuration and basis metadata; reading tolerates a missing
-sidecar, writing always produces one.  Write-then-read reproduces arrays
+sidecar but rejects one whose family, n_dofs or rank disagree with the
+header, and writing always produces one.  Write-then-read reproduces arrays
 bit for bit.
 """
 
@@ -26,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import SVDBasis
+from .exceptions import SidecarMismatch
 
 MAGIC = b"OBAS"
 FORMAT_VERSION = 1
@@ -98,15 +100,22 @@ def read_basis(path):
     right = np.frombuffer(blob, dtype="<f8", count=n_dofs * rank, offset=offset)
     right = right.reshape((n_dofs, rank), order="F").copy()
 
-    meta = {"family": TAG_FAMILIES[tag]}
+    header = {"family": TAG_FAMILIES[tag], "n_dofs": int(n_dofs), "rank": int(rank)}
+    meta = {}
     side = sidecar_path(path)
     if side.exists():
         stored = json.loads(side.read_text())
+        for key, value in header.items():
+            if stored.get(key, value) != value:
+                raise SidecarMismatch(
+                    f"{side}: sidecar {key} {stored[key]!r} does not match "
+                    f"{value!r} in the header of {path}"
+                )
         meta.update(stored.get("basis_meta") or {})
-        meta["family"] = stored.get("family", meta["family"])
         if stored.get("config") is not None:
             meta["config"] = stored["config"]
-    return SVDBasis(int(n_dofs), int(rank), lam, left, right, meta)
+    meta["family"] = header["family"]
+    return SVDBasis(header["n_dofs"], header["rank"], lam, left, right, meta)
 
 
 def _jsonable(d):

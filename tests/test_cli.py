@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, outputs, overrides and deterministic files."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,7 @@ class TestAssembleCheck:
                      "interior row sums vanish"):
             assert line in out
         assert "FAIL" not in out
+        assert re.search(r"operator factorizes \(N = 25, nnz\(L\+U\) = \d+\)", out)
 
     def test_rte_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, family="rte", m=5,
@@ -100,6 +102,50 @@ class TestAssembleCheck:
         assert f"'{where}' must be a finite number" in err
         assert "Traceback" not in err
         assert not (tmp_path / "curve.csv").exists()
+
+
+class TestOverrideValidation:
+    # m = 6 gives 25 unknowns
+    @pytest.mark.parametrize("flags, message", [
+        (["--rank", "0"], "'rsvd' section: rank must be at least 1"),
+        (["--oversample", "-1"], "oversampling and power must be nonnegative"),
+        (["--power", "-1"], "oversampling and power must be nonnegative"),
+        (["--seed", "-1"], "seed must be nonnegative"),
+        (["--rank", "100"], "= 106 exceeds the 25 unknowns"),
+        (["--relax", "2"], "'nonlinear.relax' must be in (0, 1]"),
+        (["--relax", "0"], "'nonlinear.relax' must be in (0, 1]"),
+        (["--tol", "0"], "'nonlinear.tol' must be positive"),
+        (["--max-iter", "0"], "'nonlinear.max_iter' must be at least 1"),
+    ])
+    def test_bad_overrides_exit_two(self, tmp_path, capsys, flags, message):
+        cfg = write_config(tmp_path, family="semilinear_elliptic")
+        out = tmp_path / "curve.csv"
+        assert main(["solve-nonlinear", "--config", str(cfg), "--out", str(out)]
+                    + flags) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, token", [("--tol", "inf"), ("--relax", "nan")])
+    def test_non_finite_float_flags_exit_two(self, tmp_path, capsys, flag, token):
+        cfg = write_config(tmp_path, family="semilinear_elliptic")
+        with pytest.raises(SystemExit) as err:
+            main(["solve-nonlinear", "--config", str(cfg),
+                  "--out", str(tmp_path / "curve.csv"), flag, token])
+        assert err.value.code == 2
+        assert f"'{token}' is not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["basis", "sv-decay", "solve-nonlinear", "sweep"])
+    def test_configured_sketch_larger_than_the_problem_exits_two(self, tmp_path, capsys,
+                                                                 command):
+        # the shipped semilinear config's 50 + 50 sketch columns on 25 unknowns
+        cfg = write_config(tmp_path, family="semilinear_elliptic", rank=50, oversample=50)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'rsvd.rank' + 'rsvd.oversample' = 100 exceeds the 25 unknowns" in err
+        assert "Traceback" not in err
 
 
 class TestBasisCommand:

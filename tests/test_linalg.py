@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from optbasis.elliptic import EllipticMedium, assemble_elliptic
 from optbasis.exceptions import (
     DimensionMismatch,
     RankDeficientWarning,
     SingularOperator,
     SvdFailure,
 )
+from optbasis.grids import Grid2D, PhaseGrid
 from optbasis.linalg import FactorizedSolver, factorize, qr_thin, svd_dense
+from optbasis.transport import RteCoefficients, assemble_rte
 
 
 def dirichlet_laplacian_1d(m, h):
@@ -81,6 +85,55 @@ class TestFactorizedSolver:
         solver = factorize(op)
         assert solver.n == 3
         assert (solver.operator != sp.csc_matrix(op)).nnz == 0
+
+
+@pytest.fixture(scope="module")
+def transport_operator():
+    # the transport-basis benchmark case: m = 12 with 40 angles, 4,840 unknowns
+    return assemble_rte(PhaseGrid(Grid2D(12), 40), RteCoefficients(1.0, 1.0, 0.5))
+
+
+def relative_gap(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+class TestOrdering:
+    def test_transport_fill_stays_below_the_colamd_fill(self, transport_operator):
+        # minimum degree on A^T + A gives 1.44M; scipy's default COLAMD gives 2.49M
+        assert factorize(transport_operator).nnz <= 1_600_000
+
+    def test_nnz_counts_both_factors_and_is_read_only(self):
+        solver = factorize(dirichlet_laplacian_1d(8, 0.125))
+        assert solver.nnz >= solver.operator.nnz
+        with pytest.raises(AttributeError):
+            solver.nnz = 0
+
+    @pytest.mark.parametrize("operator", ["transport", "elliptic"])
+    def test_solves_match_spsolve(self, operator, transport_operator):
+        a = sp.csc_matrix(transport_operator if operator == "transport"
+                          else assemble_elliptic(Grid2D(16), EllipticMedium(0.0625)))
+        solver = factorize(a)
+        rng = np.random.Generator(np.random.Philox(21))
+        b = rng.standard_normal((a.shape[0], 3))
+        assert relative_gap(solver.solve(b), spla.spsolve(a, b)) <= 1e-12
+        assert relative_gap(solver.solve_transpose(b),
+                            spla.spsolve(sp.csc_matrix(a.T), b)) <= 1e-12
+
+    @pytest.mark.parametrize("diagonal", [0.0, 1e-8])
+    def test_zero_or_tiny_diagonal_is_pivoted_away(self, diagonal):
+        # a nonsymmetric tridiagonal matrix with its rows rolled by three, so
+        # the diagonal holds only `diagonal`; pivoting on a 1e-8 diagonal
+        # entry (what a zero pivot threshold does) loses every digit
+        n = 12
+        rng = np.random.Generator(np.random.Philox(3))
+        tri = np.diag(rng.uniform(3.0, 4.0, n))
+        tri += np.diag(rng.uniform(-1.0, -0.5, n - 1), -1)
+        tri += np.diag(rng.uniform(-2.0, -1.0, n - 1), 1)
+        a = np.roll(tri, 3, axis=0) + diagonal * np.eye(n)
+        solver = factorize(sp.csc_matrix(a))
+        b = rng.standard_normal(n)
+        assert relative_gap(solver.solve(b), np.linalg.solve(a, b)) <= 1e-12
+        assert relative_gap(solver.solve_transpose(b), np.linalg.solve(a.T, b)) <= 1e-12
 
 
 class TestQrThin:

@@ -10,6 +10,7 @@ from optbasis import obf
 from optbasis.basis import SVDBasis, dense_svd_oracle
 from optbasis.config import PROBLEM_FAMILIES
 from optbasis.elliptic import EllipticMedium, assemble_elliptic
+from optbasis.exceptions import OptbasisError, SidecarMismatch
 from optbasis.grids import Grid2D
 from optbasis.linalg import factorize
 from optbasis.weights import build_sobolev_weight, identity_weight
@@ -110,6 +111,38 @@ class TestRoundTrip:
         side = obf.write_basis(path, handmade_basis({"family": family}))
         side.unlink()
         assert obf.read_basis(path).meta["family"] == family
+
+
+class TestStaleSidecar:
+    def test_elliptic_sidecar_cannot_relabel_an_rte_basis(self, tmp_path):
+        rte = SVDBasis(4, 1, np.array([2.0]), np.ones((4, 1)), np.ones((4, 1)),
+                       {"family": "rte"})
+        path = tmp_path / "rte.obf"
+        obf.write_basis(path, rte)
+        obf.write_basis(tmp_path / "old.obf", small_basis("elliptic"), {"grid": {"m_intervals": 5}})
+        (tmp_path / "old.meta.json").replace(obf.sidecar_path(path))
+        with pytest.raises(SidecarMismatch, match="sidecar family 'elliptic'"):
+            obf.read_basis(path)
+        assert issubclass(SidecarMismatch, OptbasisError)
+        assert issubclass(SidecarMismatch, OSError)
+
+    @pytest.mark.parametrize("key", ["family", "n_dofs", "rank"])
+    def test_each_disagreeing_field_is_rejected(self, tmp_path, key):
+        path = tmp_path / "b.obf"
+        side = obf.write_basis(path, handmade_basis())
+        stored = json.loads(side.read_text())
+        stored[key] = {"family": "elliptic", "n_dofs": 8, "rank": 2}[key]
+        side.write_text(json.dumps(stored))
+        with pytest.raises(SidecarMismatch, match=f"sidecar {key} "):
+            obf.read_basis(path)
+
+    def test_family_in_basis_meta_does_not_override_the_header(self, tmp_path):
+        path = tmp_path / "b.obf"
+        side = obf.write_basis(path, handmade_basis())
+        stored = json.loads(side.read_text())
+        stored["basis_meta"]["family"] = "elliptic"
+        side.write_text(json.dumps(stored))
+        assert obf.read_basis(path).meta["family"] == "identity"
 
 
 class TestCorruption:
