@@ -172,28 +172,23 @@ def dense_svd_oracle(operator, fx, fy, size_guard=DENSE_ORACLE_GUARD, meta=None)
 
 
 class SourceProjector:
-    """Coefficient map g -> (Pi_X-inner products of g with the leading right vectors).
+    """Coefficient map g -> V_n^T (Pi_X g): Pi_X-inner products with the leading n right vectors.
 
     Shared by the linear projection solve and the nonlinear fixed point so
-    both take the identical floating-point path.  Building applies F_X to n
-    vectors, so an error curve builds one at its largest n and slices it.
+    both take the identical floating-point path.  Building keeps only a view
+    of V_n and the weight's Gram matrix Pi_X, so a build per n is cheap.
     """
 
     def __init__(self, basis: SVDBasis, fx, n):
         if n > basis.rank:
             raise RankExhausted(f"requested n = {n} but basis holds rank {basis.rank}")
-        self.n = n
         self.fx = fx
-        self._fv = fx.apply(basis.right_vectors[:, :n])
+        self._v = basis.right_vectors[:, :n]
+        self._gram = fx.gram()
 
-    def coefficients(self, g, n=None):
-        """Inner products of g with the leading n <= self.n right vectors (default: all)."""
-        n = self.n if n is None else n
-        if n > self.n:
-            raise RankExhausted(f"requested n = {n} but projector was built for {self.n}")
-        # A contiguous slice gives the BLAS call, and so the bits, of a projector built at n.
-        fv = self._fv if n == self.n else np.ascontiguousarray(self._fv[:, :n])
-        return fv.T @ self.fx.apply(g)
+    def coefficients(self, g):
+        """Inner products of g with the leading n right vectors."""
+        return self._v.T @ (self._gram @ self.fx._check(g))
 
 
 def reconstruct(basis: SVDBasis, coeffs, n=None):

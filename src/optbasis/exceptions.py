@@ -50,7 +50,7 @@ class ConfigInvalid(OptbasisError):
 
 
 class SidecarMismatch(OptbasisError, OSError):
-    """A basis file's metadata sidecar describes a different basis than its header.
+    """A basis file's metadata sidecar is malformed or describes a different basis.
 
     Also an OSError, like the other malformed-file errors of ``obf.read_basis``,
     so callers that catch those catch this one too.

@@ -13,7 +13,7 @@ from .elliptic import EllipticMedium, assemble_elliptic, eval_source_elliptic
 from .exceptions import ConfigInvalid
 from .grids import Grid2D, PhaseGrid
 from .linalg import factorize
-from .nonlinear import CubicTerm, TwoPhotonTerm, _fixed_point, newton_reference
+from .nonlinear import CubicTerm, TwoPhotonTerm, fixed_point_solve, newton_reference
 from .transport import RteCoefficients, assemble_rte, eval_source_rte
 from .weights import _energy_norm_on, build_rte_weight, build_sobolev_weight, identity_weight
 
@@ -149,29 +149,28 @@ def error_curve(u_ref, basis: SVDBasis, fx, f, n_values, grid=None) -> ErrorCurv
     Passing a Grid2D adds the relative energy seminorm column (spatial
     fields only).
     """
-    return _curve(u_ref, basis, fx, n_values, grid,
-                  lambda projector, n: reconstruct(basis, projector.coefficients(f, n), n))
+    return _curve(u_ref, n_values, grid,
+                  lambda n: solve_linear_projection(basis, fx, f, n))
 
 
 def nonlinear_error_curve(u_ref, basis: SVDBasis, fx, f, term, n_values,
                           settings, grid=None) -> ErrorCurve:
     """Fixed-point solution errors over a range of truncation levels."""
-    return _curve(u_ref, basis, fx, n_values, grid,
-                  lambda projector, n: _fixed_point(basis, projector, f, term, n, settings.tol,
-                                                    settings.max_iter, settings.relax).solution)
+    return _curve(u_ref, n_values, grid,
+                  lambda n: fixed_point_solve(basis, fx, f, term, n, settings.tol,
+                                              settings.max_iter, settings.relax).solution)
 
 
-def _curve(u_ref, basis, fx, n_values, grid, solution) -> ErrorCurve:
-    """Errors of solution(projector, n) against u_ref, with one projector built at max n."""
+def _curve(u_ref, n_values, grid, solution) -> ErrorCurve:
+    """Errors of solution(n) against u_ref, with the energy-norm operators built once."""
     n_values = list(n_values)
-    projector = SourceProjector(basis, fx, max(n_values, default=0))
     u_ref = np.asarray(u_ref, dtype=float)
     ref_l2 = np.linalg.norm(u_ref)
     energy_norm = _energy_norm_on(grid) if grid is not None else None
     ref_energy = energy_norm(u_ref) if grid is not None else None
     l2, energy = [], []
     for n in n_values:
-        err = solution(projector, n) - u_ref
+        err = solution(n) - u_ref
         l2.append(float(np.linalg.norm(err) / ref_l2))
         if grid is not None:
             energy.append(energy_norm(err) / ref_energy)

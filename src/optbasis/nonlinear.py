@@ -116,23 +116,18 @@ def fixed_point_solve(basis: SVDBasis, fx, f, term, n, tol=1e-12, max_iter=500,
     returns the result with ``converged`` indicating whether the step
     criterion was met within ``max_iter`` sweeps.
     """
-    return _fixed_point(basis, SourceProjector(basis, fx, n), f, term, n, tol, max_iter,
-                        relax)
-
-
-def _fixed_point(basis: SVDBasis, projector, f, term, n, tol, max_iter, relax):
-    """fixed_point_solve with a projector built at n or above, for curves that share one."""
     if not 0.0 < relax <= 1.0:
         raise ValueError("relaxation factor must be in (0, 1]")
+    projector = SourceProjector(basis, fx, n)
     lam = basis.singular_values[:n]
-    coeffs = projector.coefficients(f, n)
+    coeffs = projector.coefficients(f)
     history = []
     converged = False
     step = np.inf
     iterations = 0
     for _ in range(max_iter):
         u = reconstruct(basis, coeffs, n)
-        raw = projector.coefficients(f - term(u), n)
+        raw = projector.coefficients(f - term(u))
         new = raw if relax == 1.0 else (1.0 - relax) * coeffs + relax * raw
         if not np.all(np.isfinite(new)) or (new.size and np.abs(new).max() > DIVERGENCE_LIMIT):
             raise Diverged(

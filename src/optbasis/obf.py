@@ -13,9 +13,9 @@ Layout of an .obf file::
 
 All scalars little-endian.  The sidecar <stem>.meta.json carries the full
 experiment configuration and basis metadata; reading tolerates a missing
-sidecar but rejects one whose family, n_dofs or rank disagree with the
-header, and writing always produces one.  Write-then-read reproduces arrays
-bit for bit.
+sidecar but rejects one that is not a JSON object or whose family, n_dofs
+or rank disagree with the header, and writing always produces one.
+Write-then-read reproduces arrays bit for bit.
 """
 
 from __future__ import annotations
@@ -104,7 +104,12 @@ def read_basis(path):
     meta = {}
     side = sidecar_path(path)
     if side.exists():
-        stored = json.loads(side.read_text())
+        try:
+            stored = json.loads(side.read_text())
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise SidecarMismatch(f"{side}: sidecar is not valid JSON ({exc})") from exc
+        if not isinstance(stored, dict) or not isinstance(stored.get("basis_meta") or {}, dict):
+            raise SidecarMismatch(f"{side}: sidecar or its basis_meta is not a JSON object")
         for key, value in header.items():
             if stored.get(key, value) != value:
                 raise SidecarMismatch(

@@ -119,7 +119,7 @@ class WeightFactor:
         raise NotImplementedError
 
     def gram(self):
-        """Assembled Pi as a sparse matrix (small problems only)."""
+        """Assembled Pi as a sparse matrix, the operator of the Pi-inner products."""
         raise NotImplementedError
 
     def _check(self, v):
@@ -248,6 +248,7 @@ class TensorWeightFactor(WeightFactor):
         self.minor_scale = float(minor_scale)
         self.dim = spatial.dim * self.n_minor
         self.label = label
+        self._gram = None
 
     def _map(self, v, op, scale):
         v = self._check(v)
@@ -271,8 +272,10 @@ class TensorWeightFactor(WeightFactor):
         return self._map(v, self.spatial.solve_t, 1.0 / self.minor_scale)
 
     def gram(self):
-        eye = sp.identity(self.n_minor, format="csr")
-        return sp.kron(self.spatial.gram(), (self.minor_scale ** 2) * eye, format="csr")
+        if self._gram is None:  # assembled on first use, so basis-only runs never form it
+            eye = sp.identity(self.n_minor, format="csr")
+            self._gram = sp.kron(self.spatial.gram(), (self.minor_scale ** 2) * eye, format="csr")
+        return self._gram
 
 
 def build_sobolev_weight(p, grid: Grid2D):

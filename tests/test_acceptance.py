@@ -9,7 +9,12 @@ few minutes; everything else is desk scale and fast.
 import numpy as np
 import pytest
 
-from optbasis.basis import RsvdParams, compute_basis, defining_relation_errors
+from optbasis.basis import (
+    RsvdParams,
+    SourceProjector,
+    compute_basis,
+    defining_relation_errors,
+)
 from optbasis.bayes import check_reconstruction_bound, nwidth_eval, trace_objective
 from optbasis.config import config_from_dict
 from optbasis.exceptions import BoundViolation
@@ -66,11 +71,12 @@ def desk_rte():
 def projection_bound_sweep(u_ref, basis, fx, f):
     """Worst slack of ||u_ref - u_n||_2 <= lambda_{n+1} ||f||_X over all n.
 
-    Builds the reduced solutions cumulatively so the full sweep costs one
-    pass over the basis.  Returns (violations, worst_margin) with margin
+    Takes the coefficients from the package's source projector and builds
+    the reduced solutions cumulatively, so the full sweep costs one pass
+    over the basis.  Returns (violations, worst_margin) with margin
     lhs/rhs - 1, negative when the bound holds.
     """
-    coeffs = basis.right_vectors.T @ fx.apply_t(fx.apply(f))
+    coeffs = SourceProjector(basis, fx, basis.rank).coefficients(f)
     f_norm = fx.norm(f)
     lam = basis.singular_values
     err = np.asarray(u_ref, dtype=float).copy()

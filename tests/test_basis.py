@@ -15,10 +15,21 @@ from optbasis.basis import (
     reconstruct,
 )
 from optbasis.elliptic import EllipticMedium, assemble_elliptic
-from optbasis.exceptions import ProblemTooLarge, RankDeficientWarning, RankExhausted
-from optbasis.grids import Grid2D
+from optbasis.exceptions import (
+    DimensionMismatch,
+    ProblemTooLarge,
+    RankDeficientWarning,
+    RankExhausted,
+)
+from optbasis.grids import Grid2D, PhaseGrid
 from optbasis.linalg import factorize
-from optbasis.weights import TriangularWeightFactor, build_sobolev_weight, identity_weight
+from optbasis.transport import RteCoefficients, assemble_rte
+from optbasis.weights import (
+    TriangularWeightFactor,
+    build_rte_weight,
+    build_sobolev_weight,
+    identity_weight,
+)
 
 
 def elliptic_setup(m, p):
@@ -247,19 +258,37 @@ class TestProjectionPieces:
         with pytest.raises(RankExhausted):
             reconstruct(basis, np.ones(5), 5)
 
-    def test_leading_coefficients_are_bitwise_those_of_a_smaller_projector(self):
-        solver, fx, fy = elliptic_setup(8, 2)
-        basis = dense_svd_oracle(solver, fx, fy)
-        g = np.random.Generator(np.random.Philox(23)).normal(size=solver.n)
-        big = SourceProjector(basis, fx, 12)
-        for n in range(13):
-            np.testing.assert_array_equal(big.coefficients(g, n),
-                                          SourceProjector(basis, fx, n).coefficients(g))
-        np.testing.assert_array_equal(big.coefficients(g), big.coefficients(g, 12))
-
-    def test_coefficients_beyond_the_built_size_raise(self):
+    def test_wrong_length_source_raises_dimension_mismatch(self):
         solver, fx, fy = elliptic_setup(6, 1)
         basis = dense_svd_oracle(solver, fx, fy)
-        projector = SourceProjector(basis, fx, 3)
-        with pytest.raises(RankExhausted, match="built for 3"):
-            projector.coefficients(np.ones(solver.n), 4)
+        with pytest.raises(DimensionMismatch, match="leading dimension 26"):
+            SourceProjector(basis, fx, 3).coefficients(np.ones(solver.n + 1))
+
+
+def rte_setup(m, n_angles, p):
+    phase_grid = PhaseGrid(Grid2D(m), n_angles)
+    solver = factorize(assemble_rte(phase_grid, RteCoefficients(1.0, 1.0, 0.5)))
+    return solver, build_rte_weight(p, phase_grid), identity_weight(solver.n)
+
+
+COEFFICIENT_CASES = [
+    pytest.param(lambda: elliptic_setup(8, 0), id="elliptic-p0"),
+    pytest.param(lambda: elliptic_setup(8, 1), id="elliptic-p1"),
+    pytest.param(lambda: elliptic_setup(8, 2), id="elliptic-p2"),
+    pytest.param(lambda: rte_setup(6, 4, 1), id="rte-p1"),
+]
+
+
+class TestProjectionAccuracy:
+    @pytest.mark.parametrize("make_setup", COEFFICIENT_CASES)
+    def test_coefficients_match_an_extended_precision_reference(self, make_setup):
+        # entrywise forward-error scale of V^T (Pi g): |V|^T (|Pi| |g|)
+        solver, fx, fy = make_setup()
+        basis = dense_svd_oracle(solver, fx, fy)
+        g = np.random.Generator(np.random.Philox(29)).normal(size=solver.n)
+        v = basis.right_vectors
+        pi = fx.gram().toarray()
+        exact = v.astype(np.longdouble).T @ (pi.astype(np.longdouble) @ g.astype(np.longdouble))
+        got = SourceProjector(basis, fx, basis.rank).coefficients(g)
+        scale = np.abs(v).T @ (np.abs(pi) @ np.abs(g))
+        assert np.all(np.abs(got - exact) <= 1e-13 * scale)

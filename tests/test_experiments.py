@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from optbasis.basis import RsvdParams, SourceProjector
+from optbasis.basis import RsvdParams
 from optbasis.config import NonlinearSettings, config_from_dict
 from optbasis.elliptic import eval_source_elliptic
 from optbasis.exceptions import ProblemTooLarge, RankExhausted
@@ -251,22 +251,20 @@ class TestSharedCurveKernel:
         assert curve.rel_l2 == l2
         assert curve.rel_energy == energy
 
-    def test_each_curve_builds_one_projector(self, monkeypatch):
+    def test_curves_apply_no_weight_factor(self, monkeypatch):
+        # the coefficients come from the Gram matrix, never from F_X products
         config, setup, basis, u_ref = curve_case("semilinear_elliptic", {"m_intervals": 8}, 2)
-        builds = []
-        original = SourceProjector.__init__
 
-        def counting_init(self, *args, **kwargs):
-            builds.append(args[-1])
-            original(self, *args, **kwargs)
+        def refuse(v):
+            raise AssertionError("weight factor applied inside an error curve")
 
-        monkeypatch.setattr(SourceProjector, "__init__", counting_init)
+        monkeypatch.setattr(setup.fx, "apply", refuse)
+        monkeypatch.setattr(setup.fx, "apply_t", refuse)
         ns = list(range(1, basis.rank + 1))
-        error_curve(u_ref, basis, setup.fx, setup.source, ns, grid=setup.grid)
-        assert builds == [basis.rank]
-        nonlinear_error_curve(u_ref, basis, setup.fx, setup.source, setup.term, ns,
-                              config.nonlinear, grid=setup.grid)
-        assert builds == [basis.rank, basis.rank]
+        linear = error_curve(u_ref, basis, setup.fx, setup.source, ns, grid=setup.grid)
+        nonlin = nonlinear_error_curve(u_ref, basis, setup.fx, setup.source, setup.term, ns,
+                                       config.nonlinear, grid=setup.grid)
+        assert len(linear.rel_l2) == len(nonlin.rel_l2) == basis.rank
 
     def test_curve_beyond_the_basis_rank_raises(self):
         _, setup, basis, u_ref = curve_case("semilinear_elliptic", {"m_intervals": 8}, 2)

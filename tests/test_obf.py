@@ -144,6 +144,17 @@ class TestStaleSidecar:
         side.write_text(json.dumps(stored))
         assert obf.read_basis(path).meta["family"] == "identity"
 
+    @pytest.mark.parametrize("text, match", [
+        ("{bad", "not valid JSON"),
+        ("[1, 2]", "not a JSON object"),
+        ('{"basis_meta": [1]}', "not a JSON object"),
+    ], ids=["undecodable", "not-an-object", "basis-meta-not-an-object"])
+    def test_malformed_sidecar_is_rejected(self, tmp_path, text, match):
+        path = tmp_path / "b.obf"
+        obf.write_basis(path, handmade_basis()).write_text(text)
+        with pytest.raises(SidecarMismatch, match=match):
+            obf.read_basis(path)
+
 
 class TestCorruption:
     def test_unknown_family_rejected_at_write_time(self, tmp_path):
