@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ProblemTooLarge, RankDeficientWarning, RankExhausted
-from .linalg import factorize, qr_thin, svd_dense
+from .linalg import qr_thin, svd_dense
 
 # Singular values below this fraction of the largest are treated as numerically zero.
 TRUNCATION_RTOL = 1e-14
@@ -148,14 +148,13 @@ def compute_basis(solver, fx, fy, params: RsvdParams, meta=None):
     return SVDBasis(n, r_eff, lam, u_hat, v_hat, info)
 
 
-def dense_svd_oracle(operator, fx, fy, size_guard=DENSE_ORACLE_GUARD, meta=None):
+def dense_svd_oracle(solver, fx, fy, size_guard=DENSE_ORACLE_GUARD, meta=None):
     """All weighted singular triplets by brute force, for verification.
 
     Forms the dense weighted operator A = F_Y L^{-1} F_X^{-1} column by
-    column and runs a full SVD.  Refuses problems above ``size_guard``
-    unknowns.
+    column from the solver's solves and runs a full SVD.  Refuses problems
+    above ``size_guard`` unknowns.
     """
-    solver = operator if hasattr(operator, "solve_transpose") else factorize(operator)
     n = solver.n
     if n > size_guard:
         raise ProblemTooLarge(f"dense oracle limited to {size_guard} unknowns, got {n}")

@@ -31,7 +31,7 @@ from .experiments import (
     oracle_problem_basis,
     reference_solution,
 )
-from .linalg import factorize
+from .linalg import reciprocity_defect
 
 SWEEP_EPS_VALUES = (1.0, 0.25, 0.0625)
 
@@ -116,7 +116,7 @@ def cmd_assemble_check(args):
     checks = _Checks()
 
     try:
-        solver = factorize(setup.operator)
+        solver = setup.factorize()
         checks.record("operator factorizes", True,
                       f"N = {setup.n_dofs}, nnz(L+U) = {solver.nnz}")
     except OptbasisError as exc:
@@ -156,6 +156,13 @@ def cmd_assemble_check(args):
         checks.record("diagonal positive", setup.operator.diagonal().min() > 0.0)
         zero = solver.solve(np.zeros(setup.n_dofs))
         checks.record("zero source gives zero solution", abs(zero).max() == 0.0)
+        if setup.reversal is None:
+            checks.record("operator reciprocal", True,
+                          f"no direction reversal exists for {config.n_angles} angles")
+        else:
+            defect = reciprocity_defect(setup.operator, setup.reversal)
+            checks.record("operator reciprocal", defect == 0,
+                          f"exact L^T == P L P, {defect} mismatched entries")
 
     return checks.exit_code()
 
@@ -170,7 +177,7 @@ def cmd_basis(args):
     config = _load_config(args)
     params = _rsvd_params(config, args)
     setup = build_problem(config)
-    solver = factorize(setup.operator)
+    solver = setup.factorize()
     basis = compute_problem_basis(setup, params, solver)
     errors = _relation_summary(basis, solver, setup)
     for name, value in errors.items():
@@ -203,7 +210,7 @@ def cmd_solve_linear(args):
         return 2
     params = _rsvd_params(config, args)
     setup = build_problem(config)
-    solver = factorize(setup.operator)
+    solver = setup.factorize()
     basis = compute_problem_basis(setup, params, solver)
     u_ref = reference_solution(setup, solver)
     if np.linalg.norm(u_ref) == 0.0:
@@ -227,7 +234,7 @@ def cmd_solve_nonlinear(args):
     params = _rsvd_params(config, args)
     settings = _nonlinear_settings(config, args)
     setup = build_problem(config)
-    solver = factorize(setup.operator)
+    solver = setup.factorize()
     basis = compute_problem_basis(setup, params, solver)
     u_ref = reference_solution(setup, solver)
     nmax = args.nmax if args.nmax is not None else basis.rank
@@ -254,9 +261,9 @@ def cmd_oracle_svd(args):
 def cmd_nwidth_check(args):
     config = _load_config(args)
     setup = build_problem(config)
-    solver = factorize(setup.operator)
+    solver = setup.factorize()
     green = solver.solve(np.eye(setup.n_dofs))
-    basis = oracle_problem_basis(setup)
+    basis = oracle_problem_basis(setup, solver=solver)
     lam = basis.singular_values
     checks = _Checks()
     rng = np.random.Generator(np.random.Philox(777))
@@ -281,7 +288,7 @@ def cmd_nwidth_check(args):
 def cmd_bayes_check(args):
     config = _load_config(args)
     setup = build_problem(config)
-    solver = factorize(setup.operator)
+    solver = setup.factorize()
     green = solver.solve(np.eye(setup.n_dofs))
     checks = _Checks()
     svals = np.linalg.svd(green, compute_uv=False)
@@ -424,6 +431,10 @@ def main(argv=None):
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

@@ -13,6 +13,10 @@ class DimensionMismatch(OptbasisError):
     """Operand shapes are incompatible."""
 
 
+class NotReciprocal(OptbasisError):
+    """An operator's transpose is not the operator under the given reversal, Lᵀ != P L P."""
+
+
 class SvdFailure(OptbasisError):
     """Dense SVD did not converge."""
 

@@ -20,7 +20,12 @@ from .weights import _energy_norm_on, build_rte_weight, build_sobolev_weight, id
 
 @dataclass
 class ProblemSetup:
-    """Assembled operator, weights and source for one experiment."""
+    """Assembled operator, weights and source for one experiment.
+
+    ``reversal`` is the permutation P with operator^T = P operator P exactly:
+    the identity for the symmetric families, the direction reversal for
+    transport with an even angle count, None where no such P is known.
+    """
 
     config: ExperimentConfig
     operator: sp.csr_matrix
@@ -30,10 +35,15 @@ class ProblemSetup:
     grid: Grid2D
     phase_grid: PhaseGrid | None
     term: object | None
+    reversal: np.ndarray | None
 
     @property
     def n_dofs(self):
         return self.operator.shape[0]
+
+    def factorize(self):
+        """Sparse LU of the operator, with the reversal its transposed solves use."""
+        return factorize(self.operator, self.reversal)
 
 
 def build_problem(config: ExperimentConfig) -> ProblemSetup:
@@ -59,13 +69,16 @@ def build_problem(config: ExperimentConfig) -> ProblemSetup:
             source = np.zeros(phase_grid.n_dofs)
         if config.family == "semilinear_rte":
             term = TwoPhotonTerm(phase_grid, config.eps1)
+        reversal = phase_grid.reversal()
     else:  # identity: diagnostic family with unit operator and unit weights
         operator = sp.identity(grid.n_interior, format="csr")
         fx = identity_weight(grid.n_interior)
         source = _grid_source(config, grid)
 
+    if phase_grid is None:  # the elliptic and identity operators are symmetric
+        reversal = np.arange(operator.shape[0])
     fy = identity_weight(operator.shape[0])
-    return ProblemSetup(config, operator, fx, fy, source, grid, phase_grid, term)
+    return ProblemSetup(config, operator, fx, fy, source, grid, phase_grid, term, reversal)
 
 
 def _grid_source(config, grid):
@@ -93,7 +106,7 @@ def basis_meta(setup: ProblemSetup):
 
 def compute_problem_basis(setup: ProblemSetup, params=None, solver=None) -> SVDBasis:
     """Randomized basis for an assembled problem, tagged with the problem it came from."""
-    solver = solver if solver is not None else factorize(setup.operator)
+    solver = solver if solver is not None else setup.factorize()
     params = params if params is not None else setup.config.rsvd
     sketch = params.rank + params.oversampling
     if sketch > setup.n_dofs:
@@ -104,17 +117,17 @@ def compute_problem_basis(setup: ProblemSetup, params=None, solver=None) -> SVDB
     return compute_basis(solver, setup.fx, setup.fy, params, meta=basis_meta(setup))
 
 
-def oracle_problem_basis(setup: ProblemSetup, size_guard=None) -> SVDBasis:
+def oracle_problem_basis(setup: ProblemSetup, size_guard=None, solver=None) -> SVDBasis:
     """Dense-oracle basis for an assembled problem (small sizes only)."""
+    solver = solver if solver is not None else setup.factorize()
     kwargs = {} if size_guard is None else {"size_guard": size_guard}
-    return dense_svd_oracle(setup.operator, setup.fx, setup.fy,
-                            meta=basis_meta(setup), **kwargs)
+    return dense_svd_oracle(solver, setup.fx, setup.fy, meta=basis_meta(setup), **kwargs)
 
 
 def reference_solution(setup: ProblemSetup, solver=None):
     """Direct solve for linear problems, damped Newton for semilinear ones."""
     if setup.term is None:
-        solver = solver if solver is not None else factorize(setup.operator)
+        solver = solver if solver is not None else setup.factorize()
         return solver.solve(setup.source)
     return newton_reference(setup.operator, setup.term,
                             setup.source, tol=setup.config.nonlinear.tol)

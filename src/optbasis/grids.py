@@ -59,6 +59,8 @@ class PhaseGrid:
 
     Angles are theta_l = 2 pi l / n_angles for l = 0 .. n_angles - 1.
     Phase-space unknowns are space-major: flat index = spatial_index * n_angles + l.
+    For an even angle count, direction l + n_angles / 2 is the exact reverse
+    of direction l, bit for bit.
     """
 
     spatial: Grid2D
@@ -77,6 +79,28 @@ class PhaseGrid:
         return 2.0 * np.pi * np.arange(self.n_angles) / self.n_angles
 
     def velocities(self):
-        """Unit velocity components (cos theta_l, sin theta_l)."""
+        """Unit velocity components (cos theta_l, sin theta_l).
+
+        With an even angle count the second half is the exact negation of
+        the first, so v_{l + n_angles/2} = -v_l holds bit for bit rather than
+        up to the rounding of cos(theta + pi).
+        """
         th = self.theta
-        return np.cos(th), np.sin(th)
+        cos_t, sin_t = np.cos(th), np.sin(th)
+        if self.n_angles % 2 == 0:
+            half = self.n_angles // 2
+            cos_t[half:] = -cos_t[:half]
+            sin_t[half:] = -sin_t[:half]
+        return cos_t, sin_t
+
+    def reversal(self):
+        """Phase-space index permutation that reverses every direction, l -> l + n_angles/2.
+
+        It is an involution.  Returns None for an odd angle count, where no
+        direction has an exact reverse on the grid.
+        """
+        if self.n_angles % 2:
+            return None
+        angles = (np.arange(self.n_angles) + self.n_angles // 2) % self.n_angles
+        offsets = self.n_angles * np.arange(self.spatial.n_interior)
+        return (offsets[:, None] + angles[None, :]).ravel()

@@ -15,6 +15,7 @@ import scipy.sparse.linalg as spla
 
 from .exceptions import (
     DimensionMismatch,
+    NotReciprocal,
     RankDeficientWarning,
     SingularOperator,
     SvdFailure,
@@ -46,19 +47,41 @@ class FactorizedSolver:
     Keeps a reference to the assembled matrix and exposes solves with both
     the operator and its transpose from the single factorization.
 
+    SuperLU solves with the transpose one right-hand side at a time, but
+    solves with the operator itself blockwise through its supernodes.  A
+    reciprocal operator, L^T = P L P for an involutive permutation P, has
+    its transposed solves done as P L^{-1} P b, through the blocked path.
+
     Parameters
     ----------
     operator : sparse or dense square matrix
         Converted to CSC for the factorization.
+    reversal : integer index array or None
+        The permutation P, with P[P] the identity.  The identity for a
+        symmetric operator; for transport, the map from each direction to its
+        reverse.  Checked exactly once here; None keeps SuperLU's transposed
+        solve.
     """
 
-    def __init__(self, operator):
+    def __init__(self, operator, reversal=None):
         operator = sp.csc_matrix(operator)
         m, n = operator.shape
         if m != n:
             raise DimensionMismatch(f"operator must be square, got {m}x{n}")
         self.operator = operator
         self.n = n
+        self.reversal = None
+        if reversal is not None:
+            self.reversal = _checked_reversal(reversal, n)
+            defect = reciprocity_defect(operator, self.reversal)
+            if defect:
+                raise NotReciprocal(
+                    f"operator transpose differs from the reversed operator in "
+                    f"{defect} entries"
+                )
+            # a symmetric operator is indexed through views, not copies
+            identity = np.array_equal(self.reversal, np.arange(n))
+            self._take = slice(None) if identity else self.reversal
         try:
             self._lu = spla.splu(operator, **_SPLU_OPTIONS)
         except RuntimeError as exc:
@@ -89,13 +112,36 @@ class FactorizedSolver:
         return self._lu.solve(self._check_rhs(b))
 
     def solve_transpose(self, b):
-        """Solve L^T x = b using the same factorization."""
-        return self._lu.solve(self._check_rhs(b), trans="T")
+        """Solve L^T x = b using the same factorization: P L^{-1} P b when reciprocal."""
+        b = self._check_rhs(b)
+        if self.reversal is None:
+            return self._lu.solve(b, trans="T")
+        return self._lu.solve(b[self._take])[self._take]
 
 
-def factorize(operator):
-    """Factorize a square sparse operator once for repeated solves."""
-    return FactorizedSolver(operator)
+def _checked_reversal(reversal, n):
+    p = np.asarray(reversal)
+    if (p.shape != (n,) or not np.issubdtype(p.dtype, np.integer)
+            or (n and (p.min() < 0 or p.max() >= n))
+            or not np.array_equal(p[p], np.arange(n))):
+        raise NotReciprocal(f"reversal must be an involutive permutation of {n} indices")
+    return p
+
+
+def reciprocity_defect(operator, reversal):
+    """Number of entries where L^T and P L P differ; 0 means exactly reciprocal."""
+    operator = sp.csr_matrix(operator)
+    return int((operator.T.tocsr() != operator[reversal][:, reversal]).nnz)
+
+
+def factorize(operator, reversal=None):
+    """Factorize a square sparse operator once for repeated solves.
+
+    ``reversal`` is an involutive permutation P with L^T = P L P, which lets
+    transposed solves run through the blocked forward solve; see
+    FactorizedSolver.
+    """
+    return FactorizedSolver(operator, reversal)
 
 
 def qr_thin(a):

@@ -15,12 +15,16 @@ All scalars little-endian.  The sidecar <stem>.meta.json carries the full
 experiment configuration and basis metadata; reading tolerates a missing
 sidecar but rejects one that is not a JSON object or whose family, n_dofs
 or rank disagree with the header, and writing always produces one.
+Both files are written to temporary files in their own directory and then
+moved into place, so a failed write leaves the previous pair untouched.
 Write-then-read reproduces arrays bit for bit.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import secrets
 import struct
 from pathlib import Path
 
@@ -55,7 +59,8 @@ def write_basis(path, basis: SVDBasis, config_dict=None):
         raise ValueError(f"unknown problem family '{family}'")
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, basis.n_dofs, basis.rank,
                           FAMILY_TAGS[family])
-    with open(path, "wb") as fh:
+
+    def write_payload(fh):
         fh.write(header)
         fh.write(np.ascontiguousarray(basis.singular_values, dtype="<f8").tobytes())
         fh.write(np.asfortranarray(basis.left_vectors, dtype="<f8").tobytes(order="F"))
@@ -69,8 +74,20 @@ def write_basis(path, basis: SVDBasis, config_dict=None):
         "basis_meta": _jsonable(basis.meta),
         "config": config_dict,
     }
+    meta_bytes = (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode()
+
     side = sidecar_path(path)
-    side.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    staged = []
+    try:
+        for target, write in ((path, write_payload), (side, lambda fh: fh.write(meta_bytes))):
+            staged.append(target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp"))
+            with open(staged[-1], "xb") as fh:
+                write(fh)
+        for tmp, target in zip(staged, (path, side)):
+            os.replace(tmp, target)
+    finally:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
     return side
 
 

@@ -33,16 +33,18 @@ def hg_phase(mu, g):
 def hg_kernel_matrix(g, n_angles):
     """Discretely normalized scattering matrix on the equispaced velocity circle.
 
-    Each row is scaled so that (1 / n_angles) sum_l' K[l, l'] = 1, making a
-    constant-in-angle field invariant under the scattering average.
+    The matrix is an exact symmetric circulant: entry (l, l') depends only on
+    the lag min(d, n_angles - d) with d = |l - l'|, and the whole matrix is
+    divided by one scalar so that (1 / n_angles) sum_l' K[l, l'] = 1, making
+    a constant-in-angle field invariant under the scattering average.
     """
     if not 0.0 <= g < 1.0:
         raise ValueError(f"anisotropy factor must be in [0, 1), got {g}")
-    theta = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    mu = np.cos(theta[:, None] - theta[None, :])
-    raw = hg_phase(mu, g)
-    row_mean = raw.sum(axis=1) / n_angles
-    return raw / row_mean[:, None]
+    l = np.arange(n_angles)
+    lag = np.minimum(l, n_angles - l)
+    row = hg_phase(np.cos(2.0 * np.pi * lag / n_angles), g)
+    row = row / (row.sum() / n_angles)
+    return row[(l[None, :] - l[:, None]) % n_angles]
 
 
 def sigma_s(x1, x2, eps1, eps2):

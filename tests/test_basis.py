@@ -50,12 +50,12 @@ def random_spd_factor(n, seed):
 class TestDenseOracle:
     def test_identity_operator_has_unit_spectrum(self):
         fi = identity_weight(6)
-        basis = dense_svd_oracle(sp.identity(6, format="csc"), fi, fi)
+        basis = dense_svd_oracle(factorize(sp.identity(6, format="csc")), fi, fi)
         np.testing.assert_allclose(basis.singular_values, 1.0, atol=1e-14)
 
     def test_diagonal_operator_exact_triplets(self):
         fi = identity_weight(3)
-        basis = dense_svd_oracle(sp.diags([1.0, 2.0, 4.0]).tocsc(), fi, fi)
+        basis = dense_svd_oracle(factorize(sp.diags([1.0, 2.0, 4.0])), fi, fi)
         np.testing.assert_allclose(basis.singular_values, [1.0, 0.5, 0.25], atol=1e-15)
         np.testing.assert_allclose(np.abs(basis.left_vectors), np.eye(3), atol=1e-14)
         np.testing.assert_allclose(np.abs(basis.right_vectors), np.eye(3), atol=1e-14)
@@ -82,7 +82,7 @@ class TestDenseOracle:
     def test_size_guard(self):
         fi = identity_weight(10)
         with pytest.raises(ProblemTooLarge):
-            dense_svd_oracle(sp.identity(10, format="csc"), fi, fi, size_guard=5)
+            dense_svd_oracle(factorize(sp.identity(10, format="csc")), fi, fi, size_guard=5)
 
     def test_values_sorted_descending(self):
         solver, fx, fy = elliptic_setup(6, 0)
@@ -95,7 +95,7 @@ class TestDenseOracle:
         rng = np.random.Generator(np.random.Philox(seed))
         d = rng.uniform(0.5, 4.0, size=n)
         fi = identity_weight(n)
-        basis = dense_svd_oracle(sp.diags(d).tocsc(), fi, fi)
+        basis = dense_svd_oracle(factorize(sp.diags(d)), fi, fi)
         np.testing.assert_allclose(
             basis.singular_values, np.sort(1.0 / d)[::-1], rtol=1e-12
         )

@@ -2,11 +2,12 @@
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from optbasis import obf
+from optbasis import experiments, obf
 from optbasis.cli import build_parser, main
 
 
@@ -67,6 +68,14 @@ class TestAssembleCheck:
         for line in ("kernel rows normalized", "off-diagonal signs",
                      "diagonal positive", "zero source gives zero solution"):
             assert line in out
+        assert "ok   operator reciprocal (exact L^T == P L P, 0 mismatched entries)" in out
+        assert "FAIL" not in out
+
+    def test_rte_with_odd_angles_has_no_reversal(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, family="rte", m=5, grid={"n_angles": 5})
+        assert main(["assemble-check", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "ok   operator reciprocal (no direction reversal exists for 5 angles)" in out
         assert "FAIL" not in out
 
     def test_identity_family(self, tmp_path, capsys):
@@ -175,6 +184,29 @@ class TestBasisCommand:
         assert main(["basis", "--config", str(cfg), "--out", str(a)]) == 0
         assert main(["basis", "--config", str(cfg), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+    def test_rte_config_rerun_is_byte_identical(self, tmp_path):
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "rte.json"
+        a, b = tmp_path / "a.obf", tmp_path / "b.obf"
+        assert main(["basis", "--config", str(cfg), "--out", str(a)]) == 0
+        assert main(["basis", "--config", str(cfg), "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert obf.read_basis(a).rank == 50
+
+
+class TestMemoryError:
+    def test_out_of_memory_is_one_error_line_and_exit_two(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 4.00 GiB for the LU factors")
+
+        monkeypatch.setattr(experiments, "factorize", exhausted)
+        cfg = write_config(tmp_path)
+        assert main(["basis", "--config", str(cfg), "--out", str(tmp_path / "b.obf")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: out of memory (Unable to allocate 4.00 GiB for the LU factors)\n"
+        assert not (tmp_path / "b.obf").exists()
 
 
 class TestCurveCommands:

@@ -86,6 +86,30 @@ class TestBuildProblem:
         np.testing.assert_array_equal(setup.source, np.zeros(9 * 4))
 
 
+class TestReversal:
+    @pytest.mark.parametrize("family", ["rte", "semilinear_rte"])
+    def test_even_angle_transport_carries_the_direction_reversal(self, family):
+        setup = build_problem(make_config(family, m=5, grid={"n_angles": 6}))
+        p = setup.reversal
+        np.testing.assert_array_equal(p, setup.phase_grid.reversal())
+        op = setup.operator.tocsr()
+        assert (op.T.tocsr() != op[p][:, p]).nnz == 0
+        np.testing.assert_array_equal(setup.factorize().reversal, p)
+
+    @pytest.mark.parametrize("family", ["rte", "semilinear_rte"])
+    def test_odd_angle_transport_has_none(self, family):
+        setup = build_problem(make_config(family, m=5, grid={"n_angles": 5}))
+        assert setup.reversal is None
+        assert setup.factorize().reversal is None
+
+    @pytest.mark.parametrize("family", ["elliptic", "semilinear_elliptic", "identity"])
+    def test_symmetric_families_carry_the_identity(self, family):
+        setup = build_problem(make_config(family))
+        np.testing.assert_array_equal(setup.reversal, np.arange(setup.n_dofs))
+        assert (setup.operator != setup.operator.T).nnz == 0
+        np.testing.assert_array_equal(setup.factorize().reversal, setup.reversal)
+
+
 class TestBases:
     def test_randomized_basis_uses_the_config_params_by_default(self):
         config = make_config(rsvd={"rank": 7, "oversample": 5, "power": 3, "seed": 2})

@@ -8,12 +8,19 @@ import scipy.sparse.linalg as spla
 from optbasis.elliptic import EllipticMedium, assemble_elliptic
 from optbasis.exceptions import (
     DimensionMismatch,
+    NotReciprocal,
     RankDeficientWarning,
     SingularOperator,
     SvdFailure,
 )
 from optbasis.grids import Grid2D, PhaseGrid
-from optbasis.linalg import FactorizedSolver, factorize, qr_thin, svd_dense
+from optbasis.linalg import (
+    FactorizedSolver,
+    factorize,
+    qr_thin,
+    reciprocity_defect,
+    svd_dense,
+)
 from optbasis.transport import RteCoefficients, assemble_rte
 
 
@@ -134,6 +141,69 @@ class TestOrdering:
         b = rng.standard_normal(n)
         assert relative_gap(solver.solve(b), np.linalg.solve(a, b)) <= 1e-12
         assert relative_gap(solver.solve_transpose(b), np.linalg.solve(a.T, b)) <= 1e-12
+
+
+def reciprocal_case(name):
+    """An operator with the reversal its setup factors it with."""
+    if name == "elliptic":
+        op = assemble_elliptic(Grid2D(12), EllipticMedium(0.0625))
+        return op, np.arange(op.shape[0])
+    pg = PhaseGrid(Grid2D(8), 8 if name == "rte-even" else 7)
+    return assemble_rte(pg, RteCoefficients(0.25, 0.5, 0.7)), pg.reversal()
+
+
+class TestReciprocalTranspose:
+    @pytest.mark.parametrize("name", ["rte-even", "rte-odd", "elliptic"])
+    @pytest.mark.parametrize("cols", [None, 4])
+    def test_transpose_solve_matches_spsolve(self, name, cols):
+        op, reversal = reciprocal_case(name)
+        solver = factorize(op, reversal)
+        rng = np.random.Generator(np.random.Philox(17))
+        shape = (op.shape[0],) if cols is None else (op.shape[0], cols)
+        b = rng.standard_normal(shape)
+        x = solver.solve_transpose(b)
+        assert x.shape == b.shape
+        assert relative_gap(x, spla.spsolve(sp.csc_matrix(op.T), b)) <= 1e-12
+
+    def test_odd_angles_keep_superlus_transposed_solve(self):
+        op, reversal = reciprocal_case("rte-odd")
+        assert reversal is None
+        assert factorize(op, reversal).reversal is None
+
+    def test_transpose_solve_bypasses_the_public_solve(self, monkeypatch):
+        op, reversal = reciprocal_case("rte-even")
+        solver = factorize(op, reversal)
+        b = np.arange(1.0, op.shape[0] + 1)
+        expected = spla.spsolve(sp.csc_matrix(op.T), b)
+
+        def refuse(self, b):
+            raise AssertionError("solve_transpose went through FactorizedSolver.solve")
+
+        monkeypatch.setattr(FactorizedSolver, "solve", refuse)
+        assert relative_gap(solver.solve_transpose(b), expected) <= 1e-12
+
+    def test_identity_is_rejected_for_transport(self):
+        op, _ = reciprocal_case("rte-even")
+        assert reciprocity_defect(op, np.arange(op.shape[0])) > 0
+        with pytest.raises(NotReciprocal, match="differs from the reversed operator"):
+            factorize(op, np.arange(op.shape[0]))
+
+    @pytest.mark.parametrize("bad", ["roll", "short", "float", "out_of_range"])
+    def test_malformed_reversal_is_rejected(self, bad):
+        op, _ = reciprocal_case("elliptic")
+        n = op.shape[0]
+        reversal = {"roll": np.roll(np.arange(n), 1),  # a permutation, not an involution
+                    "short": np.arange(n - 1),
+                    "float": np.arange(n, dtype=float),
+                    "out_of_range": np.arange(n) + 1}[bad]
+        with pytest.raises(NotReciprocal, match="involutive permutation"):
+            factorize(op, reversal)
+
+    def test_nonsymmetric_matrix_is_not_its_own_reversal(self):
+        a = sp.csc_matrix(np.array([[2.0, 1.0], [0.0, 3.0]]))
+        with pytest.raises(NotReciprocal):
+            factorize(a, np.arange(2))
+        assert reciprocity_defect(a, np.array([1, 0])) == 2
 
 
 class TestQrThin:

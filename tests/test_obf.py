@@ -200,3 +200,42 @@ class TestCorruption:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(IOError, match="expected .* bytes"):
             obf.read_basis(path)
+
+
+class _Unconvertible:
+    """Array stand-in whose conversion fails, so a write stops partway."""
+
+    def __array__(self, dtype=None, copy=None):
+        raise RuntimeError("conversion failed")
+
+
+class TestAtomicWrite:
+    def _previous_pair(self, tmp_path):
+        path = tmp_path / "b.obf"
+        obf.write_basis(path, handmade_basis(), {"run": 1})
+        return path, path.read_bytes(), obf.sidecar_path(path).read_bytes()
+
+    def test_failure_in_the_payload_keeps_the_previous_pair(self, tmp_path):
+        path, blob, side = self._previous_pair(tmp_path)
+        broken = handmade_basis()
+        broken.right_vectors = _Unconvertible()  # fails after the header and left vectors
+        with pytest.raises(RuntimeError, match="conversion failed"):
+            obf.write_basis(path, broken, {"run": 2})
+        assert path.read_bytes() == blob
+        assert obf.sidecar_path(path).read_bytes() == side
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.meta.json", "b.obf"]
+
+    def test_failure_in_the_sidecar_keeps_the_previous_pair(self, tmp_path):
+        path, blob, side = self._previous_pair(tmp_path)
+        with pytest.raises(TypeError):
+            obf.write_basis(path, small_basis(), {"run": object()})
+        assert path.read_bytes() == blob
+        assert obf.sidecar_path(path).read_bytes() == side
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.meta.json", "b.obf"]
+
+    def test_overwrite_replaces_both_files(self, tmp_path):
+        path, blob, _ = self._previous_pair(tmp_path)
+        obf.write_basis(path, small_basis(), {"run": 2})
+        assert path.read_bytes() != blob
+        assert obf.read_basis(path).meta["config"] == {"run": 2}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.meta.json", "b.obf"]

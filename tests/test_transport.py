@@ -42,11 +42,14 @@ class TestKernelMatrix:
         np.testing.assert_allclose(k.sum(axis=1) / 8, 1.0, atol=1e-13)
 
     def test_symmetric_and_circulant(self):
-        # mu depends only on the angle difference, so normalization is the
-        # same constant for every row and the matrix stays symmetric
-        k = hg_kernel_matrix(0.7, 12)
-        assert np.abs(k - k.T).max() < 1e-12
-        np.testing.assert_allclose(k[0, :], np.roll(k[3, :], -3), atol=1e-12)
+        # every entry comes from one row indexed by the lag min(d, n - d) and
+        # one normalizing scalar, so symmetry and the circulant shift hold
+        # bit for bit
+        for g, n_angles in [(0.7, 12), (0.5, 8), (0.9, 40), (0.3, 7)]:
+            k = hg_kernel_matrix(g, n_angles)
+            assert (k == k.T).all()
+            for shift in range(n_angles):
+                assert (k[shift] == np.roll(k[0], shift)).all()
 
     def test_isotropic_kernel_is_all_ones(self):
         np.testing.assert_array_equal(hg_kernel_matrix(0.0, 6), np.ones((6, 6)))
@@ -183,3 +186,36 @@ class TestBeamSource:
         src = eval_source_rte(pg).reshape(25, 1)[:, 0].reshape(5, 5)
         np.testing.assert_allclose(src, src[::-1, :], atol=1e-15)
         np.testing.assert_allclose(src, src[:, ::-1], atol=1e-15)
+
+
+class TestReciprocity:
+    """L^T = P L P bit for bit, with P reversing every direction, l -> l + n_angles/2."""
+
+    @pytest.mark.parametrize("n_angles", [2, 4, 6, 8, 12, 40])
+    def test_reversed_velocities_are_exact_negations(self, n_angles):
+        cos_t, sin_t = PhaseGrid(Grid2D(4), n_angles).velocities()
+        half = n_angles // 2
+        assert (cos_t[half:] == -cos_t[:half]).all()
+        assert (sin_t[half:] == -sin_t[:half]).all()
+        np.testing.assert_allclose(cos_t ** 2 + sin_t ** 2, 1.0, atol=1e-15)
+
+    def test_reversal_maps_each_direction_to_its_opposite(self):
+        pg = PhaseGrid(Grid2D(4), 6)
+        p = pg.reversal()
+        np.testing.assert_array_equal(p[p], np.arange(pg.n_dofs))
+        np.testing.assert_array_equal(p.reshape(9, 6)[4], [27, 28, 29, 24, 25, 26])
+
+    @pytest.mark.parametrize("n_angles", [1, 5, 7])
+    def test_odd_angle_counts_have_no_reversal(self, n_angles):
+        assert PhaseGrid(Grid2D(4), n_angles).reversal() is None
+
+    @pytest.mark.parametrize("n_angles", [2, 4, 6, 8, 12, 16, 40])
+    @pytest.mark.parametrize("coeff", [RteCoefficients(1.0, 1.0, 0.5),
+                                       RteCoefficients(1.0 / 16, 1.0 / 8, 0.9),
+                                       RteCoefficients(0.25, 1.0, 0.0)])
+    def test_assembled_operator_is_reciprocal_bit_for_bit(self, n_angles, coeff):
+        for m in (4, 7, 10):
+            pg = PhaseGrid(Grid2D(m), n_angles)
+            op = assemble_rte(pg, coeff).tocsr()
+            p = pg.reversal()
+            assert (op.T.tocsr() != op[p][:, p]).nnz == 0
