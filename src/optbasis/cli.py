@@ -21,7 +21,7 @@ import numpy as np
 from . import obf
 from .basis import defining_relation_errors
 from .bayes import check_reconstruction_bound, nwidth_eval, trace_objective
-from .config import ELLIPTIC_FAMILIES, config_to_dict, load_config, rsvd_params
+from .config import config_to_dict, load_config, rsvd_params
 from .exceptions import BoundViolation, OptbasisError
 from .experiments import (
     build_problem,
@@ -129,7 +129,7 @@ def cmd_assemble_check(args):
     checks.record("weight factor roundtrip", roundtrip <= 1e-10 * np.linalg.norm(v),
                   f"residual {roundtrip:.3e}")
 
-    if config.family in ELLIPTIC_FAMILIES:
+    if config.pde == "elliptic":
         asym = abs(setup.operator - setup.operator.T).max()
         checks.record("operator symmetric", asym == 0.0, f"defect {asym:.3e}")
         ones = np.ones(setup.n_dofs)
@@ -143,7 +143,7 @@ def cmd_assemble_check(args):
             scale = abs(setup.operator.diagonal()).max()
             checks.record("interior row sums vanish", abs(sums).max() <= 1e-9 * scale,
                           f"max {abs(sums).max():.3e}")
-    elif config.is_rte:
+    elif config.pde == "rte":
         from .transport import hg_kernel_matrix
 
         kernel = hg_kernel_matrix(config.g, config.n_angles)
@@ -198,9 +198,7 @@ def cmd_sv_decay(args):
 
 
 def _curve_grid(config, setup):
-    if config.family in ELLIPTIC_FAMILIES:
-        return setup.grid
-    return None
+    return setup.grid if config.pde == "elliptic" else None
 
 
 def cmd_solve_linear(args):
@@ -291,8 +289,7 @@ def cmd_bayes_check(args):
     solver = setup.factorize()
     green = solver.solve(np.eye(setup.n_dofs))
     checks = _Checks()
-    svals = np.linalg.svd(green, compute_uv=False)
-    u_left = np.linalg.svd(green)[0]
+    u_left, svals, _ = np.linalg.svd(green)
     n = min(4, setup.n_dofs - 1)
     report = trace_objective(green, u_left[:, :n])
     closed = float(np.sum(svals[:n] ** 2))
@@ -324,19 +321,15 @@ def cmd_bayes_check(args):
 def cmd_sweep(args):
     config = _load_config(args)
     params = _rsvd_params(config, args)
+    if config.pde == "identity":
+        print("error: sweep needs a PDE problem family", file=sys.stderr)
+        return 2
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for eps in SWEEP_EPS_VALUES:
-        if config.is_rte:
-            swept = replace(config, eps1=eps, eps2=eps)
-        elif config.family in ELLIPTIC_FAMILIES:
-            swept = replace(config, eps=eps)
-        else:
-            print("error: sweep needs a PDE problem family", file=sys.stderr)
-            return 2
-        setup = build_problem(swept)
-        basis = compute_problem_basis(setup, params)
+        medium = {"eps1": eps, "eps2": eps} if config.pde == "rte" else {"eps": eps}
+        basis = compute_problem_basis(build_problem(replace(config, **medium)), params)
         path = out_dir / f"sv_decay_eps{eps:g}.csv"
         _write_decay_csv(path, basis)
         written.append(path)

@@ -13,26 +13,47 @@ import json
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import MappingProxyType
 
 from .basis import RsvdParams
 from .exceptions import ConfigInvalid
 
-PROBLEM_FAMILIES = ("elliptic", "semilinear_elliptic", "rte", "semilinear_rte", "identity")
-SOURCE_KINDS = ("sine", "beam", "zero")
-
-ELLIPTIC_FAMILIES = ("elliptic", "semilinear_elliptic")
-RTE_FAMILIES = ("rte", "semilinear_rte")
-
 PAPER_M_INTERVALS = 64
 PAPER_N_ANGLES = 40
 
-_DEFAULT_SOURCES = {
-    "elliptic": ("sine", 1.0),
-    "semilinear_elliptic": ("sine", 100.0),
-    "rte": ("beam", 1.0),
-    "semilinear_rte": ("beam", 0.1),
-    "identity": ("zero", 0.0),
-}
+
+@dataclass(frozen=True)
+class Family:
+    """Everything the package knows about one problem family.
+
+    ``pde`` is "elliptic", "rte" or "identity"; ``medium`` maps each medium
+    key that applies to its default; ``tag`` is the family byte of the .obf
+    header, fixed forever because files on disk carry it.
+    """
+
+    pde: str
+    semilinear: bool
+    medium: MappingProxyType
+    sources: tuple
+    default_source: tuple
+    tag: int
+
+
+_ELLIPTIC_MEDIUM = MappingProxyType({"eps": 1.0})
+_RTE_MEDIUM = MappingProxyType({"eps1": 1.0, "eps2": 1.0, "g": 0.5})
+
+FAMILIES = MappingProxyType({
+    "elliptic": Family("elliptic", False, _ELLIPTIC_MEDIUM, ("sine", "zero"), ("sine", 1.0), 1),
+    "semilinear_elliptic": Family("elliptic", True, _ELLIPTIC_MEDIUM, ("sine", "zero"),
+                                  ("sine", 100.0), 3),
+    "rte": Family("rte", False, _RTE_MEDIUM, ("beam", "zero"), ("beam", 1.0), 2),
+    "semilinear_rte": Family("rte", True, _RTE_MEDIUM, ("beam", "zero"), ("beam", 0.1), 4),
+    # diagnostic family: unit operator and unit weights
+    "identity": Family("identity", False, MappingProxyType({}), ("zero", "sine"),
+                       ("zero", 0.0), 0),
+})
+
+_MEDIUM_KEYS = sorted({key for family in FAMILIES.values() for key in family.medium})
 
 
 @dataclass(frozen=True)
@@ -79,18 +100,18 @@ class ExperimentConfig:
     output: OutputSettings = OutputSettings()
 
     @property
-    def is_rte(self):
-        return self.family in RTE_FAMILIES
+    def pde(self):
+        return FAMILIES[self.family].pde
 
     @property
     def is_semilinear(self):
-        return self.family in ("semilinear_elliptic", "semilinear_rte")
+        return FAMILIES[self.family].semilinear
 
     def with_paper_scale(self):
         """Paper-scale resolution: m = 64 cells, 40 angles for transport."""
-        if self.family == "identity":
+        if self.pde == "identity":
             return self
-        if self.is_rte:
+        if self.pde == "rte":
             return replace(self, m_intervals=PAPER_M_INTERVALS, n_angles=PAPER_N_ANGLES)
         return replace(self, m_intervals=PAPER_M_INTERVALS)
 
@@ -160,54 +181,34 @@ def config_from_dict(raw):
 
     problem = _Section("problem", raw["problem"])
     family = problem.take("family", str, required=True)
-    if family not in PROBLEM_FAMILIES:
+    spec = FAMILIES.get(family)
+    if spec is None:
         raise ConfigInvalid(
-            f"'problem.family' must be one of {', '.join(PROBLEM_FAMILIES)}, got '{family}'"
+            f"'problem.family' must be one of {', '.join(FAMILIES)}, got '{family}'"
         )
-    is_rte = family in RTE_FAMILIES
 
-    eps = problem.take("eps", float)
-    eps1 = problem.take("eps1", float)
-    eps2 = problem.take("eps2", float)
-    g = problem.take("g", float)
-    if family in ELLIPTIC_FAMILIES:
-        if eps1 is not None or eps2 is not None or g is not None:
-            raise ConfigInvalid(
-                f"'problem.eps1/eps2/g' do not apply to family '{family}'"
-            )
-        eps = 1.0 if eps is None else eps
-        if eps <= 0:
-            raise ConfigInvalid("'problem.eps' must be positive")
-    elif is_rte:
-        if eps is not None:
-            raise ConfigInvalid(f"'problem.eps' does not apply to family '{family}'")
-        eps1 = 1.0 if eps1 is None else eps1
-        eps2 = 1.0 if eps2 is None else eps2
-        g = 0.5 if g is None else g
-        if eps1 <= 0 or eps2 <= 0:
-            raise ConfigInvalid("'problem.eps1' and 'problem.eps2' must be positive")
-        if not 0.0 <= g < 1.0:
+    for key in _MEDIUM_KEYS:
+        if key in problem.data and key not in spec.medium:
+            raise ConfigInvalid(f"'problem.{key}' does not apply to family '{family}'")
+    medium = {key: problem.take(key, float, default=default)
+              for key, default in spec.medium.items()}
+    for key, value in medium.items():
+        if key == "g" and not 0.0 <= value < 1.0:
             raise ConfigInvalid("'problem.g' must be in [0, 1)")
-    else:
-        if any(v is not None for v in (eps, eps1, eps2, g)):
-            raise ConfigInvalid("medium parameters do not apply to family 'identity'")
+        if key != "g" and value <= 0:
+            raise ConfigInvalid(f"'problem.{key}' must be positive")
 
-    default_kind, default_amp = _DEFAULT_SOURCES[family]
+    kind, amplitude = spec.default_source
     if "source" in problem.data:
         source_sec = _Section("problem.source", problem.data.pop("source"))
-        kind = source_sec.take("kind", str, default=default_kind)
-        amplitude = source_sec.take("amplitude", float, default=default_amp)
+        kind = source_sec.take("kind", str, default=kind)
+        amplitude = source_sec.take("amplitude", float, default=amplitude)
         source_sec.finish()
-    else:
-        kind, amplitude = default_kind, default_amp
-    if kind not in SOURCE_KINDS:
+    if kind not in spec.sources:
         raise ConfigInvalid(
-            f"'problem.source.kind' must be one of {', '.join(SOURCE_KINDS)}, got '{kind}'"
+            f"'problem.source.kind' for family '{family}' must be one of "
+            f"{', '.join(spec.sources)}, got '{kind}'"
         )
-    if kind == "beam" and not is_rte:
-        raise ConfigInvalid(f"source kind 'beam' requires a transport family, not '{family}'")
-    if kind == "sine" and is_rte:
-        raise ConfigInvalid("source kind 'sine' does not apply to transport families")
     problem.finish()
 
     grid = _Section("grid", raw["grid"])
@@ -218,7 +219,7 @@ def config_from_dict(raw):
     if length <= 0:
         raise ConfigInvalid("'grid.length' must be positive")
     n_angles = grid.take("n_angles", int)
-    if is_rte:
+    if spec.pde == "rte":
         n_angles = 16 if n_angles is None else n_angles
         if n_angles < 1:
             raise ConfigInvalid("'grid.n_angles' must be at least 1")
@@ -258,27 +259,21 @@ def config_from_dict(raw):
         p=p,
         length=length,
         n_angles=n_angles,
-        eps=eps,
-        eps1=eps1,
-        eps2=eps2,
-        g=g,
         source=SourceSpec(kind, amplitude),
         rsvd=rsvd,
         nonlinear=nonlinear,
         output=OutputSettings(directory, stem),
+        **medium,
     )
 
 
 def config_to_dict(config: ExperimentConfig):
     """Canonical nested dictionary, invertible by config_from_dict."""
     problem = {"family": config.family}
-    if config.family in ELLIPTIC_FAMILIES:
-        problem["eps"] = config.eps
-    elif config.is_rte:
-        problem.update(eps1=config.eps1, eps2=config.eps2, g=config.g)
+    problem.update({key: getattr(config, key) for key in FAMILIES[config.family].medium})
     problem["source"] = {"kind": config.source.kind, "amplitude": config.source.amplitude}
     grid = {"m_intervals": config.m_intervals, "length": config.length}
-    if config.is_rte:
+    if config.pde == "rte":
         grid["n_angles"] = config.n_angles
     out = {
         "problem": problem,

@@ -8,7 +8,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import SourceProjector, SVDBasis, compute_basis, dense_svd_oracle, reconstruct
-from .config import ExperimentConfig
+from .config import FAMILIES, ExperimentConfig
 from .elliptic import EllipticMedium, assemble_elliptic, eval_source_elliptic
 from .exceptions import ConfigInvalid
 from .grids import Grid2D, PhaseGrid
@@ -52,43 +52,34 @@ def build_problem(config: ExperimentConfig) -> ProblemSetup:
     phase_grid = None
     term = None
 
-    if config.family in ("elliptic", "semilinear_elliptic"):
+    if config.pde == "elliptic":
         operator = assemble_elliptic(grid, EllipticMedium(config.eps))
         fx = build_sobolev_weight(config.p, grid)
-        source = _grid_source(config, grid)
-        if config.family == "semilinear_elliptic":
+        if config.is_semilinear:
             term = CubicTerm()
-    elif config.is_rte:
+    elif config.pde == "rte":
         phase_grid = PhaseGrid(grid, config.n_angles)
         coeff = RteCoefficients(config.eps1, config.eps2, config.g)
         operator = assemble_rte(phase_grid, coeff)
         fx = build_rte_weight(config.p, phase_grid)
-        if config.source.kind == "beam":
-            source = eval_source_rte(phase_grid, config.source.amplitude)
-        else:  # zero
-            source = np.zeros(phase_grid.n_dofs)
-        if config.family == "semilinear_rte":
+        if config.is_semilinear:
             term = TwoPhotonTerm(phase_grid, config.eps1)
-        reversal = phase_grid.reversal()
     else:  # identity: diagnostic family with unit operator and unit weights
         operator = sp.identity(grid.n_interior, format="csr")
         fx = identity_weight(grid.n_interior)
-        source = _grid_source(config, grid)
 
+    if config.source.kind == "sine":
+        source = eval_source_elliptic(grid, config.source.amplitude)
+    elif config.source.kind == "beam":
+        source = eval_source_rte(phase_grid, config.source.amplitude)
+    else:  # zero
+        source = np.zeros(operator.shape[0])
     if phase_grid is None:  # the elliptic and identity operators are symmetric
         reversal = np.arange(operator.shape[0])
+    else:
+        reversal = phase_grid.reversal()
     fy = identity_weight(operator.shape[0])
     return ProblemSetup(config, operator, fx, fy, source, grid, phase_grid, term, reversal)
-
-
-def _grid_source(config, grid):
-    if config.source.kind == "sine":
-        return eval_source_elliptic(grid, config.source.amplitude)
-    if config.source.kind == "zero":
-        return np.zeros(grid.n_interior)
-    raise ConfigInvalid(
-        f"source kind '{config.source.kind}' does not apply to family '{config.family}'"
-    )
 
 
 def basis_meta(setup: ProblemSetup):
@@ -96,11 +87,9 @@ def basis_meta(setup: ProblemSetup):
     config = setup.config
     meta = {"family": config.family, "m_intervals": config.m_intervals,
             "length": config.length, "p": config.p}
-    if config.is_rte:
-        meta.update(n_angles=config.n_angles, eps1=config.eps1, eps2=config.eps2,
-                    g=config.g)
-    elif config.family != "identity":
-        meta["eps"] = config.eps
+    if config.pde == "rte":
+        meta["n_angles"] = config.n_angles
+    meta.update({key: getattr(config, key) for key in FAMILIES[config.family].medium})
     return meta
 
 

@@ -88,16 +88,6 @@ class TwoPhotonTerm:
         return (diag_part + mean_part).tocsr()
 
 
-def project_onto_span(basis: SVDBasis, fx, g, n):
-    """Split g into its weighted projection onto the leading right vectors and the rest.
-
-    Returns (projection, residual) with projection + residual == g.
-    """
-    coeffs = SourceProjector(basis, fx, n).coefficients(g)
-    proj = basis.right_vectors[:, :n] @ coeffs
-    return proj, np.asarray(g, dtype=float) - proj
-
-
 @dataclass
 class FixedPointResult:
     coefficients: np.ndarray
@@ -155,14 +145,17 @@ def error_indicators(basis: SVDBasis, fx, f, term, u_candidate, n, **fixed_point
 
     The first indicator uses the supplied candidate solution, the second
     the reduced fixed point at the same truncation level.  Both measure
-    the weighted norm of (I - P_n)(f - N(u)).
+    the weighted norm of (I - P_n)(f - N(u)) = g - V_n c(g).
     """
-    _, resid = project_onto_span(basis, fx, f - term(np.asarray(u_candidate, float)), n)
-    e1 = fx.norm(resid)
+    projector = SourceProjector(basis, fx, n)
+
+    def unresolved(u):
+        g = np.asarray(f - term(u), dtype=float)
+        return fx.norm(g - basis.right_vectors[:, :n] @ projector.coefficients(g))
+
+    e1 = unresolved(np.asarray(u_candidate, float))
     fp = fixed_point_solve(basis, fx, f, term, n, **fixed_point_kwargs)
-    _, resid = project_onto_span(basis, fx, f - term(fp.solution), n)
-    e2 = fx.norm(resid)
-    return e1, e2
+    return e1, unresolved(fp.solution)
 
 
 def check_linear_representation_bound(basis: SVDBasis, solver, fx, f, term, u_ref, n):

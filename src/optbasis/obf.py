@@ -6,7 +6,7 @@ Layout of an .obf file::
     bytes 4..7    format version, u32
     bytes 8..15   n_dofs, u64
     bytes 16..23  rank, u64
-    byte  24      problem family tag, u8
+    byte  24      problem family tag, u8 (config.FAMILIES[family].tag)
     then          singular values, rank f64
     then          left vectors, n_dofs x rank f64, column-major
     then          right vectors, n_dofs x rank f64, column-major
@@ -31,20 +31,14 @@ from pathlib import Path
 import numpy as np
 
 from .basis import SVDBasis
+from .config import FAMILIES
 from .exceptions import SidecarMismatch
 
 MAGIC = b"OBAS"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIQQB")
 
-FAMILY_TAGS = {
-    "identity": 0,
-    "elliptic": 1,
-    "rte": 2,
-    "semilinear_elliptic": 3,
-    "semilinear_rte": 4,
-}
-TAG_FAMILIES = {v: k for k, v in FAMILY_TAGS.items()}
+TAG_FAMILIES = {family.tag: name for name, family in FAMILIES.items()}
 
 
 def sidecar_path(path):
@@ -55,10 +49,10 @@ def write_basis(path, basis: SVDBasis, config_dict=None):
     """Write a basis and its metadata sidecar; returns the sidecar path."""
     path = Path(path)
     family = basis.meta.get("family", "identity")
-    if family not in FAMILY_TAGS:
+    if family not in FAMILIES:
         raise ValueError(f"unknown problem family '{family}'")
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, basis.n_dofs, basis.rank,
-                          FAMILY_TAGS[family])
+                          FAMILIES[family].tag)
 
     def write_payload(fh):
         fh.write(header)

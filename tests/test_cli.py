@@ -325,6 +325,7 @@ class TestSweep:
         cfg = write_config(tmp_path, family="identity")
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
         assert "needs a PDE problem family" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
 
 class TestPaperScaleFlag:

@@ -1,10 +1,14 @@
 """Strict config parsing, defaults, canonical serialization and file round trips."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import optbasis
 from optbasis.config import (
+    FAMILIES,
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
@@ -35,7 +39,7 @@ class TestDefaults:
         assert (c.rsvd.rank, c.rsvd.oversampling, c.rsvd.power, c.rsvd.seed) == (50, 10, 2, 0)
         assert (c.nonlinear.tol, c.nonlinear.max_iter, c.nonlinear.relax) == (1e-12, 500, 1.0)
         assert c.output.directory == "." and c.output.stem is None
-        assert not c.is_rte and not c.is_semilinear
+        assert c.pde == "elliptic" and not c.is_semilinear
 
     def test_rte_defaults(self):
         c = config_from_dict(minimal("rte"))
@@ -43,7 +47,7 @@ class TestDefaults:
         assert c.eps is None
         assert c.n_angles == 16
         assert (c.source.kind, c.source.amplitude) == ("beam", 1.0)
-        assert c.is_rte
+        assert c.pde == "rte"
 
     def test_semilinear_source_amplitudes(self):
         assert config_from_dict(minimal("semilinear_elliptic")).source.amplitude == 100.0
@@ -154,7 +158,7 @@ class TestRejections:
     def test_family_specific_medium_keys(self):
         raw = minimal()
         raw["problem"]["eps1"] = 0.5
-        with pytest.raises(ConfigInvalid, match="do not apply to family 'elliptic'"):
+        with pytest.raises(ConfigInvalid, match="eps1' does not apply to family 'elliptic'"):
             config_from_dict(raw)
         raw = minimal("rte")
         raw["problem"]["eps"] = 0.5
@@ -210,11 +214,11 @@ class TestRejections:
     def test_source_kind_and_family_consistency(self):
         raw = minimal()
         raw["problem"]["source"] = {"kind": "beam"}
-        with pytest.raises(ConfigInvalid, match="requires a transport family"):
+        with pytest.raises(ConfigInvalid, match="for family 'elliptic' must be one of sine, zero"):
             config_from_dict(raw)
         raw = minimal("rte")
         raw["problem"]["source"] = {"kind": "sine"}
-        with pytest.raises(ConfigInvalid, match="does not apply to transport"):
+        with pytest.raises(ConfigInvalid, match="for family 'rte' must be one of beam, zero"):
             config_from_dict(raw)
         raw = minimal()
         raw["problem"]["source"] = {"kind": "ramp"}
@@ -297,3 +301,42 @@ class TestPaperScale:
         c = config_from_dict(minimal("identity"))
         assert c.with_paper_scale() == c
         assert c.with_paper_scale().m_intervals == 8
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_parsed_config_reads_the_table(self, name):
+        family = FAMILIES[name]
+        c = config_from_dict(minimal(name))
+        assert c.pde == family.pde
+        assert c.is_semilinear == family.semilinear
+        assert (c.source.kind, c.source.amplitude) == family.default_source
+        assert family.default_source[0] in family.sources
+        assert {key: getattr(c, key) for key in family.medium} == dict(family.medium)
+        unset = {"eps", "eps1", "eps2", "g"} - set(family.medium)
+        assert all(getattr(c, key) is None for key in unset)
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_serialized_medium_is_exactly_the_family_medium(self, name):
+        problem = config_to_dict(config_from_dict(minimal(name)))["problem"]
+        assert list(problem) == ["family", *FAMILIES[name].medium, "source"]
+
+    def test_table_is_read_only(self):
+        with pytest.raises(TypeError):
+            FAMILIES["parabolic"] = FAMILIES["elliptic"]
+        with pytest.raises(TypeError):
+            FAMILIES["elliptic"].medium["eps"] = 2.0
+
+    def test_family_facts_live_only_in_config(self):
+        # family names and per-family tables belong to config.FAMILIES; other
+        # modules branch on a config's pde and is_semilinear
+        family_names = re.compile(r"\b(semilinear_elliptic|semilinear_rte)\b")
+        retired = re.compile(r"\b(PROBLEM_FAMILIES|ELLIPTIC_FAMILIES|RTE_FAMILIES|SOURCE_KINDS"
+                             r"|_DEFAULT_SOURCES|FAMILY_TAGS|is_rte)\b")
+        offenders = []
+        for path in sorted(Path(optbasis.__file__).parent.glob("*.py")):
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                if retired.search(line) or (path.name != "config.py"
+                                            and family_names.search(line)):
+                    offenders.append(f"{path.name}:{lineno}: {line.strip()}")
+        assert offenders == []

@@ -10,6 +10,7 @@ from optbasis.elliptic import eval_source_elliptic
 from optbasis.exceptions import ProblemTooLarge, RankExhausted
 from optbasis.experiments import (
     ErrorCurve,
+    basis_meta,
     build_problem,
     compute_problem_basis,
     error_curve,
@@ -75,6 +76,13 @@ class TestBuildProblem:
         assert setup.fx.label == "identity"
         np.testing.assert_array_equal(setup.source, np.zeros(9))
 
+    def test_identity_family_with_a_sine_source(self):
+        setup = build_problem(make_config("identity", m=4,
+                                          problem={"source": {"kind": "sine",
+                                                              "amplitude": 2.0}}))
+        np.testing.assert_array_equal(setup.source,
+                                      eval_source_elliptic(setup.grid, 2.0))
+
     def test_zero_source_for_elliptic(self):
         setup = build_problem(make_config(problem={"source": {"kind": "zero"}}))
         np.testing.assert_array_equal(setup.source, np.zeros(25))
@@ -132,6 +140,14 @@ class TestBases:
         assert basis.meta["n_angles"] == 4
         assert (basis.meta["eps1"], basis.meta["eps2"], basis.meta["g"]) == (0.5, 0.25, 0.5)
         assert "eps" not in basis.meta
+
+    @pytest.mark.parametrize("family, medium", [
+        ("elliptic", {"eps": 0.5}), ("semilinear_elliptic", {"eps": 0.5}), ("identity", {}),
+    ])
+    def test_metadata_carries_exactly_the_family_medium(self, family, medium):
+        setup = build_problem(make_config(family, m=4, problem=medium))
+        assert basis_meta(setup) == {"family": family, "m_intervals": 4, "length": 0.5,
+                                     "p": 1, **medium}
 
     def test_oracle_is_full_rank_and_guarded(self):
         setup = build_problem(make_config(m=5))

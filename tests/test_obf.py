@@ -8,7 +8,7 @@ import pytest
 
 from optbasis import obf
 from optbasis.basis import SVDBasis, dense_svd_oracle
-from optbasis.config import PROBLEM_FAMILIES
+from optbasis.config import FAMILIES
 from optbasis.elliptic import EllipticMedium, assemble_elliptic
 from optbasis.exceptions import OptbasisError, SidecarMismatch
 from optbasis.grids import Grid2D
@@ -42,7 +42,7 @@ class TestLayout:
         assert magic == b"OBAS"
         assert version == 1
         assert (n_dofs, rank) == (7, 3)
-        assert tag == obf.FAMILY_TAGS["rte"]
+        assert tag == 2
 
     def test_total_size_is_exact(self, tmp_path):
         path = tmp_path / "b.obf"
@@ -103,9 +103,13 @@ class TestRoundTrip:
         assert stored["basis_meta"]["sweeps"] == 3
 
     def test_family_tags_cover_exactly_the_config_families(self):
-        assert set(obf.FAMILY_TAGS) == set(PROBLEM_FAMILIES)
+        # the tags are on disk in every existing .obf: they must never be renumbered
+        pinned = {"identity": 0, "elliptic": 1, "rte": 2, "semilinear_elliptic": 3,
+                  "semilinear_rte": 4}
+        assert {name: family.tag for name, family in FAMILIES.items()} == pinned
+        assert obf.TAG_FAMILIES == {tag: name for name, tag in pinned.items()}
 
-    @pytest.mark.parametrize("family", sorted(obf.FAMILY_TAGS))
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_every_family_tag_round_trips(self, tmp_path, family):
         path = tmp_path / "b.obf"
         side = obf.write_basis(path, handmade_basis({"family": family}))
