@@ -1,4 +1,4 @@
-"""Weighted SVD bases of the solution operator, randomized and dense.
+"""Randomized weighted SVD bases of the solution operator.
 
 For the factorizations here, the solution operator G = L^{-1} is never
 formed at large scale.  With input weight Pi_X = F_X^T F_X and output
@@ -12,7 +12,7 @@ where A z_i = lambda_i w_i.  The triplets satisfy
     U^T Pi_Y U = I,   V^T Pi_X V = I,   G V = U diag(lambda),
 
 and the randomized sketch only ever touches A through solves with L, L^T
-and the weight factors.
+and the weight factors.  The dense oracle is ``bayes.dense_svd_oracle``.
 """
 
 from __future__ import annotations
@@ -22,13 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ProblemTooLarge, RankDeficientWarning, RankExhausted
+from .exceptions import RankDeficientWarning, RankExhausted
 from .linalg import qr_thin, svd_dense
 
 # Singular values below this fraction of the largest are treated as numerically zero.
 TRUNCATION_RTOL = 1e-14
-
-DENSE_ORACLE_GUARD = 4096
 
 
 @dataclass
@@ -146,28 +144,6 @@ def compute_basis(solver, fx, fy, params: RsvdParams, meta=None):
     if meta:
         info.update(meta)
     return SVDBasis(n, r_eff, lam, u_hat, v_hat, info)
-
-
-def dense_svd_oracle(solver, fx, fy, size_guard=DENSE_ORACLE_GUARD, meta=None):
-    """All weighted singular triplets by brute force, for verification.
-
-    Forms the dense weighted operator A = F_Y L^{-1} F_X^{-1} column by
-    column from the solver's solves and runs a full SVD.  Refuses problems
-    above ``size_guard`` unknowns.
-    """
-    n = solver.n
-    if n > size_guard:
-        raise ProblemTooLarge(f"dense oracle limited to {size_guard} unknowns, got {n}")
-    green = solver.solve(np.eye(n))
-    a = fy.apply(green)
-    a = fx.solve_t(a.T).T
-    u_unweighted, svals, v_unweighted = svd_dense(a)
-    v_hat = fx.solve(v_unweighted)
-    u_hat = fy.solve(u_unweighted)
-    info = {"method": "dense_oracle", "weight_x": fx.label, "weight_y": fy.label}
-    if meta:
-        info.update(meta)
-    return SVDBasis(n, n, svals, u_hat, v_hat, info)
 
 
 class SourceProjector:

@@ -14,7 +14,8 @@ into the captured part trace(K^T Theta^{-1} K) and the residual trace.
 The n-width side measures the worst-case approximation error of a trial
 subspace through the weighted operator A = F_Y G F_X^{-1}: the best value
 over all n-dimensional subspaces is singular value n+1 of A, attained by
-the leading right singular subspace.
+the leading right singular subspace, which the dense SVD oracle computes.
+Every function here takes the dense G itself; ``experiments.green_matrix`` forms it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .basis import dense_svd_oracle
+from .basis import SVDBasis
 from .exceptions import (
     BoundViolation,
     DimensionMismatch,
@@ -32,19 +33,26 @@ from .exceptions import (
     RankDeficient,
     SingularTheta,
 )
+from .linalg import svd_dense
 from .weights import identity_weight
 
 DENSE_BAYES_GUARD = 2048
+DENSE_ORACLE_GUARD = 4096
+
+
+def check_dense_size(n_dofs, size_guard):
+    """Raise ProblemTooLarge if a dense N x N path would exceed its guard."""
+    if n_dofs > size_guard:
+        raise ProblemTooLarge(
+            f"dense verification limited to {size_guard} unknowns, got {n_dofs}"
+        )
 
 
 def _as_green(g, size_guard):
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise DimensionMismatch(f"expected a square dense operator, got shape {g.shape}")
-    if g.shape[0] > size_guard:
-        raise ProblemTooLarge(
-            f"dense Bayesian path limited to {size_guard} unknowns, got {g.shape[0]}"
-        )
+    check_dense_size(g.shape[0], size_guard)
     return g
 
 
@@ -172,6 +180,23 @@ def weighted_operator(green, fx, fy):
     return fx.solve_t(a.T).T
 
 
+def dense_svd_oracle(green, fx, fy, size_guard=DENSE_ORACLE_GUARD, meta=None):
+    """All weighted singular triplets of a dense G by brute force, for verification.
+
+    Runs a full SVD of A = F_Y G F_X^{-1} and maps its vectors back through
+    the weight factors.  Refuses operators above ``size_guard`` unknowns.
+    """
+    green = _as_green(green, size_guard)
+    u_unweighted, svals, v_unweighted = svd_dense(weighted_operator(green, fx, fy))
+    v_hat = fx.solve(v_unweighted)
+    u_hat = fy.solve(u_unweighted)
+    info = {"method": "dense_oracle", "weight_x": fx.label, "weight_y": fy.label}
+    if meta:
+        info.update(meta)
+    n = green.shape[0]
+    return SVDBasis(n, n, svals, u_hat, v_hat, info)
+
+
 def nwidth_eval(green, fx, fy, v_n, size_guard=DENSE_BAYES_GUARD):
     """Worst-case weighted error of approximating from span(v_n).
 
@@ -272,7 +297,7 @@ def check_equivalence(green, fx=None, fy=None, n=1, n_random=200, seed=0, tol=1e
     best_obj = objective_optimal - gaps.min()
 
     # n-width side, weighted
-    oracle = dense_svd_oracle(factorize_dense(green), fx, fy, size_guard=size_guard)
+    oracle = dense_svd_oracle(green, fx, fy, size_guard=size_guard)
     nwidth_optimal = nwidth_eval(green, fx, fy, oracle.right_vectors[:, :n], size_guard)
     nwidth_closed = float(oracle.singular_values[n])
     best_width = np.inf
@@ -306,23 +331,3 @@ def check_equivalence(green, fx=None, fy=None, n=1, n_random=200, seed=0, tol=1e
         clause_b=clause_b,
         clause_c=clause_c,
     )
-
-
-class _DenseSolver:
-    """Adapter letting the SVD oracles consume an explicit solution operator."""
-
-    def __init__(self, green):
-        self.green = np.asarray(green, dtype=float)
-        self.n = self.green.shape[0]
-
-    def solve(self, b):
-        # the wrapped object is already G = L^{-1}, so "solving" applies it
-        return self.green @ np.asarray(b, dtype=float)
-
-    def solve_transpose(self, b):
-        return self.green.T @ np.asarray(b, dtype=float)
-
-
-def factorize_dense(green):
-    """Wrap an explicit dense solution operator for use with the SVD oracles."""
-    return _DenseSolver(green)

@@ -20,13 +20,14 @@ import numpy as np
 
 from . import obf
 from .basis import defining_relation_errors
-from .bayes import check_reconstruction_bound, nwidth_eval, trace_objective
+from .bayes import DENSE_BAYES_GUARD, check_reconstruction_bound, nwidth_eval, trace_objective
 from .config import config_to_dict, load_config, rsvd_params
 from .exceptions import BoundViolation, OptbasisError
 from .experiments import (
     build_problem,
     compute_problem_basis,
     error_curve,
+    green_matrix,
     nonlinear_error_curve,
     oracle_problem_basis,
     reference_solution,
@@ -58,6 +59,13 @@ def _finite_float(text):
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
     return value
 
 
@@ -211,12 +219,7 @@ def cmd_solve_linear(args):
     solver = setup.factorize()
     basis = compute_problem_basis(setup, params, solver)
     u_ref = reference_solution(setup, solver)
-    if np.linalg.norm(u_ref) == 0.0:
-        print("error: reference solution vanishes, relative errors undefined",
-              file=sys.stderr)
-        return 2
-    nmax = args.nmax if args.nmax is not None else basis.rank
-    nmax = min(nmax, basis.rank)
+    nmax = min(args.nmax or basis.rank, basis.rank)
     curve = error_curve(u_ref, basis, setup.fx, setup.source,
                         list(range(1, nmax + 1)), grid=_curve_grid(config, setup))
     _write_csv(args.out, curve.header(), curve.rows())
@@ -235,8 +238,7 @@ def cmd_solve_nonlinear(args):
     solver = setup.factorize()
     basis = compute_problem_basis(setup, params, solver)
     u_ref = reference_solution(setup, solver)
-    nmax = args.nmax if args.nmax is not None else basis.rank
-    nmax = min(nmax, basis.rank)
+    nmax = min(args.nmax or basis.rank, basis.rank)
     curve = nonlinear_error_curve(u_ref, basis, setup.fx, setup.source, setup.term,
                                   list(range(1, nmax + 1)), settings,
                                   grid=_curve_grid(config, setup))
@@ -259,9 +261,8 @@ def cmd_oracle_svd(args):
 def cmd_nwidth_check(args):
     config = _load_config(args)
     setup = build_problem(config)
-    solver = setup.factorize()
-    green = solver.solve(np.eye(setup.n_dofs))
-    basis = oracle_problem_basis(setup, solver=solver)
+    green = green_matrix(setup, DENSE_BAYES_GUARD)
+    basis = oracle_problem_basis(setup, green)
     lam = basis.singular_values
     checks = _Checks()
     rng = np.random.Generator(np.random.Philox(777))
@@ -286,8 +287,7 @@ def cmd_nwidth_check(args):
 def cmd_bayes_check(args):
     config = _load_config(args)
     setup = build_problem(config)
-    solver = setup.factorize()
-    green = solver.solve(np.eye(setup.n_dofs))
+    green = green_matrix(setup, DENSE_BAYES_GUARD)
     checks = _Checks()
     u_left, svals, _ = np.linalg.svd(green)
     n = min(4, setup.n_dofs - 1)
@@ -351,14 +351,15 @@ def _add_common(sub, out_required=False, rsvd=False, nmax=False, nonlinear=False
         sub.add_argument("--power", type=int, help="subspace iteration passes")
         sub.add_argument("--seed", type=int, help="sketch seed override")
     if nmax:
-        sub.add_argument("--nmax", type=int, help="largest truncation level in the curve")
+        sub.add_argument("--nmax", type=_positive_int,
+                         help="largest truncation level in the curve")
     if nonlinear:
         sub.add_argument("--tol", type=_finite_float, help="fixed-point step tolerance")
         sub.add_argument("--max-iter", type=int, dest="max_iter",
                          help="fixed-point iteration budget")
         sub.add_argument("--relax", type=_finite_float, help="fixed-point relaxation factor")
     if samples is not None:
-        sub.add_argument("--samples", type=int, default=samples,
+        sub.add_argument("--samples", type=_positive_int, default=samples,
                          help="number of random draws")
 
 

@@ -34,15 +34,11 @@ def kappa(x1, x2, eps):
 
 @dataclass(frozen=True)
 class EllipticMedium:
-    """Diffusion medium; ``constant`` overrides the multiscale formula when set."""
+    """Multiscale diffusion medium kappa(x, x/epsilon)."""
 
     epsilon: float = 1.0
-    constant: float | None = None
 
     def coefficient(self, x1, x2):
-        if self.constant is not None:
-            shape = np.broadcast(np.asarray(x1), np.asarray(x2)).shape
-            return np.full(shape, float(self.constant))
         return kappa(x1, x2, self.epsilon)
 
 

@@ -45,6 +45,10 @@ class Diverged(OptbasisError):
     """Fixed-point iteration left the trust region."""
 
 
+class VanishingReference(OptbasisError):
+    """The reference solution vanishes, so relative errors against it are undefined."""
+
+
 class BoundViolation(OptbasisError):
     """A theoretical inequality failed beyond its roundoff allowance."""
 

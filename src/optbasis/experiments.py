@@ -7,10 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import SourceProjector, SVDBasis, compute_basis, dense_svd_oracle, reconstruct
+from .basis import SourceProjector, SVDBasis, compute_basis, reconstruct
+from .bayes import DENSE_ORACLE_GUARD, check_dense_size, dense_svd_oracle
 from .config import FAMILIES, ExperimentConfig
 from .elliptic import EllipticMedium, assemble_elliptic, eval_source_elliptic
-from .exceptions import ConfigInvalid
+from .exceptions import ConfigInvalid, VanishingReference
 from .grids import Grid2D, PhaseGrid
 from .linalg import factorize
 from .nonlinear import CubicTerm, TwoPhotonTerm, fixed_point_solve, newton_reference
@@ -106,11 +107,16 @@ def compute_problem_basis(setup: ProblemSetup, params=None, solver=None) -> SVDB
     return compute_basis(solver, setup.fx, setup.fy, params, meta=basis_meta(setup))
 
 
-def oracle_problem_basis(setup: ProblemSetup, size_guard=None, solver=None) -> SVDBasis:
-    """Dense-oracle basis for an assembled problem (small sizes only)."""
-    solver = solver if solver is not None else setup.factorize()
-    kwargs = {} if size_guard is None else {"size_guard": size_guard}
-    return dense_svd_oracle(solver, setup.fx, setup.fy, meta=basis_meta(setup), **kwargs)
+def green_matrix(setup: ProblemSetup, size_guard) -> np.ndarray:
+    """Dense G = L^{-1} from one factorization, refused above ``size_guard`` before it."""
+    check_dense_size(setup.n_dofs, size_guard)
+    return setup.factorize().solve(np.eye(setup.n_dofs))
+
+
+def oracle_problem_basis(setup: ProblemSetup, green=None) -> SVDBasis:
+    """Dense-oracle basis for an assembled problem, from its G or one formed here."""
+    green = green if green is not None else green_matrix(setup, DENSE_ORACLE_GUARD)
+    return dense_svd_oracle(green, setup.fx, setup.fy, meta=basis_meta(setup))
 
 
 def reference_solution(setup: ProblemSetup, solver=None):
@@ -168,6 +174,8 @@ def _curve(u_ref, n_values, grid, solution) -> ErrorCurve:
     n_values = list(n_values)
     u_ref = np.asarray(u_ref, dtype=float)
     ref_l2 = np.linalg.norm(u_ref)
+    if ref_l2 == 0.0:
+        raise VanishingReference("reference solution vanishes, relative errors undefined")
     energy_norm = _energy_norm_on(grid) if grid is not None else None
     ref_energy = energy_norm(u_ref) if grid is not None else None
     l2, energy = [], []

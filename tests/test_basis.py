@@ -11,9 +11,9 @@ from optbasis.basis import (
     SourceProjector,
     compute_basis,
     defining_relation_errors,
-    dense_svd_oracle,
     reconstruct,
 )
+from optbasis.bayes import dense_svd_oracle
 from optbasis.elliptic import EllipticMedium, assemble_elliptic
 from optbasis.exceptions import (
     DimensionMismatch,
@@ -41,6 +41,11 @@ def elliptic_setup(m, p):
     return solver, fx, fy
 
 
+def green_of(solver):
+    """Dense G = L^{-1} from a factorization, for the dense oracle."""
+    return solver.solve(np.eye(solver.n))
+
+
 def random_spd_factor(n, seed):
     rng = np.random.Generator(np.random.Philox(seed))
     b = rng.normal(size=(n, n))
@@ -50,19 +55,19 @@ def random_spd_factor(n, seed):
 class TestDenseOracle:
     def test_identity_operator_has_unit_spectrum(self):
         fi = identity_weight(6)
-        basis = dense_svd_oracle(factorize(sp.identity(6, format="csc")), fi, fi)
+        basis = dense_svd_oracle(green_of(factorize(sp.identity(6, format="csc"))), fi, fi)
         np.testing.assert_allclose(basis.singular_values, 1.0, atol=1e-14)
 
     def test_diagonal_operator_exact_triplets(self):
         fi = identity_weight(3)
-        basis = dense_svd_oracle(factorize(sp.diags([1.0, 2.0, 4.0])), fi, fi)
+        basis = dense_svd_oracle(green_of(factorize(sp.diags([1.0, 2.0, 4.0]))), fi, fi)
         np.testing.assert_allclose(basis.singular_values, [1.0, 0.5, 0.25], atol=1e-15)
         np.testing.assert_allclose(np.abs(basis.left_vectors), np.eye(3), atol=1e-14)
         np.testing.assert_allclose(np.abs(basis.right_vectors), np.eye(3), atol=1e-14)
 
     def test_defining_relations_hold_at_machine_precision(self):
         solver, fx, fy = elliptic_setup(8, 1)
-        basis = dense_svd_oracle(solver, fx, fy)
+        basis = dense_svd_oracle(green_of(solver), fx, fy)
         errs = defining_relation_errors(basis, solver, fx, fy, indices=range(10))
         assert errs["left_orthonormality"] < 1e-12
         assert errs["right_orthonormality"] < 1e-12
@@ -75,18 +80,24 @@ class TestDenseOracle:
         solver = factorize(op)
         fx = random_spd_factor(12, 100)
         fy = random_spd_factor(12, 101)
-        basis = dense_svd_oracle(solver, fx, fy)
+        basis = dense_svd_oracle(green_of(solver), fx, fy)
         errs = defining_relation_errors(basis, solver, fx, fy)
         assert max(errs.values()) < 1e-10
 
     def test_size_guard(self):
         fi = identity_weight(10)
         with pytest.raises(ProblemTooLarge):
-            dense_svd_oracle(factorize(sp.identity(10, format="csc")), fi, fi, size_guard=5)
+            dense_svd_oracle(green_of(factorize(sp.identity(10, format="csc"))), fi, fi,
+                             size_guard=5)
+
+    def test_nonsquare_operator_rejected(self):
+        fi = identity_weight(3)
+        with pytest.raises(DimensionMismatch):
+            dense_svd_oracle(np.ones((3, 4)), fi, fi)
 
     def test_values_sorted_descending(self):
         solver, fx, fy = elliptic_setup(6, 0)
-        basis = dense_svd_oracle(solver, fx, fy)
+        basis = dense_svd_oracle(green_of(solver), fx, fy)
         assert np.all(np.diff(basis.singular_values) <= 0)
 
     @settings(max_examples=20, deadline=None)
@@ -95,7 +106,7 @@ class TestDenseOracle:
         rng = np.random.Generator(np.random.Philox(seed))
         d = rng.uniform(0.5, 4.0, size=n)
         fi = identity_weight(n)
-        basis = dense_svd_oracle(factorize(sp.diags(d)), fi, fi)
+        basis = dense_svd_oracle(green_of(factorize(sp.diags(d))), fi, fi)
         np.testing.assert_allclose(
             basis.singular_values, np.sort(1.0 / d)[::-1], rtol=1e-12
         )
@@ -154,7 +165,7 @@ class TestRandomizedBasis:
         # the smooth weight decays fast enough that q = 2 reaches 1e-6 on
         # the leading half of the requested rank, every seed
         solver, fx, fy = elliptic_setup(16, 1)
-        top = dense_svd_oracle(solver, fx, fy).singular_values[:5]
+        top = dense_svd_oracle(green_of(solver), fx, fy).singular_values[:5]
         for seed in range(5):
             basis = compute_basis(solver, fx, fy, RsvdParams(10, 20, 2, seed=seed))
             rel = np.abs(basis.singular_values[:5] - top) / top
@@ -162,7 +173,7 @@ class TestRandomizedBasis:
 
     def test_oracle_agreement_flat_weight_needs_an_extra_pass(self):
         solver, fx, fy = elliptic_setup(16, 0)
-        top = dense_svd_oracle(solver, fx, fy).singular_values[:5]
+        top = dense_svd_oracle(green_of(solver), fx, fy).singular_values[:5]
         for seed in range(5):
             basis = compute_basis(solver, fx, fy, RsvdParams(10, 20, 3, seed=seed))
             rel = np.abs(basis.singular_values[:5] - top) / top
@@ -173,7 +184,7 @@ class TestRandomizedBasis:
         # a 15-column sketch and q = 2 the top-5 relative error sits at the
         # 1e-4 level and no code change should silently claim 1e-6
         solver, fx, fy = elliptic_setup(16, 0)
-        top = dense_svd_oracle(solver, fx, fy).singular_values[:5]
+        top = dense_svd_oracle(green_of(solver), fx, fy).singular_values[:5]
         basis = compute_basis(solver, fx, fy, RsvdParams(10, 5, 2, seed=0))
         rel = np.max(np.abs(basis.singular_values[:5] - top) / top)
         assert 1e-6 < rel < 1e-2
@@ -223,7 +234,7 @@ class TestRandomizedBasis:
 class TestProjectionPieces:
     def test_coefficients_recover_weighted_expansion(self):
         solver, fx, fy = elliptic_setup(8, 1)
-        basis = dense_svd_oracle(solver, fx, fy)
+        basis = dense_svd_oracle(green_of(solver), fx, fy)
         rng = np.random.Generator(np.random.Philox(17))
         c = rng.normal(size=6)
         g = basis.right_vectors[:, :6] @ c
@@ -233,7 +244,7 @@ class TestProjectionPieces:
 
     def test_reconstruct_matches_manual_sum(self):
         solver, fx, fy = elliptic_setup(6, 0)
-        basis = dense_svd_oracle(solver, fx, fy)
+        basis = dense_svd_oracle(green_of(solver), fx, fy)
         c = np.arange(1.0, 5.0)
         manual = sum(
             basis.singular_values[i] * c[i] * basis.left_vectors[:, i] for i in range(4)
@@ -242,7 +253,7 @@ class TestProjectionPieces:
 
     def test_projection_reproduces_direct_solve_at_full_rank(self):
         solver, fx, fy = elliptic_setup(8, 1)
-        basis = dense_svd_oracle(solver, fx, fy)
+        basis = dense_svd_oracle(green_of(solver), fx, fy)
         rng = np.random.Generator(np.random.Philox(19))
         f = rng.normal(size=solver.n)
         coeffs = SourceProjector(basis, fx, solver.n).coefficients(f)
@@ -260,7 +271,7 @@ class TestProjectionPieces:
 
     def test_wrong_length_source_raises_dimension_mismatch(self):
         solver, fx, fy = elliptic_setup(6, 1)
-        basis = dense_svd_oracle(solver, fx, fy)
+        basis = dense_svd_oracle(green_of(solver), fx, fy)
         with pytest.raises(DimensionMismatch, match="leading dimension 26"):
             SourceProjector(basis, fx, 3).coefficients(np.ones(solver.n + 1))
 
@@ -284,7 +295,7 @@ class TestProjectionAccuracy:
     def test_coefficients_match_an_extended_precision_reference(self, make_setup):
         # entrywise forward-error scale of V^T (Pi g): |V|^T (|Pi| |g|)
         solver, fx, fy = make_setup()
-        basis = dense_svd_oracle(solver, fx, fy)
+        basis = dense_svd_oracle(green_of(solver), fx, fy)
         g = np.random.Generator(np.random.Philox(29)).normal(size=solver.n)
         v = basis.right_vectors
         pi = fx.gram().toarray()

@@ -6,14 +6,13 @@ import pytest
 from optbasis.bayes import (
     check_equivalence,
     check_reconstruction_bound,
-    factorize_dense,
+    dense_svd_oracle,
     nwidth_eval,
     posterior,
     principal_angles,
     trace_objective,
     weighted_operator,
 )
-from optbasis.basis import dense_svd_oracle
 from optbasis.elliptic import EllipticMedium, assemble_elliptic
 from optbasis.exceptions import (
     DimensionMismatch,
@@ -22,7 +21,6 @@ from optbasis.exceptions import (
     SingularTheta,
 )
 from optbasis.grids import Grid2D
-from optbasis.linalg import factorize
 from optbasis.weights import build_sobolev_weight, identity_weight
 
 
@@ -199,7 +197,7 @@ class TestNwidthEval:
         green, grid = elliptic_green(5)
         fx = build_sobolev_weight(1, grid)
         fy = identity_weight(grid.n_interior)
-        oracle = dense_svd_oracle(factorize_dense(green), fx, fy)
+        oracle = dense_svd_oracle(green, fx, fy)
         for n in (1, 3):
             width = nwidth_eval(green, fx, fy, oracle.right_vectors[:, :n])
             assert width == pytest.approx(oracle.singular_values[n], rel=1e-9)
@@ -208,7 +206,7 @@ class TestNwidthEval:
         green, grid = elliptic_green(4)
         fx = build_sobolev_weight(0, grid)
         fy = identity_weight(grid.n_interior)
-        oracle = dense_svd_oracle(factorize_dense(green), fx, fy)
+        oracle = dense_svd_oracle(green, fx, fy)
         optimal = oracle.singular_values[2]
         rng = np.random.Generator(np.random.Philox(25))
         for _ in range(50):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from optbasis import experiments, obf
+from optbasis import experiments, linalg, obf
 from optbasis.cli import build_parser, main
 
 
@@ -145,6 +145,29 @@ class TestOverrideValidation:
         assert err.value.code == 2
         assert f"'{token}' is not a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, token", [
+        ("nwidth-check", "--samples", "0"),
+        ("nwidth-check", "--samples", "-3"),
+        ("bayes-check", "--samples", "0"),
+        ("solve-linear", "--nmax", "0"),
+        ("solve-linear", "--nmax", "-2"),
+        ("solve-nonlinear", "--nmax", "0"),
+    ])
+    def test_non_positive_count_flags_exit_two(self, tmp_path, capsys, command, flag, token):
+        family = "semilinear_elliptic" if command == "solve-nonlinear" else "elliptic"
+        cfg = write_config(tmp_path, family=family)
+        out = tmp_path / "curve.csv"
+        argv = [command, "--config", str(cfg), flag, token]
+        if command.startswith("solve"):
+            argv += ["--out", str(out)]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        err = capsys.readouterr().err
+        assert f"'{token}' is not a positive integer" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["basis", "sv-decay", "solve-nonlinear", "sweep"])
     def test_configured_sketch_larger_than_the_problem_exits_two(self, tmp_path, capsys,
                                                                  command):
@@ -265,6 +288,15 @@ class TestCurveCommands:
         errs = [float(r[1]) for r in rows]
         assert errs[-1] < errs[0]
 
+    def test_solve_nonlinear_rejects_vanishing_reference(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, family="semilinear_elliptic",
+                           problem={"source": {"kind": "zero"}})
+        out = tmp_path / "curve.csv"
+        assert main(["solve-nonlinear", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: reference solution vanishes, relative errors undefined\n"
+        assert not out.exists()
+
     def test_solve_nonlinear_rejects_linear_families(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["solve-nonlinear", "--config", str(cfg),
@@ -297,6 +329,42 @@ class TestOracleAndChecks:
         assert "width at optimal n = 1 matches next singular value" in out
         assert "random candidates dominated at n = 5" in out
         assert "FAIL" not in out
+
+    def test_nwidth_check_forms_the_green_matrix_once(self, tmp_path, monkeypatch):
+        calls = []
+        solve = linalg.FactorizedSolver.solve
+
+        def counted(self, b):
+            calls.append(1 if np.ndim(b) == 1 else np.shape(b)[1])
+            return solve(self, b)
+
+        monkeypatch.setattr(linalg.FactorizedSolver, "solve", counted)
+        cfg = write_config(tmp_path)  # m = 6, 25 unknowns
+        assert main(["nwidth-check", "--config", str(cfg), "--samples", "2"]) == 0
+        assert calls == [25]
+
+    @pytest.mark.parametrize("command, m, guard, out", [
+        ("nwidth-check", 13, 2048, False),
+        ("bayes-check", 13, 2048, False),
+        ("oracle-svd", 18, 4096, True),
+    ])
+    def test_oversize_problem_refused_before_any_factor(self, tmp_path, capsys, monkeypatch,
+                                                         command, m, guard, out):
+        def refused(*args, **kwargs):
+            raise AssertionError("factorized a problem above the dense guard")
+
+        monkeypatch.setattr(linalg, "factorize", refused)
+        monkeypatch.setattr(experiments, "factorize", refused)
+        cfg = write_config(tmp_path, family="rte", m=m, grid={"n_angles": 16})
+        argv = [command, "--config", str(cfg)]
+        if out:
+            argv += ["--out", str(tmp_path / "oracle.obf")]
+        assert main(argv) == 2
+        n_dofs = (m - 1) ** 2 * 16
+        assert capsys.readouterr().err == (
+            f"error: dense verification limited to {guard} unknowns, got {n_dofs}\n"
+        )
+        assert not (tmp_path / "oracle.obf").exists()
 
     def test_bayes_check_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, m=5)

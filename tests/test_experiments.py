@@ -14,6 +14,7 @@ from optbasis.experiments import (
     build_problem,
     compute_problem_basis,
     error_curve,
+    green_matrix,
     nonlinear_error_curve,
     oracle_problem_basis,
     reference_solution,
@@ -155,7 +156,7 @@ class TestBases:
         assert oracle.rank == setup.n_dofs
         assert oracle.meta["family"] == "elliptic"
         with pytest.raises(ProblemTooLarge):
-            oracle_problem_basis(setup, size_guard=4)
+            green_matrix(setup, size_guard=4)
 
 
 class TestReferenceSolution:

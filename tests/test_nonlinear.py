@@ -6,7 +6,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optbasis.basis import RsvdParams, SourceProjector, compute_basis, dense_svd_oracle, reconstruct
+from optbasis.basis import RsvdParams, SourceProjector, compute_basis, reconstruct
+from optbasis.bayes import dense_svd_oracle
 from optbasis.elliptic import EllipticMedium, assemble_elliptic, eval_source_elliptic
 from optbasis.exceptions import BoundViolation, Diverged, RankExhausted
 from optbasis.grids import Grid2D, PhaseGrid
@@ -31,6 +32,11 @@ def semilinear_setup(m=8, p=1, amplitude=100.0):
     fy = identity_weight(op.shape[0])
     f = eval_source_elliptic(grid, amplitude)
     return solver, fx, fy, f
+
+
+def green_of(solver):
+    """Dense G = L^{-1} from a factorization, for the dense oracle."""
+    return solver.solve(np.eye(solver.n))
 
 
 class TestTerms:
@@ -102,7 +108,7 @@ class TestProjection:
     def test_split_reassembles_the_input(self):
         # the split f = V_n c + r is weighted-orthogonal, so the X-norms obey Pythagoras
         solver, fx, fy, f = semilinear_setup()
-        basis = dense_svd_oracle(solver, fx, fy)
+        basis = dense_svd_oracle(green_of(solver), fx, fy)
         coeffs = SourceProjector(basis, fx, 10).coefficients(f)
         resid = unresolved(basis, fx, f, 10)
         assert fx.norm(f) ** 2 == pytest.approx(coeffs @ coeffs + fx.norm(resid) ** 2,
@@ -110,14 +116,14 @@ class TestProjection:
 
     def test_residual_is_weighted_orthogonal_to_the_span(self):
         solver, fx, fy, f = semilinear_setup()
-        basis = dense_svd_oracle(solver, fx, fy)
+        basis = dense_svd_oracle(green_of(solver), fx, fy)
         resid = unresolved(basis, fx, f, 10)
         inner = basis.right_vectors[:, :10].T @ fx.apply_t(fx.apply(resid))
         np.testing.assert_allclose(inner, 0.0, atol=1e-10)
 
     def test_projection_of_a_span_member_is_itself(self):
         solver, fx, fy, _ = semilinear_setup()
-        basis = dense_svd_oracle(solver, fx, fy)
+        basis = dense_svd_oracle(green_of(solver), fx, fy)
         g = basis.right_vectors[:, :5] @ np.arange(1.0, 6.0)
         np.testing.assert_allclose(SourceProjector(basis, fx, 5).coefficients(g),
                                    np.arange(1.0, 6.0), atol=1e-10)
@@ -137,7 +143,7 @@ class TestFixedPoint:
 
     def test_full_rank_cubic_agrees_with_newton(self):
         solver, fx, fy, f = semilinear_setup(m=8, amplitude=100.0)
-        basis = dense_svd_oracle(solver, fx, fy)
+        basis = dense_svd_oracle(green_of(solver), fx, fy)
         term = CubicTerm()
         result = fixed_point_solve(basis, fx, f, term, basis.rank, tol=1e-24)
         reference = newton_reference(solver.operator, term, f)
@@ -148,7 +154,7 @@ class TestFixedPoint:
         # at convergence the coefficients reproduce the projection of the
         # effective source f - N(u)
         solver, fx, fy, f = semilinear_setup()
-        basis = dense_svd_oracle(solver, fx, fy)
+        basis = dense_svd_oracle(green_of(solver), fx, fy)
         n = 20
         result = fixed_point_solve(basis, fx, f, CubicTerm(), n, tol=1e-26, max_iter=2000)
         projector = SourceProjector(basis, fx, n)
@@ -157,7 +163,7 @@ class TestFixedPoint:
 
     def test_under_relaxation_reaches_the_same_fixed_point(self):
         solver, fx, fy, f = semilinear_setup()
-        basis = dense_svd_oracle(solver, fx, fy)
+        basis = dense_svd_oracle(green_of(solver), fx, fy)
         full = fixed_point_solve(basis, fx, f, CubicTerm(), 15, tol=1e-24)
         damped = fixed_point_solve(basis, fx, f, CubicTerm(), 15, tol=1e-24,
                                    relax=0.5, max_iter=2000)
@@ -167,7 +173,7 @@ class TestFixedPoint:
 
     def test_step_history_is_recorded(self):
         solver, fx, fy, f = semilinear_setup()
-        basis = dense_svd_oracle(solver, fx, fy)
+        basis = dense_svd_oracle(green_of(solver), fx, fy)
         result = fixed_point_solve(basis, fx, f, CubicTerm(), 10)
         assert len(result.step_history) == result.iterations
         assert result.step_history[-1] == result.final_step
@@ -175,14 +181,14 @@ class TestFixedPoint:
     def test_divergence_is_detected(self):
         fi = identity_weight(6)
         solver = factorize(sp.identity(6, format="csc"))
-        basis = dense_svd_oracle(solver, fi, fi)
+        basis = dense_svd_oracle(green_of(solver), fi, fi)
         f = np.full(6, 50.0)  # cubic blowup: |u| grows every sweep
         with pytest.raises(Diverged):
             fixed_point_solve(basis, fi, f, CubicTerm(), 6, max_iter=200)
 
     def test_invalid_relaxation_rejected(self):
         solver, fx, fy, f = semilinear_setup()
-        basis = dense_svd_oracle(solver, fx, fy)
+        basis = dense_svd_oracle(green_of(solver), fx, fy)
         for relax in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 fixed_point_solve(basis, fx, f, ZeroTerm(), 5, relax=relax)
@@ -191,7 +197,7 @@ class TestFixedPoint:
 class TestIndicators:
     def test_linear_case_indicators_coincide(self):
         solver, fx, fy, f = semilinear_setup()
-        basis = dense_svd_oracle(solver, fx, fy)
+        basis = dense_svd_oracle(green_of(solver), fx, fy)
         n = 8
         u_n = reconstruct(basis, SourceProjector(basis, fx, n).coefficients(f), n)
         e1, e2 = error_indicators(basis, fx, f, ZeroTerm(), u_n, n)
@@ -200,7 +206,7 @@ class TestIndicators:
 
     def test_first_indicator_matches_the_direct_formula(self):
         solver, fx, fy, f = semilinear_setup()
-        basis = dense_svd_oracle(solver, fx, fy)
+        basis = dense_svd_oracle(green_of(solver), fx, fy)
         term = CubicTerm()
         rng = np.random.Generator(np.random.Philox(7))
         candidate = rng.normal(size=f.shape)
@@ -210,7 +216,7 @@ class TestIndicators:
 
     def test_second_indicator_ignores_the_candidate(self):
         solver, fx, fy, f = semilinear_setup()
-        basis = dense_svd_oracle(solver, fx, fy)
+        basis = dense_svd_oracle(green_of(solver), fx, fy)
         term = CubicTerm()
         rng = np.random.Generator(np.random.Philox(8))
         _, e2_a = error_indicators(basis, fx, f, term, rng.normal(size=f.shape), 12)
@@ -221,7 +227,7 @@ class TestIndicators:
 class TestRepresentationBound:
     def test_holds_for_converged_reference(self):
         solver, fx, fy, f = semilinear_setup(m=8)
-        basis = dense_svd_oracle(solver, fx, fy)
+        basis = dense_svd_oracle(green_of(solver), fx, fy)
         term = CubicTerm()
         u_ref = newton_reference(solver.operator, term, f)
         for n in (3, 8, 15):
@@ -232,7 +238,7 @@ class TestRepresentationBound:
 
     def test_unconverged_reference_rejected(self):
         solver, fx, fy, f = semilinear_setup()
-        basis = dense_svd_oracle(solver, fx, fy)
+        basis = dense_svd_oracle(green_of(solver), fx, fy)
         with pytest.raises(ValueError, match="reference accuracy"):
             check_linear_representation_bound(
                 basis, solver, fx, f, CubicTerm(), np.zeros(solver.n) + 1.0, 5
@@ -240,7 +246,7 @@ class TestRepresentationBound:
 
     def test_rank_exhaustion_raises(self):
         solver, fx, fy, f = semilinear_setup()
-        basis = dense_svd_oracle(solver, fx, fy)
+        basis = dense_svd_oracle(green_of(solver), fx, fy)
         u_ref = newton_reference(solver.operator, CubicTerm(), f)
         with pytest.raises(RankExhausted):
             check_linear_representation_bound(

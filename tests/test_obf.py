@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from optbasis import obf
-from optbasis.basis import SVDBasis, dense_svd_oracle
+from optbasis.basis import SVDBasis
+from optbasis.bayes import dense_svd_oracle
 from optbasis.config import FAMILIES
 from optbasis.elliptic import EllipticMedium, assemble_elliptic
 from optbasis.exceptions import OptbasisError, SidecarMismatch
@@ -20,7 +21,7 @@ def small_basis(family="elliptic"):
     grid = Grid2D(5)
     solver = factorize(assemble_elliptic(grid, EllipticMedium(1.0)))
     fx = build_sobolev_weight(1, grid)
-    basis = dense_svd_oracle(solver, fx, identity_weight(solver.n))
+    basis = dense_svd_oracle(solver.solve(np.eye(solver.n)), fx, identity_weight(solver.n))
     basis.meta["family"] = family
     return basis
 
