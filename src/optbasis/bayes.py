@@ -34,7 +34,6 @@ from .exceptions import (
     SingularTheta,
 )
 from .linalg import svd_dense
-from .weights import identity_weight
 
 DENSE_BAYES_GUARD = 2048
 DENSE_ORACLE_GUARD = 4096
@@ -85,9 +84,6 @@ class Posterior:
 
     mean: np.ndarray
     covariance: np.ndarray
-    observation_matrix: np.ndarray
-    observations: np.ndarray
-    noise: float
     reconstruction_map: np.ndarray | None = None
 
 
@@ -107,7 +103,7 @@ def posterior(green, obs_matrix, psi, delta=0.0, size_guard=DENSE_BAYES_GUARD):
 
     cov_prior = green @ green.T
     if m.shape[1] == 0:
-        return Posterior(np.zeros(n_dofs), cov_prior, m, psi, delta, np.zeros((n_dofs, 0)))
+        return Posterior(np.zeros(n_dofs), cov_prior, np.zeros((n_dofs, 0)))
 
     k = m.T @ cov_prior  # (n_obs, N)
     theta = k @ m
@@ -124,7 +120,7 @@ def posterior(green, obs_matrix, psi, delta=0.0, size_guard=DENSE_BAYES_GUARD):
         cov = cov_prior - k.T @ scipy.linalg.cho_solve((c, low), k)
         recon = None
     cov = 0.5 * (cov + cov.T)
-    return Posterior(mean, cov, m, psi, delta, recon)
+    return Posterior(mean, cov, recon)
 
 
 @dataclass
@@ -133,8 +129,6 @@ class TraceReport:
 
     objective: float
     residual_trace: float
-    cross_covariance: np.ndarray
-    observation_gram: np.ndarray
 
     @property
     def total_trace(self):
@@ -150,7 +144,7 @@ def trace_objective(green, obs_matrix, size_guard=DENSE_BAYES_GUARD):
     theta = k @ m
     captured = float(np.trace(_solve_spd(theta, k @ k.T, "trace objective")))
     residual = float(np.trace(cov_prior)) - captured
-    return TraceReport(captured, residual, k, theta)
+    return TraceReport(captured, residual)
 
 
 def check_reconstruction_bound(green, obs_matrix, f, size_guard=DENSE_BAYES_GUARD):
@@ -226,108 +220,3 @@ def nwidth_eval(green, fx, fy, v_n, size_guard=DENSE_BAYES_GUARD):
     q = np.linalg.qr(image, mode="reduced")[0]
     resid = a - q @ (q.T @ a)
     return float(scipy.linalg.svdvals(resid)[0])
-
-
-def principal_angles(a, b):
-    """Principal angles between the column spans, largest first (radians)."""
-    return scipy.linalg.subspace_angles(np.asarray(a, float), np.asarray(b, float))
-
-
-@dataclass
-class EquivalenceReport:
-    """Evidence that the width-optimal and inference-optimal subspaces agree.
-
-    Clause a: the trace objective at the leading left singular subspace
-    matches the closed form sum of leading squared singular values and
-    dominates random candidates.  Clause b: the n-width at the leading
-    right singular subspace matches singular value n+1 and is minimal over
-    random candidates.  Clause c: candidates closer to the optimum in
-    objective are closer to the optimal subspace in angle.
-    """
-
-    n: int
-    objective_optimal: float
-    objective_closed_form: float
-    objective_best_random: float
-    nwidth_optimal: float
-    nwidth_closed_form: float
-    nwidth_best_random: float
-    angle_gap_correlation: float
-    angle_best_random: float
-    angle_worst_random: float
-    clause_a: bool
-    clause_b: bool
-    clause_c: bool
-
-    @property
-    def all_clauses(self):
-        return self.clause_a and self.clause_b and self.clause_c
-
-
-def check_equivalence(green, fx=None, fy=None, n=1, n_random=200, seed=0, tol=1e-9,
-                      size_guard=DENSE_BAYES_GUARD):
-    """Cross-check the optimality theorems on one dense operator.
-
-    The n-width side uses the weighted SVD built from (fx, fy); omitted
-    factors default to the identity.  The Bayesian side is stated for the
-    Euclidean inner products, so its optimum is the plain left singular
-    subspace of G regardless of the weights passed in.
-    """
-    green = _as_green(green, size_guard)
-    n_dofs = green.shape[0]
-    if not 1 <= n < n_dofs:
-        raise ValueError(f"need 1 <= n < N, got n = {n}, N = {n_dofs}")
-    fx = fx if fx is not None else identity_weight(n_dofs)
-    fy = fy if fy is not None else identity_weight(n_dofs)
-    rng = np.random.Generator(np.random.Philox(seed))
-
-    # Bayesian side, Euclidean inner products
-    u_plain, s_plain, _ = np.linalg.svd(green)
-    m_opt = u_plain[:, :n]
-    objective_optimal = trace_objective(green, m_opt, size_guard).objective
-    objective_closed = float(np.sum(s_plain[:n] ** 2))
-
-    gaps = np.empty(n_random)
-    angles = np.empty(n_random)
-    for j in range(n_random):
-        cand = rng.standard_normal((n_dofs, n))
-        obj = trace_objective(green, cand, size_guard).objective
-        gaps[j] = objective_optimal - obj
-        angles[j] = principal_angles(cand, m_opt)[0]
-    best_obj = objective_optimal - gaps.min()
-
-    # n-width side, weighted
-    oracle = dense_svd_oracle(green, fx, fy, size_guard=size_guard)
-    nwidth_optimal = nwidth_eval(green, fx, fy, oracle.right_vectors[:, :n], size_guard)
-    nwidth_closed = float(oracle.singular_values[n])
-    best_width = np.inf
-    for _ in range(n_random):
-        cand = rng.standard_normal((n_dofs, n))
-        best_width = min(best_width, nwidth_eval(green, fx, fy, cand, size_guard))
-
-    order = np.argsort(gaps)
-    corr = float(np.corrcoef(gaps, angles)[0, 1]) if n_random > 1 else 0.0
-    clause_a = (
-        abs(objective_optimal - objective_closed) <= tol * max(1.0, objective_closed)
-        and best_obj <= objective_optimal + tol
-    )
-    clause_b = (
-        abs(nwidth_optimal - nwidth_closed) <= tol * max(1.0, nwidth_closed)
-        and best_width >= nwidth_closed - tol
-    )
-    clause_c = corr > 0.0 and angles[order[0]] <= angles[order[-1]]
-    return EquivalenceReport(
-        n=n,
-        objective_optimal=objective_optimal,
-        objective_closed_form=objective_closed,
-        objective_best_random=float(best_obj),
-        nwidth_optimal=nwidth_optimal,
-        nwidth_closed_form=nwidth_closed,
-        nwidth_best_random=float(best_width),
-        angle_gap_correlation=corr,
-        angle_best_random=float(angles[order[0]]),
-        angle_worst_random=float(angles[order[-1]]),
-        clause_a=clause_a,
-        clause_b=clause_b,
-        clause_c=clause_c,
-    )

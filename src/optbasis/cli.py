@@ -1,15 +1,5 @@
 """Command line front end for assembling, basis building and experiment runs."""
 
-import os
-
-# Apply the thread cap before numpy initializes its BLAS pools.  Effective
-# when this module is the first numpy importer in the process, which is the
-# normal situation for the console entry point; otherwise it is a no-op.
-_threads = os.environ.get("OPTBASIS_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
 import math
 import sys
@@ -22,7 +12,7 @@ from . import obf
 from .basis import defining_relation_errors
 from .bayes import DENSE_BAYES_GUARD, check_reconstruction_bound, nwidth_eval, trace_objective
 from .config import config_to_dict, load_config, rsvd_params
-from .exceptions import BoundViolation, OptbasisError
+from .exceptions import BoundViolation, ConfigInvalid, OptbasisError
 from .experiments import (
     build_problem,
     compute_problem_basis,
@@ -258,10 +248,19 @@ def cmd_oracle_svd(args):
     return 0
 
 
+def _check_green(setup):
+    """Dense G for the optimality checks, whose subspaces need 1 <= n < N."""
+    if setup.n_dofs < 2:
+        raise ConfigInvalid(
+            f"the dense optimality checks need at least 2 unknowns, got {setup.n_dofs}"
+        )
+    return green_matrix(setup, DENSE_BAYES_GUARD)
+
+
 def cmd_nwidth_check(args):
     config = _load_config(args)
     setup = build_problem(config)
-    green = green_matrix(setup, DENSE_BAYES_GUARD)
+    green = _check_green(setup)
     basis = oracle_problem_basis(setup, green)
     lam = basis.singular_values
     checks = _Checks()
@@ -287,7 +286,7 @@ def cmd_nwidth_check(args):
 def cmd_bayes_check(args):
     config = _load_config(args)
     setup = build_problem(config)
-    green = green_matrix(setup, DENSE_BAYES_GUARD)
+    green = _check_green(setup)
     checks = _Checks()
     u_left, svals, _ = np.linalg.svd(green)
     n = min(4, setup.n_dofs - 1)

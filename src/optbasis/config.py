@@ -1,7 +1,7 @@
 """Experiment configuration: strict JSON parsing and canonical serialization.
 
 A configuration file has the nested sections ``problem``, ``grid``,
-``weights`` and optionally ``rsvd``, ``nonlinear`` and ``output``.
+``weights`` and optionally ``rsvd`` and ``nonlinear``.
 Unknown sections or keys are hard errors so typos cannot silently fall
 back to defaults, and keys that do not apply to the chosen problem
 family are rejected too.
@@ -78,12 +78,6 @@ class NonlinearSettings:
 
 
 @dataclass(frozen=True)
-class OutputSettings:
-    directory: str = "."
-    stem: str | None = None
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     family: str
     m_intervals: int
@@ -97,7 +91,6 @@ class ExperimentConfig:
     source: SourceSpec = SourceSpec("zero", 0.0)
     rsvd: RsvdParams = field(default_factory=lambda: RsvdParams(rank=50))
     nonlinear: NonlinearSettings = NonlinearSettings()
-    output: OutputSettings = OutputSettings()
 
     @property
     def pde(self):
@@ -171,7 +164,7 @@ def config_from_dict(raw):
     if not isinstance(raw, dict):
         raise ConfigInvalid("configuration root must be an object")
     raw = dict(raw)
-    known = {"problem", "grid", "weights", "rsvd", "nonlinear", "output"}
+    known = {"problem", "grid", "weights", "rsvd", "nonlinear"}
     for key in raw:
         if key not in known:
             raise ConfigInvalid(f"unknown section '{key}'")
@@ -248,11 +241,6 @@ def config_from_dict(raw):
     nl_sec.finish()
     nonlinear = NonlinearSettings(tol, max_iter, relax)
 
-    out_sec = _Section("output", raw.get("output", {}))
-    directory = out_sec.take("directory", str, default=".")
-    stem = out_sec.take("stem", str)
-    out_sec.finish()
-
     return ExperimentConfig(
         family=family,
         m_intervals=m_intervals,
@@ -262,7 +250,6 @@ def config_from_dict(raw):
         source=SourceSpec(kind, amplitude),
         rsvd=rsvd,
         nonlinear=nonlinear,
-        output=OutputSettings(directory, stem),
         **medium,
     )
 
@@ -275,7 +262,7 @@ def config_to_dict(config: ExperimentConfig):
     grid = {"m_intervals": config.m_intervals, "length": config.length}
     if config.pde == "rte":
         grid["n_angles"] = config.n_angles
-    out = {
+    return {
         "problem": problem,
         "grid": grid,
         "weights": {"p": config.p},
@@ -290,11 +277,7 @@ def config_to_dict(config: ExperimentConfig):
             "max_iter": config.nonlinear.max_iter,
             "relax": config.nonlinear.relax,
         },
-        "output": {"directory": config.output.directory},
     }
-    if config.output.stem is not None:
-        out["output"]["stem"] = config.output.stem
-    return out
 
 
 def load_config(path):

@@ -16,7 +16,7 @@ from .grids import Grid2D, PhaseGrid
 from .linalg import factorize
 from .nonlinear import CubicTerm, TwoPhotonTerm, fixed_point_solve, newton_reference
 from .transport import RteCoefficients, assemble_rte, eval_source_rte
-from .weights import _energy_norm_on, build_rte_weight, build_sobolev_weight, identity_weight
+from .weights import build_rte_weight, build_sobolev_weight, energy_norm, identity_weight
 
 
 @dataclass
@@ -170,18 +170,21 @@ def nonlinear_error_curve(u_ref, basis: SVDBasis, fx, f, term, n_values,
 
 
 def _curve(u_ref, n_values, grid, solution) -> ErrorCurve:
-    """Errors of solution(n) against u_ref, with the energy-norm operators built once."""
+    """Errors of solution(n) against u_ref, relative to the reference's own norms."""
     n_values = list(n_values)
     u_ref = np.asarray(u_ref, dtype=float)
     ref_l2 = np.linalg.norm(u_ref)
     if ref_l2 == 0.0:
         raise VanishingReference("reference solution vanishes, relative errors undefined")
-    energy_norm = _energy_norm_on(grid) if grid is not None else None
-    ref_energy = energy_norm(u_ref) if grid is not None else None
+    ref_energy = energy_norm(u_ref, grid) if grid is not None else None
+    if ref_energy == 0.0:
+        raise VanishingReference(
+            "reference solution has zero energy seminorm, relative energy errors undefined"
+        )
     l2, energy = [], []
     for n in n_values:
         err = solution(n) - u_ref
         l2.append(float(np.linalg.norm(err) / ref_l2))
         if grid is not None:
-            energy.append(energy_norm(err) / ref_energy)
+            energy.append(energy_norm(err, grid) / ref_energy)
     return ErrorCurve(n_values, l2, energy if grid is not None else None)

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from optbasis.bayes import (
-    check_equivalence,
     check_reconstruction_bound,
     dense_svd_oracle,
     nwidth_eval,
     posterior,
-    principal_angles,
     trace_objective,
     weighted_operator,
 )
@@ -92,7 +90,7 @@ class TestPosterior:
         green = toy_green(seed=9)
         direction = np.ones(12)
         post = posterior(green, direction, np.array([2.0]))
-        assert post.observation_matrix.shape == (12, 1)
+        assert post.reconstruction_map.shape == (12, 1)
 
     def test_covariance_is_symmetric(self):
         green = toy_green(seed=10)
@@ -228,42 +226,3 @@ class TestNwidthEval:
         green = toy_green(seed=26)
         fi = identity_weight(12)
         np.testing.assert_array_equal(weighted_operator(green, fi, fi), green)
-
-
-class TestPrincipalAngles:
-    def test_identical_spans_have_zero_angle(self):
-        rng = np.random.Generator(np.random.Philox(27))
-        a = rng.normal(size=(10, 3))
-        assert principal_angles(a, 2.0 * a).max() < 1e-8
-
-    def test_orthogonal_spans_are_at_right_angles(self):
-        a = np.eye(6)[:, :2]
-        b = np.eye(6)[:, 3:5]
-        np.testing.assert_allclose(principal_angles(a, b), np.pi / 2, atol=1e-12)
-
-
-class TestEquivalence:
-    def test_all_clauses_on_an_elliptic_operator(self):
-        green, grid = elliptic_green(5)
-        fx = build_sobolev_weight(1, grid)
-        report = check_equivalence(green, fx=fx, n=2, n_random=50, seed=0)
-        assert report.clause_a
-        assert report.clause_b
-        assert report.clause_c
-        assert report.all_clauses
-        assert report.objective_optimal == pytest.approx(
-            report.objective_closed_form, rel=1e-9
-        )
-        assert report.nwidth_optimal == pytest.approx(
-            report.nwidth_closed_form, rel=1e-9
-        )
-
-    def test_angles_shrink_with_the_objective_gap(self):
-        green = toy_green(seed=28)
-        report = check_equivalence(green, n=2, n_random=80, seed=1)
-        assert report.angle_gap_correlation > 0
-        assert report.angle_best_random <= report.angle_worst_random
-
-    def test_invalid_subspace_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            check_equivalence(toy_green(), n=12)

@@ -277,6 +277,16 @@ class TestCurveCommands:
         assert main(["solve-linear", "--config", str(cfg), "--out", str(out)]) == 2
         assert "reference solution vanishes" in capsys.readouterr().err
 
+    def test_solve_linear_on_a_one_unknown_grid_exits_two(self, tmp_path, capsys):
+        # m = 2 leaves one interior node and no differences: the energy seminorm is 0
+        cfg = write_config(tmp_path, m=2, p=0, rank=1, oversample=0)
+        out = tmp_path / "curve.csv"
+        assert main(["solve-linear", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "zero energy seminorm" in err
+        assert not out.exists()
+
     def test_solve_nonlinear_curve(self, tmp_path):
         cfg = write_config(tmp_path, family="semilinear_elliptic", rank=10,
                            oversample=8, power=3)
@@ -365,6 +375,20 @@ class TestOracleAndChecks:
             f"error: dense verification limited to {guard} unknowns, got {n_dofs}\n"
         )
         assert not (tmp_path / "oracle.obf").exists()
+
+    @pytest.mark.parametrize("command", ["nwidth-check", "bayes-check"])
+    def test_one_unknown_problem_refused_before_any_factor(self, tmp_path, capsys,
+                                                           monkeypatch, command):
+        def refused(*args, **kwargs):
+            raise AssertionError("factorized a problem with no proper subspace")
+
+        monkeypatch.setattr(linalg, "factorize", refused)
+        monkeypatch.setattr(experiments, "factorize", refused)
+        cfg = write_config(tmp_path, m=2, p=0)
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: the dense optimality checks need at least 2 unknowns, got 1\n"
+        )
 
     def test_bayes_check_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, m=5)

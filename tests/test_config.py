@@ -38,7 +38,6 @@ class TestDefaults:
         assert (c.source.kind, c.source.amplitude) == ("sine", 1.0)
         assert (c.rsvd.rank, c.rsvd.oversampling, c.rsvd.power, c.rsvd.seed) == (50, 10, 2, 0)
         assert (c.nonlinear.tol, c.nonlinear.max_iter, c.nonlinear.relax) == (1e-12, 500, 1.0)
-        assert c.output.directory == "." and c.output.stem is None
         assert c.pde == "elliptic" and not c.is_semilinear
 
     def test_rte_defaults(self):
@@ -66,7 +65,6 @@ class TestDefaults:
             "weights": {"p": 2},
             "rsvd": {"rank": 7, "oversample": 3, "power": 4, "seed": 11},
             "nonlinear": {"tol": 1e-10, "max_iter": 40, "relax": 0.5},
-            "output": {"directory": "runs", "stem": "case"},
         }
         c = config_from_dict(raw)
         assert (c.eps1, c.eps2, c.g) == (0.25, 0.5, 0.0)
@@ -74,7 +72,6 @@ class TestDefaults:
         assert c.p == 2
         assert (c.rsvd.rank, c.rsvd.oversampling, c.rsvd.power, c.rsvd.seed) == (7, 3, 4, 11)
         assert (c.nonlinear.tol, c.nonlinear.max_iter, c.nonlinear.relax) == (1e-10, 40, 0.5)
-        assert (c.output.directory, c.output.stem) == ("runs", "case")
 
 
 class TestRejections:
@@ -83,10 +80,11 @@ class TestRejections:
             config_from_dict(["problem"])
 
     def test_unknown_section(self):
-        raw = minimal()
-        raw["extras"] = {}
-        with pytest.raises(ConfigInvalid, match="unknown section 'extras'"):
-            config_from_dict(raw)
+        for section in ("extras", "output"):
+            raw = minimal()
+            raw[section] = {}
+            with pytest.raises(ConfigInvalid, match=f"unknown section '{section}'"):
+                config_from_dict(raw)
 
     def test_missing_required_section(self):
         raw = minimal()
@@ -264,12 +262,10 @@ class TestRoundTrips:
             "grid": {"m_intervals": 10, "n_angles": 12},
             "weights": {"p": 0},
             "rsvd": {"rank": 9, "seed": 3},
-            "output": {"stem": "case9"},
         }
         c = config_from_dict(raw)
         again = config_from_dict(config_to_dict(c))
         assert again == c
-        assert again.output.stem == "case9"
 
     def test_file_round_trip(self, tmp_path):
         c = config_from_dict(minimal("rte"))
@@ -332,7 +328,9 @@ class TestFamilyTable:
         # modules branch on a config's pde and is_semilinear
         family_names = re.compile(r"\b(semilinear_elliptic|semilinear_rte)\b")
         retired = re.compile(r"\b(PROBLEM_FAMILIES|ELLIPTIC_FAMILIES|RTE_FAMILIES|SOURCE_KINDS"
-                             r"|_DEFAULT_SOURCES|FAMILY_TAGS|is_rte)\b")
+                             r"|_DEFAULT_SOURCES|FAMILY_TAGS|is_rte|check_equivalence"
+                             r"|EquivalenceReport|principal_angles|_energy_norm_on|DiffOp1D"
+                             r"|OutputSettings|OPTBASIS_THREADS)\b")
         offenders = []
         for path in sorted(Path(optbasis.__file__).parent.glob("*.py")):
             for lineno, line in enumerate(path.read_text().splitlines(), 1):

@@ -58,16 +58,16 @@ class TestDifferenceOperators:
     def test_first_difference_stencil(self):
         d = fd_operator_1d(4, 1, 0.125)
         np.testing.assert_allclose(
-            d.matrix.toarray(), [[-8.0, 8.0, 0.0], [0.0, -8.0, 8.0]]
+            d.toarray(), [[-8.0, 8.0, 0.0], [0.0, -8.0, 8.0]]
         )
 
     def test_order_zero_is_identity(self):
         d = fd_operator_1d(5, 0, 0.1)
-        assert (d.matrix != sp.identity(4)).nnz == 0
+        assert (d != sp.identity(4)).nnz == 0
 
     def test_second_difference_stencil(self):
         d = fd_operator_1d(6, 2, 0.5)
-        row = d.matrix.toarray()[0]
+        row = d.toarray()[0]
         np.testing.assert_allclose(row, [4.0, -8.0, 4.0, 0.0, 0.0])
 
     def test_kth_difference_annihilates_lower_degree_polynomials(self):
@@ -76,7 +76,7 @@ class TestDifferenceOperators:
         for k in (1, 2, 3):
             d = fd_operator_1d(8, k, h)
             for deg in range(k):
-                np.testing.assert_allclose(d.matrix @ x**deg, 0.0, atol=1e-10)
+                np.testing.assert_allclose(d @ x**deg, 0.0, atol=1e-10)
 
     def test_exact_on_monomial_of_matching_degree(self):
         # k-th forward difference of x^k / k! is exactly 1 in exact arithmetic
@@ -84,7 +84,7 @@ class TestDifferenceOperators:
         x = h * np.arange(1, 10)
         for k in (1, 2, 3):
             d = fd_operator_1d(10, k, h)
-            vals = d.matrix @ (x**k)
+            vals = d @ (x**k)
             np.testing.assert_allclose(vals, math.factorial(k), rtol=1e-9)
 
     def test_order_too_high_raises(self):
@@ -96,8 +96,8 @@ class TestDifferenceOperators:
             fd_operator_1d(4, -1, 0.1)
 
     def test_2d_operator_is_kron_of_1d(self):
-        dx = fd_operator_1d(5, 1, 0.1).matrix
-        dy = fd_operator_1d(5, 2, 0.1).matrix
+        dx = fd_operator_1d(5, 1, 0.1)
+        dy = fd_operator_1d(5, 2, 0.1)
         d2 = fd_operator_2d(5, 1, 2, 0.1)
         ref = sp.kron(dx, dy)
         assert abs(d2 - ref).max() == 0.0
@@ -257,6 +257,18 @@ class TestEnergyNorm:
     def test_wrong_size_rejected(self):
         with pytest.raises(DimensionMismatch):
             energy_norm(np.ones(5), Grid2D(4))
+
+    @pytest.mark.parametrize("m", [6, 7, 12, 32])
+    def test_bit_identical_to_the_difference_operators(self, m):
+        g = Grid2D(m)
+        d_x = fd_operator_2d(m, 1, 0, g.h)
+        d_y = fd_operator_2d(m, 0, 1, g.h)
+        rng = np.random.Generator(np.random.Philox(m))
+        for _ in range(20):
+            u = rng.standard_normal(g.n_interior)
+            dx, dy = d_x @ u, d_y @ u
+            expected = float(np.sqrt(g.h ** 2 * (np.dot(dx, dx) + np.dot(dy, dy))))
+            assert energy_norm(u, g) == expected
 
 
 class TestDiagonalFactor:
