@@ -15,7 +15,8 @@ The n-width side measures the worst-case approximation error of a trial
 subspace through the weighted operator A = F_Y G F_X^{-1}: the best value
 over all n-dimensional subspaces is singular value n+1 of A, attained by
 the leading right singular subspace, which the dense SVD oracle computes.
-Every function here takes the dense G itself; ``experiments.green_matrix`` forms it.
+``nwidth_eval`` takes A, formed once per check by ``weighted_operator``; the
+other functions take the dense G itself, which ``experiments.green_matrix`` forms.
 """
 
 from __future__ import annotations
@@ -191,15 +192,16 @@ def dense_svd_oracle(green, fx, fy, size_guard=DENSE_ORACLE_GUARD, meta=None):
     return SVDBasis(n, n, svals, u_hat, v_hat, info)
 
 
-def nwidth_eval(green, fx, fy, v_n, size_guard=DENSE_BAYES_GUARD):
+def nwidth_eval(a, fx, v_n, size_guard=DENSE_BAYES_GUARD):
     """Worst-case weighted error of approximating from span(v_n).
 
-    Computes sigma_max((I - P) F_Y G F_X^{-1}) where P projects onto the
-    image F_Y G v_n of the trial space.  An empty v_n returns the largest
-    singular value of the weighted operator.
+    ``a`` is the dense weighted operator A = F_Y G F_X^{-1} from
+    ``weighted_operator``, formed once by the caller.  Computes
+    sigma_max((I - P) A) where P projects onto the image A F_X v_n = F_Y G v_n
+    of the trial space.  An empty v_n returns the largest singular value of A.
     """
-    green = _as_green(green, size_guard)
-    n_dofs = green.shape[0]
+    a = _as_green(a, size_guard)
+    n_dofs = a.shape[0]
     v_n = np.asarray(v_n, dtype=float)
     if v_n.size == 0:
         v_n = v_n.reshape(n_dofs, 0)
@@ -208,7 +210,6 @@ def nwidth_eval(green, fx, fy, v_n, size_guard=DENSE_BAYES_GUARD):
     if v_n.shape[0] != n_dofs:
         raise DimensionMismatch(f"trial basis shape {v_n.shape} does not match N = {n_dofs}")
 
-    a = weighted_operator(green, fx, fy)
     if v_n.shape[1] == 0:
         return float(scipy.linalg.svdvals(a)[0])
 
@@ -216,7 +217,6 @@ def nwidth_eval(green, fx, fy, v_n, size_guard=DENSE_BAYES_GUARD):
     if diag[0] == 0.0 or diag[-1] <= 1e-12 * diag[0]:
         raise RankDeficient("trial basis does not have full column rank")
 
-    image = fy.apply(green @ v_n)
-    q = np.linalg.qr(image, mode="reduced")[0]
+    q = np.linalg.qr(a @ fx.apply(v_n), mode="reduced")[0]
     resid = a - q @ (q.T @ a)
     return float(scipy.linalg.svdvals(resid)[0])

@@ -121,11 +121,10 @@ def oracle_problem_basis(setup: ProblemSetup, green=None) -> SVDBasis:
 
 def reference_solution(setup: ProblemSetup, solver=None):
     """Direct solve for linear problems, damped Newton for semilinear ones."""
+    solver = solver if solver is not None else setup.factorize()
     if setup.term is None:
-        solver = solver if solver is not None else setup.factorize()
         return solver.solve(setup.source)
-    return newton_reference(setup.operator, setup.term,
-                            setup.source, tol=setup.config.nonlinear.tol)
+    return newton_reference(solver, setup.term, setup.source, tol=setup.config.nonlinear.tol)
 
 
 def solve_linear_projection(basis: SVDBasis, fx, f, n):

@@ -193,16 +193,17 @@ def check_linear_representation_bound(basis: SVDBasis, solver, fx, f, term, u_re
     return lhs, rhs
 
 
-def newton_reference(operator, term, f, tol=1e-12, max_iter=50):
+def newton_reference(solver, term, f, tol=1e-12, max_iter=50):
     """Damped Newton solve of the full system L u + N(u) = f.
 
-    Starts from the linear solve, halves the step until the residual
-    decreases, and stops once ||residual|| <= tol (1 + ||f||).  Raises
-    Diverged if damping stalls or the iteration budget runs out.
+    ``solver`` is the factorized L.  Starts from its linear solve, halves
+    the step until the residual decreases, and stops once
+    ||residual|| <= tol (1 + ||f||).  Raises Diverged if damping stalls or
+    the iteration budget runs out.
     """
-    op = sp.csc_matrix(operator)
+    op = solver.operator
     f = np.asarray(f, dtype=float)
-    u = factorize(op).solve(f)
+    u = solver.solve(f)
     f_scale = 1.0 + np.linalg.norm(f)
     for _ in range(max_iter):
         residual = op @ u + term(u) - f

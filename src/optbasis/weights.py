@@ -1,9 +1,11 @@
 """Discrete Sobolev inner products and their Cholesky-style factors.
 
 The weighted inner products used everywhere else are <a, b> = a^T Pi b with
-Pi symmetric positive definite.  Each weight is represented by an upper
-triangular factor F with Pi = F^T F, so applying F, F^T and their inverses
-is all the rest of the package ever needs.
+Pi symmetric positive definite.  Each weight is one WeightFactor, an upper
+triangular F = c (F_s (x) I_k) with Pi = F^T F: F_s is a banded spatial
+factor, k the number of angles and c = 1 / sqrt(k) (k = 1 and c = 1 off
+transport).  Applying F, F^T and their inverses is all the rest of the
+package ever needs.
 
 Difference operators follow the forward-difference convention on interior
 nodes: D^0 is the identity on the m-1 interior values of one grid line and
@@ -21,6 +23,7 @@ tensorized with the angular average: Pi = Pi_spatial (x) I / n_angles.
 
 from __future__ import annotations
 
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -86,91 +89,44 @@ def sobolev_gram_matrix(m_intervals, p, h):
 
 
 class WeightFactor:
-    """Upper triangular factor F of a weight matrix Pi = F^T F.
+    """Factor F = scale * (F_s (x) I_k) of the weight Pi = F^T F.
 
-    Subclasses implement the four linear maps; the inner product and norm
-    helpers are shared.
+    ``band`` holds the upper triangular F_s in scipy's upper banded storage
+    (row u + i - j, column j); a one-row band is a diagonal factor.  ``gram``
+    is F_s^T F_s, ``n_minor`` the number of angles k and ``scale`` the
+    angular normalization 1 / sqrt(k); k = 1 and scale = 1 off transport.
+    Vectors are space-major, so F acts on the (n_s, k * cols) block.
     """
 
-    dim: int
-    label: str
+    def __init__(self, band, gram, n_minor=1, scale=1.0, label="cholesky"):
+        self.band = band
+        self.n_spatial = band.shape[1]
+        self.n_minor = int(n_minor)
+        self.scale = float(scale)
+        self.dim = self.n_spatial * self.n_minor
+        self.label = label
+        self._spatial_gram = gram
+        self._gram = gram if self.n_minor == 1 and self.scale == 1.0 else None
+        if band.shape[0] == 1:
+            self._factor = self._factor_t = None  # products multiply elementwise
+        else:
+            offsets = np.arange(band.shape[0])
+            shape = (self.n_spatial, self.n_spatial)
+            self._factor = sp.dia_matrix((band[::-1], offsets), shape=shape).tocsr()
+            self._factor_t = sp.csr_matrix(self._factor.T)
 
-    def apply(self, v):
-        raise NotImplementedError
-
-    def apply_t(self, v):
-        raise NotImplementedError
-
-    def solve(self, v):
-        raise NotImplementedError
-
-    def solve_t(self, v):
-        raise NotImplementedError
-
-    def gram(self):
-        """Assembled Pi as a sparse matrix, the operator of the Pi-inner products."""
-        raise NotImplementedError
-
-    def _check(self, v):
-        v = np.asarray(v, dtype=float)
-        if v.shape[0] != self.dim:
-            raise DimensionMismatch(
-                f"vector has leading dimension {v.shape[0]}, weight expects {self.dim}"
-            )
-        return v
-
-    def inner(self, a, b):
-        """Weighted inner product <a, b> = (F a) . (F b)."""
-        return float(np.dot(self.apply(a), self.apply(b)))
-
-    def norm(self, v):
-        fa = self.apply(v)
-        if fa.ndim == 1:
-            return float(np.linalg.norm(fa))
-        return np.linalg.norm(fa, axis=0)
-
-
-class DiagonalWeightFactor(WeightFactor):
-    """F = scale * I; covers the order-zero weight and plain l2."""
-
-    def __init__(self, scale, dim, label="diagonal"):
+    @classmethod
+    def diagonal(cls, scale, dim, label="diagonal"):
+        """F = scale * I; covers the order-zero weight and plain l2."""
         if scale <= 0:
             raise ValueError("scale must be positive")
-        self.scale = float(scale)
-        self.dim = int(dim)
-        self.label = label
-
-    def apply(self, v):
-        return self.scale * self._check(v)
-
-    def apply_t(self, v):
-        return self.scale * self._check(v)
-
-    def solve(self, v):
-        return self._check(v) / self.scale
-
-    def solve_t(self, v):
-        return self._check(v) / self.scale
-
-    def gram(self):
-        return (self.scale ** 2) * sp.identity(self.dim, format="csr")
-
-
-class TriangularWeightFactor(WeightFactor):
-    """Banded upper triangular Cholesky factor of an assembled SPD weight."""
-
-    def __init__(self, band, gram_matrix, label="cholesky"):
-        # band is the scipy upper banded storage, row u + i - j, column j
-        self.band = band
-        self.dim = band.shape[1]
-        self.label = label
-        self._gram = gram_matrix
-        self._factor = _band_to_sparse_upper(band)
-        self._factor_t = sp.csr_matrix(self._factor.T)
+        scale = float(scale)
+        gram = (scale ** 2) * sp.identity(dim, format="csr")
+        return cls(np.full((1, dim), scale), gram, label=label)
 
     @classmethod
     def from_gram(cls, gram_matrix, label="cholesky"):
-        """Factor an assembled symmetric positive definite weight matrix."""
+        """Banded Cholesky factor of an assembled symmetric positive definite weight."""
         g = sp.csr_matrix(gram_matrix)
         if g.shape[0] != g.shape[1]:
             raise DimensionMismatch("weight matrix must be square")
@@ -188,83 +144,62 @@ class TriangularWeightFactor(WeightFactor):
             raise ValueError(f"weight matrix not positive definite: {exc}") from exc
         return cls(band, g, label=label)
 
-    def apply(self, v):
-        return self._factor @ self._check(v)
+    def _check(self, v):
+        v = np.asarray(v, dtype=float)
+        if v.shape[0] != self.dim:
+            raise DimensionMismatch(
+                f"vector has leading dimension {v.shape[0]}, weight expects {self.dim}"
+            )
+        return v
 
-    def apply_t(self, v):
-        return self._factor_t @ self._check(v)
+    def _map(self, v, op, scale):
+        """scale * (op (x) I_k) v, with op acting on the (n_s, k * cols) block."""
+        v = self._check(v)
+        if self.n_minor == 1:
+            out = op(v)
+        else:
+            cols = 1 if v.ndim == 1 else v.shape[1]
+            out = op(v.reshape(self.n_spatial, self.n_minor * cols)).reshape(v.shape)
+        if scale != 1.0:
+            out *= scale
+        return out
 
-    def _tbtrs(self, v, trans):
-        x, info = lapack.dtbtrs(self.band, self._check(v), trans=trans)
+    def _product(self, factor, x):
+        if factor is None:  # one-row band
+            d = self.band[0]
+            return x * (d if x.ndim == 1 else d[:, None])
+        return factor @ x
+
+    def _tbtrs(self, trans, x):
+        x, info = lapack.dtbtrs(self.band, x, trans=trans)
         if info != 0:
             raise ValueError(f"triangular banded solve failed (info={info})")
         return x
 
-    def solve(self, v):
-        return self._tbtrs(v, "N")
-
-    def solve_t(self, v):
-        return self._tbtrs(v, "T")
-
-    def gram(self):
-        return self._gram
-
-
-def _band_to_sparse_upper(band):
-    """Expand scipy upper banded storage into a sparse upper triangular matrix."""
-    u, n = band.shape[0] - 1, band.shape[1]
-    rows, cols, vals = [], [], []
-    for d in range(u + 1):
-        # diagonal at offset d: entries band[u - d, d:]
-        data = band[u - d, d:]
-        keep = data != 0.0
-        cols_d = np.arange(d, n)[keep]
-        rows.append(cols_d - d)
-        cols.append(cols_d)
-        vals.append(data[keep])
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-
-
-class TensorWeightFactor(WeightFactor):
-    """Kronecker factor F_spatial (x) (minor_scale * I) on space-major vectors."""
-
-    def __init__(self, spatial, n_minor, minor_scale, label="tensor"):
-        self.spatial = spatial
-        self.n_minor = int(n_minor)
-        self.minor_scale = float(minor_scale)
-        self.dim = spatial.dim * self.n_minor
-        self.label = label
-        self._gram = None
-
-    def _map(self, v, op, scale):
-        v = self._check(v)
-        single = v.ndim == 1
-        cols = 1 if single else v.shape[1]
-        block = v.reshape(self.spatial.dim, self.n_minor * cols)
-        out = scale * op(block)
-        out = out.reshape(self.dim) if single else out.reshape(self.dim, cols)
-        return out
-
     def apply(self, v):
-        return self._map(v, self.spatial.apply, self.minor_scale)
+        return self._map(v, partial(self._product, self._factor), self.scale)
 
     def apply_t(self, v):
-        return self._map(v, self.spatial.apply_t, self.minor_scale)
+        return self._map(v, partial(self._product, self._factor_t), self.scale)
 
     def solve(self, v):
-        return self._map(v, self.spatial.solve, 1.0 / self.minor_scale)
+        return self._map(v, partial(self._tbtrs, "N"), 1.0 / self.scale)
 
     def solve_t(self, v):
-        return self._map(v, self.spatial.solve_t, 1.0 / self.minor_scale)
+        return self._map(v, partial(self._tbtrs, "T"), 1.0 / self.scale)
 
     def gram(self):
+        """Assembled Pi as a sparse matrix, the operator of the Pi-inner products."""
         if self._gram is None:  # assembled on first use, so basis-only runs never form it
             eye = sp.identity(self.n_minor, format="csr")
-            self._gram = sp.kron(self.spatial.gram(), (self.minor_scale ** 2) * eye, format="csr")
+            self._gram = sp.kron(self._spatial_gram, (self.scale ** 2) * eye, format="csr")
         return self._gram
+
+    def norm(self, v):
+        fa = self.apply(v)
+        if fa.ndim == 1:
+            return float(np.linalg.norm(fa))
+        return np.linalg.norm(fa, axis=0)
 
 
 def build_sobolev_weight(p, grid: Grid2D):
@@ -279,23 +214,22 @@ def build_sobolev_weight(p, grid: Grid2D):
         raise OrderTooHigh(f"order {p} does not fit on a {grid.m_intervals}-interval grid")
     label = f"sobolev(p={p})"
     if p == 0:
-        return DiagonalWeightFactor(grid.h, grid.n_interior, label=label)
+        return WeightFactor.diagonal(grid.h, grid.n_interior, label=label)
     gram = sobolev_gram_matrix(grid.m_intervals, p, grid.h)
-    return TriangularWeightFactor.from_gram(gram, label=label)
+    return WeightFactor.from_gram(gram, label=label)
 
 
 def build_rte_weight(p, phase_grid: PhaseGrid):
     """Phase-space weight: spatial Sobolev factor tensorized with the angular average."""
     spatial = build_sobolev_weight(p, phase_grid.spatial)
-    scale = 1.0 / np.sqrt(phase_grid.n_angles)
-    return TensorWeightFactor(
-        spatial, phase_grid.n_angles, scale, label=f"{spatial.label} x angle-avg"
-    )
+    return WeightFactor(spatial.band, spatial.gram(), phase_grid.n_angles,
+                        1.0 / np.sqrt(phase_grid.n_angles),
+                        label=f"{spatial.label} x angle-avg")
 
 
 def identity_weight(dim):
     """Plain Euclidean inner product as a weight factor."""
-    return DiagonalWeightFactor(1.0, dim, label="identity")
+    return WeightFactor.diagonal(1.0, dim, label="identity")
 
 
 def energy_norm(u, grid: Grid2D):

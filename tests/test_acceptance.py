@@ -15,7 +15,12 @@ from optbasis.basis import (
     compute_basis,
     defining_relation_errors,
 )
-from optbasis.bayes import check_reconstruction_bound, nwidth_eval, trace_objective
+from optbasis.bayes import (
+    check_reconstruction_bound,
+    nwidth_eval,
+    trace_objective,
+    weighted_operator,
+)
 from optbasis.config import config_from_dict
 from optbasis.exceptions import BoundViolation
 from optbasis.experiments import (
@@ -106,7 +111,7 @@ def test_01_full_resolution_relative_errors_at_n_300():
     u_300 = solve_linear_projection(basis, setup.fx, f_lin, 300)
     rel_lin = float(np.linalg.norm(u_300 - u_lin) / np.linalg.norm(u_lin))
 
-    u_ref = newton_reference(setup.operator, setup.term, setup.source)
+    u_ref = newton_reference(solver, setup.term, setup.source)
     result = fixed_point_solve(basis, setup.fx, setup.source, setup.term, 300)
     rel_semi = float(np.linalg.norm(result.solution - u_ref) / np.linalg.norm(u_ref))
 
@@ -143,15 +148,16 @@ def test_02_width_identity_and_random_candidate_domination():
             lam, vecs = oracle.singular_values, oracle.right_vectors
         else:
             lam, vecs = s, v
+        a = weighted_operator(green, fx, fy)
         for n in range(1, 6):
-            width = nwidth_eval(green, fx, fy, vecs[:, :n])
+            width = nwidth_eval(a, fx, vecs[:, :n])
             gap = abs(width - lam[n])
             worst_gap = max(worst_gap, gap)
             if gap > 1e-9:
                 ok = False
             for _ in range(100):
                 cand = rng.standard_normal((green.shape[0], n))
-                slack = lam[n] - nwidth_eval(green, fx, fy, cand)
+                slack = lam[n] - nwidth_eval(a, fx, cand)
                 worst_slack = max(worst_slack, slack)
                 if slack > 1e-9:
                     ok = False
@@ -340,7 +346,7 @@ def test_09_semilinear_truncation_bound(desk_elliptic):
     setup, solver, basis = desk_elliptic
     f = eval_source_elliptic(setup.grid, 100.0)
     term = CubicTerm()
-    u_ref = newton_reference(setup.operator, term, f)
+    u_ref = newton_reference(solver, term, f)
     violations = 0
     ratios = []
     for n in (5, 10, 20):

@@ -25,7 +25,7 @@ from optbasis.grids import Grid2D, PhaseGrid
 from optbasis.linalg import factorize
 from optbasis.transport import RteCoefficients, assemble_rte
 from optbasis.weights import (
-    TriangularWeightFactor,
+    WeightFactor,
     build_rte_weight,
     build_sobolev_weight,
     identity_weight,
@@ -49,7 +49,7 @@ def green_of(solver):
 def random_spd_factor(n, seed):
     rng = np.random.Generator(np.random.Philox(seed))
     b = rng.normal(size=(n, n))
-    return TriangularWeightFactor.from_gram(sp.csr_matrix(b.T @ b + n * np.eye(n)))
+    return WeightFactor.from_gram(sp.csr_matrix(b.T @ b + n * np.eye(n)))
 
 
 class TestDenseOracle:

@@ -340,6 +340,14 @@ class TestOracleAndChecks:
         assert "random candidates dominated at n = 5" in out
         assert "FAIL" not in out
 
+    def test_nwidth_check_reports_a_positive_domination_margin(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, m=5)
+        assert main(["nwidth-check", "--config", str(cfg), "--samples", "5"]) == 0
+        out = capsys.readouterr().out
+        margins = [float(x) for x in re.findall(r"smallest margin (\S+)\)", out)]
+        assert len(margins) == 5
+        assert all(margin > 0.0 for margin in margins)
+
     def test_nwidth_check_forms_the_green_matrix_once(self, tmp_path, monkeypatch):
         calls = []
         solve = linalg.FactorizedSolver.solve

@@ -146,7 +146,7 @@ class TestFixedPoint:
         basis = dense_svd_oracle(green_of(solver), fx, fy)
         term = CubicTerm()
         result = fixed_point_solve(basis, fx, f, term, basis.rank, tol=1e-24)
-        reference = newton_reference(solver.operator, term, f)
+        reference = newton_reference(solver, term, f)
         assert result.converged
         np.testing.assert_allclose(result.solution, reference, atol=1e-8)
 
@@ -229,7 +229,7 @@ class TestRepresentationBound:
         solver, fx, fy, f = semilinear_setup(m=8)
         basis = dense_svd_oracle(green_of(solver), fx, fy)
         term = CubicTerm()
-        u_ref = newton_reference(solver.operator, term, f)
+        u_ref = newton_reference(solver, term, f)
         for n in (3, 8, 15):
             lhs, rhs = check_linear_representation_bound(
                 basis, solver, fx, f, term, u_ref, n
@@ -247,7 +247,7 @@ class TestRepresentationBound:
     def test_rank_exhaustion_raises(self):
         solver, fx, fy, f = semilinear_setup()
         basis = dense_svd_oracle(green_of(solver), fx, fy)
-        u_ref = newton_reference(solver.operator, CubicTerm(), f)
+        u_ref = newton_reference(solver, CubicTerm(), f)
         with pytest.raises(RankExhausted):
             check_linear_representation_bound(
                 basis, solver, fx, f, CubicTerm(), u_ref, basis.rank
@@ -258,13 +258,13 @@ class TestNewtonReference:
     def test_satisfies_the_full_system(self):
         solver, fx, fy, f = semilinear_setup(m=8, amplitude=100.0)
         term = CubicTerm()
-        u = newton_reference(solver.operator, term, f, tol=1e-13)
+        u = newton_reference(solver, term, f, tol=1e-13)
         resid = solver.operator @ u + term(u) - f
         assert np.linalg.norm(resid) <= 1e-13 * (1 + np.linalg.norm(f))
 
     def test_linear_problem_returns_the_direct_solve(self):
         solver, fx, fy, f = semilinear_setup()
-        u = newton_reference(solver.operator, ZeroTerm(), f)
+        u = newton_reference(solver, ZeroTerm(), f)
         np.testing.assert_allclose(u, solver.solve(f), atol=1e-12)
 
     def test_two_photon_reference_on_the_phase_grid(self):
@@ -274,7 +274,7 @@ class TestNewtonReference:
         op = assemble_rte(pg, RteCoefficients())
         term = TwoPhotonTerm(pg, 1.0)
         f = eval_source_rte(pg, 0.5)
-        u = newton_reference(op, term, f)
+        u = newton_reference(factorize(op), term, f)
         resid = op @ u + term(u) - f
         assert np.linalg.norm(resid) <= 1e-12 * (1 + np.linalg.norm(f))
         assert u.min() > 0  # absorption only dims the beam, never flips it
