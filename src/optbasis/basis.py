@@ -114,10 +114,7 @@ def compute_basis(solver, fx, fy, params: RsvdParams, meta=None):
         y = _apply_forward(solver, fx, fy, q)
     q = qr_thin(y)
 
-    # b = Q^T A, assembled through one transpose solve block
-    e = solver.solve_transpose(fy.apply_t(q))
-    b = fx.solve_t(e).T
-    _, svals, v_big = svd_dense(b)
+    _, svals, v_big = svd_dense(_apply_adjoint(solver, fx, fy, q).T)  # Q^T A
 
     lead = svals[0] if svals.size else 0.0
     achieved = int(np.sum(svals > TRUNCATION_RTOL * lead)) if lead > 0.0 else 0

@@ -3,7 +3,7 @@
 import argparse
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +14,11 @@ from .bayes import (
     DENSE_BAYES_GUARD,
     check_reconstruction_bound,
     nwidth_eval,
+    posterior,
     trace_objective,
     weighted_operator,
 )
-from .config import config_to_dict, load_config, rsvd_params
+from .config import config_from_dict, config_to_dict, load_config
 from .exceptions import BoundViolation, ConfigInvalid, OptbasisError
 from .experiments import (
     build_problem,
@@ -65,36 +66,21 @@ def _positive_int(text):
     return value
 
 
+# Each override flag sets the config key of the same name in its section.
+_OVERRIDES = {"rsvd": ("rank", "oversample", "power", "seed"),
+             "nonlinear": ("tol", "max_iter", "relax")}
+
+
 def _load_config(args):
+    """The config a command runs: the file, at paper scale if asked, with the
+    given override flags written into it and checked like file values."""
     config = load_config(args.config)
-    if getattr(args, "paper_scale", False):
+    if args.paper_scale:
         config = config.with_paper_scale()
-    return config
-
-
-def _rsvd_params(config, args):
-    updates = {}
-    if getattr(args, "rank", None) is not None:
-        updates["rank"] = args.rank
-    if getattr(args, "oversample", None) is not None:
-        updates["oversampling"] = args.oversample
-    if getattr(args, "power", None) is not None:
-        updates["power"] = args.power
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    return rsvd_params(**{**asdict(config.rsvd), **updates})
-
-
-def _nonlinear_settings(config, args):
-    settings = config.nonlinear
-    updates = {}
-    if getattr(args, "tol", None) is not None:
-        updates["tol"] = args.tol
-    if getattr(args, "max_iter", None) is not None:
-        updates["max_iter"] = args.max_iter
-    if getattr(args, "relax", None) is not None:
-        updates["relax"] = args.relax
-    return replace(settings, **updates) if updates else settings
+    raw, given = config_to_dict(config), vars(args)
+    for section, keys in _OVERRIDES.items():
+        raw[section].update({key: given[key] for key in keys if given.get(key) is not None})
+    return config_from_dict(raw)
 
 
 class _Checks:
@@ -179,10 +165,9 @@ def _relation_summary(basis, solver, setup):
 
 def cmd_basis(args):
     config = _load_config(args)
-    params = _rsvd_params(config, args)
     setup = build_problem(config)
     solver = setup.factorize()
-    basis = compute_problem_basis(setup, params, solver)
+    basis = compute_problem_basis(setup, solver)
     errors = _relation_summary(basis, solver, setup)
     for name, value in errors.items():
         print(f"{name}: {value:.3e}")
@@ -192,10 +177,8 @@ def cmd_basis(args):
 
 
 def cmd_sv_decay(args):
-    config = _load_config(args)
-    params = _rsvd_params(config, args)
-    setup = build_problem(config)
-    basis = compute_problem_basis(setup, params)
+    setup = build_problem(_load_config(args))
+    basis = compute_problem_basis(setup)
     _write_decay_csv(args.out, basis)
     print(f"wrote {basis.rank} singular value ratios to {args.out}")
     return 0
@@ -203,21 +186,19 @@ def cmd_sv_decay(args):
 
 def _curve_command(args, semilinear, what, curve):
     """solve-linear and solve-nonlinear: basis and reference from one factorization,
-    then the CSV of curve(setup, u_ref, basis, n_values, settings, grid)."""
+    then the CSV of curve(setup, u_ref, basis, n_values, grid)."""
     config = _load_config(args)
     if config.is_semilinear != semilinear:
         kind = "semilinear" if semilinear else "linear"
         print(f"error: {args.command} needs a {kind} problem family", file=sys.stderr)
         return 2
-    params = _rsvd_params(config, args)
-    settings = _nonlinear_settings(config, args)
     setup = build_problem(config)
     solver = setup.factorize()
-    basis = compute_problem_basis(setup, params, solver)
+    basis = compute_problem_basis(setup, solver)
     u_ref = reference_solution(setup, solver)
     nmax = min(args.nmax or basis.rank, basis.rank)
     grid = setup.grid if config.pde == "elliptic" else None
-    result = curve(setup, u_ref, basis, list(range(1, nmax + 1)), settings, grid)
+    result = curve(setup, u_ref, basis, list(range(1, nmax + 1)), grid)
     _write_csv(args.out, result.header(), result.rows())
     print(f"wrote {what} for n = 1..{nmax} to {args.out}")
     return 0
@@ -226,15 +207,16 @@ def _curve_command(args, semilinear, what, curve):
 def cmd_solve_linear(args):
     return _curve_command(
         args, False, "error curve",
-        lambda setup, u_ref, basis, n_values, settings, grid: error_curve(
+        lambda setup, u_ref, basis, n_values, grid: error_curve(
             u_ref, basis, setup.fx, setup.source, n_values, grid=grid))
 
 
 def cmd_solve_nonlinear(args):
     return _curve_command(
         args, True, "fixed-point error curve",
-        lambda setup, u_ref, basis, n_values, settings, grid: nonlinear_error_curve(
-            u_ref, basis, setup.fx, setup.source, setup.term, n_values, settings, grid=grid))
+        lambda setup, u_ref, basis, n_values, grid: nonlinear_error_curve(
+            u_ref, basis, setup.fx, setup.source, setup.term, n_values,
+            setup.config.nonlinear, grid=grid))
 
 
 def cmd_oracle_svd(args):
@@ -291,10 +273,11 @@ def cmd_bayes_check(args):
     checks.record("objective at optimum matches closed form",
                   abs(report.objective - closed) <= 1e-9 * max(1.0, closed),
                   f"gap {abs(report.objective - closed):.3e}")
+    # the captured trace and the posterior's own covariance trace add up to tr(G G^T)
+    residual = float(np.trace(posterior(green, u_left[:, :n], np.zeros(n)).covariance))
     total = float(np.trace(green @ green.T))
-    checks.record("trace conservation",
-                  abs(report.total_trace - total) <= 1e-8 * max(1.0, total),
-                  f"gap {abs(report.total_trace - total):.3e}")
+    gap = abs(report.objective + residual - total)
+    checks.record("trace conservation", gap <= 1e-8 * max(1.0, total), f"gap {gap:.3e}")
     rng = np.random.Generator(np.random.Philox(4242))
     dominated = True
     violations = 0
@@ -315,7 +298,6 @@ def cmd_bayes_check(args):
 
 def cmd_sweep(args):
     config = _load_config(args)
-    params = _rsvd_params(config, args)
     if config.pde == "identity":
         print("error: sweep needs a PDE problem family", file=sys.stderr)
         return 2
@@ -324,7 +306,7 @@ def cmd_sweep(args):
     written = []
     for eps in SWEEP_EPS_VALUES:
         medium = {"eps1": eps, "eps2": eps} if config.pde == "rte" else {"eps": eps}
-        basis = compute_problem_basis(build_problem(replace(config, **medium)), params)
+        basis = compute_problem_basis(build_problem(replace(config, **medium)))
         path = out_dir / f"sv_decay_eps{eps:g}.csv"
         _write_decay_csv(path, basis)
         written.append(path)
@@ -349,7 +331,9 @@ def _add_common(sub, out_required=False, rsvd=False, nmax=False, nonlinear=False
         sub.add_argument("--nmax", type=_positive_int,
                          help="largest truncation level in the curve")
     if nonlinear:
-        sub.add_argument("--tol", type=_finite_float, help="fixed-point step tolerance")
+        sub.add_argument("--tol", type=_finite_float,
+                         help="fixed-point step tolerance (the Newton reference "
+                              "always solves to 1e-12)")
         sub.add_argument("--max-iter", type=int, dest="max_iter",
                          help="fixed-point iteration budget")
         sub.add_argument("--relax", type=_finite_float, help="fixed-point relaxation factor")

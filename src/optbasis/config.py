@@ -151,14 +151,6 @@ def _coerce(value, kind, where):
     raise TypeError(f"unsupported coercion {kind}")
 
 
-def rsvd_params(**fields):
-    """RsvdParams from configured values; a bad value raises ConfigInvalid."""
-    try:
-        return RsvdParams(**fields)
-    except ValueError as exc:
-        raise ConfigInvalid(f"invalid 'rsvd' section: {exc}") from exc
-
-
 def config_from_dict(raw):
     """Parse and validate a configuration dictionary."""
     if not isinstance(raw, dict):
@@ -232,7 +224,10 @@ def config_from_dict(raw):
     power = rsvd_sec.take("power", int, default=2)
     seed = rsvd_sec.take("seed", int, default=0)
     rsvd_sec.finish()
-    rsvd = rsvd_params(rank=rank, oversampling=oversample, power=power, seed=seed)
+    try:
+        rsvd = RsvdParams(rank, oversample, power, seed)
+    except ValueError as exc:
+        raise ConfigInvalid(f"invalid 'rsvd' section: {exc}") from exc
 
     nl_sec = _Section("nonlinear", raw.get("nonlinear", {}))
     tol = nl_sec.take("tol", float, default=1e-12)

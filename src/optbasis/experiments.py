@@ -94,10 +94,10 @@ def basis_meta(setup: ProblemSetup):
     return meta
 
 
-def compute_problem_basis(setup: ProblemSetup, params=None, solver=None) -> SVDBasis:
-    """Randomized basis for an assembled problem, tagged with the problem it came from."""
+def compute_problem_basis(setup: ProblemSetup, solver=None) -> SVDBasis:
+    """Randomized basis from the problem's ``config.rsvd``, tagged with the problem."""
     solver = solver if solver is not None else setup.factorize()
-    params = params if params is not None else setup.config.rsvd
+    params = setup.config.rsvd
     sketch = params.rank + params.oversampling
     if sketch > setup.n_dofs:
         raise ConfigInvalid(
@@ -120,11 +120,14 @@ def oracle_problem_basis(setup: ProblemSetup, green=None) -> SVDBasis:
 
 
 def reference_solution(setup: ProblemSetup, solver=None):
-    """Direct solve for linear problems, damped Newton for semilinear ones."""
+    """Direct solve for linear problems, damped Newton for semilinear ones.
+
+    Newton keeps its own 1e-12 tolerance; ``config.nonlinear`` sets only the fixed point.
+    """
     solver = solver if solver is not None else setup.factorize()
     if setup.term is None:
         return solver.solve(setup.source)
-    return newton_reference(solver, setup.term, setup.source, tol=setup.config.nonlinear.tol)
+    return newton_reference(solver, setup.term, setup.source)
 
 
 def solve_linear_projection(basis: SVDBasis, fx, f, n):

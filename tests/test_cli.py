@@ -1,13 +1,19 @@
 """Command line behavior: exit codes, outputs, overrides and deterministic files."""
 
+import contextlib
+import io
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from optbasis import experiments, linalg, obf
+from optbasis import cli, experiments, linalg, obf
+from optbasis.bayes import TraceReport
 from optbasis.cli import build_parser, main
 
 
@@ -180,6 +186,76 @@ class TestOverrideValidation:
         assert "Traceback" not in err
 
 
+def _run_quietly(argv):
+    """main(argv) with its stdout and stderr captured; returns (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _flag_values(**strategies):
+    """Optional flag values: each flag is absent or drawn from its strategy."""
+    return st.fixed_dictionaries({flag: st.none() | value for flag, value in strategies.items()})
+
+
+def _flags(values):
+    # --flag=value, so that a negative number is not taken for an option
+    return [f"--{flag}={value}" for flag, value in values.items() if value is not None]
+
+
+def _assert_clean_failure(code, err):
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+class TestOverrideFuzz:
+    # elliptic m = 6 (25 unknowns): a run either succeeds or exits 2 with one
+    # error line.  --power stops at 3 to keep each run short; larger values
+    # take the same code path with more passes and are left untested.
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(_flag_values(rank=st.integers(-2, 40), oversample=st.integers(-2, 40),
+                        power=st.integers(-1, 3), seed=st.integers(-2, 2 ** 70)))
+    def test_basis_overrides_succeed_reproducibly_or_exit_two(self, values):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cfg = write_config(tmp)
+            out = tmp / "a.obf"
+            code, err = _run_quietly(["basis", "--config", str(cfg), "--out", str(out)]
+                                     + _flags(values))
+            if code != 0:
+                _assert_clean_failure(code, err)
+                assert not out.exists()
+                return
+            # the sidecar's config alone reproduces the run byte for byte
+            recorded = json.loads(obf.sidecar_path(out).read_text())["config"]
+            rerun_cfg = tmp / "rerun.json"
+            rerun_cfg.write_text(json.dumps(recorded))
+            rerun = tmp / "b.obf"
+            assert _run_quietly(["basis", "--config", str(rerun_cfg), "--out", str(rerun)])[0] == 0
+            assert rerun.read_bytes() == out.read_bytes()
+            assert obf.sidecar_path(rerun).read_bytes() == obf.sidecar_path(out).read_bytes()
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(_flag_values(
+        tol=st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0, 1e-300, 1e-20]),
+        relax=st.floats(-0.5, 1.5) | st.sampled_from([0.0, 1.0]),
+        **{"max-iter": st.integers(-2, 60)}))
+    def test_solve_nonlinear_overrides_succeed_or_exit_two(self, values):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cfg = write_config(tmp, family="semilinear_elliptic")
+            out = tmp / "curve.csv"
+            code, err = _run_quietly(["solve-nonlinear", "--config", str(cfg),
+                                      "--out", str(out)] + _flags(values))
+            if code != 0:
+                _assert_clean_failure(code, err)
+                assert not out.exists()
+                return
+            header, rows = read_csv(out)
+            assert header == "n,rel_l2,rel_energy" and len(rows) == 8
+
+
 class TestBasisCommand:
     def test_writes_a_readable_basis_with_sidecar(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -208,6 +284,20 @@ class TestBasisCommand:
         assert main(["basis", "--config", str(cfg), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_override_flags_are_the_config_the_sidecar_records(self, tmp_path):
+        cfg = write_config(tmp_path)
+        a, b = tmp_path / "a.obf", tmp_path / "b.obf"
+        assert main(["basis", "--config", str(cfg), "--out", str(a), "--rank", "7",
+                     "--oversample", "3", "--power", "1", "--seed", "9"]) == 0
+        side = json.loads(obf.sidecar_path(a).read_text())
+        assert side["config"]["rsvd"] == {"rank": 7, "oversample": 3, "power": 1, "seed": 9}
+        meta = side["basis_meta"]
+        assert (meta["rank_requested"], meta["oversampling"], meta["power"],
+                meta["seed"]) == (7, 3, 1, 9)
+        recorded = tmp_path / "recorded.json"
+        recorded.write_text(json.dumps(side["config"]))
+        assert main(["basis", "--config", str(recorded), "--out", str(b)]) == 0
+        assert b.read_bytes() == a.read_bytes()
 
     def test_rte_config_rerun_is_byte_identical(self, tmp_path):
         cfg = Path(__file__).resolve().parents[1] / "configs" / "rte.json"
@@ -406,6 +496,23 @@ class TestOracleAndChecks:
         assert "trace conservation" in out
         assert "reconstruction bound holds" in out
         assert "FAIL" not in out
+
+    def test_bayes_check_catches_a_trace_split_that_does_not_add_up(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # move 1e-6 of the captured trace out of the residual: the total is
+        # unchanged, but captured + posterior covariance trace is not tr(G G^T).
+        # G = I here, so the shift (4e-6) is far above the gate (1e-8 tr(G G^T))
+        real = cli.trace_objective
+
+        def shifted(green, obs_matrix):
+            report = real(green, obs_matrix)
+            moved = 1e-6 * report.objective
+            return TraceReport(report.objective + moved, report.residual_trace - moved)
+
+        monkeypatch.setattr(cli, "trace_objective", shifted)
+        cfg = write_config(tmp_path, family="identity")
+        assert main(["bayes-check", "--config", str(cfg), "--samples", "5"]) == 1
+        assert "FAIL trace conservation" in capsys.readouterr().out
 
 
 class TestSweep:

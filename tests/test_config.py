@@ -332,7 +332,8 @@ class TestFamilyTable:
                              r"|EquivalenceReport|principal_angles|_energy_norm_on|DiffOp1D"
                              r"|OutputSettings|OPTBASIS_THREADS|DiagonalWeightFactor"
                              r"|TriangularWeightFactor|TensorWeightFactor"
-                             r"|_band_to_sparse_upper)\b")
+                             r"|_band_to_sparse_upper|_rsvd_params|_nonlinear_settings"
+                             r"|rsvd_params)\b")
         offenders = []
         for path in sorted(Path(optbasis.__file__).parent.glob("*.py")):
             for lineno, line in enumerate(path.read_text().splitlines(), 1):

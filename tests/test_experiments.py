@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from optbasis.basis import RsvdParams
 from optbasis.config import NonlinearSettings, config_from_dict
 from optbasis.elliptic import eval_source_elliptic
 from optbasis.exceptions import ProblemTooLarge, RankExhausted
@@ -128,11 +127,6 @@ class TestBases:
         assert basis.meta["m_intervals"] == 6
         assert basis.meta["eps"] == 1.0
         assert basis.meta["p"] == 1
-
-    def test_explicit_params_override_the_config(self):
-        setup = build_problem(make_config(rsvd={"rank": 7}))
-        basis = compute_problem_basis(setup, RsvdParams(4, 4, 2, seed=0))
-        assert basis.rank == 4
 
     def test_rte_metadata(self):
         config = make_config("rte", m=4, problem={"eps1": 0.5, "eps2": 0.25},
