@@ -2,21 +2,22 @@
 
 Everything here is a brute-force verification path.  The prior on the
 source is white noise, so the solution u = G f has covariance C = G G^T;
-conditioning on n linear observations psi = M^T u gives
+conditioning on n exact linear observations psi = M^T u gives
 
-    mean = K^T (Theta + delta I)^{-1} psi,
-    cov  = C - K^T (Theta + delta I)^{-1} K,
+    mean = K^T Theta^{-1} psi,
+    cov  = C - K^T Theta^{-1} K,
 
-with K = M^T C and Theta = M^T C M.  At delta = 0 the mean is a linear
-reconstruction W psi with W = K^T Theta^{-1}, and trace(C) splits exactly
-into the captured part trace(K^T Theta^{-1} K) and the residual trace.
+with K = M^T C and Theta = M^T C M.  The mean is a linear reconstruction
+W psi with W = K^T Theta^{-1}, and trace(C) splits exactly into the
+captured part trace(K^T Theta^{-1} K) and the residual trace(cov).
 
 The n-width side measures the worst-case approximation error of a trial
 subspace through the weighted operator A = F_Y G F_X^{-1}: the best value
 over all n-dimensional subspaces is singular value n+1 of A, attained by
 the leading right singular subspace, which the dense SVD oracle computes.
-``nwidth_eval`` takes A, formed once per check by ``weighted_operator``; the
-other functions take the dense G itself, which ``experiments.green_matrix`` forms.
+``nwidth_eval`` takes A, formed once per check by ``weighted_operator``, and
+reads only the largest singular value of a residual, by ARPACK; the other
+functions take the dense G itself, which ``experiments.green_matrix`` forms.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg as spla
 
 from .basis import SVDBasis
 from .exceptions import (
@@ -81,71 +83,35 @@ def _solve_spd(theta, rhs, context):
 
 @dataclass
 class Posterior:
-    """Gaussian posterior of u = G f under white-noise f and observations psi."""
+    """Gaussian posterior of u = G f under white-noise f and exact observations psi."""
 
     mean: np.ndarray
     covariance: np.ndarray
-    reconstruction_map: np.ndarray | None = None
 
 
-def posterior(green, obs_matrix, psi, delta=0.0, size_guard=DENSE_BAYES_GUARD):
-    """Condition the white-noise pushforward on observations M^T u = psi.
-
-    delta > 0 adds i.i.d. Gaussian observation noise of variance delta;
-    delta = 0 is exact interpolation of the observations and also returns
-    the explicit linear reconstruction map.
-    """
+def posterior(green, obs_matrix, psi, size_guard=DENSE_BAYES_GUARD):
+    """Condition the white-noise pushforward on exact observations M^T u = psi."""
     green = _as_green(green, size_guard)
     n_dofs = green.shape[0]
     m = _as_obs_matrix(obs_matrix, n_dofs)
     psi = np.asarray(psi, dtype=float)
-    if delta < 0:
-        raise ValueError("observation noise must be nonnegative")
 
     cov_prior = green @ green.T
     if m.shape[1] == 0:
-        return Posterior(np.zeros(n_dofs), cov_prior, np.zeros((n_dofs, 0)))
+        return Posterior(np.zeros(n_dofs), cov_prior)
 
     k = m.T @ cov_prior  # (n_obs, N)
-    theta = k @ m
-
-    if delta == 0.0:
-        sol = _solve_spd(theta, k, "posterior at delta = 0")
-        recon = sol.T
-        mean = recon @ psi
-        cov = cov_prior - k.T @ sol
-    else:
-        shifted = theta + delta * np.eye(m.shape[1])
-        c, low = scipy.linalg.cho_factor(shifted)
-        mean = k.T @ scipy.linalg.cho_solve((c, low), psi)
-        cov = cov_prior - k.T @ scipy.linalg.cho_solve((c, low), k)
-        recon = None
-    cov = 0.5 * (cov + cov.T)
-    return Posterior(mean, cov, recon)
-
-
-@dataclass
-class TraceReport:
-    """Split of the prior trace into captured and residual parts for one M."""
-
-    objective: float
-    residual_trace: float
-
-    @property
-    def total_trace(self):
-        return self.objective + self.residual_trace
+    sol = _solve_spd(k @ m, k, "posterior")
+    cov = cov_prior - k.T @ sol
+    return Posterior(sol.T @ psi, 0.5 * (cov + cov.T))
 
 
 def trace_objective(green, obs_matrix, size_guard=DENSE_BAYES_GUARD):
-    """Captured-variance objective trace(K^T Theta^{-1} K) and its complement."""
+    """Captured-variance objective trace(K^T Theta^{-1} K)."""
     green = _as_green(green, size_guard)
     m = _as_obs_matrix(obs_matrix, green.shape[0])
-    cov_prior = green @ green.T
-    k = m.T @ cov_prior
-    theta = k @ m
-    captured = float(np.trace(_solve_spd(theta, k @ k.T, "trace objective")))
-    residual = float(np.trace(cov_prior)) - captured
-    return TraceReport(captured, residual)
+    k = m.T @ (green @ green.T)
+    return float(np.trace(_solve_spd(k @ m, k @ k.T, "trace objective")))
 
 
 def check_reconstruction_bound(green, obs_matrix, f, size_guard=DENSE_BAYES_GUARD):
@@ -158,7 +124,7 @@ def check_reconstruction_bound(green, obs_matrix, f, size_guard=DENSE_BAYES_GUAR
     f = np.asarray(f, dtype=float)
     u = green @ f
     m = _as_obs_matrix(obs_matrix, green.shape[0])
-    post = posterior(green, m, m.T @ u, delta=0.0, size_guard=size_guard)
+    post = posterior(green, m, m.T @ u, size_guard=size_guard)
     error = float(np.linalg.norm(u - post.mean))
     residual_trace = max(float(np.trace(post.covariance)), 0.0)
     bound = float(np.sqrt(residual_trace) * np.linalg.norm(f))
@@ -211,12 +177,17 @@ def nwidth_eval(a, fx, v_n, size_guard=DENSE_BAYES_GUARD):
         raise DimensionMismatch(f"trial basis shape {v_n.shape} does not match N = {n_dofs}")
 
     if v_n.shape[1] == 0:
-        return float(scipy.linalg.svdvals(a)[0])
+        return _sigma_max(a)
 
     diag = np.abs(np.diag(scipy.linalg.qr(v_n, mode="r", pivoting=True)[0]))
     if diag[0] == 0.0 or diag[-1] <= 1e-12 * diag[0]:
         raise RankDeficient("trial basis does not have full column rank")
 
     q = np.linalg.qr(a @ fx.apply(v_n), mode="reduced")[0]
-    resid = a - q @ (q.T @ a)
-    return float(scipy.linalg.svdvals(resid)[0])
+    return _sigma_max(a - q @ (q.T @ a))
+
+
+def _sigma_max(a):
+    """Largest singular value of a square matrix by ARPACK from a fixed Philox start."""
+    v0 = np.random.Generator(np.random.Philox(0)).standard_normal(a.shape[0])
+    return float(spla.svds(a, k=1, tol=0, v0=v0, return_singular_vectors=False)[0])

@@ -30,6 +30,7 @@ from .experiments import (
     reference_solution,
 )
 from .linalg import reciprocity_defect
+from .nonlinear import check_linear_representation_bound
 
 SWEEP_EPS_VALUES = (1.0, 0.25, 0.0625)
 
@@ -186,7 +187,8 @@ def cmd_sv_decay(args):
 
 def _curve_command(args, semilinear, what, curve):
     """solve-linear and solve-nonlinear: basis and reference from one factorization,
-    then the CSV of curve(setup, u_ref, basis, n_values, grid)."""
+    the truncation bound at every n of the curve, then the CSV of
+    curve(setup, u_ref, basis, n_values, grid)."""
     config = _load_config(args)
     if config.is_semilinear != semilinear:
         kind = "semilinear" if semilinear else "linear"
@@ -197,10 +199,19 @@ def _curve_command(args, semilinear, what, curve):
     basis = compute_problem_basis(setup, solver)
     u_ref = reference_solution(setup, solver)
     nmax = min(args.nmax or basis.rank, basis.rank)
+    n_values = list(range(1, nmax + 1))
+    bound = check_linear_representation_bound(basis, solver, setup.fx, setup.source,
+                                              setup.term, u_ref, n_values)
     grid = setup.grid if config.pde == "elliptic" else None
-    result = curve(setup, u_ref, basis, list(range(1, nmax + 1)), grid)
+    result = curve(setup, u_ref, basis, n_values, grid)
     _write_csv(args.out, result.header(), result.rows())
     print(f"wrote {what} for n = 1..{nmax} to {args.out}")
+    if bound:
+        n, lhs, rhs = max(bound, key=lambda checked: checked[1] / checked[2])
+        print(f"truncation bound holds for n = 1..{bound[-1][0]} "
+              f"(worst lhs/rhs {lhs / rhs:.3f} at n = {n})")
+    else:
+        print(f"truncation bound not checked: no n below the basis rank {basis.rank}")
     return 0
 
 
@@ -268,22 +279,22 @@ def cmd_bayes_check(args):
     checks = _Checks()
     u_left, svals, _ = np.linalg.svd(green)
     n = min(4, setup.n_dofs - 1)
-    report = trace_objective(green, u_left[:, :n])
+    objective = trace_objective(green, u_left[:, :n])
     closed = float(np.sum(svals[:n] ** 2))
     checks.record("objective at optimum matches closed form",
-                  abs(report.objective - closed) <= 1e-9 * max(1.0, closed),
-                  f"gap {abs(report.objective - closed):.3e}")
+                  abs(objective - closed) <= 1e-9 * closed,
+                  f"gap {abs(objective - closed):.3e}")
     # the captured trace and the posterior's own covariance trace add up to tr(G G^T)
     residual = float(np.trace(posterior(green, u_left[:, :n], np.zeros(n)).covariance))
     total = float(np.trace(green @ green.T))
-    gap = abs(report.objective + residual - total)
-    checks.record("trace conservation", gap <= 1e-8 * max(1.0, total), f"gap {gap:.3e}")
+    gap = abs(objective + residual - total)
+    checks.record("trace conservation", gap <= 1e-8 * total, f"gap {gap:.3e}")
     rng = np.random.Generator(np.random.Philox(4242))
     dominated = True
     violations = 0
     for _ in range(args.samples):
         m = rng.standard_normal((setup.n_dofs, n))
-        if trace_objective(green, m).objective > report.objective + 1e-9:
+        if trace_objective(green, m) > objective * (1.0 + 1e-9):
             dominated = False
         f = rng.standard_normal(setup.n_dofs)
         try:

@@ -283,7 +283,3 @@ def load_config(path):
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"{path}: not valid JSON ({exc})") from exc
     return config_from_dict(raw)
-
-
-def save_config(config: ExperimentConfig, path):
-    Path(path).write_text(json.dumps(config_to_dict(config), indent=2) + "\n")

@@ -30,7 +30,7 @@ class ProblemTooLarge(OptbasisError):
 
 
 class SingularTheta(OptbasisError):
-    """Observation Gram matrix is singular at zero observation noise."""
+    """Observation Gram matrix is numerically singular."""
 
 
 class RankDeficient(OptbasisError):
@@ -42,7 +42,7 @@ class RankExhausted(OptbasisError):
 
 
 class Diverged(OptbasisError):
-    """Fixed-point iteration left the trust region."""
+    """An iteration left its trust region or did not converge within its budget."""
 
 
 class VanishingReference(OptbasisError):

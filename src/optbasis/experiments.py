@@ -11,7 +11,7 @@ from .basis import SourceProjector, SVDBasis, compute_basis, reconstruct
 from .bayes import DENSE_ORACLE_GUARD, check_dense_size, dense_svd_oracle
 from .config import FAMILIES, ExperimentConfig
 from .elliptic import EllipticMedium, assemble_elliptic, eval_source_elliptic
-from .exceptions import ConfigInvalid, VanishingReference
+from .exceptions import ConfigInvalid, Diverged, VanishingReference
 from .grids import Grid2D, PhaseGrid
 from .linalg import factorize
 from .nonlinear import CubicTerm, TwoPhotonTerm, fixed_point_solve, newton_reference
@@ -165,10 +165,21 @@ def error_curve(u_ref, basis: SVDBasis, fx, f, n_values, grid=None) -> ErrorCurv
 
 def nonlinear_error_curve(u_ref, basis: SVDBasis, fx, f, term, n_values,
                           settings, grid=None) -> ErrorCurve:
-    """Fixed-point solution errors over a range of truncation levels."""
-    return _curve(u_ref, n_values, grid,
-                  lambda n: fixed_point_solve(basis, fx, f, term, n, settings.tol,
-                                              settings.max_iter, settings.relax).solution)
+    """Fixed-point solution errors over a range of truncation levels.
+
+    Raises Diverged if the fixed point at some n stops short of ``settings.tol``.
+    """
+    def solution(n):
+        result = fixed_point_solve(basis, fx, f, term, n, settings.tol,
+                                   settings.max_iter, settings.relax)
+        if not result.converged:
+            raise Diverged(
+                f"fixed point at n = {n} did not converge in {result.iterations} "
+                f"iterations: final step {result.final_step:.3e} against tol {settings.tol:.3e}"
+            )
+        return result.solution
+
+    return _curve(u_ref, n_values, grid, solution)
 
 
 def _curve(u_ref, n_values, grid, solution) -> ErrorCurve:

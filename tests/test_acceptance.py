@@ -34,7 +34,6 @@ from optbasis.elliptic import eval_source_elliptic
 from optbasis.linalg import factorize, svd_dense
 from optbasis.nonlinear import (
     CubicTerm,
-    ZeroTerm,
     check_linear_representation_bound,
     fixed_point_solve,
     newton_reference,
@@ -192,19 +191,19 @@ def test_03_trace_objective_closed_form_domination_conservation():
         u, s, _ = svd_dense(green)
         optimum = trace_objective(green, u[:, :n])
         closed = float(np.sum(s[:n] ** 2))
-        gap = abs(optimum.objective - closed)
+        gap = abs(optimum - closed)
         worst_closed = max(worst_closed, gap)
         if gap > 1e-9:
             ok = False
         total = float(np.trace(green @ green.T))
         for _ in range(200):
             m = rng.standard_normal((green.shape[0], n))
-            rep = trace_objective(green, m)
-            if rep.objective > optimum.objective + 1e-9:
+            captured = trace_objective(green, m)
+            if captured > optimum + 1e-9:
                 ok = False
             # captured trace plus the posterior's own covariance trace
             residual = float(np.trace(posterior(green, m, np.zeros(n)).covariance))
-            conserve = abs(rep.objective + residual - total) / total
+            conserve = abs(captured + residual - total) / total
             worst_conserve = max(worst_conserve, conserve)
             if conserve > 1e-8:
                 ok = False
@@ -356,8 +355,8 @@ def test_09_semilinear_truncation_bound(desk_elliptic):
     ratios = []
     for n in (5, 10, 20):
         try:
-            lhs, rhs = check_linear_representation_bound(
-                basis, solver, setup.fx, f, term, u_ref, n
+            [(_, lhs, rhs)] = check_linear_representation_bound(
+                basis, solver, setup.fx, f, term, u_ref, [n]
             )
             ratios.append(f"n={n} lhs/rhs {lhs / rhs:.3f}")
         except BoundViolation:
@@ -369,7 +368,7 @@ def test_09_semilinear_truncation_bound(desk_elliptic):
     )
 
 
-def test_10_linear_limit_positivity_and_zero_source(desk_rte):
+def test_10_linear_limit_positivity_and_zero_source(desk_rte, zero_term):
     # the fixed point with a vanishing nonlinearity stops after one sweep
     # on exactly the projection solution; the transport solve keeps the
     # beam nonnegative and maps a zero source to the zero vector
@@ -377,7 +376,7 @@ def test_10_linear_limit_positivity_and_zero_source(desk_rte):
         "elliptic", 32, 1, rsvd={"rank": 40, "oversample": 10, "power": 2, "seed": 0}))
     solver = factorize(setup.operator)
     basis = compute_problem_basis(setup, solver)
-    result = fixed_point_solve(basis, setup.fx, setup.source, ZeroTerm(), 40)
+    result = fixed_point_solve(basis, setup.fx, setup.source, zero_term, 40)
     direct = solve_linear_projection(basis, setup.fx, setup.source, 40)
     one_sweep = result.converged and result.iterations == 1
     exact = bool(np.array_equal(result.solution, direct))

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optbasis import cli, experiments, linalg, obf
-from optbasis.bayes import TraceReport
 from optbasis.cli import build_parser, main
 
 
@@ -413,6 +412,64 @@ class TestCurveCommands:
         assert header == "n,rel_l2"
 
 
+# each curve command on a family of its kind, m = 6 (25 unknowns)
+CURVE_COMMANDS = [("solve-linear", "elliptic"), ("solve-nonlinear", "semilinear_elliptic")]
+
+
+class TestTruncationBound:
+    @pytest.mark.parametrize("command, family", CURVE_COMMANDS)
+    def test_curve_commands_print_the_worst_ratio(self, tmp_path, capsys, command, family):
+        cfg = write_config(tmp_path, family=family)
+        out = tmp_path / "curve.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        # rank 8: lambda_{n+1} is in the basis for n = 1..7
+        assert re.fullmatch(r"truncation bound holds for n = 1\.\.7 "
+                            r"\(worst lhs/rhs 0\.\d{3} at n = [1-7]\)", last), last
+
+    @pytest.mark.parametrize("command, family", CURVE_COMMANDS)
+    def test_halved_singular_values_exit_two_before_the_csv(self, tmp_path, capsys,
+                                                            monkeypatch, command, family):
+        real = cli.compute_problem_basis
+
+        def halved(setup, solver=None):
+            basis = real(setup, solver)
+            basis.singular_values = basis.singular_values / 2
+            return basis
+
+        monkeypatch.setattr(cli, "compute_problem_basis", halved)
+        cfg = write_config(tmp_path, family=family)
+        out = tmp_path / "curve.csv"
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        _assert_clean_failure(code, err)
+        assert err.startswith("error: truncation bound fails at n = ")
+        assert "raise rsvd.power or rsvd.oversample" in err
+        assert not out.exists()
+
+    def test_a_rank_one_basis_has_no_level_to_check(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, family="rte", m=4, grid={"n_angles": 4},
+                           rank=1, oversample=6)
+        assert main(["solve-linear", "--config", str(cfg),
+                     "--out", str(tmp_path / "curve.csv")]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "truncation bound not checked: no n below the basis rank 1")
+
+
+def test_unconverged_fixed_point_exits_two_without_a_csv(tmp_path, capsys):
+    # a strong cubic term (source amplitude 1000) and three heavily damped sweeps
+    cfg = write_config(tmp_path, family="semilinear_elliptic",
+                       problem={"source": {"kind": "sine", "amplitude": 1000.0}})
+    out = tmp_path / "curve.csv"
+    code = main(["solve-nonlinear", "--config", str(cfg), "--out", str(out),
+                 "--relax", "0.05", "--max-iter", "3"])
+    err = capsys.readouterr().err
+    _assert_clean_failure(code, err)
+    assert re.fullmatch(r"error: fixed point at n = \d+ did not converge in 3 iterations: "
+                        r"final step \S+ against tol 1\.000e-12\n", err), err
+    assert not out.exists()
+
+
 class TestOracleAndChecks:
     def test_oracle_svd_writes_a_full_rank_basis(self, tmp_path, capsys):
         cfg = write_config(tmp_path, m=5)
@@ -499,20 +556,28 @@ class TestOracleAndChecks:
 
     def test_bayes_check_catches_a_trace_split_that_does_not_add_up(self, tmp_path, capsys,
                                                                    monkeypatch):
-        # move 1e-6 of the captured trace out of the residual: the total is
-        # unchanged, but captured + posterior covariance trace is not tr(G G^T).
-        # G = I here, so the shift (4e-6) is far above the gate (1e-8 tr(G G^T))
+        # inflate the captured trace by 1e-6 of itself: captured + posterior
+        # covariance trace is then not tr(G G^T).  G = I here, so the shift
+        # (4e-6) is far above the gate (1e-8 tr(G G^T))
         real = cli.trace_objective
-
-        def shifted(green, obs_matrix):
-            report = real(green, obs_matrix)
-            moved = 1e-6 * report.objective
-            return TraceReport(report.objective + moved, report.residual_trace - moved)
-
-        monkeypatch.setattr(cli, "trace_objective", shifted)
+        monkeypatch.setattr(cli, "trace_objective",
+                            lambda green, obs_matrix: real(green, obs_matrix) * (1 + 1e-6))
         cfg = write_config(tmp_path, family="identity")
         assert main(["bayes-check", "--config", str(cfg), "--samples", "5"]) == 1
         assert "FAIL trace conservation" in capsys.readouterr().out
+
+    def test_bayes_check_gates_are_relative_on_elliptic_problems(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # tr(G G^T) is about 1.3e-5 at m = 5, so the same 1e-6 relative shift is a
+        # gap near 1e-11: under an absolute 1e-9 or 1e-8 gate, over a relative one
+        real = cli.trace_objective
+        monkeypatch.setattr(cli, "trace_objective",
+                            lambda green, obs_matrix: real(green, obs_matrix) * (1 + 1e-6))
+        cfg = write_config(tmp_path, m=5)
+        assert main(["bayes-check", "--config", str(cfg), "--samples", "5"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL objective at optimum matches closed form" in out
+        assert "FAIL trace conservation" in out
 
 
 class TestSweep:

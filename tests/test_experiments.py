@@ -20,7 +20,7 @@ from optbasis.experiments import (
     solve_linear_projection,
 )
 from optbasis.linalg import factorize
-from optbasis.nonlinear import ZeroTerm, fixed_point_solve
+from optbasis.nonlinear import fixed_point_solve
 from optbasis.weights import energy_norm
 from optbasis.transport import eval_source_rte
 
@@ -207,14 +207,14 @@ class TestErrorCurves:
         u_full = solve_linear_projection(basis, setup.fx, setup.source, basis.rank)
         np.testing.assert_allclose(u_full, reference_solution(setup), atol=1e-11)
 
-    def test_vanishing_term_gives_bitwise_the_linear_curve(self):
+    def test_vanishing_term_gives_bitwise_the_linear_curve(self, zero_term):
         setup = build_problem(make_config(m=5))
         basis = oracle_problem_basis(setup)
         u_ref = reference_solution(setup)
         ns = [1, 3, 7, 16]
         linear = error_curve(u_ref, basis, setup.fx, setup.source, ns)
         nonlin = nonlinear_error_curve(u_ref, basis, setup.fx, setup.source,
-                                       ZeroTerm(), ns, NonlinearSettings())
+                                       zero_term, ns, NonlinearSettings())
         assert nonlin.rel_l2 == linear.rel_l2
 
     def test_semilinear_curve_decreases_to_the_newton_reference(self):

@@ -9,15 +9,13 @@ from hypothesis import strategies as st
 from optbasis.basis import RsvdParams, SourceProjector, compute_basis, reconstruct
 from optbasis.bayes import dense_svd_oracle
 from optbasis.elliptic import EllipticMedium, assemble_elliptic, eval_source_elliptic
-from optbasis.exceptions import BoundViolation, Diverged, RankExhausted
+from optbasis.exceptions import Diverged, RankExhausted
 from optbasis.grids import Grid2D, PhaseGrid
 from optbasis.linalg import factorize
 from optbasis.nonlinear import (
     CubicTerm,
     TwoPhotonTerm,
-    ZeroTerm,
     check_linear_representation_bound,
-    error_indicators,
     fixed_point_solve,
     newton_reference,
 )
@@ -40,12 +38,6 @@ def green_of(solver):
 
 
 class TestTerms:
-    def test_zero_term(self):
-        u = np.array([1.0, -2.0, 3.0])
-        term = ZeroTerm()
-        np.testing.assert_array_equal(term(u), np.zeros(3))
-        assert term.jacobian(u).nnz == 0
-
     def test_cubic_values_and_jacobian(self):
         u = np.array([1.0, -2.0, 0.5])
         term = CubicTerm()
@@ -98,12 +90,6 @@ def unresolved(basis, fx, g, n):
     return g - basis.right_vectors[:, :n] @ SourceProjector(basis, fx, n).coefficients(g)
 
 
-def unresolved_by_factor(basis, fx, g, n):
-    """Independent oracle for unresolved(): Pi_X applied as F^T F, not through the Gram matrix."""
-    v_n = basis.right_vectors[:, :n]
-    return g - v_n @ (v_n.T @ fx.apply_t(fx.apply(g)))
-
-
 class TestProjection:
     def test_split_reassembles_the_input(self):
         # the split f = V_n c + r is weighted-orthogonal, so the X-norms obey Pythagoras
@@ -131,10 +117,10 @@ class TestProjection:
 
 
 class TestFixedPoint:
-    def test_linear_limit_is_one_pass_and_bitwise_equal_to_projection(self):
+    def test_linear_limit_is_one_pass_and_bitwise_equal_to_projection(self, zero_term):
         solver, fx, fy, f = semilinear_setup()
         basis = compute_basis(solver, fx, fy, RsvdParams(12, 20, 2, seed=0))
-        result = fixed_point_solve(basis, fx, f, ZeroTerm(), 12)
+        result = fixed_point_solve(basis, fx, f, zero_term, 12)
         assert result.converged
         assert result.iterations == 1
         assert result.final_step == 0.0
@@ -186,42 +172,12 @@ class TestFixedPoint:
         with pytest.raises(Diverged):
             fixed_point_solve(basis, fi, f, CubicTerm(), 6, max_iter=200)
 
-    def test_invalid_relaxation_rejected(self):
+    def test_invalid_relaxation_rejected(self, zero_term):
         solver, fx, fy, f = semilinear_setup()
         basis = dense_svd_oracle(green_of(solver), fx, fy)
         for relax in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
-                fixed_point_solve(basis, fx, f, ZeroTerm(), 5, relax=relax)
-
-
-class TestIndicators:
-    def test_linear_case_indicators_coincide(self):
-        solver, fx, fy, f = semilinear_setup()
-        basis = dense_svd_oracle(green_of(solver), fx, fy)
-        n = 8
-        u_n = reconstruct(basis, SourceProjector(basis, fx, n).coefficients(f), n)
-        e1, e2 = error_indicators(basis, fx, f, ZeroTerm(), u_n, n)
-        assert e1 == pytest.approx(e2, rel=1e-12)
-        assert e1 == pytest.approx(fx.norm(unresolved_by_factor(basis, fx, f, n)), rel=1e-12)
-
-    def test_first_indicator_matches_the_direct_formula(self):
-        solver, fx, fy, f = semilinear_setup()
-        basis = dense_svd_oracle(green_of(solver), fx, fy)
-        term = CubicTerm()
-        rng = np.random.Generator(np.random.Philox(7))
-        candidate = rng.normal(size=f.shape)
-        e1, _ = error_indicators(basis, fx, f, term, candidate, 12)
-        oracle = unresolved_by_factor(basis, fx, f - term(candidate), 12)
-        assert e1 == pytest.approx(fx.norm(oracle), rel=1e-13)
-
-    def test_second_indicator_ignores_the_candidate(self):
-        solver, fx, fy, f = semilinear_setup()
-        basis = dense_svd_oracle(green_of(solver), fx, fy)
-        term = CubicTerm()
-        rng = np.random.Generator(np.random.Philox(8))
-        _, e2_a = error_indicators(basis, fx, f, term, rng.normal(size=f.shape), 12)
-        _, e2_b = error_indicators(basis, fx, f, term, rng.normal(size=f.shape), 12)
-        assert e2_a == e2_b
+                fixed_point_solve(basis, fx, f, zero_term, 5, relax=relax)
 
 
 class TestRepresentationBound:
@@ -230,18 +186,42 @@ class TestRepresentationBound:
         basis = dense_svd_oracle(green_of(solver), fx, fy)
         term = CubicTerm()
         u_ref = newton_reference(solver, term, f)
-        for n in (3, 8, 15):
-            lhs, rhs = check_linear_representation_bound(
-                basis, solver, fx, f, term, u_ref, n
-            )
+        checked = check_linear_representation_bound(
+            basis, solver, fx, f, term, u_ref, (3, 8, 15)
+        )
+        assert [n for n, _, _ in checked] == [3, 8, 15]
+        for _, lhs, rhs in checked:
             assert lhs <= rhs * (1 + 1e-8) + 1e-12
+
+    @pytest.mark.parametrize("term", [CubicTerm(), None])
+    def test_each_level_projects_the_effective_source(self, term):
+        # one projector's coefficient prefix equals a projector built per level;
+        # without a term the bound is the projection bound of the linear problem
+        solver, fx, fy, f = semilinear_setup(m=8)
+        basis = dense_svd_oracle(green_of(solver), fx, fy)
+        u_ref = newton_reference(solver, term, f) if term else solver.solve(f)
+        nonlinear = term(u_ref) if term else np.zeros_like(f)
+        for n, lhs, rhs in check_linear_representation_bound(
+                basis, solver, fx, f, term, u_ref, range(1, 20)):
+            coeffs = SourceProjector(basis, fx, n).coefficients(f - nonlinear)
+            u_n = reconstruct(basis, coeffs, n)
+            assert lhs == pytest.approx(np.linalg.norm(u_ref - u_n), rel=1e-12)
+            assert rhs == basis.singular_values[n] * (fx.norm(f) + fx.norm(nonlinear))
+
+    def test_levels_at_the_rank_are_skipped(self):
+        solver, fx, fy, f = semilinear_setup(m=6)
+        basis = dense_svd_oracle(green_of(solver), fx, fy)
+        u_ref = newton_reference(solver, CubicTerm(), f)
+        checked = check_linear_representation_bound(basis, solver, fx, f, CubicTerm(),
+                                                    u_ref, [1, basis.rank - 1, basis.rank])
+        assert [n for n, _, _ in checked] == [1, basis.rank - 1]
 
     def test_unconverged_reference_rejected(self):
         solver, fx, fy, f = semilinear_setup()
         basis = dense_svd_oracle(green_of(solver), fx, fy)
         with pytest.raises(ValueError, match="reference accuracy"):
             check_linear_representation_bound(
-                basis, solver, fx, f, CubicTerm(), np.zeros(solver.n) + 1.0, 5
+                basis, solver, fx, f, CubicTerm(), np.zeros(solver.n) + 1.0, [5]
             )
 
     def test_rank_exhaustion_raises(self):
@@ -250,7 +230,7 @@ class TestRepresentationBound:
         u_ref = newton_reference(solver, CubicTerm(), f)
         with pytest.raises(RankExhausted):
             check_linear_representation_bound(
-                basis, solver, fx, f, CubicTerm(), u_ref, basis.rank
+                basis, solver, fx, f, CubicTerm(), u_ref, [3, basis.rank + 1]
             )
 
 
@@ -262,9 +242,9 @@ class TestNewtonReference:
         resid = solver.operator @ u + term(u) - f
         assert np.linalg.norm(resid) <= 1e-13 * (1 + np.linalg.norm(f))
 
-    def test_linear_problem_returns_the_direct_solve(self):
+    def test_linear_problem_returns_the_direct_solve(self, zero_term):
         solver, fx, fy, f = semilinear_setup()
-        u = newton_reference(solver, ZeroTerm(), f)
+        u = newton_reference(solver, zero_term, f)
         np.testing.assert_allclose(u, solver.solve(f), atol=1e-12)
 
     def test_two_photon_reference_on_the_phase_grid(self):
