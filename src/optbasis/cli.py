@@ -29,7 +29,7 @@ from .experiments import (
     oracle_problem_basis,
     reference_solution,
 )
-from .linalg import reciprocity_defect
+from .linalg import SOLVE_CHUNK, reciprocity_defect, solve_threads
 from .nonlinear import check_linear_representation_bound
 
 SWEEP_EPS_VALUES = (1.0, 0.25, 0.0625)
@@ -109,7 +109,7 @@ def cmd_assemble_check(args):
     try:
         solver = setup.factorize()
         checks.record("operator factorizes", True,
-                      f"N = {setup.n_dofs}, nnz(L+U) = {solver.nnz}")
+                      f"N = {setup.n_dofs}, nnz(LU) = {solver.nnz}")
     except OptbasisError as exc:
         checks.record("operator factorizes", False, str(exc))
         return checks.exit_code()
@@ -158,6 +158,13 @@ def cmd_assemble_check(args):
     return checks.exit_code()
 
 
+def _print_solve_threads():
+    """The thread count of the sparse solves; it never changes a written byte."""
+    threads = solve_threads()
+    print(f"sparse solves: {threads} thread{'' if threads == 1 else 's'}, "
+          f"chunks of at most {SOLVE_CHUNK} columns")
+
+
 def _relation_summary(basis, solver, setup):
     r = basis.rank
     sample = sorted(set([0, r // 2, r - 1]) | set(range(0, r, max(1, r // 8))))
@@ -168,6 +175,7 @@ def cmd_basis(args):
     config = _load_config(args)
     setup = build_problem(config)
     solver = setup.factorize()
+    _print_solve_threads()
     basis = compute_problem_basis(setup, solver)
     errors = _relation_summary(basis, solver, setup)
     for name, value in errors.items():
@@ -196,6 +204,7 @@ def _curve_command(args, semilinear, what, curve):
         return 2
     setup = build_problem(config)
     solver = setup.factorize()
+    _print_solve_threads()
     basis = compute_problem_basis(setup, solver)
     u_ref = reference_solution(setup, solver)
     nmax = min(args.nmax or basis.rank, basis.rank)

@@ -6,7 +6,9 @@ detection and rank handling the rest of the package relies on.
 
 from __future__ import annotations
 
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.linalg
@@ -21,8 +23,15 @@ from .exceptions import (
     SvdFailure,
 )
 
-# A pivot below this fraction of the largest matrix entry is treated as singular.
+# An operator whose estimated 1-norm condition number reaches 1 / PIVOT_RTOL
+# is treated as singular.
 PIVOT_RTOL = 1e-14
+
+# Widest column chunk of a blocked sparse solve.  A block of k columns is
+# solved as ceil(k / SOLVE_CHUNK) nearly equal chunks, on as many threads as
+# the process may use; the split depends on k alone, so the bytes of a solve
+# do not depend on the thread count.
+SOLVE_CHUNK = 32
 
 # SuperLU settings shared by every factorization.  Minimum degree on A^T + A
 # with a preference for diagonal pivots suits all the operators the package
@@ -51,6 +60,9 @@ class FactorizedSolver:
     solves with the operator itself blockwise through its supernodes.  A
     reciprocal operator, L^T = P L P for an involutive permutation P, has
     its transposed solves done as P L^{-1} P b, through the blocked path.
+    A block of right-hand sides is solved in column chunks of at most
+    SOLVE_CHUNK on a thread pool that lives only for the call; SuperLU
+    releases the interpreter lock while it solves.
 
     Parameters
     ----------
@@ -86,18 +98,22 @@ class FactorizedSolver:
             self._lu = spla.splu(operator, **_SPLU_OPTIONS)
         except RuntimeError as exc:
             raise SingularOperator(f"LU factorization failed: {exc}") from exc
-        pivots = np.abs(self._lu.U.diagonal())
-        scale = np.abs(operator.data).max() if operator.nnz else 0.0
-        if scale == 0.0 or pivots.min() <= PIVOT_RTOL * scale:
+        # Hager-Higham estimate of ||L^-1||_1 from a few solves; reading the
+        # pivots off self._lu.U would copy the whole factor
+        inverse = spla.LinearOperator(
+            (n, n), matvec=self._lu.solve, rmatvec=lambda x: self._lu.solve(x, trans="T"),
+            dtype=float)
+        condition = spla.norm(operator, 1) * spla.onenormest(inverse, t=1)
+        if not np.isfinite(condition) or condition >= 1.0 / PIVOT_RTOL:
             raise SingularOperator(
-                f"operator numerically singular (min pivot {pivots.min():.3e}, "
-                f"max entry {scale:.3e})"
+                f"operator numerically singular (estimated 1-norm condition number "
+                f"{condition:.3e})"
             )
 
     @property
     def nnz(self):
-        """Fill of the factorization, nnz(L) + nnz(U)."""
-        return self._lu.L.nnz + self._lu.U.nnz
+        """Fill of the factorization: the entries SuperLU stores for L and U."""
+        return self._lu.nnz
 
     def _check_rhs(self, b):
         b = np.asarray(b, dtype=float)
@@ -109,14 +125,48 @@ class FactorizedSolver:
 
     def solve(self, b):
         """Solve L x = b for one vector or the columns of a matrix."""
-        return self._lu.solve(self._check_rhs(b))
+        return _chunked(self._lu.solve, self._check_rhs(b))
 
     def solve_transpose(self, b):
         """Solve L^T x = b using the same factorization: P L^{-1} P b when reciprocal."""
         b = self._check_rhs(b)
         if self.reversal is None:
-            return self._lu.solve(b, trans="T")
-        return self._lu.solve(b[self._take])[self._take]
+            return _chunked(lambda c: self._lu.solve(c, trans="T"), b)
+        return _chunked(self._lu.solve, b[self._take])[self._take]
+
+
+def solve_threads():
+    """Threads a blocked sparse solve may use: the cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _chunked(solve, b):
+    """solve(b) for a vector, else solve applied to fixed column chunks of b.
+
+    Only ``solve`` runs on the worker threads, never a public method, so a
+    tracer hooked on the public solves sees one call from one thread.
+    """
+    k = b.shape[1] if b.ndim == 2 else 0
+    chunks = -(-k // SOLVE_CHUNK)
+    if chunks <= 1:
+        return solve(b)
+    edges = [k * i // chunks for i in range(chunks + 1)]
+    x = np.empty(b.shape, order="F")  # the layout SuperLU returns
+
+    def run(i):
+        x[:, edges[i]:edges[i + 1]] = solve(b[:, edges[i]:edges[i + 1]])
+
+    workers = min(solve_threads(), chunks)
+    if workers == 1:
+        for i in range(chunks):
+            run(i)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run, range(chunks)))
+    return x
 
 
 def _checked_reversal(reversal, n):

@@ -63,7 +63,7 @@ class TestAssembleCheck:
                      "interior row sums vanish"):
             assert line in out
         assert "FAIL" not in out
-        assert re.search(r"operator factorizes \(N = 25, nnz\(L\+U\) = \d+\)", out)
+        assert re.search(r"operator factorizes \(N = 25, nnz\(LU\) = \d+\)", out)
 
     def test_rte_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, family="rte", m=5,
@@ -305,6 +305,40 @@ class TestBasisCommand:
         assert main(["basis", "--config", str(cfg), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert obf.read_basis(a).rank == 50
+
+
+def _solve_threads(monkeypatch, threads):
+    monkeypatch.setattr(linalg, "solve_threads", lambda: threads)
+    monkeypatch.setattr(cli, "solve_threads", lambda: threads)
+
+
+class TestSolveThreads:
+    def test_transport_basis_bytes_do_not_depend_on_the_thread_count(self, tmp_path,
+                                                                       capsys, monkeypatch):
+        # rank 30 + 10 sketch columns: two 20-column chunks per block solve
+        cfg = write_config(tmp_path, family="rte", m=6, grid={"n_angles": 8},
+                           rank=30, oversample=10)
+        lines = {}
+        for threads in (1, 2):
+            _solve_threads(monkeypatch, threads)
+            out = tmp_path / f"t{threads}.obf"
+            assert main(["basis", "--config", str(cfg), "--out", str(out)]) == 0
+            lines[threads] = capsys.readouterr().out.splitlines()[0]
+        one, two = tmp_path / "t1.obf", tmp_path / "t2.obf"
+        assert one.read_bytes() == two.read_bytes()
+        assert obf.sidecar_path(one).read_bytes() == obf.sidecar_path(two).read_bytes()
+        assert lines == {1: "sparse solves: 1 thread, chunks of at most 32 columns",
+                         2: "sparse solves: 2 threads, chunks of at most 32 columns"}
+
+    @pytest.mark.parametrize("command, family", [("solve-linear", "elliptic"),
+                                                 ("solve-nonlinear", "semilinear_elliptic")])
+    def test_curve_commands_print_the_thread_count(self, tmp_path, capsys, monkeypatch,
+                                                   command, family):
+        _solve_threads(monkeypatch, 2)
+        cfg = write_config(tmp_path, family=family)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "sparse solves: 2 threads, chunks of at most 32 columns"
 
 
 class TestMemoryError:

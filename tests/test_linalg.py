@@ -1,10 +1,14 @@
 """Factorized sparse solves, rank-aware QR and the dense SVD wrapper."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from optbasis import linalg
 from optbasis.elliptic import EllipticMedium, assemble_elliptic
 from optbasis.exceptions import (
     DimensionMismatch,
@@ -15,6 +19,7 @@ from optbasis.exceptions import (
 )
 from optbasis.grids import Grid2D, PhaseGrid
 from optbasis.linalg import (
+    SOLVE_CHUNK,
     FactorizedSolver,
     factorize,
     qr_thin,
@@ -87,6 +92,12 @@ class TestFactorizedSolver:
         with pytest.raises(SingularOperator):
             factorize(a)
 
+    def test_nearly_singular_matrix_detected_by_the_condition_estimate(self):
+        # splu factors this one; its 1-norm condition number is about 4e15
+        a = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]))
+        with pytest.raises(SingularOperator, match="condition number"):
+            factorize(a)
+
     def test_keeps_operator_reference(self):
         op = dirichlet_laplacian_1d(4, 0.25)
         solver = factorize(op)
@@ -106,7 +117,8 @@ def relative_gap(x, ref):
 
 class TestOrdering:
     def test_transport_fill_stays_below_the_colamd_fill(self, transport_operator):
-        # minimum degree on A^T + A gives 1.44M; scipy's default COLAMD gives 2.49M
+        # minimum degree on A^T + A gives 1.48M stored entries (1.44M in L + U);
+        # scipy's default COLAMD gives 2.49M in L + U
         assert factorize(transport_operator).nnz <= 1_600_000
 
     def test_nnz_counts_both_factors_and_is_read_only(self):
@@ -204,6 +216,106 @@ class TestReciprocalTranspose:
         with pytest.raises(NotReciprocal):
             factorize(a, np.arange(2))
         assert reciprocity_defect(a, np.array([1, 0])) == 2
+
+
+def solve_both(solver, b):
+    return solver.solve(b), solver.solve_transpose(b)
+
+
+class FailingFactor:
+    """Stands in for the SuperLU object; its third solve raises."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def solve(self, b, trans="N"):
+        with self.lock:
+            self.calls += 1
+            call = self.calls
+        if call == 3:
+            raise MemoryError("chunk 3 out of memory")
+        return self.lu.solve(b, trans=trans)
+
+
+class TestChunkedSolves:
+    @pytest.mark.parametrize("name", ["rte-even", "rte-odd", "elliptic"])
+    @pytest.mark.parametrize("cols", [None, 1, 31, 32, 33, 100])
+    def test_blocks_match_column_by_column_solves(self, name, cols):
+        solver = factorize(*reciprocal_case(name))
+        rng = np.random.Generator(np.random.Philox(29))
+        b = rng.standard_normal((solver.n,) if cols is None else (solver.n, cols))
+        x, xt = solve_both(solver, b)
+        assert x.shape == xt.shape == b.shape
+        columns = b[:, None] if cols is None else b
+        x, xt = x.reshape(columns.shape), xt.reshape(columns.shape)
+        for j in range(columns.shape[1]):
+            assert relative_gap(x[:, j], solver._lu.solve(columns[:, j])) <= 1e-14
+            assert relative_gap(xt[:, j],
+                                solver._lu.solve(columns[:, j], trans="T")) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["rte-even", "rte-odd", "elliptic"])
+    def test_bytes_do_not_depend_on_the_thread_count(self, name, monkeypatch):
+        # 8 threads on 11 chunks, more threads than cores, switching often:
+        # the chunks write disjoint columns of one output
+        solver = factorize(*reciprocal_case(name))
+        b = np.random.Generator(np.random.Philox(31)).standard_normal((solver.n, 330))
+        results = []
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for threads in (1, 2, 8):
+                monkeypatch.setattr(linalg, "solve_threads", lambda threads=threads: threads)
+                results.append(solve_both(solver, b))
+        finally:
+            sys.setswitchinterval(interval)
+        for one, *more in zip(*results):
+            assert all(one.tobytes() == other.tobytes() for other in more)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("cols, widths", [(100, [25] * 4), (330, [30] * 11),
+                                              (33, [16, 17])])
+    def test_chunks_are_fixed_width_and_run_on_the_pool(self, threads, cols, widths,
+                                                        monkeypatch):
+        # the split depends on the column count alone; the chunks run on
+        # worker threads when there are two, on the calling thread when one
+        monkeypatch.setattr(linalg, "solve_threads", lambda: threads)
+        solver = factorize(*reciprocal_case("rte-even"))
+        seen = []
+        lu = solver._lu
+
+        class Recording:
+            def solve(self, b, trans="N"):
+                seen.append((b.shape[1], threading.get_ident()))
+                return lu.solve(b, trans=trans)
+
+        solver._lu = Recording()
+        before = threading.active_count()
+        solver.solve(np.ones((solver.n, cols)))
+        assert threading.active_count() == before
+        assert sorted(w for w, _ in seen) == widths
+        assert max(widths) <= SOLVE_CHUNK
+        callers = {t for _, t in seen}
+        assert (callers == {threading.get_ident()}) == (threads == 1)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_an_error_in_a_chunk_reaches_the_caller(self, threads, transpose, monkeypatch):
+        monkeypatch.setattr(linalg, "solve_threads", lambda: threads)
+        solver = factorize(*reciprocal_case("rte-odd"))
+        solver._lu = FailingFactor(solver._lu)
+        before = threading.active_count()
+        solve = solver.solve_transpose if transpose else solver.solve
+        with pytest.raises(MemoryError, match="chunk 3"):
+            solve(np.ones((solver.n, 100)))
+        assert threading.active_count() == before
+
+    def test_thread_count_is_the_cores_the_process_may_use(self, monkeypatch):
+        assert linalg.solve_threads() >= 1
+        monkeypatch.delattr(linalg.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(linalg.os, "cpu_count", lambda: 3)
+        assert linalg.solve_threads() == 3
 
 
 class TestQrThin:
