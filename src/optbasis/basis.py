@@ -12,7 +12,10 @@ where A z_i = lambda_i w_i.  The triplets satisfy
     U^T Pi_Y U = I,   V^T Pi_X V = I,   G V = U diag(lambda),
 
 and the randomized sketch only ever touches A through solves with L, L^T
-and the weight factors.  The dense oracle is ``bayes.dense_svd_oracle``.
+and the weight factors.  Its power passes keep their span with a pivoted
+LU (Li et al., ACM TOMS 43, 2017); the one orthonormal basis, a pivoted QR,
+is taken before the small SVD of Q^T A (Halko, Martinsson & Tropp, SIAM
+Rev. 53, 2011, Alg. 4.4).  The dense oracle is ``bayes.dense_svd_oracle``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import RankDeficientWarning, RankExhausted
-from .linalg import qr_thin, svd_dense
+from .linalg import lu_basis, qr_thin, svd_dense
 
 # Singular values below this fraction of the largest are treated as numerically zero.
 TRUNCATION_RTOL = 1e-14
@@ -94,11 +97,15 @@ def compute_basis(solver, fx, fy, params: RsvdParams, meta=None):
     Notes
     -----
     The sketch draws rank + oversampling Gaussian columns from a Philox
-    stream, runs ``power`` subspace iteration passes with re-orthonormal-
-    ization after every operator application, and extracts triplets from
-    the small projected matrix.  If the sketch detects numerical rank
-    below the request, the basis is truncated and a RankDeficientWarning
-    is emitted.
+    stream and runs ``power`` subspace iteration passes.  Inside a pass only
+    the span matters, so each operator application is followed by the
+    cheap pivoted-LU basis ``lu_basis``, which keeps the block well
+    conditioned and never drops a column.  The one orthonormalization is
+    the rank-revealing pivoted QR of the last forward block; triplets come
+    from the SVD of the small projected matrix Q^T A.  Rank is detected
+    only there: columns the QR drops, or singular values below
+    TRUNCATION_RTOL of the largest, truncate the basis, and each of the
+    two emits one RankDeficientWarning.
     """
     n = solver.n
     k = params.rank + params.oversampling
@@ -109,8 +116,8 @@ def compute_basis(solver, fx, fy, params: RsvdParams, meta=None):
 
     y = _apply_forward(solver, fx, fy, sketch)
     for _ in range(params.power):
-        q = qr_thin(y)
-        q = qr_thin(_apply_adjoint(solver, fx, fy, q))
+        q = lu_basis(y)  # frees the last pass's block before the adjoint runs
+        q = lu_basis(_apply_adjoint(solver, fx, fy, q))
         y = _apply_forward(solver, fx, fy, q)
     q = qr_thin(y)
 
@@ -119,7 +126,7 @@ def compute_basis(solver, fx, fy, params: RsvdParams, meta=None):
     lead = svals[0] if svals.size else 0.0
     achieved = int(np.sum(svals > TRUNCATION_RTOL * lead)) if lead > 0.0 else 0
     r_eff = min(params.rank, achieved)
-    if r_eff < params.rank:
+    if r_eff < min(params.rank, q.shape[1]):  # qr_thin warned of the columns it dropped
         warnings.warn(
             f"requested rank {params.rank} but sketch found numerical rank {achieved}",
             RankDeficientWarning,
@@ -177,12 +184,11 @@ def defining_relation_errors(basis: SVDBasis, solver, fx, fy, indices=None):
 
     Returns a dict with the maximum deviation of left/right weighted
     orthonormality and the relative residuals of G v_hat = lambda u_hat
-    and G* u_hat = lambda v_hat over the sampled indices.
+    and G* u_hat = lambda v_hat over the sampled indices, whose columns are
+    solved as one forward and one adjoint block.
     """
     r = basis.rank
-    if indices is None:
-        indices = range(r)
-    indices = list(indices)
+    idx = list(range(r) if indices is None else indices)
 
     fu = fy.apply(basis.left_vectors)
     fv = fx.apply(basis.right_vectors)
@@ -192,18 +198,13 @@ def defining_relation_errors(basis: SVDBasis, solver, fx, fy, indices=None):
         "right_orthonormality": float(np.abs(fv.T @ fv - eye).max()),
     }
 
-    lam = basis.singular_values
-    fwd = 0.0
-    adj = 0.0
-    for i in indices:
-        gv = solver.solve(basis.right_vectors[:, i])
-        scale = lam[i] * np.linalg.norm(basis.left_vectors[:, i])
-        fwd = max(fwd, float(np.linalg.norm(gv - lam[i] * basis.left_vectors[:, i]) / scale))
-        # G* u = Pi_X^{-1} G^T Pi_Y u
-        pi_y_u = fy.apply_t(fy.apply(basis.left_vectors[:, i]))
-        gstar_u = fx.solve(fx.solve_t(solver.solve_transpose(pi_y_u)))
-        scale = lam[i] * np.linalg.norm(basis.right_vectors[:, i])
-        adj = max(adj, float(np.linalg.norm(gstar_u - lam[i] * basis.right_vectors[:, i]) / scale))
-    out["forward_residual"] = fwd
-    out["adjoint_residual"] = adj
+    lam = basis.singular_values[idx]
+    u = basis.left_vectors[:, idx]
+    v = basis.right_vectors[:, idx]
+    # G v and G* u = Pi_X^{-1} G^T Pi_Y u, each as one block of solves
+    gv = solver.solve(v)
+    gstar_u = fx.solve(fx.solve_t(solver.solve_transpose(fy.apply_t(fy.apply(u)))))
+    for key, image, target in (("forward_residual", gv, u), ("adjoint_residual", gstar_u, v)):
+        residual = np.linalg.norm(image - lam * target, axis=0)
+        out[key] = float((residual / (lam * np.linalg.norm(target, axis=0))).max(initial=0.0))
     return out

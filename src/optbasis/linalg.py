@@ -223,6 +223,21 @@ def qr_thin(a):
     return q
 
 
+def lu_basis(a):
+    """Well-conditioned basis of range(a): the factor P L of a row-pivoted LU.
+
+    L is unit lower trapezoidal with entries at most 1 in magnitude, so P L
+    has full column rank and its range contains range(a), with equality when
+    a has full column rank; a zero pivot leaves a unit column, never a NaN or
+    a warning.  Several times cheaper than qr_thin, but neither orthonormal
+    nor rank-revealing.  The block ``a`` may be overwritten.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
+        raise DimensionMismatch(f"expected a 2-d array, got shape {a.shape}")
+    return scipy.linalg.lu(a, permute_l=True, overwrite_a=True)[0]
+
+
 def svd_dense(a):
     """Full SVD of a dense matrix, returned as (U, s, V) with A = U diag(s) V^T."""
     a = np.asarray(a, dtype=float)

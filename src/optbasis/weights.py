@@ -171,6 +171,8 @@ class WeightFactor:
         return factor @ x
 
     def _tbtrs(self, trans, x):
+        if x.size == 0:  # scipy's dtbtrs wrapper crashes on zero right-hand sides
+            return x.copy()
         x, info = lapack.dtbtrs(self.band, x, trans=trans)
         if info != 0:
             raise ValueError(f"triangular banded solve failed (info={info})")

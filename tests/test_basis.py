@@ -1,14 +1,19 @@
 """Randomized and dense weighted SVD bases of solution operators."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from optbasis import basis as basis_module
 from optbasis.basis import (
     RsvdParams,
     SourceProjector,
+    _apply_adjoint,
+    _apply_forward,
     compute_basis,
     defining_relation_errors,
     reconstruct,
@@ -22,7 +27,7 @@ from optbasis.exceptions import (
     RankExhausted,
 )
 from optbasis.grids import Grid2D, PhaseGrid
-from optbasis.linalg import factorize
+from optbasis.linalg import factorize, qr_thin, svd_dense
 from optbasis.transport import RteCoefficients, assemble_rte
 from optbasis.weights import (
     WeightFactor,
@@ -44,6 +49,18 @@ def elliptic_setup(m, p):
 def green_of(solver):
     """Dense G = L^{-1} from a factorization, for the dense oracle."""
     return solver.solve(np.eye(solver.n))
+
+
+def qr_every_pass_values(solver, fx, fy, params):
+    """Leading singular values of the sketch with qr_thin after every operator application."""
+    rng = np.random.Generator(np.random.Philox(params.seed))
+    sketch = rng.standard_normal((solver.n, params.rank + params.oversampling))
+    y = _apply_forward(solver, fx, fy, sketch)
+    for _ in range(params.power):
+        q = qr_thin(_apply_adjoint(solver, fx, fy, qr_thin(y)))
+        y = _apply_forward(solver, fx, fy, q)
+    q = qr_thin(y)
+    return svd_dense(_apply_adjoint(solver, fx, fy, q).T)[1][:params.rank]
 
 
 def random_spd_factor(n, seed):
@@ -208,10 +225,48 @@ class TestRandomizedBasis:
                 return self.solve(b)
 
         fi = identity_weight(3)
-        with pytest.warns(RankDeficientWarning):
-            basis = compute_basis(TinyTailSolver(), fi, fi, RsvdParams(3, 0, 1))
-        assert basis.rank == 2
-        np.testing.assert_allclose(basis.singular_values, 1.0, atol=1e-12)
+        for power in (1, 2):
+            # the power passes keep the dead column; the final QR drops it
+            # and is the one place that warns
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                basis = compute_basis(TinyTailSolver(), fi, fi, RsvdParams(3, 0, power))
+            assert [w.category for w in caught] == [RankDeficientWarning]
+            assert basis.rank == 2
+            np.testing.assert_allclose(basis.singular_values, 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("power", [0, 1, 3])
+    def test_one_qr_and_two_lu_bases_per_pass(self, power, monkeypatch):
+        calls = {"qr_thin": 0, "lu_basis": 0}
+
+        def counted(name):
+            kernel = getattr(basis_module, name)
+
+            def wrapper(a):
+                calls[name] += 1
+                return kernel(a)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(basis_module, name, counted(name))
+        solver, fx, fy = elliptic_setup(8, 1)
+        compute_basis(solver, fx, fy, RsvdParams(6, 4, power))
+        assert calls == {"qr_thin": 1, "lu_basis": 2 * power}
+
+    @pytest.mark.parametrize("make_setup", [
+        pytest.param(lambda: elliptic_setup(16, 2), id="elliptic"),
+        pytest.param(lambda: rte_setup(6, 8, 1), id="rte"),
+    ])
+    def test_lu_power_passes_match_qr_power_passes(self, make_setup):
+        solver, fx, fy = make_setup()
+        params = RsvdParams(20, 10, 2, seed=5)
+        basis = compute_basis(solver, fx, fy, params)
+        reference = qr_every_pass_values(solver, fx, fy, params)
+        assert basis.rank == params.rank
+        rel = np.abs(basis.singular_values - reference) / reference
+        assert rel.max() < 1e-10
+        errs = defining_relation_errors(basis, solver, fx, fy)
+        assert errs["forward_residual"] <= 1e-12
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
@@ -229,6 +284,42 @@ class TestRandomizedBasis:
         assert basis.meta["seed"] == 3
         assert basis.meta["family"] == "elliptic"
         assert basis.meta["weight_x"] == "sobolev(p=1)"
+
+
+def relation_errors_column_by_column(basis, solver, fx, fy, indices):
+    """The forward and adjoint residuals with one solve per sampled index."""
+    lam, u, v = basis.singular_values, basis.left_vectors, basis.right_vectors
+    fwd = adj = 0.0
+    for i in indices:
+        gv = solver.solve(v[:, i])
+        fwd = max(fwd, np.linalg.norm(gv - lam[i] * u[:, i]) / (lam[i] * np.linalg.norm(u[:, i])))
+        gstar_u = fx.solve(fx.solve_t(solver.solve_transpose(fy.apply_t(fy.apply(u[:, i])))))
+        adj = max(adj, np.linalg.norm(gstar_u - lam[i] * v[:, i])
+                  / (lam[i] * np.linalg.norm(v[:, i])))
+    return fwd, adj
+
+
+class TestRelationCheck:
+    @pytest.mark.parametrize("make_setup", [
+        pytest.param(lambda: elliptic_setup(16, 2), id="elliptic"),
+        pytest.param(lambda: rte_setup(6, 8, 1), id="rte"),
+    ])
+    def test_blocked_residuals_match_a_column_loop(self, make_setup):
+        solver, fx, fy = make_setup()
+        basis = compute_basis(solver, fx, fy, RsvdParams(40, 10, 1, seed=2))
+        sample = [0, 1, 7, 20, 33, 39]
+        errs = defining_relation_errors(basis, solver, fx, fy, sample)
+        fwd, adj = relation_errors_column_by_column(basis, solver, fx, fy, sample)
+        assert errs["adjoint_residual"] > 1e-8  # a power-1 tail, far above roundoff
+        assert errs["adjoint_residual"] == pytest.approx(adj, rel=1e-12)
+        # the forward residual is roundoff, so it also gets an absolute floor
+        assert errs["forward_residual"] == pytest.approx(fwd, rel=1e-12, abs=1e-15)
+
+    def test_no_sampled_index_gives_zero_residuals(self):
+        solver, fx, fy = elliptic_setup(6, 1)
+        basis = compute_basis(solver, fx, fy, RsvdParams(4, 4, 1))
+        errs = defining_relation_errors(basis, solver, fx, fy, [])
+        assert errs["forward_residual"] == errs["adjoint_residual"] == 0.0
 
 
 class TestProjectionPieces:

@@ -1,7 +1,8 @@
-"""Factorized sparse solves, rank-aware QR and the dense SVD wrapper."""
+"""Factorized sparse solves, the LU span basis, rank-aware QR and the dense SVD wrapper."""
 
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from optbasis.linalg import (
     SOLVE_CHUNK,
     FactorizedSolver,
     factorize,
+    lu_basis,
     qr_thin,
     reciprocity_defect,
     svd_dense,
@@ -347,6 +349,33 @@ class TestQrThin:
     def test_one_dimensional_input_rejected(self):
         with pytest.raises(DimensionMismatch):
             qr_thin(np.ones(3))
+
+
+class TestLuBasis:
+    @pytest.mark.parametrize("a", [
+        np.zeros((5, 3)),
+        np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 1.0], [3.0, 6.0, 0.0], [4.0, 8.0, 2.0]]),
+    ], ids=["zero", "dependent"])
+    def test_degenerate_block_keeps_full_column_rank_silently(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = lu_basis(a.copy())
+        assert b.shape == a.shape
+        assert np.all(np.isfinite(b))
+        assert np.linalg.matrix_rank(b) == a.shape[1]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_range_contains_the_input_range(self, seed):
+        rng = np.random.Generator(np.random.Philox(seed))
+        a = rng.normal(size=(40, 6))
+        a[:, 5] = a[:, 0] - 2.0 * a[:, 3]  # one exactly dependent column
+        b = lu_basis(a.copy())
+        coeffs = np.linalg.lstsq(b, a, rcond=None)[0]
+        assert np.linalg.norm(b @ coeffs - a) <= 1e-12 * np.linalg.norm(a)
+
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            lu_basis(np.ones(3))
 
 
 class TestSvdDense:

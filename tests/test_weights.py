@@ -195,6 +195,17 @@ class TestTriangularFactor:
         assert w.norm(v) ** 2 == pytest.approx(v @ gram @ v, rel=1e-10)
 
 
+    @pytest.mark.parametrize("make", [
+        lambda: build_sobolev_weight(2, Grid2D(6)),
+        lambda: build_rte_weight(1, PhaseGrid(Grid2D(4), 4)),
+    ])
+    def test_block_of_no_columns_solves_to_no_columns(self, make):
+        w = make()
+        empty = np.zeros((w.dim, 0))
+        assert w.solve(empty).shape == (w.dim, 0)
+        assert w.solve_t(empty).shape == (w.dim, 0)
+
+
 class TestPhaseSpaceWeight:
     def test_order_zero_is_scaled_identity(self):
         pg = PhaseGrid(Grid2D(4), 5)
