@@ -25,34 +25,33 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import RankDeficientWarning, RankExhausted
+from .exceptions import ConfigInvalid, RankDeficientWarning, RankExhausted
 from .linalg import lu_basis, qr_thin, svd_dense
 
 # Singular values below this fraction of the largest are treated as numerically zero.
 TRUNCATION_RTOL = 1e-14
 
 
-@dataclass
+@dataclass(frozen=True)
 class RsvdParams:
-    """Randomized range sketch parameters.
+    """Randomized range sketch parameters, the ``rsvd`` config section.
 
-    ``oversampling`` extra sample vectors and ``power`` subspace iteration
+    ``oversample`` extra sample vectors and ``power`` subspace iteration
     passes trade work for accuracy; the counter-based seed makes runs
     reproducible bit for bit.
     """
 
-    rank: int
-    oversampling: int = 10
+    rank: int = 50
+    oversample: int = 10
     power: int = 2
     seed: int = 0
 
     def __post_init__(self):
         if self.rank < 1:
-            raise ValueError("rank must be at least 1")
-        if self.oversampling < 0 or self.power < 0:
-            raise ValueError("oversampling and power must be nonnegative")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+            raise ConfigInvalid("'rsvd.rank' must be at least 1")
+        for key in ("oversample", "power", "seed"):
+            if getattr(self, key) < 0:
+                raise ConfigInvalid(f"'rsvd.{key}' must be nonnegative")
 
 
 @dataclass
@@ -61,6 +60,8 @@ class SVDBasis:
 
     ``left_vectors`` are Pi_Y-orthonormal, ``right_vectors`` are
     Pi_X-orthonormal, and G right_vectors = left_vectors diag(singular_values).
+    ``meta`` names the method that computed the basis; ``obf.read_basis``
+    adds the family and the recorded config.
     """
 
     n_dofs: int
@@ -81,7 +82,7 @@ def _apply_adjoint(solver, fx, fy, w):
     return fx.solve_t(solver.solve_transpose(fy.apply_t(w)))
 
 
-def compute_basis(solver, fx, fy, params: RsvdParams, meta=None):
+def compute_basis(solver, fx, fy, params: RsvdParams):
     """Randomized weighted SVD basis of the factorized operator's inverse.
 
     Parameters
@@ -91,12 +92,10 @@ def compute_basis(solver, fx, fy, params: RsvdParams, meta=None):
     fx, fy : WeightFactor
         Input and output weight factors.
     params : RsvdParams
-    meta : dict, optional
-        Extra entries merged into the result's metadata.
 
     Notes
     -----
-    The sketch draws rank + oversampling Gaussian columns from a Philox
+    The sketch draws rank + oversample Gaussian columns from a Philox
     stream and runs ``power`` subspace iteration passes.  Inside a pass only
     the span matters, so each operator application is followed by the
     cheap pivoted-LU basis ``lu_basis``, which keeps the block well
@@ -105,12 +104,15 @@ def compute_basis(solver, fx, fy, params: RsvdParams, meta=None):
     from the SVD of the small projected matrix Q^T A.  Rank is detected
     only there: columns the QR drops, or singular values below
     TRUNCATION_RTOL of the largest, truncate the basis, and each of the
-    two emits one RankDeficientWarning.
+    two emits one RankDeficientWarning.  A sketch wider than the N unknowns
+    raises ConfigInvalid.
     """
     n = solver.n
-    k = params.rank + params.oversampling
+    k = params.rank + params.oversample
     if k > n:
-        raise ValueError(f"rank + oversampling = {k} exceeds problem size {n}")
+        raise ConfigInvalid(
+            f"'rsvd.rank' + 'rsvd.oversample' = {k} exceeds the {n} unknowns of the problem"
+        )
     rng = np.random.Generator(np.random.Philox(params.seed))
     sketch = rng.standard_normal((n, k))
 
@@ -135,19 +137,7 @@ def compute_basis(solver, fx, fy, params: RsvdParams, meta=None):
     lam = svals[:r_eff].copy()
     v_hat = fx.solve(v_big[:, :r_eff])
     u_hat = solver.solve(v_hat) / lam
-
-    info = {
-        "method": "rsvd",
-        "rank_requested": params.rank,
-        "oversampling": params.oversampling,
-        "power": params.power,
-        "seed": params.seed,
-        "weight_x": fx.label,
-        "weight_y": fy.label,
-    }
-    if meta:
-        info.update(meta)
-    return SVDBasis(n, r_eff, lam, u_hat, v_hat, info)
+    return SVDBasis(n, r_eff, lam, u_hat, v_hat, {"method": "rsvd"})
 
 
 class SourceProjector:

@@ -89,9 +89,9 @@ class Posterior:
     covariance: np.ndarray
 
 
-def posterior(green, obs_matrix, psi, size_guard=DENSE_BAYES_GUARD):
+def posterior(green, obs_matrix, psi):
     """Condition the white-noise pushforward on exact observations M^T u = psi."""
-    green = _as_green(green, size_guard)
+    green = _as_green(green, DENSE_BAYES_GUARD)
     n_dofs = green.shape[0]
     m = _as_obs_matrix(obs_matrix, n_dofs)
     psi = np.asarray(psi, dtype=float)
@@ -106,25 +106,25 @@ def posterior(green, obs_matrix, psi, size_guard=DENSE_BAYES_GUARD):
     return Posterior(sol.T @ psi, 0.5 * (cov + cov.T))
 
 
-def trace_objective(green, obs_matrix, size_guard=DENSE_BAYES_GUARD):
+def trace_objective(green, obs_matrix):
     """Captured-variance objective trace(K^T Theta^{-1} K)."""
-    green = _as_green(green, size_guard)
+    green = _as_green(green, DENSE_BAYES_GUARD)
     m = _as_obs_matrix(obs_matrix, green.shape[0])
     k = m.T @ (green @ green.T)
     return float(np.trace(_solve_spd(k @ m, k @ k.T, "trace objective")))
 
 
-def check_reconstruction_bound(green, obs_matrix, f, size_guard=DENSE_BAYES_GUARD):
+def check_reconstruction_bound(green, obs_matrix, f):
     """Verify ||u - W psi|| <= sqrt(trace(cov)) ||f|| for one source draw.
 
     Returns (error, bound) and raises BoundViolation if the inequality
     fails beyond roundoff.
     """
-    green = _as_green(green, size_guard)
+    green = _as_green(green, DENSE_BAYES_GUARD)
     f = np.asarray(f, dtype=float)
     u = green @ f
     m = _as_obs_matrix(obs_matrix, green.shape[0])
-    post = posterior(green, m, m.T @ u, size_guard=size_guard)
+    post = posterior(green, m, m.T @ u)
     error = float(np.linalg.norm(u - post.mean))
     residual_trace = max(float(np.trace(post.covariance)), 0.0)
     bound = float(np.sqrt(residual_trace) * np.linalg.norm(f))
@@ -141,24 +141,21 @@ def weighted_operator(green, fx, fy):
     return fx.solve_t(a.T).T
 
 
-def dense_svd_oracle(green, fx, fy, size_guard=DENSE_ORACLE_GUARD, meta=None):
+def dense_svd_oracle(green, fx, fy):
     """All weighted singular triplets of a dense G by brute force, for verification.
 
     Runs a full SVD of A = F_Y G F_X^{-1} and maps its vectors back through
-    the weight factors.  Refuses operators above ``size_guard`` unknowns.
+    the weight factors.  Refuses operators above DENSE_ORACLE_GUARD unknowns.
     """
-    green = _as_green(green, size_guard)
+    green = _as_green(green, DENSE_ORACLE_GUARD)
     u_unweighted, svals, v_unweighted = svd_dense(weighted_operator(green, fx, fy))
     v_hat = fx.solve(v_unweighted)
     u_hat = fy.solve(u_unweighted)
-    info = {"method": "dense_oracle", "weight_x": fx.label, "weight_y": fy.label}
-    if meta:
-        info.update(meta)
     n = green.shape[0]
-    return SVDBasis(n, n, svals, u_hat, v_hat, info)
+    return SVDBasis(n, n, svals, u_hat, v_hat, {"method": "dense_oracle"})
 
 
-def nwidth_eval(a, fx, v_n, size_guard=DENSE_BAYES_GUARD):
+def nwidth_eval(a, fx, v_n):
     """Worst-case weighted error of approximating from span(v_n).
 
     ``a`` is the dense weighted operator A = F_Y G F_X^{-1} from
@@ -166,7 +163,7 @@ def nwidth_eval(a, fx, v_n, size_guard=DENSE_BAYES_GUARD):
     sigma_max((I - P) A) where P projects onto the image A F_X v_n = F_Y G v_n
     of the trial space.  An empty v_n returns the largest singular value of A.
     """
-    a = _as_green(a, size_guard)
+    a = _as_green(a, DENSE_BAYES_GUARD)
     n_dofs = a.shape[0]
     v_n = np.asarray(v_n, dtype=float)
     if v_n.size == 0:

@@ -3,7 +3,7 @@
 import argparse
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ from .bayes import (
     trace_objective,
     weighted_operator,
 )
-from .config import config_from_dict, config_to_dict, load_config
+from .config import SETTINGS, config_from_dict, config_to_dict, load_config
 from .exceptions import BoundViolation, ConfigInvalid, OptbasisError
 from .experiments import (
     build_problem,
@@ -68,8 +68,7 @@ def _positive_int(text):
 
 
 # Each override flag sets the config key of the same name in its section.
-_OVERRIDES = {"rsvd": ("rank", "oversample", "power", "seed"),
-             "nonlinear": ("tol", "max_iter", "relax")}
+_OVERRIDES = {section: [f.name for f in fields(cls)] for section, cls in SETTINGS.items()}
 
 
 def _load_config(args):
@@ -180,7 +179,7 @@ def cmd_basis(args):
     errors = _relation_summary(basis, solver, setup)
     for name, value in errors.items():
         print(f"{name}: {value:.3e}")
-    side = obf.write_basis(args.out, basis, config_to_dict(config))
+    side = obf.write_basis(args.out, basis, config)
     print(f"wrote rank-{basis.rank} basis to {args.out} (sidecar {side})")
     return 0
 
@@ -243,7 +242,7 @@ def cmd_oracle_svd(args):
     config = _load_config(args)
     setup = build_problem(config)
     basis = oracle_problem_basis(setup)
-    side = obf.write_basis(args.out, basis, config_to_dict(config))
+    side = obf.write_basis(args.out, basis, config)
     head = ", ".join(f"{v:.6e}" for v in basis.singular_values[:10])
     print(f"leading singular values: {head}")
     print(f"wrote rank-{basis.rank} oracle basis to {args.out} (sidecar {side})")

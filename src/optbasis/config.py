@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from types import MappingProxyType
 
@@ -64,6 +64,8 @@ class SourceSpec:
 
 @dataclass(frozen=True)
 class NonlinearSettings:
+    """Relaxed fixed-point settings, the ``nonlinear`` config section."""
+
     tol: float = 1e-12
     max_iter: int = 500
     relax: float = 1.0
@@ -89,7 +91,7 @@ class ExperimentConfig:
     eps2: float | None = None
     g: float | None = None
     source: SourceSpec = SourceSpec("zero", 0.0)
-    rsvd: RsvdParams = field(default_factory=lambda: RsvdParams(rank=50))
+    rsvd: RsvdParams = RsvdParams()
     nonlinear: NonlinearSettings = NonlinearSettings()
 
     @property
@@ -107,6 +109,11 @@ class ExperimentConfig:
         if self.pde == "rte":
             return replace(self, m_intervals=PAPER_M_INTERVALS, n_angles=PAPER_N_ANGLES)
         return replace(self, m_intervals=PAPER_M_INTERVALS)
+
+
+# The settings sections: each is read and written by its dataclass's fields,
+# with the type of each field's default.
+SETTINGS = MappingProxyType({"rsvd": RsvdParams, "nonlinear": NonlinearSettings})
 
 
 class _Section:
@@ -218,23 +225,13 @@ def config_from_dict(raw):
         raise ConfigInvalid("'weights.p' must be 0, 1 or 2")
     weights.finish()
 
-    rsvd_sec = _Section("rsvd", raw.get("rsvd", {}))
-    rank = rsvd_sec.take("rank", int, default=50)
-    oversample = rsvd_sec.take("oversample", int, default=10)
-    power = rsvd_sec.take("power", int, default=2)
-    seed = rsvd_sec.take("seed", int, default=0)
-    rsvd_sec.finish()
-    try:
-        rsvd = RsvdParams(rank, oversample, power, seed)
-    except ValueError as exc:
-        raise ConfigInvalid(f"invalid 'rsvd' section: {exc}") from exc
-
-    nl_sec = _Section("nonlinear", raw.get("nonlinear", {}))
-    tol = nl_sec.take("tol", float, default=1e-12)
-    max_iter = nl_sec.take("max_iter", int, default=500)
-    relax = nl_sec.take("relax", float, default=1.0)
-    nl_sec.finish()
-    nonlinear = NonlinearSettings(tol, max_iter, relax)
+    settings = {}
+    for name, cls in SETTINGS.items():
+        section = _Section(name, raw.get(name, {}))
+        values = {f.name: section.take(f.name, type(f.default), f.default)
+                  for f in fields(cls)}
+        section.finish()
+        settings[name] = cls(**values)
 
     return ExperimentConfig(
         family=family,
@@ -243,8 +240,7 @@ def config_from_dict(raw):
         length=length,
         n_angles=n_angles,
         source=SourceSpec(kind, amplitude),
-        rsvd=rsvd,
-        nonlinear=nonlinear,
+        **settings,
         **medium,
     )
 
@@ -261,17 +257,7 @@ def config_to_dict(config: ExperimentConfig):
         "problem": problem,
         "grid": grid,
         "weights": {"p": config.p},
-        "rsvd": {
-            "rank": config.rsvd.rank,
-            "oversample": config.rsvd.oversampling,
-            "power": config.rsvd.power,
-            "seed": config.rsvd.seed,
-        },
-        "nonlinear": {
-            "tol": config.nonlinear.tol,
-            "max_iter": config.nonlinear.max_iter,
-            "relax": config.nonlinear.relax,
-        },
+        **{name: asdict(getattr(config, name)) for name in SETTINGS},
     }
 
 

@@ -9,9 +9,9 @@ import scipy.sparse as sp
 
 from .basis import SourceProjector, SVDBasis, compute_basis, reconstruct
 from .bayes import DENSE_ORACLE_GUARD, check_dense_size, dense_svd_oracle
-from .config import FAMILIES, ExperimentConfig
+from .config import ExperimentConfig
 from .elliptic import EllipticMedium, assemble_elliptic, eval_source_elliptic
-from .exceptions import ConfigInvalid, Diverged, VanishingReference
+from .exceptions import Diverged, VanishingReference
 from .grids import Grid2D, PhaseGrid
 from .linalg import factorize
 from .nonlinear import CubicTerm, TwoPhotonTerm, fixed_point_solve, newton_reference
@@ -83,28 +83,10 @@ def build_problem(config: ExperimentConfig) -> ProblemSetup:
     return ProblemSetup(config, operator, fx, fy, source, grid, phase_grid, term, reversal)
 
 
-def basis_meta(setup: ProblemSetup):
-    """Metadata entries describing the problem a basis came from."""
-    config = setup.config
-    meta = {"family": config.family, "m_intervals": config.m_intervals,
-            "length": config.length, "p": config.p}
-    if config.pde == "rte":
-        meta["n_angles"] = config.n_angles
-    meta.update({key: getattr(config, key) for key in FAMILIES[config.family].medium})
-    return meta
-
-
 def compute_problem_basis(setup: ProblemSetup, solver=None) -> SVDBasis:
-    """Randomized basis from the problem's ``config.rsvd``, tagged with the problem."""
+    """Randomized basis from the problem's ``config.rsvd``."""
     solver = solver if solver is not None else setup.factorize()
-    params = setup.config.rsvd
-    sketch = params.rank + params.oversampling
-    if sketch > setup.n_dofs:
-        raise ConfigInvalid(
-            f"'rsvd.rank' + 'rsvd.oversample' = {sketch} exceeds the "
-            f"{setup.n_dofs} unknowns of the problem"
-        )
-    return compute_basis(solver, setup.fx, setup.fy, params, meta=basis_meta(setup))
+    return compute_basis(solver, setup.fx, setup.fy, setup.config.rsvd)
 
 
 def green_matrix(setup: ProblemSetup, size_guard) -> np.ndarray:
@@ -116,7 +98,7 @@ def green_matrix(setup: ProblemSetup, size_guard) -> np.ndarray:
 def oracle_problem_basis(setup: ProblemSetup, green=None) -> SVDBasis:
     """Dense-oracle basis for an assembled problem, from its G or one formed here."""
     green = green if green is not None else green_matrix(setup, DENSE_ORACLE_GUARD)
-    return dense_svd_oracle(green, setup.fx, setup.fy, meta=basis_meta(setup))
+    return dense_svd_oracle(green, setup.fx, setup.fy)
 
 
 def reference_solution(setup: ProblemSetup, solver=None):
@@ -170,8 +152,7 @@ def nonlinear_error_curve(u_ref, basis: SVDBasis, fx, f, term, n_values,
     Raises Diverged if the fixed point at some n stops short of ``settings.tol``.
     """
     def solution(n):
-        result = fixed_point_solve(basis, fx, f, term, n, settings.tol,
-                                   settings.max_iter, settings.relax)
+        result = fixed_point_solve(basis, fx, f, term, n, settings)
         if not result.converged:
             raise Diverged(
                 f"fixed point at n = {n} did not converge in {result.iterations} "

@@ -7,8 +7,10 @@ source against the right vectors,
     c_new_i = (1 - relax) c_i + relax <f - N(u(c)), v_hat_i>_X,
     u(c) = sum_i lambda_i c_i u_hat_i,
 
-stopping when the weighted step sum_i lambda_i^2 |c_new_i - c_i|^2 drops
-below tol.  For a vanishing nonlinearity one pass reproduces the linear
+stopping when the weighted undamped step
+sum_i lambda_i^2 |<f - N(u(c)), v_hat_i>_X - c_i|^2, the residual of the
+reduced equations, drops below tol, so relax changes the path but not the
+criterion.  For a vanishing nonlinearity one pass reproduces the linear
 projection solve exactly, floating point included, because both share the
 same coefficient code path.
 
@@ -87,16 +89,15 @@ class FixedPointResult:
     step_history: list = field(default_factory=list)
 
 
-def fixed_point_solve(basis: SVDBasis, fx, f, term, n, tol=1e-12, max_iter=500,
-                      relax=1.0):
+def fixed_point_solve(basis: SVDBasis, fx, f, term, n, settings):
     """Relaxed fixed point for the reduced semilinear problem.
 
-    Raises Diverged when a coefficient leaves the trust region; otherwise
-    returns the result with ``converged`` indicating whether the step
-    criterion was met within ``max_iter`` sweeps.
+    ``settings`` is the config's NonlinearSettings.  Raises Diverged when a
+    coefficient leaves the trust region; otherwise returns the result with
+    ``converged`` indicating whether the undamped step fell below
+    ``settings.tol`` within ``settings.max_iter`` sweeps.
     """
-    if not 0.0 < relax <= 1.0:
-        raise ValueError("relaxation factor must be in (0, 1]")
+    relax = settings.relax
     projector = SourceProjector(basis, fx, n)
     lam = basis.singular_values[:n]
     coeffs = projector.coefficients(f)
@@ -104,7 +105,7 @@ def fixed_point_solve(basis: SVDBasis, fx, f, term, n, tol=1e-12, max_iter=500,
     converged = False
     step = np.inf
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(settings.max_iter):
         u = reconstruct(basis, coeffs, n)
         raw = projector.coefficients(f - term(u))
         new = raw if relax == 1.0 else (1.0 - relax) * coeffs + relax * raw
@@ -112,11 +113,11 @@ def fixed_point_solve(basis: SVDBasis, fx, f, term, n, tol=1e-12, max_iter=500,
             raise Diverged(
                 f"fixed point left the trust region after {iterations + 1} iterations"
             )
-        step = float(np.sum(lam ** 2 * (new - coeffs) ** 2))
+        step = float(np.sum(lam ** 2 * (raw - coeffs) ** 2))
         history.append(step)
         coeffs = new
         iterations += 1
-        if step < tol:
+        if step < settings.tol:
             converged = True
             break
     return FixedPointResult(

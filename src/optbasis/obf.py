@@ -11,10 +11,11 @@ Layout of an .obf file::
     then          left vectors, n_dofs x rank f64, column-major
     then          right vectors, n_dofs x rank f64, column-major
 
-All scalars little-endian.  The sidecar <stem>.meta.json carries the full
-experiment configuration and basis metadata; reading tolerates a missing
-sidecar but rejects one that is not a JSON object or whose family, n_dofs
-or rank disagree with the header, and writing always produces one.
+All scalars little-endian.  The sidecar <stem>.meta.json carries the
+validated experiment configuration that ran and, as ``basis_meta``, the
+method that computed the basis; reading tolerates a missing sidecar but
+rejects one that is not a JSON object or whose family, n_dofs or rank
+disagree with the header, and writing always produces one.
 Both files are written to temporary files in their own directory and then
 moved into place, so a failed write leaves the previous pair untouched.
 Write-then-read reproduces arrays bit for bit.
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import SVDBasis
-from .config import FAMILIES
+from .config import FAMILIES, ExperimentConfig, config_to_dict
 from .exceptions import SidecarMismatch
 
 MAGIC = b"OBAS"
@@ -45,14 +46,11 @@ def sidecar_path(path):
     return Path(path).with_suffix(".meta.json")
 
 
-def write_basis(path, basis: SVDBasis, config_dict=None):
-    """Write a basis and its metadata sidecar; returns the sidecar path."""
+def write_basis(path, basis: SVDBasis, config: ExperimentConfig):
+    """Write a basis and the sidecar of the config that ran; returns the sidecar path."""
     path = Path(path)
-    family = basis.meta.get("family", "identity")
-    if family not in FAMILIES:
-        raise ValueError(f"unknown problem family '{family}'")
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, basis.n_dofs, basis.rank,
-                          FAMILIES[family].tag)
+                          FAMILIES[config.family].tag)
 
     def write_payload(fh):
         fh.write(header)
@@ -62,11 +60,11 @@ def write_basis(path, basis: SVDBasis, config_dict=None):
 
     meta = {
         "format_version": FORMAT_VERSION,
-        "family": family,
+        "family": config.family,
         "n_dofs": basis.n_dofs,
         "rank": basis.rank,
-        "basis_meta": _jsonable(basis.meta),
-        "config": config_dict,
+        "basis_meta": basis.meta,
+        "config": config_to_dict(config),
     }
     meta_bytes = (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode()
 
@@ -132,15 +130,3 @@ def read_basis(path):
             meta["config"] = stored["config"]
     meta["family"] = header["family"]
     return SVDBasis(header["n_dofs"], header["rank"], lam, left, right, meta)
-
-
-def _jsonable(d):
-    out = {}
-    for key, value in d.items():
-        if isinstance(value, (np.integer,)):
-            out[key] = int(value)
-        elif isinstance(value, (np.floating,)):
-            out[key] = float(value)
-        else:
-            out[key] = value
-    return out

@@ -98,13 +98,12 @@ class WeightFactor:
     Vectors are space-major, so F acts on the (n_s, k * cols) block.
     """
 
-    def __init__(self, band, gram, n_minor=1, scale=1.0, label="cholesky"):
+    def __init__(self, band, gram, n_minor=1, scale=1.0):
         self.band = band
         self.n_spatial = band.shape[1]
         self.n_minor = int(n_minor)
         self.scale = float(scale)
         self.dim = self.n_spatial * self.n_minor
-        self.label = label
         self._spatial_gram = gram
         self._gram = gram if self.n_minor == 1 and self.scale == 1.0 else None
         if band.shape[0] == 1:
@@ -116,16 +115,16 @@ class WeightFactor:
             self._factor_t = sp.csr_matrix(self._factor.T)
 
     @classmethod
-    def diagonal(cls, scale, dim, label="diagonal"):
+    def diagonal(cls, scale, dim):
         """F = scale * I; covers the order-zero weight and plain l2."""
         if scale <= 0:
             raise ValueError("scale must be positive")
         scale = float(scale)
         gram = (scale ** 2) * sp.identity(dim, format="csr")
-        return cls(np.full((1, dim), scale), gram, label=label)
+        return cls(np.full((1, dim), scale), gram)
 
     @classmethod
-    def from_gram(cls, gram_matrix, label="cholesky"):
+    def from_gram(cls, gram_matrix):
         """Banded Cholesky factor of an assembled symmetric positive definite weight."""
         g = sp.csr_matrix(gram_matrix)
         if g.shape[0] != g.shape[1]:
@@ -142,7 +141,7 @@ class WeightFactor:
             band = cholesky_banded(ab)
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"weight matrix not positive definite: {exc}") from exc
-        return cls(band, g, label=label)
+        return cls(band, g)
 
     def _check(self, v):
         v = np.asarray(v, dtype=float)
@@ -214,24 +213,21 @@ def build_sobolev_weight(p, grid: Grid2D):
         raise ValueError(f"Sobolev order must be 0, 1 or 2, got {p}")
     if p > grid.m_intervals - 2:
         raise OrderTooHigh(f"order {p} does not fit on a {grid.m_intervals}-interval grid")
-    label = f"sobolev(p={p})"
     if p == 0:
-        return WeightFactor.diagonal(grid.h, grid.n_interior, label=label)
-    gram = sobolev_gram_matrix(grid.m_intervals, p, grid.h)
-    return WeightFactor.from_gram(gram, label=label)
+        return WeightFactor.diagonal(grid.h, grid.n_interior)
+    return WeightFactor.from_gram(sobolev_gram_matrix(grid.m_intervals, p, grid.h))
 
 
 def build_rte_weight(p, phase_grid: PhaseGrid):
     """Phase-space weight: spatial Sobolev factor tensorized with the angular average."""
     spatial = build_sobolev_weight(p, phase_grid.spatial)
     return WeightFactor(spatial.band, spatial.gram(), phase_grid.n_angles,
-                        1.0 / np.sqrt(phase_grid.n_angles),
-                        label=f"{spatial.label} x angle-avg")
+                        1.0 / np.sqrt(phase_grid.n_angles))
 
 
 def identity_weight(dim):
     """Plain Euclidean inner product as a weight factor."""
-    return WeightFactor.diagonal(1.0, dim, label="identity")
+    return WeightFactor.diagonal(1.0, dim)
 
 
 def energy_norm(u, grid: Grid2D):

@@ -18,9 +18,10 @@ from optbasis.basis import (
     defining_relation_errors,
     reconstruct,
 )
-from optbasis.bayes import dense_svd_oracle
+from optbasis.bayes import DENSE_ORACLE_GUARD, dense_svd_oracle
 from optbasis.elliptic import EllipticMedium, assemble_elliptic
 from optbasis.exceptions import (
+    ConfigInvalid,
     DimensionMismatch,
     ProblemTooLarge,
     RankDeficientWarning,
@@ -54,7 +55,7 @@ def green_of(solver):
 def qr_every_pass_values(solver, fx, fy, params):
     """Leading singular values of the sketch with qr_thin after every operator application."""
     rng = np.random.Generator(np.random.Philox(params.seed))
-    sketch = rng.standard_normal((solver.n, params.rank + params.oversampling))
+    sketch = rng.standard_normal((solver.n, params.rank + params.oversample))
     y = _apply_forward(solver, fx, fy, sketch)
     for _ in range(params.power):
         q = qr_thin(_apply_adjoint(solver, fx, fy, qr_thin(y)))
@@ -102,10 +103,10 @@ class TestDenseOracle:
         assert max(errs.values()) < 1e-10
 
     def test_size_guard(self):
-        fi = identity_weight(10)
+        n = DENSE_ORACLE_GUARD + 1
+        fi = identity_weight(n)
         with pytest.raises(ProblemTooLarge):
-            dense_svd_oracle(green_of(factorize(sp.identity(10, format="csc"))), fi, fi,
-                             size_guard=5)
+            dense_svd_oracle(np.zeros((n, n)), fi, fi)  # calloc'd: no memory committed
 
     def test_nonsquare_operator_rejected(self):
         fi = identity_weight(3)
@@ -133,7 +134,7 @@ class TestRandomizedBasis:
     def test_identity_operator_recovered_exactly(self):
         fi = identity_weight(12)
         solver = factorize(sp.identity(12, format="csc"))
-        basis = compute_basis(solver, fi, fi, RsvdParams(rank=5, oversampling=7, power=0))
+        basis = compute_basis(solver, fi, fi, RsvdParams(rank=5, oversample=7, power=0))
         np.testing.assert_allclose(basis.singular_values, 1.0, atol=1e-12)
         fu = basis.left_vectors
         np.testing.assert_allclose(fu.T @ fu, np.eye(5), atol=1e-12)
@@ -145,14 +146,14 @@ class TestRandomizedBasis:
         op = sp.diags(np.arange(1.0, 31.0)).tocsc()
         fi = identity_weight(30)
         basis = compute_basis(
-            factorize(op), fi, fi, RsvdParams(rank=6, oversampling=4, power=8, seed=seed)
+            factorize(op), fi, fi, RsvdParams(rank=6, oversample=4, power=8, seed=seed)
         )
         target = 1.0 / np.arange(1.0, 7.0)
         assert np.max(np.abs(basis.singular_values - target) / target) < 1e-6
 
     def test_same_seed_reproduces_bitwise(self):
         solver, fx, fy = elliptic_setup(8, 1)
-        params = RsvdParams(rank=6, oversampling=10, power=2, seed=42)
+        params = RsvdParams(rank=6, oversample=10, power=2, seed=42)
         a = compute_basis(solver, fx, fy, params)
         b = compute_basis(solver, fx, fy, params)
         np.testing.assert_array_equal(a.singular_values, b.singular_values)
@@ -208,8 +209,9 @@ class TestRandomizedBasis:
 
     def test_sketch_larger_than_problem_rejected(self):
         solver, fx, fy = elliptic_setup(4, 0)  # N = 9
-        with pytest.raises(ValueError):
-            compute_basis(solver, fx, fy, RsvdParams(rank=8, oversampling=5))
+        with pytest.raises(ConfigInvalid, match="'rsvd.rank' \\+ 'rsvd.oversample' = 13 "
+                                                "exceeds the 9 unknowns of the problem"):
+            compute_basis(solver, fx, fy, RsvdParams(rank=8, oversample=5))
 
     def test_numerical_rank_deficiency_truncates_with_warning(self):
         class TinyTailSolver:
@@ -269,21 +271,22 @@ class TestRandomizedBasis:
         assert errs["forward_residual"] <= 1e-12
 
     def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigInvalid, match="'rsvd.rank' must be at least 1"):
             RsvdParams(rank=0)
-        with pytest.raises(ValueError):
-            RsvdParams(rank=3, oversampling=-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigInvalid, match="'rsvd.oversample' must be nonnegative"):
+            RsvdParams(rank=3, oversample=-1)
+        with pytest.raises(ConfigInvalid, match="'rsvd.power' must be nonnegative"):
             RsvdParams(rank=3, power=-2)
+        with pytest.raises(ConfigInvalid, match="'rsvd.seed' must be nonnegative"):
+            RsvdParams(rank=3, seed=-1)
 
-    def test_meta_records_method_and_extras(self):
+    def test_meta_records_only_the_method(self):
+        # the config that ran is the record of everything else
         solver, fx, fy = elliptic_setup(6, 1)
-        basis = compute_basis(solver, fx, fy, RsvdParams(4, 8, 1, seed=3),
-                              meta={"family": "elliptic"})
-        assert basis.meta["method"] == "rsvd"
-        assert basis.meta["seed"] == 3
-        assert basis.meta["family"] == "elliptic"
-        assert basis.meta["weight_x"] == "sobolev(p=1)"
+        basis = compute_basis(solver, fx, fy, RsvdParams(4, 8, 1, seed=3))
+        assert basis.meta == {"method": "rsvd"}
+        oracle = dense_svd_oracle(green_of(solver), fx, fy)
+        assert oracle.meta == {"method": "dense_oracle"}
 
 
 def relation_errors_column_by_column(basis, solver, fx, fy, indices):

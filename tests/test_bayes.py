@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from optbasis.bayes import (
+    DENSE_BAYES_GUARD,
     check_reconstruction_bound,
     dense_svd_oracle,
     nwidth_eval,
@@ -85,8 +86,19 @@ class TestPosterior:
             posterior(green, m, np.zeros(2))
 
     def test_size_guard(self):
+        n = DENSE_BAYES_GUARD + 1  # np.zeros is calloc'd: no memory is committed
+        with pytest.raises(ProblemTooLarge, match=f"limited to {DENSE_BAYES_GUARD} unknowns"):
+            posterior(np.zeros((n, n)), np.zeros((n, 1)), np.zeros(1))
+
+    @pytest.mark.parametrize("check", [
+        lambda g, m: trace_objective(g, m),
+        lambda g, m: check_reconstruction_bound(g, m, np.zeros(g.shape[0])),
+        lambda g, m: nwidth_eval(g, identity_weight(g.shape[0]), m),
+    ], ids=["trace_objective", "check_reconstruction_bound", "nwidth_eval"])
+    def test_every_dense_check_is_guarded(self, check):
+        n = DENSE_BAYES_GUARD + 1
         with pytest.raises(ProblemTooLarge):
-            posterior(np.eye(30), np.eye(30), np.zeros(30), size_guard=20)
+            check(np.zeros((n, n)), np.zeros((n, 1)))
 
     def test_nonsquare_operator_rejected(self):
         with pytest.raises(DimensionMismatch):

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from optbasis import cli, experiments, linalg, obf
 from optbasis.cli import build_parser, main
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 
 def write_config(tmp_path, name="case.json", *, family="elliptic", m=6, p=1,
                  rank=8, oversample=6, power=2, seed=0, **extra):
@@ -121,10 +123,10 @@ class TestAssembleCheck:
 class TestOverrideValidation:
     # m = 6 gives 25 unknowns
     @pytest.mark.parametrize("flags, message", [
-        (["--rank", "0"], "'rsvd' section: rank must be at least 1"),
-        (["--oversample", "-1"], "oversampling and power must be nonnegative"),
-        (["--power", "-1"], "oversampling and power must be nonnegative"),
-        (["--seed", "-1"], "seed must be nonnegative"),
+        (["--rank", "0"], "error: 'rsvd.rank' must be at least 1"),
+        (["--oversample", "-1"], "error: 'rsvd.oversample' must be nonnegative"),
+        (["--power", "-1"], "error: 'rsvd.power' must be nonnegative"),
+        (["--seed", "-1"], "error: 'rsvd.seed' must be nonnegative\n"),
         (["--rank", "100"], "= 106 exceeds the 25 unknowns"),
         (["--relax", "2"], "'nonlinear.relax' must be in (0, 1]"),
         (["--relax", "0"], "'nonlinear.relax' must be in (0, 1]"),
@@ -290,16 +292,34 @@ class TestBasisCommand:
                      "--oversample", "3", "--power", "1", "--seed", "9"]) == 0
         side = json.loads(obf.sidecar_path(a).read_text())
         assert side["config"]["rsvd"] == {"rank": 7, "oversample": 3, "power": 1, "seed": 9}
-        meta = side["basis_meta"]
-        assert (meta["rank_requested"], meta["oversampling"], meta["power"],
-                meta["seed"]) == (7, 3, 1, 9)
         recorded = tmp_path / "recorded.json"
         recorded.write_text(json.dumps(side["config"]))
         assert main(["basis", "--config", str(recorded), "--out", str(b)]) == 0
         assert b.read_bytes() == a.read_bytes()
 
+    @pytest.mark.parametrize("command, method", [("basis", "rsvd"),
+                                                 ("oracle-svd", "dense_oracle")])
+    def test_basis_meta_is_only_the_method(self, tmp_path, command, method):
+        # everything else about the run is the config the sidecar records
+        cfg = write_config(tmp_path)
+        out = tmp_path / "b.obf"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        side = json.loads(obf.sidecar_path(out).read_text())
+        assert side["basis_meta"] == {"method": method}
+        assert side["family"] == side["config"]["problem"]["family"] == "elliptic"
+
+    def test_config_of_a_full_meta_sidecar_reproduces_its_basis(self, tmp_path):
+        # a pair written when basis_meta repeated the config: its recorded
+        # config alone rebuilds the same bytes
+        earlier = Path(__file__).parent / "data" / "rte_m4_full_meta.obf"
+        recorded = tmp_path / "recorded.json"
+        recorded.write_text(json.dumps(obf.read_basis(earlier).meta["config"]))
+        out = tmp_path / "b.obf"
+        assert main(["basis", "--config", str(recorded), "--out", str(out)]) == 0
+        assert out.read_bytes() == earlier.read_bytes()
+
     def test_rte_config_rerun_is_byte_identical(self, tmp_path):
-        cfg = Path(__file__).resolve().parents[1] / "configs" / "rte.json"
+        cfg = CONFIGS / "rte.json"
         a, b = tmp_path / "a.obf", tmp_path / "b.obf"
         assert main(["basis", "--config", str(cfg), "--out", str(a)]) == 0
         assert main(["basis", "--config", str(cfg), "--out", str(b)]) == 0
@@ -501,6 +521,21 @@ def test_unconverged_fixed_point_exits_two_without_a_csv(tmp_path, capsys):
     _assert_clean_failure(code, err)
     assert re.fullmatch(r"error: fixed point at n = \d+ did not converge in 3 iterations: "
                         r"final step \S+ against tol 1\.000e-12\n", err), err
+    assert not out.exists()
+
+
+def test_damped_fixed_point_stops_on_the_undamped_step(tmp_path, capsys):
+    # the shipped case is almost linear: at relax 0.05 the damped step is
+    # already below 1e-14 after one sweep, the undamped step is not
+    out = tmp_path / "curve.csv"
+    code = main(["solve-nonlinear", "--config", str(CONFIGS / "semilinear_elliptic.json"),
+                 "--relax", "0.05", "--max-iter", "3", "--tol", "1e-14", "--nmax", "40",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    _assert_clean_failure(code, err)
+    # the Diverged of experiments.nonlinear_error_curve
+    assert re.fullmatch(r"error: fixed point at n = \d+ did not converge in 3 iterations: "
+                        r"final step \S+ against tol 1\.000e-14\n", err), err
     assert not out.exists()
 
 

@@ -2,13 +2,17 @@
 
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import optbasis
 from optbasis.config import (
     FAMILIES,
+    SETTINGS,
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
@@ -35,7 +39,7 @@ class TestDefaults:
         assert c.length == 0.5
         assert c.n_angles is None
         assert (c.source.kind, c.source.amplitude) == ("sine", 1.0)
-        assert (c.rsvd.rank, c.rsvd.oversampling, c.rsvd.power, c.rsvd.seed) == (50, 10, 2, 0)
+        assert (c.rsvd.rank, c.rsvd.oversample, c.rsvd.power, c.rsvd.seed) == (50, 10, 2, 0)
         assert (c.nonlinear.tol, c.nonlinear.max_iter, c.nonlinear.relax) == (1e-12, 500, 1.0)
         assert c.pde == "elliptic" and not c.is_semilinear
 
@@ -69,7 +73,7 @@ class TestDefaults:
         assert (c.eps1, c.eps2, c.g) == (0.25, 0.5, 0.0)
         assert (c.m_intervals, c.length, c.n_angles) == (12, 1.0, 8)
         assert c.p == 2
-        assert (c.rsvd.rank, c.rsvd.oversampling, c.rsvd.power, c.rsvd.seed) == (7, 3, 4, 11)
+        assert (c.rsvd.rank, c.rsvd.oversample, c.rsvd.power, c.rsvd.seed) == (7, 3, 4, 11)
         assert (c.nonlinear.tol, c.nonlinear.max_iter, c.nonlinear.relax) == (1e-10, 40, 0.5)
 
 
@@ -229,10 +233,18 @@ class TestRejections:
             assert config_from_dict(raw).source.kind == "zero"
 
     def test_invalid_rsvd_section(self):
-        raw = minimal()
-        raw["rsvd"] = {"rank": 0}
-        with pytest.raises(ConfigInvalid, match="invalid 'rsvd' section"):
-            config_from_dict(raw)
+        for patch, msg in [
+            ({"rank": 0}, "'rsvd.rank' must be at least 1"),
+            ({"oversample": -1}, "'rsvd.oversample' must be nonnegative"),
+            ({"power": -1}, "'rsvd.power' must be nonnegative"),
+            ({"seed": -1}, "'rsvd.seed' must be nonnegative"),
+            ({"rank": 5.0}, "'rsvd.rank' must be an integer"),
+            ({"oversampling": 5}, "unknown key 'rsvd.oversampling'"),
+        ]:
+            raw = minimal()
+            raw["rsvd"] = patch
+            with pytest.raises(ConfigInvalid, match=msg):
+                config_from_dict(raw)
 
     def test_nonlinear_ranges(self):
         for patch, msg in [
@@ -274,6 +286,12 @@ class TestRoundTrips:
         # the file is plain nested JSON
         raw = json.loads(path.read_text())
         assert raw["problem"]["family"] == "rte"
+
+    def test_settings_sections_are_their_dataclass_fields(self):
+        raw = config_to_dict(config_from_dict(minimal()))
+        for name, cls in SETTINGS.items():
+            assert list(raw[name]) == [f.name for f in fields(cls)]
+            assert raw[name] == {f.name: f.default for f in fields(cls)}
 
     def test_invalid_json_reports_the_path(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -332,7 +350,7 @@ class TestFamilyTable:
                              r"|OutputSettings|OPTBASIS_THREADS|DiagonalWeightFactor"
                              r"|TriangularWeightFactor|TensorWeightFactor"
                              r"|_band_to_sparse_upper|_rsvd_params|_nonlinear_settings"
-                             r"|rsvd_params)\b")
+                             r"|rsvd_params|_jsonable|oversampling)\b")
         offenders = []
         for path in sorted(Path(optbasis.__file__).parent.glob("*.py")):
             for lineno, line in enumerate(path.read_text().splitlines(), 1):
@@ -340,3 +358,44 @@ class TestFamilyTable:
                                             and family_names.search(line)):
                     offenders.append(f"{path.name}:{lineno}: {line.strip()}")
         assert offenders == []
+
+
+# Any JSON value: the scalars config files can hold, and nested lists and objects.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=4,
+)
+
+
+def _settings_section(cls):
+    keys = st.sampled_from([f.name for f in fields(cls)]) | st.text(max_size=6)
+    return st.dictionaries(keys, _JSON, max_size=4) | _JSON
+
+
+class TestSettingsFuzz:
+    @given(rsvd=_settings_section(SETTINGS["rsvd"]),
+           nonlinear=_settings_section(SETTINGS["nonlinear"]))
+    def test_any_value_parses_or_is_config_invalid(self, rsvd, nonlinear):
+        raw = {**minimal(), "rsvd": rsvd, "nonlinear": nonlinear}
+        try:
+            config = config_from_dict(raw)
+        except ConfigInvalid:
+            return
+        assert config_from_dict(config_to_dict(config)) == config
+
+    @given(rank=st.integers(1, 10**30), oversample=st.integers(0, 10**6),
+           power=st.integers(0, 50), seed=st.integers(0, 2**128),
+           tol=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+           max_iter=st.integers(1, 10**9),
+           relax=st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    def test_valid_settings_round_trip(self, rank, oversample, power, seed, tol, max_iter,
+                                       relax):
+        raw = {**minimal(),
+               "rsvd": {"rank": rank, "oversample": oversample, "power": power, "seed": seed},
+               "nonlinear": {"tol": tol, "max_iter": max_iter, "relax": relax}}
+        config = config_from_dict(raw)
+        assert config_to_dict(config)["rsvd"] == raw["rsvd"]
+        assert config_to_dict(config)["nonlinear"] == raw["nonlinear"]
+        assert config_from_dict(config_to_dict(config)) == config

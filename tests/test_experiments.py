@@ -1,15 +1,18 @@
 """Config-to-problem wiring, reference solves and error curves."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from optbasis.config import NonlinearSettings, config_from_dict
+from optbasis import obf
+from optbasis.basis import RsvdParams, compute_basis
+from optbasis.config import NonlinearSettings, config_from_dict, config_to_dict
 from optbasis.elliptic import eval_source_elliptic
 from optbasis.exceptions import ProblemTooLarge, RankExhausted
 from optbasis.experiments import (
     ErrorCurve,
-    basis_meta,
     build_problem,
     compute_problem_basis,
     error_curve,
@@ -21,7 +24,7 @@ from optbasis.experiments import (
 )
 from optbasis.linalg import factorize
 from optbasis.nonlinear import fixed_point_solve
-from optbasis.weights import energy_norm
+from optbasis.weights import build_sobolev_weight, energy_norm
 from optbasis.transport import eval_source_rte
 
 
@@ -36,13 +39,20 @@ def make_config(family="elliptic", m=6, p=1, **extra):
     return config_from_dict(raw)
 
 
+def assert_identity_weight(weight, dim):
+    """A one-row band of ones with no angular factor: F = I."""
+    np.testing.assert_array_equal(weight.band, np.ones((1, dim)))
+    assert (weight.n_minor, weight.scale) == (1, 1.0)
+
+
 class TestBuildProblem:
     def test_elliptic_assembly(self):
         setup = build_problem(make_config())
         assert setup.operator.shape == (25, 25)
         assert setup.n_dofs == 25
-        assert setup.fx.label == "sobolev(p=1)"
-        assert setup.fy.label == "identity"
+        np.testing.assert_array_equal(setup.fx.band, build_sobolev_weight(1, setup.grid).band)
+        assert (setup.fx.n_minor, setup.fx.scale) == (1, 1.0)
+        assert_identity_weight(setup.fy, 25)
         assert setup.phase_grid is None
         assert setup.term is None
         np.testing.assert_array_equal(setup.source,
@@ -58,7 +68,11 @@ class TestBuildProblem:
         setup = build_problem(make_config("rte", m=5, grid={"n_angles": 6}))
         assert setup.phase_grid is not None
         assert setup.operator.shape == (16 * 6, 16 * 6)
-        assert "angle-avg" in setup.fx.label
+        # the spatial Sobolev factor tensorized with the angular average
+        spatial = build_sobolev_weight(1, setup.phase_grid.spatial)
+        np.testing.assert_array_equal(setup.fx.band, spatial.band)
+        assert (setup.fx.n_minor, setup.fx.scale) == (6, 1.0 / np.sqrt(6))
+        assert_identity_weight(setup.fy, 16 * 6)
         assert setup.term is None
         np.testing.assert_array_equal(setup.source,
                                       eval_source_rte(setup.phase_grid, 1.0))
@@ -73,7 +87,7 @@ class TestBuildProblem:
     def test_identity_family(self):
         setup = build_problem(make_config("identity", m=4))
         assert (setup.operator != sp.identity(9)).nnz == 0
-        assert setup.fx.label == "identity"
+        assert_identity_weight(setup.fx, 9)
         np.testing.assert_array_equal(setup.source, np.zeros(9))
 
     def test_identity_family_with_a_sine_source(self):
@@ -121,34 +135,45 @@ class TestReversal:
 class TestBases:
     def test_randomized_basis_uses_the_config_params_by_default(self):
         config = make_config(rsvd={"rank": 7, "oversample": 5, "power": 3, "seed": 2})
-        basis = compute_problem_basis(build_problem(config))
+        setup = build_problem(config)
+        basis = compute_problem_basis(setup)
         assert basis.rank == 7
-        assert basis.meta["family"] == "elliptic"
-        assert basis.meta["m_intervals"] == 6
-        assert basis.meta["eps"] == 1.0
-        assert basis.meta["p"] == 1
+        assert basis.meta == {"method": "rsvd"}
+        direct = compute_basis(setup.factorize(), setup.fx, setup.fy,
+                               RsvdParams(rank=7, oversample=5, power=3, seed=2))
+        np.testing.assert_array_equal(basis.singular_values, direct.singular_values)
 
-    def test_rte_metadata(self):
+    def test_rte_metadata(self, tmp_path):
+        # what the basis came from is the config its sidecar records
         config = make_config("rte", m=4, problem={"eps1": 0.5, "eps2": 0.25},
                              grid={"n_angles": 4}, rsvd={"rank": 5})
-        basis = compute_problem_basis(build_problem(config))
-        assert basis.meta["n_angles"] == 4
-        assert (basis.meta["eps1"], basis.meta["eps2"], basis.meta["g"]) == (0.5, 0.25, 0.5)
-        assert "eps" not in basis.meta
+        path = tmp_path / "rte.obf"
+        obf.write_basis(path, compute_problem_basis(build_problem(config)), config)
+        meta = obf.read_basis(path).meta
+        assert meta == {"method": "rsvd", "family": "rte", "config": config_to_dict(config)}
+        assert config_from_dict(meta["config"]) == config
+        problem = meta["config"]["problem"]
+        assert (problem["eps1"], problem["eps2"], problem["g"]) == (0.5, 0.25, 0.5)
+        assert "eps" not in problem
+        assert meta["config"]["grid"]["n_angles"] == 4
 
     @pytest.mark.parametrize("family, medium", [
         ("elliptic", {"eps": 0.5}), ("semilinear_elliptic", {"eps": 0.5}), ("identity", {}),
     ])
-    def test_metadata_carries_exactly_the_family_medium(self, family, medium):
-        setup = build_problem(make_config(family, m=4, problem=medium))
-        assert basis_meta(setup) == {"family": family, "m_intervals": 4, "length": 0.5,
-                                     "p": 1, **medium}
+    def test_metadata_carries_exactly_the_family_medium(self, family, medium, tmp_path):
+        config = make_config(family, m=4, problem=medium)
+        basis = oracle_problem_basis(build_problem(config))
+        side = json.loads(obf.write_basis(tmp_path / "b.obf", basis, config).read_text())
+        assert (side["family"], side["basis_meta"]) == (family, {"method": "dense_oracle"})
+        problem = side["config"]["problem"]
+        del problem["source"]
+        assert problem == {"family": family, **medium}
 
     def test_oracle_is_full_rank_and_guarded(self):
         setup = build_problem(make_config(m=5))
         oracle = oracle_problem_basis(setup)
         assert oracle.rank == setup.n_dofs
-        assert oracle.meta["family"] == "elliptic"
+        assert oracle.meta == {"method": "dense_oracle"}
         with pytest.raises(ProblemTooLarge):
             green_matrix(setup, size_guard=4)
 
@@ -267,10 +292,8 @@ class TestSharedCurveKernel:
         ns = list(range(1, basis.rank + 1))
         curve = nonlinear_error_curve(u_ref, basis, setup.fx, setup.source, setup.term, ns,
                                       config.nonlinear, grid=grid)
-        settings = config.nonlinear
         solutions = [fixed_point_solve(basis, setup.fx, setup.source, setup.term, n,
-                                       tol=settings.tol, max_iter=settings.max_iter,
-                                       relax=settings.relax).solution for n in ns]
+                                       config.nonlinear).solution for n in ns]
         l2, energy = per_n_errors(u_ref, solutions, grid)
         assert curve.rel_l2 == l2
         assert curve.rel_energy == energy

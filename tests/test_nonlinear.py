@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from optbasis.basis import RsvdParams, SourceProjector, compute_basis, reconstruct
 from optbasis.bayes import dense_svd_oracle
+from optbasis.config import NonlinearSettings
 from optbasis.elliptic import EllipticMedium, assemble_elliptic, eval_source_elliptic
-from optbasis.exceptions import Diverged, RankExhausted
+from optbasis.exceptions import ConfigInvalid, Diverged, RankExhausted
 from optbasis.grids import Grid2D, PhaseGrid
 from optbasis.linalg import factorize
 from optbasis.nonlinear import (
@@ -120,7 +121,7 @@ class TestFixedPoint:
     def test_linear_limit_is_one_pass_and_bitwise_equal_to_projection(self, zero_term):
         solver, fx, fy, f = semilinear_setup()
         basis = compute_basis(solver, fx, fy, RsvdParams(12, 20, 2, seed=0))
-        result = fixed_point_solve(basis, fx, f, zero_term, 12)
+        result = fixed_point_solve(basis, fx, f, zero_term, 12, NonlinearSettings())
         assert result.converged
         assert result.iterations == 1
         assert result.final_step == 0.0
@@ -131,7 +132,7 @@ class TestFixedPoint:
         solver, fx, fy, f = semilinear_setup(m=8, amplitude=100.0)
         basis = dense_svd_oracle(green_of(solver), fx, fy)
         term = CubicTerm()
-        result = fixed_point_solve(basis, fx, f, term, basis.rank, tol=1e-24)
+        result = fixed_point_solve(basis, fx, f, term, basis.rank, NonlinearSettings(tol=1e-24))
         reference = newton_reference(solver, term, f)
         assert result.converged
         np.testing.assert_allclose(result.solution, reference, atol=1e-8)
@@ -142,7 +143,8 @@ class TestFixedPoint:
         solver, fx, fy, f = semilinear_setup()
         basis = dense_svd_oracle(green_of(solver), fx, fy)
         n = 20
-        result = fixed_point_solve(basis, fx, f, CubicTerm(), n, tol=1e-26, max_iter=2000)
+        result = fixed_point_solve(basis, fx, f, CubicTerm(), n,
+                                   NonlinearSettings(tol=1e-26, max_iter=2000))
         projector = SourceProjector(basis, fx, n)
         fixed = projector.coefficients(f - CubicTerm()(result.solution))
         np.testing.assert_allclose(result.coefficients, fixed, atol=1e-11)
@@ -150,17 +152,32 @@ class TestFixedPoint:
     def test_under_relaxation_reaches_the_same_fixed_point(self):
         solver, fx, fy, f = semilinear_setup()
         basis = dense_svd_oracle(green_of(solver), fx, fy)
-        full = fixed_point_solve(basis, fx, f, CubicTerm(), 15, tol=1e-24)
-        damped = fixed_point_solve(basis, fx, f, CubicTerm(), 15, tol=1e-24,
-                                   relax=0.5, max_iter=2000)
+        full = fixed_point_solve(basis, fx, f, CubicTerm(), 15, NonlinearSettings(tol=1e-24))
+        damped = fixed_point_solve(basis, fx, f, CubicTerm(), 15,
+                                   NonlinearSettings(tol=1e-24, max_iter=2000, relax=0.5))
         assert damped.converged
         np.testing.assert_allclose(damped.solution, full.solution, atol=1e-9)
         assert damped.iterations >= full.iterations
 
+    def test_relaxation_does_not_loosen_the_stopping_rule(self):
+        # the step is the undamped one, the residual of the reduced equations:
+        # from the same start a damped sweep records the full step, not relax^2 of it
+        solver, fx, fy, f = semilinear_setup()
+        basis = dense_svd_oracle(green_of(solver), fx, fy)
+        full = fixed_point_solve(basis, fx, f, CubicTerm(), 15, NonlinearSettings(max_iter=1))
+        damped = fixed_point_solve(basis, fx, f, CubicTerm(), 15,
+                                   NonlinearSettings(max_iter=1, relax=0.05))
+        assert damped.step_history == full.step_history
+        assert damped.final_step > 0.0
+        tol = 0.01 * full.final_step  # above the damped step 0.05^2 * full.final_step
+        result = fixed_point_solve(basis, fx, f, CubicTerm(), 15,
+                                   NonlinearSettings(tol=tol, max_iter=1, relax=0.05))
+        assert not result.converged
+
     def test_step_history_is_recorded(self):
         solver, fx, fy, f = semilinear_setup()
         basis = dense_svd_oracle(green_of(solver), fx, fy)
-        result = fixed_point_solve(basis, fx, f, CubicTerm(), 10)
+        result = fixed_point_solve(basis, fx, f, CubicTerm(), 10, NonlinearSettings())
         assert len(result.step_history) == result.iterations
         assert result.step_history[-1] == result.final_step
 
@@ -170,14 +187,13 @@ class TestFixedPoint:
         basis = dense_svd_oracle(green_of(solver), fi, fi)
         f = np.full(6, 50.0)  # cubic blowup: |u| grows every sweep
         with pytest.raises(Diverged):
-            fixed_point_solve(basis, fi, f, CubicTerm(), 6, max_iter=200)
+            fixed_point_solve(basis, fi, f, CubicTerm(), 6, NonlinearSettings(max_iter=200))
 
-    def test_invalid_relaxation_rejected(self, zero_term):
-        solver, fx, fy, f = semilinear_setup()
-        basis = dense_svd_oracle(green_of(solver), fx, fy)
+    def test_invalid_relaxation_rejected(self):
+        # the settings are checked once, where they are made
         for relax in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                fixed_point_solve(basis, fx, f, zero_term, 5, relax=relax)
+            with pytest.raises(ConfigInvalid, match=r"'nonlinear.relax' must be in \(0, 1\]"):
+                NonlinearSettings(relax=relax)
 
 
 class TestRepresentationBound:
