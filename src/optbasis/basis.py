@@ -31,6 +31,11 @@ from .linalg import lu_basis, qr_thin, svd_dense
 # Singular values below this fraction of the largest are treated as numerically zero.
 TRUNCATION_RTOL = 1e-14
 
+# Error curves evaluate truncation levels in blocks of at most this many
+# consecutive levels, one column per level, so a block's extra memory is a
+# few N x LEVEL_BLOCK arrays whatever the curve's length.
+LEVEL_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class RsvdParams:
@@ -145,7 +150,7 @@ class SourceProjector:
 
     Shared by the linear projection solve and the nonlinear fixed point so
     both take the identical floating-point path.  Building keeps only a view
-    of V_n and the weight's Gram matrix Pi_X, so a build per n is cheap.
+    of V_n and the weight's Gram matrix Pi_X, so a build per level block is cheap.
     """
 
     def __init__(self, basis: SVDBasis, fx, n):
@@ -156,17 +161,41 @@ class SourceProjector:
         self._gram = fx.gram()
 
     def coefficients(self, g):
-        """Inner products of g with the leading n right vectors."""
+        """Inner products of g, a vector or an N x L block, with the leading n right vectors."""
         return self._v.T @ (self._gram @ self.fx._check(g))
 
 
+def level_blocks(n_values):
+    """The truncation levels in order, cut into runs of at most LEVEL_BLOCK."""
+    n_values = list(n_values)
+    return [n_values[i:i + LEVEL_BLOCK] for i in range(0, len(n_values), LEVEL_BLOCK)]
+
+
+def level_block(coeffs, levels):
+    """Zero-padded coefficient block with one column per truncation level.
+
+    Column j keeps the leading levels[j] rows of coeffs, a vector shared by
+    all levels or a block with one column per level, and zeroes the rest.
+    """
+    coeffs = np.asarray(coeffs)
+    rows = np.arange(coeffs.shape[0])[:, None]
+    return np.where(rows < np.asarray(levels), coeffs.reshape(coeffs.shape[0], -1), 0.0)
+
+
 def reconstruct(basis: SVDBasis, coeffs, n=None):
-    """Assemble sum_i lambda_i c_i u_hat_i for the leading n triplets."""
+    """Assemble sum_i lambda_i c_i u_hat_i for the leading n triplets.
+
+    ``coeffs`` is a vector of n coefficients or an n x L block, for instance
+    from ``level_block``, whose L columns are assembled by one GEMM
+    U_n (lambda_n * C); a vector is the one-column case.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
     if n is None:
-        n = len(coeffs)
+        n = coeffs.shape[0]
     if n > basis.rank:
         raise RankExhausted(f"requested n = {n} but basis holds rank {basis.rank}")
-    return basis.left_vectors[:, :n] @ (basis.singular_values[:n] * coeffs)
+    block = basis.left_vectors[:, :n] @ (basis.singular_values[:n, None] * coeffs.reshape(n, -1))
+    return block if coeffs.ndim == 2 else block[:, 0]
 
 
 def defining_relation_errors(basis: SVDBasis, solver, fx, fy, indices=None):

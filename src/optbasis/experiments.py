@@ -1,4 +1,10 @@
-"""Wiring from a validated configuration to assembled problems and error curves."""
+"""Wiring from a validated configuration to assembled problems and error curves.
+
+An error curve evaluates its truncation levels in blocks of up to
+``basis.LEVEL_BLOCK`` consecutive levels: each block is solved as one
+N x L block of reduced solutions, one column per level, and its errors are
+column norms.  A single n is the one-column case of the same kernels.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import SourceProjector, SVDBasis, compute_basis, reconstruct
+from .basis import (SourceProjector, SVDBasis, compute_basis, level_block, level_blocks,
+                    reconstruct)
 from .bayes import DENSE_ORACLE_GUARD, check_dense_size, dense_svd_oracle
 from .config import ExperimentConfig
 from .elliptic import EllipticMedium, assemble_elliptic, eval_source_elliptic
@@ -113,9 +120,15 @@ def reference_solution(setup: ProblemSetup, solver=None):
 
 
 def solve_linear_projection(basis: SVDBasis, fx, f, n):
-    """Spectral solve of the linear problem truncated to the leading n triplets."""
-    coeffs = SourceProjector(basis, fx, n).coefficients(f)
-    return reconstruct(basis, coeffs, n)
+    """Spectral solve of the linear problem truncated to the leading n triplets.
+
+    ``n`` is one level, or a sequence of levels solved as one N x L block
+    with one column per level.
+    """
+    levels = np.atleast_1d(np.asarray(n, dtype=int))
+    coeffs = SourceProjector(basis, fx, int(levels.max())).coefficients(f)
+    solution = reconstruct(basis, level_block(coeffs, levels))
+    return solution[:, 0] if np.ndim(n) == 0 else solution
 
 
 @dataclass
@@ -142,29 +155,35 @@ def error_curve(u_ref, basis: SVDBasis, fx, f, n_values, grid=None) -> ErrorCurv
     fields only).
     """
     return _curve(u_ref, n_values, grid,
-                  lambda n: solve_linear_projection(basis, fx, f, n))
+                  lambda levels: solve_linear_projection(basis, fx, f, levels))
 
 
 def nonlinear_error_curve(u_ref, basis: SVDBasis, fx, f, term, n_values,
                           settings, grid=None) -> ErrorCurve:
     """Fixed-point solution errors over a range of truncation levels.
 
-    Raises Diverged if the fixed point at some n stops short of ``settings.tol``.
+    Each block of levels is one ``fixed_point_solve``.  Raises Diverged
+    naming the first level whose fixed point stops short of ``settings.tol``.
     """
-    def solution(n):
-        result = fixed_point_solve(basis, fx, f, term, n, settings)
+    def solutions(levels):
+        result = fixed_point_solve(basis, fx, f, term, levels, settings)
         if not result.converged:
+            j = int(np.flatnonzero(~(result.final_step < settings.tol))[0])
             raise Diverged(
-                f"fixed point at n = {n} did not converge in {result.iterations} "
-                f"iterations: final step {result.final_step:.3e} against tol {settings.tol:.3e}"
+                f"fixed point at n = {levels[j]} did not converge in {result.sweeps[j]} "
+                f"iterations: final step {result.final_step[j]:.3e} against tol {settings.tol:.3e}"
             )
         return result.solution
 
-    return _curve(u_ref, n_values, grid, solution)
+    return _curve(u_ref, n_values, grid, solutions)
 
 
-def _curve(u_ref, n_values, grid, solution) -> ErrorCurve:
-    """Errors of solution(n) against u_ref, relative to the reference's own norms."""
+def _curve(u_ref, n_values, grid, solutions) -> ErrorCurve:
+    """Errors of solutions(levels), an N x L block, against u_ref, relative to its own norms.
+
+    Each level's error is taken from its own contiguous row of the
+    transposed block, so it equals the norm of that column bitwise.
+    """
     n_values = list(n_values)
     u_ref = np.asarray(u_ref, dtype=float)
     ref_l2 = np.linalg.norm(u_ref)
@@ -176,9 +195,9 @@ def _curve(u_ref, n_values, grid, solution) -> ErrorCurve:
             "reference solution has zero energy seminorm, relative energy errors undefined"
         )
     l2, energy = [], []
-    for n in n_values:
-        err = solution(n) - u_ref
-        l2.append(float(np.linalg.norm(err) / ref_l2))
+    for levels in level_blocks(n_values):
+        err = np.ascontiguousarray((solutions(levels) - u_ref[:, None]).T)  # one row per level
+        l2 += (np.sqrt(np.vecdot(err, err)) / ref_l2).tolist()
         if grid is not None:
-            energy.append(energy_norm(err, grid) / ref_energy)
+            energy += (energy_norm(err.T, grid) / ref_energy).tolist()
     return ErrorCurve(n_values, l2, energy if grid is not None else None)

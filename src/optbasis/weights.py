@@ -233,9 +233,11 @@ def identity_weight(dim):
 def energy_norm(u, grid: Grid2D):
     """Discrete H^1 seminorm: h^2 sum of squared first differences, square-rooted.
 
-    The differences are taken on the field itself, row by row in the order
-    of fd_operator_2d(m, 1, 0, h) @ u and fd_operator_2d(m, 0, 1, h) @ u, and
-    the value is bit-identical to applying those operators.
+    ``u`` is a field, or an N x L block whose columns are fields; a block
+    gives the L seminorms as an array.  The differences are taken on each
+    field itself, row by row in the order of fd_operator_2d(m, 1, 0, h) @ u
+    and fd_operator_2d(m, 0, 1, h) @ u, and each value is bit-identical to
+    applying those operators to that field.
     """
     u = np.asarray(u, dtype=float)
     if u.shape[0] != grid.n_interior:
@@ -244,7 +246,8 @@ def energy_norm(u, grid: Grid2D):
         )
     n = grid.m_intervals - 1
     s = grid.h ** -1
-    field = u.reshape(n, n)
-    dx = (s * field[1:] - s * field[:-1]).ravel()
-    dy = (s * field[:, 1:] - s * field[:, :-1]).ravel()
-    return float(np.sqrt(grid.h ** 2 * (np.dot(dx, dx) + np.dot(dy, dy))))
+    fields = np.ascontiguousarray(u.reshape(n * n, -1).T).reshape(-1, n, n)  # one per column
+    dx = (s * fields[:, 1:] - s * fields[:, :-1]).reshape(len(fields), -1)
+    dy = (s * fields[:, :, 1:] - s * fields[:, :, :-1]).reshape(len(fields), -1)
+    norms = np.sqrt(grid.h ** 2 * (np.vecdot(dx, dx) + np.vecdot(dy, dy)))
+    return norms if u.ndim == 2 else float(norms[0])

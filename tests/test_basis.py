@@ -16,6 +16,8 @@ from optbasis.basis import (
     _apply_forward,
     compute_basis,
     defining_relation_errors,
+    level_block,
+    level_blocks,
     reconstruct,
 )
 from optbasis.bayes import DENSE_ORACLE_GUARD, dense_svd_oracle
@@ -344,6 +346,37 @@ class TestProjectionPieces:
             basis.singular_values[i] * c[i] * basis.left_vectors[:, i] for i in range(4)
         )
         np.testing.assert_allclose(reconstruct(basis, c, 4), manual, atol=1e-14)
+
+    def test_level_block_keeps_each_levels_prefix(self):
+        c = np.arange(1.0, 6.0)
+        np.testing.assert_array_equal(level_block(c[:4], [1, 4, 2]), [
+            [1.0, 1.0, 1.0],
+            [0.0, 2.0, 2.0],
+            [0.0, 3.0, 0.0],
+            [0.0, 4.0, 0.0],
+        ])
+        block = np.arange(1.0, 7.0).reshape(3, 2)
+        np.testing.assert_array_equal(level_block(block, [3, 1]), [[1.0, 2.0], [3.0, 0.0],
+                                                                   [5.0, 0.0]])
+
+    def test_level_blocks_cut_the_levels_in_order(self, monkeypatch):
+        monkeypatch.setattr(basis_module, "LEVEL_BLOCK", 3)
+        assert level_blocks(range(7, 0, -1)) == [[7, 6, 5], [4, 3, 2], [1]]
+        assert level_blocks([]) == []
+
+    def test_a_block_reconstructs_each_level(self):
+        # one GEMM over the zero-padded block, each column to roundoff of its own sum
+        solver, fx, fy = elliptic_setup(8, 1)
+        basis = dense_svd_oracle(green_of(solver), fx, fy)
+        rng = np.random.Generator(np.random.Philox(23))
+        c = rng.normal(size=12)
+        levels = [3, 12, 7, 1]
+        block = reconstruct(basis, level_block(c, levels))
+        assert block.shape == (solver.n, 4)
+        for j, n in enumerate(levels):
+            np.testing.assert_allclose(block[:, j], reconstruct(basis, c[:n]), rtol=0,
+                                       atol=1e-14 * np.abs(basis.left_vectors).max()
+                                       * np.abs(basis.singular_values[:n] * c[:n]).sum())
 
     def test_projection_reproduces_direct_solve_at_full_rank(self):
         solver, fx, fy = elliptic_setup(8, 1)

@@ -539,6 +539,27 @@ def test_damped_fixed_point_stops_on_the_undamped_step(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("max_iter, message", [
+    ("500", r"left the trust region after \d+ iterations"),
+    ("9", r"did not converge in 9 iterations: final step \S+ against tol 1\.000e-12"),
+], ids=["trust-region", "unconverged"])
+def test_a_failing_fixed_point_names_its_level(tmp_path, capsys, max_iter, message):
+    # the shipped semilinear elliptic case at sine amplitude 1e5, undamped:
+    # from level 4 on the fixed point leaves the trust region, and with 9
+    # sweeps a lower level runs out of sweeps first
+    raw = json.loads((CONFIGS / "semilinear_elliptic.json").read_text())
+    raw["problem"]["source"]["amplitude"] = 1e5
+    cfg = tmp_path / "strong.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "curve.csv"
+    code = main(["solve-nonlinear", "--config", str(cfg), "--relax", "1",
+                 "--max-iter", max_iter, "--out", str(out)])
+    err = capsys.readouterr().err
+    _assert_clean_failure(code, err)
+    assert re.fullmatch(rf"error: fixed point at n = \d+ {message}\n", err), err
+    assert not out.exists()
+
+
 class TestOracleAndChecks:
     def test_oracle_svd_writes_a_full_rank_basis(self, tmp_path, capsys):
         cfg = write_config(tmp_path, m=5)

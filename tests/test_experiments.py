@@ -1,16 +1,18 @@
 """Config-to-problem wiring, reference solves and error curves."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from optbasis import basis as basis_module
 from optbasis import obf
-from optbasis.basis import RsvdParams, compute_basis
+from optbasis.basis import RsvdParams, compute_basis, level_blocks
 from optbasis.config import NonlinearSettings, config_from_dict, config_to_dict
 from optbasis.elliptic import eval_source_elliptic
-from optbasis.exceptions import ProblemTooLarge, RankExhausted
+from optbasis.exceptions import Diverged, ProblemTooLarge, RankExhausted
 from optbasis.experiments import (
     ErrorCurve,
     build_problem,
@@ -276,8 +278,9 @@ def curve_case(family, grid, p):
     return config, setup, basis, reference_solution(setup, solver)
 
 
-def per_n_errors(u_ref, solutions, grid):
-    """The curve bookkeeping done by hand, one public solve per n."""
+def column_errors(u_ref, blocks, grid):
+    """The curve bookkeeping done by hand, one norm per column of the blocked kernel."""
+    solutions = [column for block in blocks for column in block.T]
     l2 = [float(np.linalg.norm(u - u_ref) / np.linalg.norm(u_ref)) for u in solutions]
     if grid is None:
         return l2, None
@@ -285,29 +288,48 @@ def per_n_errors(u_ref, solutions, grid):
 
 
 class TestSharedCurveKernel:
+    # a block width below the rank, so the curves below span several blocks
+    @pytest.fixture(autouse=True)
+    def narrow_blocks(self, monkeypatch):
+        monkeypatch.setattr(basis_module, "LEVEL_BLOCK", 5)
+
     @pytest.mark.parametrize("family, grid, p, with_grid", SHARED_KERNEL_CASES)
-    def test_nonlinear_curve_equals_per_n_fixed_points(self, family, grid, p, with_grid):
+    def test_nonlinear_curve_is_column_norms(self, family, grid, p, with_grid):
         config, setup, basis, u_ref = curve_case(family, grid, p)
         grid = setup.grid if with_grid else None
         ns = list(range(1, basis.rank + 1))
         curve = nonlinear_error_curve(u_ref, basis, setup.fx, setup.source, setup.term, ns,
                                       config.nonlinear, grid=grid)
-        solutions = [fixed_point_solve(basis, setup.fx, setup.source, setup.term, n,
-                                       config.nonlinear).solution for n in ns]
-        l2, energy = per_n_errors(u_ref, solutions, grid)
+        blocks = [fixed_point_solve(basis, setup.fx, setup.source, setup.term, levels,
+                                    config.nonlinear).solution for levels in level_blocks(ns)]
+        assert [block.shape[1] for block in blocks] == [5, 5, 4]
+        l2, energy = column_errors(u_ref, blocks, grid)
         assert curve.rel_l2 == l2
         assert curve.rel_energy == energy
 
     @pytest.mark.parametrize("family, grid, p, with_grid", SHARED_KERNEL_CASES)
-    def test_linear_curve_equals_per_n_projections(self, family, grid, p, with_grid):
+    def test_linear_curve_is_column_norms(self, family, grid, p, with_grid):
         _, setup, basis, u_ref = curve_case(family, grid, p)
         grid = setup.grid if with_grid else None
         ns = list(range(1, basis.rank + 1))
         curve = error_curve(u_ref, basis, setup.fx, setup.source, ns, grid=grid)
-        solutions = [solve_linear_projection(basis, setup.fx, setup.source, n) for n in ns]
-        l2, energy = per_n_errors(u_ref, solutions, grid)
+        blocks = [solve_linear_projection(basis, setup.fx, setup.source, levels)
+                  for levels in level_blocks(ns)]
+        l2, energy = column_errors(u_ref, blocks, grid)
         assert curve.rel_l2 == l2
         assert curve.rel_energy == energy
+
+    def test_one_level_is_the_one_column_case(self):
+        config, setup, basis, _ = curve_case("semilinear_elliptic", {"m_intervals": 8}, 2)
+        args = (basis, setup.fx, setup.source)
+        np.testing.assert_array_equal(solve_linear_projection(*args, 7),
+                                      solve_linear_projection(*args, [7])[:, 0])
+        one = fixed_point_solve(*args, setup.term, 7, config.nonlinear)
+        block = fixed_point_solve(*args, setup.term, [7], config.nonlinear)
+        np.testing.assert_array_equal(one.solution, block.solution[:, 0])
+        np.testing.assert_array_equal(one.coefficients, block.coefficients[:, 0])
+        assert (one.sweeps, one.final_step, one.step_history) == (
+            block.sweeps[0], block.final_step[0], block.step_history[0])
 
     def test_curves_apply_no_weight_factor(self, monkeypatch):
         # the coefficients come from the Gram matrix, never from F_X products
@@ -328,3 +350,112 @@ class TestSharedCurveKernel:
         _, setup, basis, u_ref = curve_case("semilinear_elliptic", {"m_intervals": 8}, 2)
         with pytest.raises(RankExhausted):
             error_curve(u_ref, basis, setup.fx, setup.source, [1, basis.rank + 1])
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def shipped_config(name, amplitude=None, relax=None):
+    raw = json.loads((CONFIGS / name).read_text())
+    if amplitude is not None:
+        raw["problem"]["source"]["amplitude"] = amplitude
+    if relax is not None:
+        raw.setdefault("nonlinear", {})["relax"] = relax
+    return config_from_dict(raw)
+
+
+def per_level_reference(basis, fx, f, term, n, settings):
+    """One level at a time with GEMVs, projecting f - N(u) as one vector.
+
+    The order of operations of the per-n curve that the level blocks
+    replaced; returns the solution and its sweep count (0 for N = 0).
+    """
+    u_n, lam, v_n = basis.left_vectors[:, :n], basis.singular_values[:n], basis.right_vectors[:, :n]
+    coeffs = v_n.T @ (fx.gram() @ f)
+    if term is None:
+        return u_n @ (lam * coeffs), 0
+    for sweep in range(1, settings.max_iter + 1):
+        raw = v_n.T @ (fx.gram() @ (f - term(u_n @ (lam * coeffs))))
+        step = np.sum(lam ** 2 * (raw - coeffs) ** 2)
+        coeffs = (1.0 - settings.relax) * coeffs + settings.relax * raw
+        if step < settings.tol:
+            return u_n @ (lam * coeffs), sweep
+    raise AssertionError(f"reference fixed point at n = {n} did not converge")
+
+
+class TestLevelBlocksAgainstPerLevelGemv:
+    # The blocked kernels sum in a different order than one GEMV per level.
+    # The shipped semilinear cases converge in one sweep at every level; the
+    # elliptic ones at amplitudes 3e4 and 1e5 take from 1 to 20 and 91 sweeps,
+    # so levels leave the block at different sweeps.
+    @pytest.mark.parametrize("config", [
+        pytest.param(("elliptic.json", None, None), id="desk-elliptic"),
+        pytest.param(("semilinear_rte.json", None, None), id="semilinear-rte"),
+        pytest.param(("semilinear_elliptic.json", 3e4, 1.0), id="elliptic-3e4-relax-1"),
+        pytest.param(("semilinear_elliptic.json", 1e5, 0.5), id="elliptic-1e5-relax-0.5"),
+    ])
+    def test_same_sweeps_and_solutions_to_1e_9(self, config):
+        config = shipped_config(*config)
+        setup = build_problem(config)
+        solver = setup.factorize()
+        basis = compute_problem_basis(setup, solver)
+        u_ref = reference_solution(setup, solver)
+        ns = list(range(1, basis.rank + 1))
+        args = (basis, setup.fx, setup.source)
+        if setup.term is None:
+            curve = error_curve(u_ref, *args, ns)
+            solutions = solve_linear_projection(*args, ns)
+            sweeps = np.zeros(len(ns), dtype=int)
+        else:
+            curve = nonlinear_error_curve(u_ref, *args, setup.term, ns, config.nonlinear)
+            result = fixed_point_solve(*args, setup.term, ns, config.nonlinear)
+            solutions, sweeps = result.solution, result.sweeps
+        ref_norm = np.linalg.norm(u_ref)
+        for j, n in enumerate(ns):
+            expected, expected_sweeps = per_level_reference(*args, setup.term, n,
+                                                            config.nonlinear)
+            assert sweeps[j] == expected_sweeps, n
+            assert np.linalg.norm(solutions[:, j] - expected) <= 1e-9 * ref_norm, n
+            rel_l2 = np.linalg.norm(expected - u_ref) / ref_norm
+            assert abs(curve.rel_l2[j] - rel_l2) <= 1e-9, n
+        if config.source.amplitude >= 3e4:
+            assert sweeps.min() < sweeps.max()
+
+
+def first_one_level_failure(basis, fx, f, term, ns, settings):
+    """The message of the first level whose one-level fixed point fails, the per-n curve's."""
+    for n in ns:
+        try:
+            result = fixed_point_solve(basis, fx, f, term, n, settings)
+        except Diverged as exc:
+            return str(exc)
+        if not result.converged:
+            return (f"fixed point at n = {n} did not converge in {result.sweeps} iterations: "
+                    f"final step {result.final_step:.3e} against tol {settings.tol:.3e}")
+    return None
+
+
+class TestFailingLevels:
+    # At amplitude 1e5 without damping, level 3 needs 10 sweeps and every level
+    # from 4 on leaves the trust region.  With a budget of 9 sweeps, levels 3 to
+    # 25 stop unconverged while the levels above still leave the trust region.
+    @pytest.mark.parametrize("max_iter, kind", [(500, "left the trust region"),
+                                                (9, "did not converge")])
+    def test_a_curve_fails_at_its_first_failing_level(self, max_iter, kind):
+        config = shipped_config("semilinear_elliptic.json", 1e5, 1.0)
+        setup = build_problem(config)
+        solver = setup.factorize()
+        basis = compute_problem_basis(setup, solver)
+        u_ref = reference_solution(setup, solver)
+        settings = NonlinearSettings(tol=1e-12, max_iter=max_iter, relax=1.0)
+        args = (basis, setup.fx, setup.source, setup.term, list(range(1, 41)), settings)
+        expected = first_one_level_failure(*args)
+        assert kind in expected
+        with pytest.raises(Diverged) as failure:
+            nonlinear_error_curve(u_ref, *args)
+        assert str(failure.value) == expected
+        if max_iter == 9:  # the levels above left the trust region, the first failure did not
+            result = fixed_point_solve(*args)
+            assert not result.converged
+            with pytest.raises(Diverged, match="trust region"):
+                fixed_point_solve(*args[:4], [30], settings)

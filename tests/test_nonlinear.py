@@ -56,6 +56,21 @@ class TestTerms:
         expected = (term.sigma_b_values * block.mean(axis=1))[:, None] * block
         np.testing.assert_allclose(term(u), expected.ravel(), atol=1e-14)
 
+    @pytest.mark.parametrize("shape", [(961,), (961, 64)], ids=["vector", "block"])
+    def test_cubic_is_the_third_power(self, shape):
+        u = 3.0 * np.random.Generator(np.random.Philox(4)).standard_normal(shape)
+        np.testing.assert_allclose(CubicTerm()(u), u ** 3, rtol=1e-15, atol=0)
+
+    def test_two_photon_acts_on_each_column_of_a_block(self):
+        # nonnegative intensities, so no angular mean cancels
+        pg = PhaseGrid(Grid2D(6), 8)
+        term = TwoPhotonTerm(pg, eps1=0.5)
+        block = np.random.Generator(np.random.Philox(5)).uniform(0.1, 1.0, (pg.n_dofs, 7))
+        out = term(block)
+        assert out.shape == block.shape
+        for j in range(block.shape[1]):
+            np.testing.assert_allclose(out[:, j], term(block[:, j]), rtol=1e-15, atol=0)
+
     @pytest.mark.parametrize("make", [
         lambda: (CubicTerm(), 27),
         lambda: (TwoPhotonTerm(PhaseGrid(Grid2D(4), 3), 1.0), 27),

@@ -267,6 +267,13 @@ class TestEnergyNorm:
         with pytest.raises(DimensionMismatch):
             energy_norm(np.ones(5), Grid2D(4))
 
+    def test_a_block_gives_each_columns_norm_bitwise(self):
+        g = Grid2D(9)
+        block = np.random.Generator(np.random.Philox(8)).standard_normal((g.n_interior, 5))
+        norms = energy_norm(block, g)
+        assert norms.shape == (5,)
+        assert norms.tolist() == [energy_norm(block[:, j], g) for j in range(5)]
+
     @pytest.mark.parametrize("m", [6, 7, 12, 32])
     def test_bit_identical_to_the_difference_operators(self, m):
         g = Grid2D(m)
