@@ -182,16 +182,15 @@ def level_block(coeffs, levels):
     return np.where(rows < np.asarray(levels), coeffs.reshape(coeffs.shape[0], -1), 0.0)
 
 
-def reconstruct(basis: SVDBasis, coeffs, n=None):
-    """Assemble sum_i lambda_i c_i u_hat_i for the leading n triplets.
+def reconstruct(basis: SVDBasis, coeffs):
+    """Assemble sum_i lambda_i c_i u_hat_i over the leading n triplets.
 
     ``coeffs`` is a vector of n coefficients or an n x L block, for instance
     from ``level_block``, whose L columns are assembled by one GEMM
-    U_n (lambda_n * C); a vector is the one-column case.
+    U_n (lambda_n * C); n is the number of rows.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    if n is None:
-        n = coeffs.shape[0]
+    n = coeffs.shape[0]
     if n > basis.rank:
         raise RankExhausted(f"requested n = {n} but basis holds rank {basis.rank}")
     block = basis.left_vectors[:, :n] @ (basis.singular_values[:n, None] * coeffs.reshape(n, -1))

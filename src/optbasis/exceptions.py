@@ -49,6 +49,10 @@ class VanishingReference(OptbasisError):
     """The reference solution vanishes, so relative errors against it are undefined."""
 
 
+class NonFiniteResult(OptbasisError):
+    """A computed result overflowed or is NaN."""
+
+
 class BoundViolation(OptbasisError):
     """A theoretical inequality failed beyond its roundoff allowance."""
 

@@ -3,7 +3,7 @@
 An error curve evaluates its truncation levels in blocks of up to
 ``basis.LEVEL_BLOCK`` consecutive levels: each block is solved as one
 N x L block of reduced solutions, one column per level, and its errors are
-column norms.  A single n is the one-column case of the same kernels.
+column norms.  Every kernel takes its levels as a sequence.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .basis import (SourceProjector, SVDBasis, compute_basis, level_block, level
 from .bayes import DENSE_ORACLE_GUARD, check_dense_size, dense_svd_oracle
 from .config import ExperimentConfig
 from .elliptic import EllipticMedium, assemble_elliptic, eval_source_elliptic
-from .exceptions import Diverged, VanishingReference
+from .exceptions import Diverged, NonFiniteResult, VanishingReference
 from .grids import Grid2D, PhaseGrid
 from .linalg import factorize
 from .nonlinear import CubicTerm, TwoPhotonTerm, fixed_point_solve, newton_reference
@@ -108,27 +108,25 @@ def oracle_problem_basis(setup: ProblemSetup, green=None) -> SVDBasis:
     return dense_svd_oracle(green, setup.fx, setup.fy)
 
 
-def reference_solution(setup: ProblemSetup, solver=None):
+def reference_solution(setup: ProblemSetup, solver):
     """Direct solve for linear problems, damped Newton for semilinear ones.
 
-    Newton keeps its own 1e-12 tolerance; ``config.nonlinear`` sets only the fixed point.
+    ``solver`` is the factorized operator.  Newton keeps its own 1e-12
+    tolerance; ``config.nonlinear`` sets only the fixed point.
     """
-    solver = solver if solver is not None else setup.factorize()
     if setup.term is None:
         return solver.solve(setup.source)
     return newton_reference(solver, setup.term, setup.source)
 
 
-def solve_linear_projection(basis: SVDBasis, fx, f, n):
-    """Spectral solve of the linear problem truncated to the leading n triplets.
+def solve_linear_projection(basis: SVDBasis, fx, f, levels):
+    """Spectral solves of the linear problem truncated to the leading n triplets.
 
-    ``n`` is one level, or a sequence of levels solved as one N x L block
-    with one column per level.
+    ``levels`` is a sequence of truncation levels n, solved as one N x L
+    block with one column per level.
     """
-    levels = np.atleast_1d(np.asarray(n, dtype=int))
-    coeffs = SourceProjector(basis, fx, int(levels.max())).coefficients(f)
-    solution = reconstruct(basis, level_block(coeffs, levels))
-    return solution[:, 0] if np.ndim(n) == 0 else solution
+    coeffs = SourceProjector(basis, fx, max(levels)).coefficients(f)
+    return reconstruct(basis, level_block(coeffs, levels))
 
 
 @dataclass
@@ -181,6 +179,9 @@ def nonlinear_error_curve(u_ref, basis: SVDBasis, fx, f, term, n_values,
 def _curve(u_ref, n_values, grid, solutions) -> ErrorCurve:
     """Errors of solutions(levels), an N x L block, against u_ref, relative to its own norms.
 
+    Raises NonFiniteResult rather than return an error computed from a
+    non-finite norm or solution.
+
     Each level's error is taken from its own contiguous row of the
     transposed block, so it equals the norm of that column bitwise.
     """
@@ -200,4 +201,6 @@ def _curve(u_ref, n_values, grid, solutions) -> ErrorCurve:
         l2 += (np.sqrt(np.vecdot(err, err)) / ref_l2).tolist()
         if grid is not None:
             energy += (energy_norm(err.T, grid) / ref_energy).tolist()
+    if not np.isfinite([ref_l2, ref_energy or 0.0] + l2 + energy).all():
+        raise NonFiniteResult("relative errors are not finite: a norm or a solution overflows")
     return ErrorCurve(n_values, l2, energy if grid is not None else None)

@@ -14,12 +14,12 @@ criterion.  The subtractive form keeps the linear limit exact: for a
 vanishing nonlinearity the first sweep returns c_f bitwise, the
 coefficients of the linear projection solve.
 
-A block of truncation levels is iterated at once: each level's
-coefficients are one column of a zero-padded (max n) x L block, so a sweep
-is one GEMM for u, one for the projection and the nonlinearity applied to
-the N x L block.  Each level keeps its own stopping rule and drops out of
-later sweeps once converged; curves pass blocks of ``basis.LEVEL_BLOCK``
-levels.
+The fixed point takes a sequence of truncation levels and iterates them
+at once: each level's coefficients are one column of a zero-padded
+(max n) x L block, so a sweep is one GEMM for u, one for the projection
+and the nonlinearity applied to the N x L block.  Each level keeps its own
+stopping rule and drops out of later sweeps once converged; curves pass
+blocks of ``basis.LEVEL_BLOCK`` levels, and one level is the list [n].
 
 The damped Newton solver on the full discrete system provides reference
 solutions the reduced results are measured against, and
@@ -29,7 +29,7 @@ on them: both curve commands run it at every level of their curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,29 +89,28 @@ class TwoPhotonTerm:
 
 @dataclass
 class FixedPointResult:
-    """Fixed-point iterates at one truncation level, or at a block of levels.
+    """Fixed-point iterates at a block of L truncation levels.
 
-    For one level n, ``coefficients`` and ``solution`` are vectors,
-    ``sweeps`` and ``final_step`` scalars and ``step_history`` the list of
-    undamped steps.  For a block of L levels they hold one column, one entry
-    or one list per level, the coefficients zero-padded to the largest n.
-    ``iterations`` counts the sweeps of all levels together and ``converged``
-    says whether every level's undamped step fell below tol.
+    ``coefficients`` (zero-padded to the largest n) and ``solution`` hold
+    one column per level, ``sweeps`` and ``final_step`` one entry and
+    ``step_history`` one list of undamped steps per level.  ``iterations``
+    counts the sweeps of all levels together and ``converged`` says whether
+    every level's undamped step fell below tol.
     """
 
     coefficients: np.ndarray
     solution: np.ndarray
     iterations: int
     converged: bool
-    sweeps: int | np.ndarray
-    final_step: float | np.ndarray
-    step_history: list = field(default_factory=list)
+    sweeps: np.ndarray
+    final_step: np.ndarray
+    step_history: list
 
 
-def fixed_point_solve(basis: SVDBasis, fx, f, term, n, settings):
-    """Relaxed fixed point for the reduced semilinear problem at level n.
+def fixed_point_solve(basis: SVDBasis, fx, f, term, levels, settings):
+    """Relaxed fixed point for the reduced semilinear problem at each of ``levels``.
 
-    ``n`` is one level or a sequence of levels iterated together as one
+    ``levels`` is a sequence of truncation levels iterated together as one
     block; ``settings`` is the config's NonlinearSettings.  Each level stops
     once its undamped step falls below ``settings.tol``, or after
     ``settings.max_iter`` sweeps unconverged.  A level whose coefficients
@@ -120,7 +119,7 @@ def fixed_point_solve(basis: SVDBasis, fx, f, term, n, settings):
     reports ``converged`` False.
     """
     relax = settings.relax
-    levels = np.atleast_1d(np.asarray(n, dtype=int))
+    levels = np.asarray(levels, dtype=int)
     projector = SourceProjector(basis, fx, int(levels.max()))
     source = projector.coefficients(f)
     lam2 = basis.singular_values[:source.shape[0], None] ** 2
@@ -153,17 +152,8 @@ def fixed_point_solve(basis: SVDBasis, fx, f, term, n, settings):
         j = failed[0]
         raise Diverged(f"fixed point at n = {levels[j]} left the trust region "
                        f"after {sweeps[j]} iterations")
-    single = np.ndim(n) == 0
-    solution = reconstruct(basis, coeffs)
-    return FixedPointResult(
-        coefficients=coeffs[:, 0] if single else coeffs,
-        solution=solution[:, 0] if single else solution,
-        iterations=int(sweeps.sum()),
-        converged=not failed.size,
-        sweeps=int(sweeps[0]) if single else sweeps,
-        final_step=float(steps[0]) if single else steps,
-        step_history=history[0] if single else history,
-    )
+    return FixedPointResult(coeffs, reconstruct(basis, coeffs), int(sweeps.sum()),
+                            not failed.size, sweeps, steps, history)
 
 
 def check_linear_representation_bound(basis: SVDBasis, solver, fx, f, term, u_ref, n_values):
@@ -179,7 +169,8 @@ def check_linear_representation_bound(basis: SVDBasis, solver, fx, f, term, u_re
     and each block of levels is reconstructed by one GEMM.
     Returns (n, lhs, rhs) for each checked n.  Raises ValueError if u_ref does
     not solve the full system, RankExhausted for an n above the rank, and
-    BoundViolation at the first n whose inequality fails beyond roundoff.  The
+    BoundViolation at the first n whose inequality fails beyond roundoff or
+    whose sides are not finite numbers.  The
     output norm is Euclidean, matching the identity output weight used throughout.
     """
     u_ref = np.asarray(u_ref, dtype=float)
@@ -200,6 +191,9 @@ def check_linear_representation_bound(basis: SVDBasis, solver, fx, f, term, u_re
         errors = np.linalg.norm(u_ref[:, None] - u_n, axis=0)
         for n, lhs in zip(levels, errors.tolist()):
             rhs = float(basis.singular_values[n] * source_norm)
+            if not np.isfinite(lhs + rhs):
+                raise BoundViolation(f"truncation bound at n = {n} is not finite: representation "
+                                     f"error {lhs:.6e}, bound {rhs:.6e}; the norms overflow")
             if lhs > rhs * (1.0 + 1e-8) + slack:
                 raise BoundViolation(
                     f"truncation bound fails at n = {n}: representation error {lhs:.6e} "

@@ -197,10 +197,8 @@ class WeightFactor:
         return self._gram
 
     def norm(self, v):
-        fa = self.apply(v)
-        if fa.ndim == 1:
-            return float(np.linalg.norm(fa))
-        return np.linalg.norm(fa, axis=0)
+        """||F v||_2, the Pi-norm of a vector v."""
+        return float(np.linalg.norm(self.apply(v)))
 
 
 def build_sobolev_weight(p, grid: Grid2D):

@@ -109,12 +109,12 @@ def test_01_full_resolution_relative_errors_at_n_300():
 
     f_lin = eval_source_elliptic(setup.grid, 1.0)
     u_lin = solver.solve(f_lin)
-    u_300 = solve_linear_projection(basis, setup.fx, f_lin, 300)
+    u_300 = solve_linear_projection(basis, setup.fx, f_lin, [300])[:, 0]
     rel_lin = float(np.linalg.norm(u_300 - u_lin) / np.linalg.norm(u_lin))
 
     u_ref = newton_reference(solver, setup.term, setup.source)
-    result = fixed_point_solve(basis, setup.fx, setup.source, setup.term, 300, config.nonlinear)
-    rel_semi = float(np.linalg.norm(result.solution - u_ref) / np.linalg.norm(u_ref))
+    result = fixed_point_solve(basis, setup.fx, setup.source, setup.term, [300], config.nonlinear)
+    rel_semi = float(np.linalg.norm(result.solution[:, 0] - u_ref) / np.linalg.norm(u_ref))
 
     ok = rel_lin <= 3e-4 and result.converged and rel_semi <= 3e-4
     assert report(
@@ -376,9 +376,9 @@ def test_10_linear_limit_positivity_and_zero_source(desk_rte, zero_term):
         "elliptic", 32, 1, rsvd={"rank": 40, "oversample": 10, "power": 2, "seed": 0}))
     solver = factorize(setup.operator)
     basis = compute_problem_basis(setup, solver)
-    result = fixed_point_solve(basis, setup.fx, setup.source, zero_term, 40,
+    result = fixed_point_solve(basis, setup.fx, setup.source, zero_term, [40],
                                setup.config.nonlinear)
-    direct = solve_linear_projection(basis, setup.fx, setup.source, 40)
+    direct = solve_linear_projection(basis, setup.fx, setup.source, [40])
     one_sweep = result.converged and result.iterations == 1
     exact = bool(np.array_equal(result.solution, direct))
 

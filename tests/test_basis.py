@@ -345,7 +345,7 @@ class TestProjectionPieces:
         manual = sum(
             basis.singular_values[i] * c[i] * basis.left_vectors[:, i] for i in range(4)
         )
-        np.testing.assert_allclose(reconstruct(basis, c, 4), manual, atol=1e-14)
+        np.testing.assert_allclose(reconstruct(basis, c), manual, atol=1e-14)
 
     def test_level_block_keeps_each_levels_prefix(self):
         c = np.arange(1.0, 6.0)
@@ -394,7 +394,7 @@ class TestProjectionPieces:
         with pytest.raises(RankExhausted):
             SourceProjector(basis, fx, 5)
         with pytest.raises(RankExhausted):
-            reconstruct(basis, np.ones(5), 5)
+            reconstruct(basis, np.ones(5))
 
     def test_wrong_length_source_raises_dimension_mismatch(self):
         solver, fx, fy = elliptic_setup(6, 1)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from optbasis import cli, experiments, linalg, obf
 from optbasis.cli import build_parser, main
+from optbasis.config import config_from_dict
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -501,6 +502,22 @@ class TestTruncationBound:
         assert "raise rsvd.power or rsvd.oversample" in err
         assert not out.exists()
 
+    # sine amplitude 1e160 on m = 8: ||u||^2 overflows, so both sides of the bound
+    # are inf; at rank 1 the bound checks no level and the curve itself must refuse
+    @pytest.mark.parametrize("rank, message", [
+        (5, "truncation bound at n = 1 is not finite: representation error inf, bound inf"),
+        (1, "relative errors are not finite"),
+    ], ids=["bound", "curve"])
+    def test_overflowing_norms_exit_two_before_the_csv(self, tmp_path, capsys, rank, message):
+        cfg = write_config(tmp_path, m=8, p=0, rank=rank, oversample=2, power=1,
+                           problem={"source": {"kind": "sine", "amplitude": 1e160}})
+        out = tmp_path / "curve.csv"
+        code = main(["solve-linear", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        _assert_clean_failure(code, err)
+        assert err.startswith(f"error: {message}"), err
+        assert not out.exists()
+
     def test_a_rank_one_basis_has_no_level_to_check(self, tmp_path, capsys):
         cfg = write_config(tmp_path, family="rte", m=4, grid={"n_angles": 4},
                            rank=1, oversample=6)
@@ -705,3 +722,30 @@ class TestPaperScaleFlag:
             paper_scale = True
 
         assert _load_config(Args()).m_intervals == 64
+
+
+def test_a_strongly_nonlinear_curve_iterates_and_holds_the_bound(tmp_path, capsys):
+    # the shipped semilinear elliptic case on m = 16 at sine amplitude 1e5:
+    # ||N(u)|| is a large fraction of ||L u||, so every level needs several
+    # damped sweeps, and the truncation bound still holds at every level
+    raw = json.loads((CONFIGS / "semilinear_elliptic.json").read_text())
+    raw["grid"]["m_intervals"] = 16
+    raw["problem"]["source"]["amplitude"] = 1e5
+    cfg = tmp_path / "strong.json"
+    cfg.write_text(json.dumps(raw))
+    setup = experiments.build_problem(config_from_dict(raw))
+    u = experiments.reference_solution(setup, setup.factorize())
+    assert np.linalg.norm(setup.term(u)) > 0.3 * np.linalg.norm(setup.operator @ u)
+
+    out = tmp_path / "curve.csv"
+    argv = ["solve-nonlinear", "--config", str(cfg), "--relax", "0.5", "--out", str(out)]
+    assert main(argv) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert re.fullmatch(r"truncation bound holds for n = 1\.\.49 "
+                        r"\(worst lhs/rhs 0\.\d{3} at n = \d+\)", last), last
+    out.unlink()
+    code = main(argv + ["--max-iter", "1"])
+    err = capsys.readouterr().err
+    _assert_clean_failure(code, err)
+    assert err.startswith("error: fixed point at n = 1 did not converge in 1 iterations"), err
+    assert not out.exists()

@@ -187,15 +187,9 @@ class TestReferenceSolution:
         np.testing.assert_array_equal(reference_solution(setup, solver),
                                       solver.solve(setup.source))
 
-    def test_solver_is_optional(self):
-        setup = build_problem(make_config())
-        np.testing.assert_allclose(reference_solution(setup),
-                                   factorize(setup.operator).solve(setup.source),
-                                   atol=1e-14)
-
     def test_semilinear_reference_solves_the_full_system(self):
         setup = build_problem(make_config("semilinear_elliptic", m=5))
-        u = reference_solution(setup)
+        u = reference_solution(setup, setup.factorize())
         resid = setup.operator @ u + setup.term(u) - setup.source
         assert np.linalg.norm(resid) <= 1e-11 * (1 + np.linalg.norm(setup.source))
 
@@ -204,7 +198,7 @@ class TestErrorCurves:
     def test_curve_shape_and_header(self):
         setup = build_problem(make_config(m=5))
         basis = oracle_problem_basis(setup)
-        u_ref = reference_solution(setup)
+        u_ref = reference_solution(setup, setup.factorize())
         curve = error_curve(u_ref, basis, setup.fx, setup.source, [1, 4, 16],
                             grid=setup.grid)
         assert curve.header() == "n,rel_l2,rel_energy"
@@ -215,7 +209,7 @@ class TestErrorCurves:
     def test_without_a_grid_there_is_no_energy_column(self):
         setup = build_problem(make_config(m=5))
         basis = oracle_problem_basis(setup)
-        u_ref = reference_solution(setup)
+        u_ref = reference_solution(setup, setup.factorize())
         curve = error_curve(u_ref, basis, setup.fx, setup.source, [2, 3])
         assert curve.rel_energy is None
         assert curve.header() == "n,rel_l2"
@@ -224,20 +218,21 @@ class TestErrorCurves:
     def test_full_rank_projection_recovers_the_reference(self):
         setup = build_problem(make_config(m=5))
         basis = oracle_problem_basis(setup)
-        u_ref = reference_solution(setup)
+        u_ref = reference_solution(setup, setup.factorize())
         curve = error_curve(u_ref, basis, setup.fx, setup.source, [basis.rank])
         assert curve.rel_l2[0] < 1e-11
 
     def test_projection_matches_the_shared_coefficient_path(self):
         setup = build_problem(make_config(m=5))
         basis = oracle_problem_basis(setup)
-        u_full = solve_linear_projection(basis, setup.fx, setup.source, basis.rank)
-        np.testing.assert_allclose(u_full, reference_solution(setup), atol=1e-11)
+        u_full = solve_linear_projection(basis, setup.fx, setup.source, [basis.rank])[:, 0]
+        np.testing.assert_allclose(u_full, reference_solution(setup, setup.factorize()),
+                                   atol=1e-11)
 
     def test_vanishing_term_gives_bitwise_the_linear_curve(self, zero_term):
         setup = build_problem(make_config(m=5))
         basis = oracle_problem_basis(setup)
-        u_ref = reference_solution(setup)
+        u_ref = reference_solution(setup, setup.factorize())
         ns = [1, 3, 7, 16]
         linear = error_curve(u_ref, basis, setup.fx, setup.source, ns)
         nonlin = nonlinear_error_curve(u_ref, basis, setup.fx, setup.source,
@@ -247,7 +242,7 @@ class TestErrorCurves:
     def test_semilinear_curve_decreases_to_the_newton_reference(self):
         setup = build_problem(make_config("semilinear_elliptic", m=5))
         basis = oracle_problem_basis(setup)
-        u_ref = reference_solution(setup)
+        u_ref = reference_solution(setup, setup.factorize())
         curve = nonlinear_error_curve(u_ref, basis, setup.fx, setup.source,
                                       setup.term, [1, 8, 16],
                                       NonlinearSettings(tol=1e-22))
@@ -318,18 +313,6 @@ class TestSharedCurveKernel:
         l2, energy = column_errors(u_ref, blocks, grid)
         assert curve.rel_l2 == l2
         assert curve.rel_energy == energy
-
-    def test_one_level_is_the_one_column_case(self):
-        config, setup, basis, _ = curve_case("semilinear_elliptic", {"m_intervals": 8}, 2)
-        args = (basis, setup.fx, setup.source)
-        np.testing.assert_array_equal(solve_linear_projection(*args, 7),
-                                      solve_linear_projection(*args, [7])[:, 0])
-        one = fixed_point_solve(*args, setup.term, 7, config.nonlinear)
-        block = fixed_point_solve(*args, setup.term, [7], config.nonlinear)
-        np.testing.assert_array_equal(one.solution, block.solution[:, 0])
-        np.testing.assert_array_equal(one.coefficients, block.coefficients[:, 0])
-        assert (one.sweeps, one.final_step, one.step_history) == (
-            block.sweeps[0], block.final_step[0], block.step_history[0])
 
     def test_curves_apply_no_weight_factor(self, monkeypatch):
         # the coefficients come from the Gram matrix, never from F_X products
@@ -426,12 +409,12 @@ def first_one_level_failure(basis, fx, f, term, ns, settings):
     """The message of the first level whose one-level fixed point fails, the per-n curve's."""
     for n in ns:
         try:
-            result = fixed_point_solve(basis, fx, f, term, n, settings)
+            result = fixed_point_solve(basis, fx, f, term, [n], settings)
         except Diverged as exc:
             return str(exc)
         if not result.converged:
-            return (f"fixed point at n = {n} did not converge in {result.sweeps} iterations: "
-                    f"final step {result.final_step:.3e} against tol {settings.tol:.3e}")
+            return (f"fixed point at n = {n} did not converge in {result.sweeps[0]} iterations: "
+                    f"final step {result.final_step[0]:.3e} against tol {settings.tol:.3e}")
     return None
 
 

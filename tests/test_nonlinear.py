@@ -136,21 +136,21 @@ class TestFixedPoint:
     def test_linear_limit_is_one_pass_and_bitwise_equal_to_projection(self, zero_term):
         solver, fx, fy, f = semilinear_setup()
         basis = compute_basis(solver, fx, fy, RsvdParams(12, 20, 2, seed=0))
-        result = fixed_point_solve(basis, fx, f, zero_term, 12, NonlinearSettings())
+        result = fixed_point_solve(basis, fx, f, zero_term, [12], NonlinearSettings())
         assert result.converged
         assert result.iterations == 1
-        assert result.final_step == 0.0
-        direct = reconstruct(basis, SourceProjector(basis, fx, 12).coefficients(f), 12)
-        np.testing.assert_array_equal(result.solution, direct)
+        assert result.final_step[0] == 0.0
+        direct = reconstruct(basis, SourceProjector(basis, fx, 12).coefficients(f))
+        np.testing.assert_array_equal(result.solution[:, 0], direct)
 
     def test_full_rank_cubic_agrees_with_newton(self):
         solver, fx, fy, f = semilinear_setup(m=8, amplitude=100.0)
         basis = dense_svd_oracle(green_of(solver), fx, fy)
         term = CubicTerm()
-        result = fixed_point_solve(basis, fx, f, term, basis.rank, NonlinearSettings(tol=1e-24))
+        result = fixed_point_solve(basis, fx, f, term, [basis.rank], NonlinearSettings(tol=1e-24))
         reference = newton_reference(solver, term, f)
         assert result.converged
-        np.testing.assert_allclose(result.solution, reference, atol=1e-8)
+        np.testing.assert_allclose(result.solution[:, 0], reference, atol=1e-8)
 
     def test_solution_actually_satisfies_the_reduced_equations(self):
         # at convergence the coefficients reproduce the projection of the
@@ -158,17 +158,17 @@ class TestFixedPoint:
         solver, fx, fy, f = semilinear_setup()
         basis = dense_svd_oracle(green_of(solver), fx, fy)
         n = 20
-        result = fixed_point_solve(basis, fx, f, CubicTerm(), n,
+        result = fixed_point_solve(basis, fx, f, CubicTerm(), [n],
                                    NonlinearSettings(tol=1e-26, max_iter=2000))
         projector = SourceProjector(basis, fx, n)
-        fixed = projector.coefficients(f - CubicTerm()(result.solution))
-        np.testing.assert_allclose(result.coefficients, fixed, atol=1e-11)
+        fixed = projector.coefficients(f - CubicTerm()(result.solution[:, 0]))
+        np.testing.assert_allclose(result.coefficients[:, 0], fixed, atol=1e-11)
 
     def test_under_relaxation_reaches_the_same_fixed_point(self):
         solver, fx, fy, f = semilinear_setup()
         basis = dense_svd_oracle(green_of(solver), fx, fy)
-        full = fixed_point_solve(basis, fx, f, CubicTerm(), 15, NonlinearSettings(tol=1e-24))
-        damped = fixed_point_solve(basis, fx, f, CubicTerm(), 15,
+        full = fixed_point_solve(basis, fx, f, CubicTerm(), [15], NonlinearSettings(tol=1e-24))
+        damped = fixed_point_solve(basis, fx, f, CubicTerm(), [15],
                                    NonlinearSettings(tol=1e-24, max_iter=2000, relax=0.5))
         assert damped.converged
         np.testing.assert_allclose(damped.solution, full.solution, atol=1e-9)
@@ -179,22 +179,22 @@ class TestFixedPoint:
         # from the same start a damped sweep records the full step, not relax^2 of it
         solver, fx, fy, f = semilinear_setup()
         basis = dense_svd_oracle(green_of(solver), fx, fy)
-        full = fixed_point_solve(basis, fx, f, CubicTerm(), 15, NonlinearSettings(max_iter=1))
-        damped = fixed_point_solve(basis, fx, f, CubicTerm(), 15,
+        full = fixed_point_solve(basis, fx, f, CubicTerm(), [15], NonlinearSettings(max_iter=1))
+        damped = fixed_point_solve(basis, fx, f, CubicTerm(), [15],
                                    NonlinearSettings(max_iter=1, relax=0.05))
         assert damped.step_history == full.step_history
-        assert damped.final_step > 0.0
-        tol = 0.01 * full.final_step  # above the damped step 0.05^2 * full.final_step
-        result = fixed_point_solve(basis, fx, f, CubicTerm(), 15,
+        assert damped.final_step[0] > 0.0
+        tol = 0.01 * full.final_step[0]  # above the damped step 0.05^2 * full.final_step
+        result = fixed_point_solve(basis, fx, f, CubicTerm(), [15],
                                    NonlinearSettings(tol=tol, max_iter=1, relax=0.05))
         assert not result.converged
 
     def test_step_history_is_recorded(self):
         solver, fx, fy, f = semilinear_setup()
         basis = dense_svd_oracle(green_of(solver), fx, fy)
-        result = fixed_point_solve(basis, fx, f, CubicTerm(), 10, NonlinearSettings())
-        assert len(result.step_history) == result.iterations
-        assert result.step_history[-1] == result.final_step
+        result = fixed_point_solve(basis, fx, f, CubicTerm(), [10], NonlinearSettings())
+        assert len(result.step_history[0]) == result.iterations
+        assert result.step_history[0][-1] == result.final_step[0]
 
     def test_divergence_is_detected(self):
         fi = identity_weight(6)
@@ -202,7 +202,7 @@ class TestFixedPoint:
         basis = dense_svd_oracle(green_of(solver), fi, fi)
         f = np.full(6, 50.0)  # cubic blowup: |u| grows every sweep
         with pytest.raises(Diverged):
-            fixed_point_solve(basis, fi, f, CubicTerm(), 6, NonlinearSettings(max_iter=200))
+            fixed_point_solve(basis, fi, f, CubicTerm(), [6], NonlinearSettings(max_iter=200))
 
     def test_invalid_relaxation_rejected(self):
         # the settings are checked once, where they are made
@@ -235,7 +235,7 @@ class TestRepresentationBound:
         for n, lhs, rhs in check_linear_representation_bound(
                 basis, solver, fx, f, term, u_ref, range(1, 20)):
             coeffs = SourceProjector(basis, fx, n).coefficients(f - nonlinear)
-            u_n = reconstruct(basis, coeffs, n)
+            u_n = reconstruct(basis, coeffs)
             assert lhs == pytest.approx(np.linalg.norm(u_ref - u_n), rel=1e-12)
             assert rhs == basis.singular_values[n] * (fx.norm(f) + fx.norm(nonlinear))
 
