@@ -77,14 +77,16 @@ class SVDBasis:
     meta: dict = field(default_factory=dict)
 
 
-def _apply_forward(solver, fx, fy, w):
-    """A w with A = F_Y L^{-1} F_X^{-1}."""
-    return fy.apply(solver.solve(fx.solve(w)))
+def _apply_forward(solver, fx, fy, w, overwrite=False):
+    """A w with A = F_Y L^{-1} F_X^{-1}; with ``overwrite``, in the memory of an F-ordered w."""
+    w = fx.solve(w, overwrite_b=overwrite)
+    return fy.apply(solver.solve(w, overwrite_b=True), overwrite_b=True)
 
 
-def _apply_adjoint(solver, fx, fy, w):
-    """A^T w = F_X^{-T} L^{-T} F_Y^T w."""
-    return fx.solve_t(solver.solve_transpose(fy.apply_t(w)))
+def _apply_adjoint(solver, fx, fy, w, overwrite=False):
+    """A^T w = F_X^{-T} L^{-T} F_Y^T w; ``overwrite`` as for _apply_forward."""
+    w = fy.apply_t(w, overwrite_b=overwrite)
+    return fx.solve_t(solver.solve_transpose(w, overwrite_b=True), overwrite_b=True)
 
 
 def compute_basis(solver, fx, fy, params: RsvdParams):
@@ -106,11 +108,17 @@ def compute_basis(solver, fx, fy, params: RsvdParams):
     cheap pivoted-LU basis ``lu_basis``, which keeps the block well
     conditioned and never drops a column.  The one orthonormalization is
     the rank-revealing pivoted QR of the last forward block; triplets come
-    from the SVD of the small projected matrix Q^T A.  Rank is detected
-    only there: columns the QR drops, or singular values below
+    from the SVD of the small projected matrix Q^T A, taken as the SVD of
+    the tall A^T Q, whose left vectors are Q^T A's right vectors.  Rank is
+    detected only there: columns the QR drops, or singular values below
     TRUNCATION_RTOL of the largest, truncate the basis, and each of the
     two emits one RankDeficientWarning.  A sketch wider than the N unknowns
     raises ConfigInvalid.
+
+    Every stage overwrites one N x k working block, from the Gaussian draw
+    to A^T Q, so the sketch holds that block and the solves' column chunks;
+    the small SVD adds its N x k left vectors, and the lift then holds the
+    r_eff columns of V and of U.
     """
     n = solver.n
     k = params.rank + params.oversample
@@ -119,21 +127,20 @@ def compute_basis(solver, fx, fy, params: RsvdParams):
             f"'rsvd.rank' + 'rsvd.oversample' = {k} exceeds the {n} unknowns of the problem"
         )
     rng = np.random.Generator(np.random.Philox(params.seed))
-    sketch = rng.standard_normal((n, k))
-
-    y = _apply_forward(solver, fx, fy, sketch)
+    y = _apply_forward(solver, fx, fy, np.asfortranarray(rng.standard_normal((n, k))), True)
     for _ in range(params.power):
-        q = lu_basis(y)  # frees the last pass's block before the adjoint runs
-        q = lu_basis(_apply_adjoint(solver, fx, fy, q))
-        y = _apply_forward(solver, fx, fy, q)
-    q = qr_thin(y)
-
-    _, svals, v_big = svd_dense(_apply_adjoint(solver, fx, fy, q).T)  # Q^T A
+        q = lu_basis(_apply_adjoint(solver, fx, fy, lu_basis(y), True))
+        y = _apply_forward(solver, fx, fy, q, True)
+    q = qr_thin(y, overwrite_a=True)
+    del y  # q lives in the same memory
+    kept = q.shape[1]
+    v_big, svals, _ = svd_dense(_apply_adjoint(solver, fx, fy, q, True), overwrite_a=True)
+    del q  # overwritten by A^T Q, then by the SVD
 
     lead = svals[0] if svals.size else 0.0
     achieved = int(np.sum(svals > TRUNCATION_RTOL * lead)) if lead > 0.0 else 0
     r_eff = min(params.rank, achieved)
-    if r_eff < min(params.rank, q.shape[1]):  # qr_thin warned of the columns it dropped
+    if r_eff < min(params.rank, kept):  # qr_thin warned of the columns it dropped
         warnings.warn(
             f"requested rank {params.rank} but sketch found numerical rank {achieved}",
             RankDeficientWarning,
@@ -141,7 +148,9 @@ def compute_basis(solver, fx, fy, params: RsvdParams):
         )
     lam = svals[:r_eff].copy()
     v_hat = fx.solve(v_big[:, :r_eff])
-    u_hat = solver.solve(v_hat) / lam
+    del v_big  # the basis keeps r_eff columns, not k
+    u_hat = solver.solve(v_hat)
+    u_hat /= lam
     return SVDBasis(n, r_eff, lam, u_hat, v_hat, {"method": "rsvd"})
 
 
@@ -207,13 +216,9 @@ def defining_relation_errors(basis: SVDBasis, solver, fx, fy, indices=None):
     """
     r = basis.rank
     idx = list(range(r) if indices is None else indices)
-
-    fu = fy.apply(basis.left_vectors)
-    fv = fx.apply(basis.right_vectors)
-    eye = np.eye(r)
     out = {
-        "left_orthonormality": float(np.abs(fu.T @ fu - eye).max()),
-        "right_orthonormality": float(np.abs(fv.T @ fv - eye).max()),
+        "left_orthonormality": _orthonormality_defect(fy, basis.left_vectors),
+        "right_orthonormality": _orthonormality_defect(fx, basis.right_vectors),
     }
 
     lam = basis.singular_values[idx]
@@ -221,8 +226,16 @@ def defining_relation_errors(basis: SVDBasis, solver, fx, fy, indices=None):
     v = basis.right_vectors[:, idx]
     # G v and G* u = Pi_X^{-1} G^T Pi_Y u, each as one block of solves
     gv = solver.solve(v)
-    gstar_u = fx.solve(fx.solve_t(solver.solve_transpose(fy.apply_t(fy.apply(u)))))
+    gstar_u = fy.apply(u)
+    for step in (fy.apply_t, solver.solve_transpose, fx.solve_t, fx.solve):
+        gstar_u = step(gstar_u, overwrite_b=True)
     for key, image, target in (("forward_residual", gv, u), ("adjoint_residual", gstar_u, v)):
         residual = np.linalg.norm(image - lam * target, axis=0)
         out[key] = float((residual / (lam * np.linalg.norm(target, axis=0))).max(initial=0.0))
     return out
+
+
+def _orthonormality_defect(weight, vectors):
+    """max |W^T Pi W - I| for Pi = F^T F: how far the columns are from Pi-orthonormal."""
+    fw = weight.apply(vectors)
+    return float(np.abs(fw.T @ fw - np.eye(fw.shape[1])).max())

@@ -176,6 +176,8 @@ def nonlinear_error_curve(u_ref, basis: SVDBasis, fx, f, term, n_values,
     return _curve(u_ref, n_values, grid, solutions)
 
 
+# an overflowing norm is reported once, as the NonFiniteResult below, not as warnings
+@np.errstate(over="ignore", invalid="ignore")
 def _curve(u_ref, n_values, grid, solutions) -> ErrorCurve:
     """Errors of solutions(levels), an N x L block, against u_ref, relative to its own norms.
 

@@ -14,6 +14,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .exceptions import (
     DimensionMismatch,
@@ -62,7 +63,9 @@ class FactorizedSolver:
     its transposed solves done as P L^{-1} P b, through the blocked path.
     A block of right-hand sides is solved in column chunks of at most
     SOLVE_CHUNK on a thread pool that lives only for the call; SuperLU
-    releases the interpreter lock while it solves.
+    releases the interpreter lock while it solves.  Each chunk's solution
+    is written back into that chunk's own columns of the result, so a solve
+    holds the result block and a few chunks, never a second block.
 
     Parameters
     ----------
@@ -115,24 +118,42 @@ class FactorizedSolver:
         """Fill of the factorization: the entries SuperLU stores for L and U."""
         return self._lu.nnz
 
-    def _check_rhs(self, b):
+    def _rhs(self, b, overwrite_b):
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.n:
             raise DimensionMismatch(
                 f"right-hand side has leading dimension {b.shape[0]}, expected {self.n}"
             )
-        return b
+        return work_array(b, overwrite_b)
 
-    def solve(self, b):
-        """Solve L x = b for one vector or the columns of a matrix."""
-        return _chunked(self._lu.solve, self._check_rhs(b))
+    def solve(self, b, overwrite_b=False):
+        """Solve L x = b for one vector or the columns of a matrix.
 
-    def solve_transpose(self, b):
-        """Solve L^T x = b using the same factorization: P L^{-1} P b when reciprocal."""
-        b = self._check_rhs(b)
-        if self.reversal is None:
-            return _chunked(lambda c: self._lu.solve(c, trans="T"), b)
-        return _chunked(self._lu.solve, b[self._take])[self._take]
+        With ``overwrite_b`` and an F-ordered float64 ``b``, x is written
+        into b and b is returned; otherwise b is left as it is.
+        """
+        x = self._rhs(b, overwrite_b)
+        _chunked(self._forward, x)
+        return x
+
+    def solve_transpose(self, b, overwrite_b=False):
+        """Solve L^T x = b using the same factorization: P L^{-1} P b when reciprocal.
+
+        ``overwrite_b`` as for solve.
+        """
+        x = self._rhs(b, overwrite_b)
+        _chunked(self._transposed if self.reversal is None else self._reversed, x)
+        return x
+
+    def _forward(self, c):
+        c[...] = self._lu.solve(c)
+
+    def _transposed(self, c):
+        c[...] = self._lu.solve(c, trans="T")
+
+    def _reversed(self, c):
+        # P L^{-1} P c for the involution P: gathered and scattered per chunk
+        c[self._take] = self._lu.solve(c[self._take])
 
 
 def solve_threads():
@@ -143,21 +164,22 @@ def solve_threads():
         return os.cpu_count() or 1
 
 
-def _chunked(solve, b):
-    """solve(b) for a vector, else solve applied to fixed column chunks of b.
+def _chunked(solve_into, x):
+    """Apply solve_into, which overwrites its argument, to x or to fixed column chunks of x.
 
-    Only ``solve`` runs on the worker threads, never a public method, so a
-    tracer hooked on the public solves sees one call from one thread.
+    Only ``solve_into`` runs on the worker threads, never a public method,
+    so a tracer hooked on the public solves sees one call from one thread.
+    The chunks are disjoint column ranges of x, one per thread at a time.
     """
-    k = b.shape[1] if b.ndim == 2 else 0
+    k = x.shape[1] if x.ndim == 2 else 0
     chunks = -(-k // SOLVE_CHUNK)
     if chunks <= 1:
-        return solve(b)
+        solve_into(x)
+        return
     edges = [k * i // chunks for i in range(chunks + 1)]
-    x = np.empty(b.shape, order="F")  # the layout SuperLU returns
 
     def run(i):
-        x[:, edges[i]:edges[i + 1]] = solve(b[:, edges[i]:edges[i + 1]])
+        solve_into(x[:, edges[i]:edges[i + 1]])
 
     workers = min(solve_threads(), chunks)
     if workers == 1:
@@ -166,7 +188,18 @@ def _chunked(solve, b):
     else:
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(run, range(chunks)))
-    return x
+
+
+def work_array(a, overwrite):
+    """The array an in-place kernel writes: ``a`` itself or an F-ordered float64 copy.
+
+    ``a`` itself only when ``overwrite`` is set and ``a`` is a writable
+    F-ordered float64 array, so that the caller sees the result in it.
+    """
+    a = np.asarray(a, dtype=float)
+    if overwrite and a.flags.f_contiguous and a.flags.writeable:
+        return a
+    return np.array(a, order="F")
 
 
 def _checked_reversal(reversal, n):
@@ -194,19 +227,21 @@ def factorize(operator, reversal=None):
     return FactorizedSolver(operator, reversal)
 
 
-def qr_thin(a):
+def qr_thin(a, overwrite_a=False):
     """Thin QR factor with dependent columns dropped.
 
     Uses column-pivoted QR so rank deficiency shows up on the diagonal of R.
     Returns Q whose columns are orthonormal and span the numerically detected
     range of ``a``.  Emits a RankDeficientWarning when columns are dropped.
+    With ``overwrite_a`` and an F-ordered float64 ``a``, Q is formed in the
+    memory of ``a`` and returned as a leading-column view of it.
     """
-    a = np.asarray(a, dtype=float)
+    a = work_array(a, overwrite_a)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d array, got shape {a.shape}")
     if a.shape[1] == 0:
-        return a.copy()
-    q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
+        return a
+    q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True, overwrite_a=True)
     diag = np.abs(np.diag(r))
     lead = diag[0] if diag.size else 0.0
     if lead == 0.0:
@@ -230,19 +265,36 @@ def lu_basis(a):
     has full column rank and its range contains range(a), with equality when
     a has full column rank; a zero pivot leaves a unit column, never a NaN or
     a warning.  Several times cheaper than qr_thin, but neither orthonormal
-    nor rank-revealing.  The block ``a`` may be overwritten.
+    nor rank-revealing.  An F-ordered float64 block ``a`` is overwritten:
+    LAPACK's getrf factors it in place and P L is built in its memory, the
+    same bits as ``scipy.linalg.lu(a, permute_l=True)[0]``.
     """
-    a = np.asarray(a, dtype=float)
+    a = work_array(a, True)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d array, got shape {a.shape}")
-    return scipy.linalg.lu(a, permute_l=True, overwrite_a=True)[0]
+    lu, piv, _ = lapack.dgetrf(a, overwrite_a=1)  # info > 0 only flags a zero pivot of U
+    r = min(lu.shape)
+    pl = lu[:, :r]
+    pl[np.triu_indices(r, 1)] = 0.0
+    np.fill_diagonal(pl, 1.0)
+    for i in range(r - 1, -1, -1):  # undo getrf's row swaps, last first
+        if piv[i] != i:
+            pl[[i, piv[i]]] = pl[[piv[i], i]]
+    return pl
 
 
-def svd_dense(a):
-    """Full SVD of a dense matrix, returned as (U, s, V) with A = U diag(s) V^T."""
-    a = np.asarray(a, dtype=float)
+def svd_dense(a, overwrite_a=False):
+    """Thin SVD of a dense matrix, returned as (U, s, V) with A = U diag(s) V^T.
+
+    LAPACK's gesdd, as numpy calls it, with the same bits.  With
+    ``overwrite_a`` and an F-ordered float64 ``a``, the work is done in the
+    memory of ``a``, which is left destroyed: a tall N x k matrix then costs
+    one more N x k block, U, where a copying SVD costs two.
+    """
+    a = work_array(a, overwrite_a)
     try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
+        u, s, vt = scipy.linalg.svd(a, full_matrices=False, overwrite_a=True,
+                                    lapack_driver="gesdd")
+    except (np.linalg.LinAlgError, ValueError) as exc:  # ValueError: a NaN or inf entry
         raise SvdFailure(f"SVD did not converge: {exc}") from exc
     return u, s, vt.T

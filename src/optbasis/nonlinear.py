@@ -156,6 +156,8 @@ def fixed_point_solve(basis: SVDBasis, fx, f, term, levels, settings):
                             not failed.size, sweeps, steps, history)
 
 
+# an overflowing norm is reported once, as the BoundViolation below, not as warnings
+@np.errstate(over="ignore", invalid="ignore")
 def check_linear_representation_bound(basis: SVDBasis, solver, fx, f, term, u_ref, n_values):
     """Verify the truncation bound of a converged reference at each n below the basis rank.
 

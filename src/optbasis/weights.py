@@ -30,8 +30,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cholesky_banded, lapack
 
-from .exceptions import DimensionMismatch, OrderTooHigh
+from .exceptions import DimensionMismatch, OrderTooHigh, SingularOperator
 from .grids import Grid2D, PhaseGrid
+from .linalg import work_array
 
 
 def fd_operator_1d(m_intervals, order, h):
@@ -151,43 +152,55 @@ class WeightFactor:
             )
         return v
 
-    def _map(self, v, op, scale):
-        """scale * (op (x) I_k) v, with op acting on the (n_s, k * cols) block."""
-        v = self._check(v)
-        if self.n_minor == 1:
-            out = op(v)
-        else:
-            cols = 1 if v.ndim == 1 else v.shape[1]
-            out = op(v.reshape(self.n_spatial, self.n_minor * cols)).reshape(v.shape)
+    def _map(self, v, op, scale, overwrite_b):
+        """scale * (op (x) I_k) v, with op overwriting each (n_s, cols) block it is given.
+
+        Entry [s k + a, c] of an F-ordered block is entry [a, s, c] of its
+        F-ordered (k, n_s, cols) view, so op runs once per angle a, in place.
+        Each column's result does not depend on the other columns, so the
+        bits do not depend on the layout.
+        """
+        x = work_array(self._check(v), overwrite_b)
+        cols = x.shape[1] if x.ndim == 2 else 1
+        for rows in x.reshape((self.n_minor, self.n_spatial, cols), order="F"):
+            op(rows)
         if scale != 1.0:
-            out *= scale
-        return out
+            x *= scale
+        return x
 
     def _product(self, factor, x):
         if factor is None:  # one-row band
-            d = self.band[0]
-            return x * (d if x.ndim == 1 else d[:, None])
-        return factor @ x
+            x *= self.band[0][:, None]
+        else:
+            x[...] = factor @ x
 
     def _tbtrs(self, trans, x):
         if x.size == 0:  # scipy's dtbtrs wrapper crashes on zero right-hand sides
-            return x.copy()
-        x, info = lapack.dtbtrs(self.band, x, trans=trans)
+            return
+        out, info = lapack.dtbtrs(self.band, x, trans=trans, overwrite_b=1)
         if info != 0:
-            raise ValueError(f"triangular banded solve failed (info={info})")
-        return x
+            raise SingularOperator(f"triangular banded weight solve failed (info={info})")
+        if out is not x:  # f2py solved a copy of one angle's strided rows
+            x[...] = out
 
-    def apply(self, v):
-        return self._map(v, partial(self._product, self._factor), self.scale)
+    # Each map takes ``overwrite_b`` as FactorizedSolver.solve does: with it
+    # and an F-ordered float64 v, the result is written into v and v returned.
 
-    def apply_t(self, v):
-        return self._map(v, partial(self._product, self._factor_t), self.scale)
+    def apply(self, v, overwrite_b=False):
+        """F v."""
+        return self._map(v, partial(self._product, self._factor), self.scale, overwrite_b)
 
-    def solve(self, v):
-        return self._map(v, partial(self._tbtrs, "N"), 1.0 / self.scale)
+    def apply_t(self, v, overwrite_b=False):
+        """F^T v."""
+        return self._map(v, partial(self._product, self._factor_t), self.scale, overwrite_b)
 
-    def solve_t(self, v):
-        return self._map(v, partial(self._tbtrs, "T"), 1.0 / self.scale)
+    def solve(self, v, overwrite_b=False):
+        """F^{-1} v."""
+        return self._map(v, partial(self._tbtrs, "N"), 1.0 / self.scale, overwrite_b)
+
+    def solve_t(self, v, overwrite_b=False):
+        """F^{-T} v."""
+        return self._map(v, partial(self._tbtrs, "T"), 1.0 / self.scale, overwrite_b)
 
     def gram(self):
         """Assembled Pi as a sparse matrix, the operator of the Pi-inner products."""

@@ -1,5 +1,6 @@
 """Randomized and dense weighted SVD bases of solution operators."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +22,9 @@ from optbasis.basis import (
     reconstruct,
 )
 from optbasis.bayes import DENSE_ORACLE_GUARD, dense_svd_oracle
+from optbasis.config import config_from_dict
 from optbasis.elliptic import EllipticMedium, assemble_elliptic
+from optbasis.experiments import build_problem
 from optbasis.exceptions import (
     ConfigInvalid,
     DimensionMismatch,
@@ -222,10 +225,10 @@ class TestRandomizedBasis:
             n = 3
             diag = np.array([1.0, 1.0, 1e-16])
 
-            def solve(self, b):
+            def solve(self, b, overwrite_b=False):
                 return (np.asarray(b, dtype=float).T * self.diag).T
 
-            def solve_transpose(self, b):
+            def solve_transpose(self, b, overwrite_b=False):
                 return self.solve(b)
 
         fi = identity_weight(3)
@@ -246,9 +249,9 @@ class TestRandomizedBasis:
         def counted(name):
             kernel = getattr(basis_module, name)
 
-            def wrapper(a):
+            def wrapper(a, **kwargs):
                 calls[name] += 1
-                return kernel(a)
+                return kernel(a, **kwargs)
             return wrapper
 
         for name in calls:
@@ -430,3 +433,67 @@ class TestProjectionAccuracy:
         got = SourceProjector(basis, fx, basis.rank).coefficients(g)
         scale = np.abs(v).T @ (np.abs(pi) @ np.abs(g))
         assert np.all(np.abs(got - exact) <= 1e-13 * scale)
+
+
+def configured_problem(family, m, p, rank, oversample, power, **grid):
+    """Factor, weights and sketch settings of a problem as the commands build it."""
+    problem = ({"family": family, "eps": 0.0625} if "elliptic" in family
+               else {"family": family, "eps1": 1.0, "eps2": 1.0, "g": 0.5})
+    setup = build_problem(config_from_dict({
+        "problem": problem, "grid": {"m_intervals": m, **grid}, "weights": {"p": p},
+        "rsvd": {"rank": rank, "oversample": oversample, "power": power},
+    }))
+    return setup.factorize(), setup.fx, setup.fy, setup.config.rsvd
+
+
+class TestSketchMemory:
+    # Every stage of the sketch overwrites one N x k working block; the
+    # solves add their column chunks, and the small SVD its left vectors.
+    # Copying stages held about seven blocks at once.
+    @pytest.mark.parametrize("problem", [
+        pytest.param(("elliptic", 16, 2, 40, 10, 2, {}), id="elliptic"),
+        pytest.param(("rte", 8, 1, 20, 20, 3, {"n_angles": 8}), id="transport"),
+    ])
+    def test_peak_above_the_inputs_is_at_most_four_working_blocks(self, problem):
+        *args, grid = problem
+        solver, fx, fy, params = configured_problem(*args, **grid)
+        block = solver.n * (params.rank + params.oversample) * 8
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            compute_basis(solver, fx, fy, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert (peak - start) / block <= 4.0
+
+
+class TestSmallSvd:
+    # The triplets come from the SVD of the tall A^T Q, taken in place; the
+    # SVD of the wide Q^T A itself is the reference, on both benchmark shapes.
+    @pytest.mark.parametrize("problem", [
+        pytest.param(("semilinear_elliptic", 32, 2, 310, 20, 2, {}), id="elliptic-solve"),
+        pytest.param(("rte", 12, 1, 50, 50, 6, {"n_angles": 40}), id="transport-basis"),
+    ])
+    def test_tall_svd_agrees_with_the_wide_svd(self, problem, monkeypatch):
+        *args, grid = problem
+        solver, fx, fy, params = configured_problem(*args, **grid)
+        tall = compute_basis(solver, fx, fy, params)
+
+        def wide_svd(adjoint_of_q, overwrite_a=False):
+            u, s, vt = np.linalg.svd(adjoint_of_q.T, full_matrices=False)
+            return vt.T, s, u
+
+        monkeypatch.setattr(basis_module, "svd_dense", wide_svd)
+        wide = compute_basis(solver, fx, fy, params)
+        assert tall.rank == wide.rank == params.rank
+        lam, lam_wide = tall.singular_values, wide.singular_values
+        assert np.all(np.abs(lam - lam_wide) <= 1e-12 * lam_wide)
+        v, v_wide = tall.right_vectors, wide.right_vectors
+        v = v * np.sign(np.sum(v * v_wide, axis=0))
+        gap = np.linalg.norm(v - v_wide, axis=0) / np.linalg.norm(v_wide, axis=0)
+        assert gap.max() <= 1e-9

@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from optbasis.cli import build_parser, main
 from optbasis.config import config_from_dict
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_config(tmp_path, name="case.json", *, family="elliptic", m=6, p=1,
@@ -517,6 +521,23 @@ class TestTruncationBound:
         _assert_clean_failure(code, err)
         assert err.startswith(f"error: {message}"), err
         assert not out.exists()
+
+    @pytest.mark.parametrize("rank, message", [
+        (5, "truncation bound at n = 1 is not finite: representation error inf, bound inf; "
+            "the norms overflow"),
+        (1, "relative errors are not finite: a norm or a solution overflows"),
+    ], ids=["bound", "curve"])
+    def test_overflowing_norms_print_one_line_and_no_warning(self, tmp_path, rank, message):
+        # a separate interpreter, so that stderr holds what numpy would print
+        cfg = write_config(tmp_path, m=8, p=0, rank=rank, oversample=2, power=1,
+                           problem={"source": {"kind": "sine", "amplitude": 1e160}})
+        run = subprocess.run(
+            [sys.executable, "-m", "optbasis.cli", "solve-linear", "--config", str(cfg),
+             "--out", str(tmp_path / "curve.csv")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert run.returncode == 2, run.stderr
+        assert run.stderr == f"error: {message}\n"
 
     def test_a_rank_one_basis_has_no_level_to_check(self, tmp_path, capsys):
         cfg = write_config(tmp_path, family="rte", m=4, grid={"n_angles": 4},

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -409,3 +410,84 @@ class TestSvdDense:
         a = np.full((3, 3), np.nan)
         with pytest.raises(SvdFailure, match="did not converge"):
             svd_dense(a)
+
+
+class TestOverwrite:
+    @pytest.mark.parametrize("name", ["elliptic", "rte-even", "rte-odd"])
+    @pytest.mark.parametrize("cols", [None, 1, 33, 100])
+    @pytest.mark.parametrize("method", ["solve", "solve_transpose"])
+    def test_in_place_solve_is_bitwise_the_copying_solve(self, name, cols, method):
+        # identity reversal, the transport reversal, and SuperLU's own
+        # transposed solve (odd angle count, reversal None)
+        solver = factorize(*reciprocal_case(name))
+        rng = np.random.Generator(np.random.Philox(37))
+        b = rng.standard_normal((solver.n,) if cols is None else (solver.n, cols))
+        before = b.copy()
+        copied = getattr(solver, method)(b)
+        assert np.array_equal(b, before)
+        block = np.asfortranarray(b)
+        in_place = getattr(solver, method)(block, overwrite_b=True)
+        assert in_place is block
+        assert copied.tobytes() == in_place.tobytes()
+
+    @pytest.mark.parametrize("name", ["rte-even", "rte-odd"])
+    def test_in_place_bytes_do_not_depend_on_the_thread_count(self, name, monkeypatch):
+        # 8 threads write 11 disjoint column chunks of the caller's own block,
+        # switching often; one thread's copying solve is the reference
+        solver = factorize(*reciprocal_case(name))
+        b = np.random.Generator(np.random.Philox(61)).standard_normal((solver.n, 330))
+        monkeypatch.setattr(linalg, "solve_threads", lambda: 1)
+        expected = solve_both(solver, b)
+        monkeypatch.setattr(linalg, "solve_threads", lambda: 8)
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for method, reference in zip(("solve", "solve_transpose"), expected):
+                block = np.asfortranarray(b)
+                assert getattr(solver, method)(block, overwrite_b=True) is block
+                assert block.tobytes() == reference.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_row_ordered_block_is_copied_even_when_overwrite_is_allowed(self):
+        solver = factorize(*reciprocal_case("rte-even"))
+        b = np.random.Generator(np.random.Philox(39)).standard_normal((solver.n, 40))
+        before = b.copy()
+        x = solver.solve_transpose(b, overwrite_b=True)
+        assert np.array_equal(b, before)
+        assert x.tobytes() == solver.solve_transpose(before).tobytes()
+
+    @pytest.mark.parametrize("shape, zero_column", [((60, 7), None), ((60, 7), 2),
+                                                    ((9, 9), None), ((5, 8), None)])
+    def test_lu_basis_is_bitwise_scipys_permuted_factor(self, shape, zero_column):
+        a = np.random.Generator(np.random.Philox(47)).standard_normal(shape)
+        if zero_column is not None:
+            a[:, zero_column] = 0.0  # getrf meets an exact zero pivot there
+        expected = scipy.linalg.lu(a, permute_l=True)[0]
+        block = np.asfortranarray(a)
+        b = lu_basis(block)
+        assert np.shares_memory(b, block)
+        assert b.tobytes() == np.asfortranarray(expected).tobytes()
+
+    @pytest.mark.parametrize("dependent", [False, True])
+    def test_in_place_qr_is_bitwise_the_copying_qr(self, dependent):
+        a = np.random.Generator(np.random.Philox(53)).standard_normal((50, 8))
+        if dependent:
+            a[:, 6] = a[:, 1] + a[:, 2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankDeficientWarning)
+            copied = qr_thin(a)
+            block = np.asfortranarray(a)
+            q = qr_thin(block, overwrite_a=True)
+        assert q.shape[1] == 8 - dependent
+        assert np.shares_memory(q, block)
+        assert copied.tobytes() == q.tobytes()
+
+    @pytest.mark.parametrize("shape", [(40, 12), (12, 40), (15, 15)])
+    def test_svd_is_bitwise_numpys_and_in_place_is_bitwise_copying(self, shape):
+        a = np.random.Generator(np.random.Philox(59)).standard_normal(shape)
+        u0, s0, vt0 = np.linalg.svd(a, full_matrices=False)
+        u, s, v = svd_dense(a)
+        assert np.array_equal(u, u0) and np.array_equal(s, s0) and np.array_equal(v, vt0.T)
+        u2, s2, v2 = svd_dense(np.asfortranarray(a), overwrite_a=True)
+        assert all(x.tobytes() == y.tobytes() for x, y in ((u, u2), (s, s2), (v, v2)))

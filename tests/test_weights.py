@@ -7,8 +7,9 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
-from optbasis.exceptions import DimensionMismatch, OrderTooHigh
+from optbasis.exceptions import DimensionMismatch, OrderTooHigh, SingularOperator
 from optbasis.grids import Grid2D, PhaseGrid
 from optbasis.weights import (
     WeightFactor,
@@ -301,3 +302,70 @@ class TestDiagonalFactor:
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):
             WeightFactor.diagonal(0.0, 3)
+
+
+OVERWRITE_FACTORS = [
+    pytest.param(lambda: WeightFactor.diagonal(0.3, 36), id="diagonal"),
+    pytest.param(lambda: build_sobolev_weight(1, Grid2D(7)), id="sobolev-p1"),
+    pytest.param(lambda: build_sobolev_weight(2, Grid2D(7)), id="sobolev-p2"),
+    pytest.param(lambda: build_rte_weight(1, PhaseGrid(Grid2D(7), 6)), id="transport-p1"),
+    pytest.param(lambda: build_rte_weight(0, PhaseGrid(Grid2D(7), 6)), id="transport-p0"),
+]
+METHODS = ["apply", "apply_t", "solve", "solve_t"]
+
+
+def row_major_map(w, method, v):
+    """The map on the C-ordered (n_s, k * cols) reshape of v, the layout-free reference."""
+    if method in ("apply", "apply_t"):
+        factor = w._factor if method == "apply" else w._factor_t
+        d = w.band[0][:, None]
+        op = (lambda x: x * d) if factor is None else (lambda x: factor @ x)
+        scale = w.scale
+    else:
+        def op(x):
+            return lapack.dtbtrs(w.band, x, trans="N" if method == "solve" else "T")[0]
+        scale = 1.0 / w.scale
+    out = op(v.reshape(w.n_spatial, -1)).reshape(v.shape)
+    return out * scale if scale != 1.0 else out
+
+
+class TestOverwrite:
+    @pytest.mark.parametrize("make", OVERWRITE_FACTORS)
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("cols", [None, 1, 5])
+    def test_in_place_map_is_bitwise_the_copying_map(self, make, method, cols):
+        w = make()
+        rng = np.random.Generator(np.random.Philox(41))
+        v = rng.normal(size=(w.dim,) if cols is None else (w.dim, cols))
+        before = v.copy()
+        copied = getattr(w, method)(v)
+        assert np.array_equal(v, before)  # the default leaves its input alone
+        block = np.asfortranarray(v)
+        in_place = getattr(w, method)(block, overwrite_b=True)
+        assert in_place is block
+        assert copied.tobytes() == in_place.tobytes()
+        reference = row_major_map(w, method, np.ascontiguousarray(before))
+        assert copied.tobytes() == np.ascontiguousarray(reference).tobytes()
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_row_ordered_block_is_copied_even_when_overwrite_is_allowed(self, method):
+        w = build_rte_weight(1, PhaseGrid(Grid2D(5), 4))
+        v = np.random.Generator(np.random.Philox(43)).normal(size=(w.dim, 3))
+        before = v.copy()
+        out = getattr(w, method)(v, overwrite_b=True)
+        assert np.array_equal(v, before)
+        assert out.tobytes() == getattr(w, method)(before).tobytes()
+
+
+class TestSingularBand:
+    @pytest.mark.parametrize("band", [
+        np.array([[2.0, 1.0, 0.0, 3.0]]),                       # diagonal
+        np.array([[0.0, 0.5, 0.5, 0.5], [1.0, 2.0, 0.0, 1.0]]),  # one superdiagonal
+    ], ids=["diagonal", "banded"])
+    @pytest.mark.parametrize("method", ["solve", "solve_t"])
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_a_zero_on_the_diagonal_raises_singular_operator(self, band, method,
+                                                             overwrite):
+        w = WeightFactor(band, sp.identity(4, format="csr"))
+        with pytest.raises(SingularOperator, match=r"info=3"):
+            getattr(w, method)(np.ones((4, 2), order="F"), overwrite_b=overwrite)
