@@ -77,15 +77,15 @@ class SVDBasis:
     meta: dict = field(default_factory=dict)
 
 
-def _apply_forward(solver, fx, fy, w, overwrite=False):
-    """A w with A = F_Y L^{-1} F_X^{-1}; with ``overwrite``, in the memory of an F-ordered w."""
-    w = fx.solve(w, overwrite_b=overwrite)
+def _apply_forward(solver, fx, fy, w):
+    """A w with A = F_Y L^{-1} F_X^{-1}, in the memory of w if it is an F-ordered float64 block."""
+    w = fx.solve(w, overwrite_b=True)
     return fy.apply(solver.solve(w, overwrite_b=True), overwrite_b=True)
 
 
-def _apply_adjoint(solver, fx, fy, w, overwrite=False):
-    """A^T w = F_X^{-T} L^{-T} F_Y^T w; ``overwrite`` as for _apply_forward."""
-    w = fy.apply_t(w, overwrite_b=overwrite)
+def _apply_adjoint(solver, fx, fy, w):
+    """A^T w = F_X^{-T} L^{-T} F_Y^T w, in the memory of w as for _apply_forward."""
+    w = fy.apply_t(w, overwrite_b=True)
     return fx.solve_t(solver.solve_transpose(w, overwrite_b=True), overwrite_b=True)
 
 
@@ -108,17 +108,17 @@ def compute_basis(solver, fx, fy, params: RsvdParams):
     cheap pivoted-LU basis ``lu_basis``, which keeps the block well
     conditioned and never drops a column.  The one orthonormalization is
     the rank-revealing pivoted QR of the last forward block; triplets come
-    from the SVD of the small projected matrix Q^T A, taken as the SVD of
-    the tall A^T Q, whose left vectors are Q^T A's right vectors.  Rank is
-    detected only there: columns the QR drops, or singular values below
+    from the SVD of the small projected matrix Q^T A.  Rank is detected
+    only there: columns the QR drops, or singular values below
     TRUNCATION_RTOL of the largest, truncate the basis, and each of the
     two emits one RankDeficientWarning.  A sketch wider than the N unknowns
     raises ConfigInvalid.
 
     Every stage overwrites one N x k working block, from the Gaussian draw
-    to A^T Q, so the sketch holds that block and the solves' column chunks;
-    the small SVD adds its N x k left vectors, and the lift then holds the
-    r_eff columns of V and of U.
+    to A^T Q, so the sketch holds that block and the solves' column chunks.
+    A^T Q is then copied once into the layout in which LAPACK reads Q^T A,
+    and freed; the SVD overwrites that copy and adds its k x N right
+    vectors, and the lift holds the r_eff columns of V and of U.
     """
     n = solver.n
     k = params.rank + params.oversample
@@ -127,15 +127,17 @@ def compute_basis(solver, fx, fy, params: RsvdParams):
             f"'rsvd.rank' + 'rsvd.oversample' = {k} exceeds the {n} unknowns of the problem"
         )
     rng = np.random.Generator(np.random.Philox(params.seed))
-    y = _apply_forward(solver, fx, fy, np.asfortranarray(rng.standard_normal((n, k))), True)
+    y = _apply_forward(solver, fx, fy, np.asfortranarray(rng.standard_normal((n, k))))
     for _ in range(params.power):
-        q = lu_basis(_apply_adjoint(solver, fx, fy, lu_basis(y), True))
-        y = _apply_forward(solver, fx, fy, q, True)
-    q = qr_thin(y, overwrite_a=True)
+        q = lu_basis(_apply_adjoint(solver, fx, fy, lu_basis(y)))
+        y = _apply_forward(solver, fx, fy, q)
+    q = qr_thin(y)
     del y  # q lives in the same memory
     kept = q.shape[1]
-    v_big, svals, _ = svd_dense(_apply_adjoint(solver, fx, fy, q, True), overwrite_a=True)
-    del q  # overwritten by A^T Q, then by the SVD
+    qta = np.asfortranarray(_apply_adjoint(solver, fx, fy, q).T)  # Q^T A, column-major
+    del q  # overwritten by A^T Q
+    _, svals, v_big = svd_dense(qta, overwrite_a=True)
+    del qta  # destroyed by the SVD
 
     lead = svals[0] if svals.size else 0.0
     achieved = int(np.sum(svals > TRUNCATION_RTOL * lead)) if lead > 0.0 else 0

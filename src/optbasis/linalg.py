@@ -227,16 +227,16 @@ def factorize(operator, reversal=None):
     return FactorizedSolver(operator, reversal)
 
 
-def qr_thin(a, overwrite_a=False):
+def qr_thin(a):
     """Thin QR factor with dependent columns dropped.
 
     Uses column-pivoted QR so rank deficiency shows up on the diagonal of R.
     Returns Q whose columns are orthonormal and span the numerically detected
     range of ``a``.  Emits a RankDeficientWarning when columns are dropped.
-    With ``overwrite_a`` and an F-ordered float64 ``a``, Q is formed in the
-    memory of ``a`` and returned as a leading-column view of it.
+    An F-ordered float64 block ``a`` is overwritten, as in lu_basis: Q is
+    formed in its memory and returned as a leading-column view of it.
     """
-    a = work_array(a, overwrite_a)
+    a = work_array(a, True)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d array, got shape {a.shape}")
     if a.shape[1] == 0:
@@ -286,10 +286,12 @@ def lu_basis(a):
 def svd_dense(a, overwrite_a=False):
     """Thin SVD of a dense matrix, returned as (U, s, V) with A = U diag(s) V^T.
 
-    LAPACK's gesdd, as numpy calls it, with the same bits.  With
-    ``overwrite_a`` and an F-ordered float64 ``a``, the work is done in the
-    memory of ``a``, which is left destroyed: a tall N x k matrix then costs
-    one more N x k block, U, where a copying SVD costs two.
+    LAPACK's gesdd through scipy, the call numpy makes.  numpy and scipy
+    each load their own OpenBLAS: at one BLAS thread the bits match numpy's
+    (checked up to 4,096 x 4,096), at more they may differ in roundoff.
+    With ``overwrite_a`` and an F-ordered float64 ``a``, gesdd works in
+    the memory of ``a`` and leaves it destroyed, so a wide k x N matrix
+    costs one more k x N block, V^T, where a copying SVD costs two.
     """
     a = work_array(a, overwrite_a)
     try:

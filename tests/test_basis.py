@@ -1,7 +1,11 @@
 """Randomized and dense weighted SVD bases of solution operators."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +37,7 @@ from optbasis.exceptions import (
     RankExhausted,
 )
 from optbasis.grids import Grid2D, PhaseGrid
-from optbasis.linalg import factorize, qr_thin, svd_dense
+from optbasis.linalg import factorize, lu_basis, qr_thin, svd_dense
 from optbasis.transport import RteCoefficients, assemble_rte
 from optbasis.weights import (
     WeightFactor,
@@ -249,9 +253,9 @@ class TestRandomizedBasis:
         def counted(name):
             kernel = getattr(basis_module, name)
 
-            def wrapper(a, **kwargs):
+            def wrapper(a):
                 calls[name] += 1
-                return kernel(a, **kwargs)
+                return kernel(a)
             return wrapper
 
         for name in calls:
@@ -448,7 +452,8 @@ def configured_problem(family, m, p, rank, oversample, power, **grid):
 
 class TestSketchMemory:
     # Every stage of the sketch overwrites one N x k working block; the
-    # solves add their column chunks, and the small SVD its left vectors.
+    # solves add their column chunks, and the small SVD one copy of the
+    # block and its right vectors.
     # Copying stages held about seven blocks at once.
     @pytest.mark.parametrize("problem", [
         pytest.param(("elliptic", 16, 2, 40, 10, 2, {}), id="elliptic"),
@@ -472,28 +477,60 @@ class TestSketchMemory:
         assert (peak - start) / block <= 4.0
 
 
+def basis_and_numpy_reference(problem):
+    """compute_basis's basis, and the same sketch ended by numpy's copying SVD of the wide Q^T A.
+
+    The reference is returned as (singular values, left vectors, right
+    vectors) of the requested rank.
+    """
+    *args, grid = problem
+    solver, fx, fy, params = configured_problem(*args, **grid)
+    basis = compute_basis(solver, fx, fy, params)
+    rng = np.random.Generator(np.random.Philox(params.seed))
+    sketch = rng.standard_normal((solver.n, params.rank + params.oversample))
+    y = _apply_forward(solver, fx, fy, sketch)
+    for _ in range(params.power):
+        y = _apply_forward(solver, fx, fy, lu_basis(_apply_adjoint(solver, fx, fy, lu_basis(y))))
+    _, lam, vt = np.linalg.svd(_apply_adjoint(solver, fx, fy, qr_thin(y)).T, full_matrices=False)
+    lam, v = lam[:params.rank], fx.solve(vt[:params.rank].T)
+    assert basis.rank == params.rank
+    return basis, (lam, solver.solve(v) / lam, v)
+
+
+BENCH_PROBLEMS = {
+    "elliptic-solve": ("semilinear_elliptic", 32, 2, 310, 20, 2, {}),
+    "transport-basis": ("rte", 12, 1, 50, 50, 6, {"n_angles": 40}),
+}
+
+
 class TestSmallSvd:
-    # The triplets come from the SVD of the tall A^T Q, taken in place; the
-    # SVD of the wide Q^T A itself is the reference, on both benchmark shapes.
-    @pytest.mark.parametrize("problem", [
-        pytest.param(("semilinear_elliptic", 32, 2, 310, 20, 2, {}), id="elliptic-solve"),
-        pytest.param(("rte", 12, 1, 50, 50, 6, {"n_angles": 40}), id="transport-basis"),
-    ])
-    def test_tall_svd_agrees_with_the_wide_svd(self, problem, monkeypatch):
-        *args, grid = problem
-        solver, fx, fy, params = configured_problem(*args, **grid)
-        tall = compute_basis(solver, fx, fy, params)
-
-        def wide_svd(adjoint_of_q, overwrite_a=False):
-            u, s, vt = np.linalg.svd(adjoint_of_q.T, full_matrices=False)
-            return vt.T, s, u
-
-        monkeypatch.setattr(basis_module, "svd_dense", wide_svd)
-        wide = compute_basis(solver, fx, fy, params)
-        assert tall.rank == wide.rank == params.rank
-        lam, lam_wide = tall.singular_values, wide.singular_values
-        assert np.all(np.abs(lam - lam_wide) <= 1e-12 * lam_wide)
-        v, v_wide = tall.right_vectors, wide.right_vectors
-        v = v * np.sign(np.sum(v * v_wide, axis=0))
-        gap = np.linalg.norm(v - v_wide, axis=0) / np.linalg.norm(v_wide, axis=0)
+    # The triplets come from scipy's gesdd of Q^T A, run in place on a
+    # column-major copy of A^T Q; numpy's copying SVD of the same Q^T A is
+    # the reference, on both benchmark shapes.
+    @pytest.mark.parametrize("name", sorted(BENCH_PROBLEMS))
+    def test_in_place_svd_agrees_with_numpys_copying_svd(self, name):
+        basis, (lam_np, _, v_np) = basis_and_numpy_reference(BENCH_PROBLEMS[name])
+        lam = basis.singular_values
+        assert np.all(np.abs(lam - lam_np) <= 1e-12 * lam_np)
+        v = basis.right_vectors
+        v = v * np.sign(np.sum(v * v_np, axis=0))
+        gap = np.linalg.norm(v - v_np, axis=0) / np.linalg.norm(v_np, axis=0)
         assert gap.max() <= 1e-9
+
+    def test_at_one_blas_thread_it_is_numpys_basis_to_the_bit(self):
+        # numpy and scipy each load their own OpenBLAS, whose threaded kernels
+        # may split work differently; at one thread, the benchmark's setting,
+        # the two give the same bits.  A child interpreter sets the count.
+        code = (
+            "import test_basis as t\n"
+            "for problem in t.BENCH_PROBLEMS.values():\n"
+            "    basis, reference = t.basis_and_numpy_reference(problem)\n"
+            "    mine = (basis.singular_values, basis.left_vectors, basis.right_vectors)\n"
+            "    assert [a.tobytes() for a in mine] == [b.tobytes() for b in reference]\n"
+        )
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=300, env={**os.environ, "PYTHONPATH": path,
+                                               "OPENBLAS_NUM_THREADS": "1"})
+        assert run.returncode == 0, run.stderr

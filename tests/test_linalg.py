@@ -478,7 +478,7 @@ class TestOverwrite:
             warnings.simplefilter("ignore", RankDeficientWarning)
             copied = qr_thin(a)
             block = np.asfortranarray(a)
-            q = qr_thin(block, overwrite_a=True)
+            q = qr_thin(block)
         assert q.shape[1] == 8 - dependent
         assert np.shares_memory(q, block)
         assert copied.tobytes() == q.tobytes()
@@ -489,5 +489,21 @@ class TestOverwrite:
         u0, s0, vt0 = np.linalg.svd(a, full_matrices=False)
         u, s, v = svd_dense(a)
         assert np.array_equal(u, u0) and np.array_equal(s, s0) and np.array_equal(v, vt0.T)
+        u2, s2, v2 = svd_dense(np.asfortranarray(a), overwrite_a=True)
+        assert all(x.tobytes() == y.tobytes() for x, y in ((u, u2), (s, s2), (v, v2)))
+
+    # (60, 900) takes gesdd's LQ path, as the sketch's Q^T A does; (600, 600)
+    # is blocked like the dense oracle's SVD.  numpy and scipy each load their
+    # own OpenBLAS, which may split threaded kernels differently, so numpy is
+    # matched to roundoff here and to the bit only at one BLAS thread.
+    @pytest.mark.parametrize("shape", [(60, 900), (600, 600)])
+    def test_blocked_svd_matches_numpys_and_in_place_is_bitwise_copying(self, shape):
+        a = np.random.Generator(np.random.Philox(61)).standard_normal(shape)
+        u0, s0, vt0 = np.linalg.svd(a, full_matrices=False)
+        u, s, v = svd_dense(a)
+        assert np.all(np.abs(s - s0) <= 1e-12 * s0[0])
+        signs = np.sign(np.sum(v * vt0.T, axis=0))
+        np.testing.assert_allclose(v * signs, vt0.T, atol=1e-9)
+        np.testing.assert_allclose(u * signs, u0, atol=1e-9)
         u2, s2, v2 = svd_dense(np.asfortranarray(a), overwrite_a=True)
         assert all(x.tobytes() == y.tobytes() for x, y in ((u, u2), (s, s2), (v, v2)))
