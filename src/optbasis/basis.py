@@ -13,9 +13,10 @@ where A z_i = lambda_i w_i.  The triplets satisfy
 
 and the randomized sketch only ever touches A through solves with L, L^T
 and the weight factors.  Its power passes keep their span with a pivoted
-LU (Li et al., ACM TOMS 43, 2017); the one orthonormal basis, a pivoted QR,
-is taken before the small SVD of Q^T A (Halko, Martinsson & Tropp, SIAM
-Rev. 53, 2011, Alg. 4.4).  The dense oracle is ``bayes.dense_svd_oracle``.
+LU (Li et al., ACM TOMS 43, 2017); the one orthonormal basis, a plain
+Householder QR, is taken before the small SVD of Q^T A (Halko, Martinsson
+& Tropp, SIAM Rev. 53, 2011, Alg. 4.4 and 5.1), which alone decides the
+numerical rank.  The dense oracle is ``bayes.dense_svd_oracle``.
 """
 
 from __future__ import annotations
@@ -107,12 +108,12 @@ def compute_basis(solver, fx, fy, params: RsvdParams):
     the span matters, so each operator application is followed by the
     cheap pivoted-LU basis ``lu_basis``, which keeps the block well
     conditioned and never drops a column.  The one orthonormalization is
-    the rank-revealing pivoted QR of the last forward block; triplets come
-    from the SVD of the small projected matrix Q^T A.  Rank is detected
-    only there: columns the QR drops, or singular values below
-    TRUNCATION_RTOL of the largest, truncate the basis, and each of the
-    two emits one RankDeficientWarning.  A sketch wider than the N unknowns
-    raises ConfigInvalid.
+    the Householder QR of the last forward block, which keeps all k
+    columns; triplets come from the SVD of the small projected matrix
+    Q^T A.  Rank is read only there: singular values below TRUNCATION_RTOL
+    of the largest truncate the basis, with one RankDeficientWarning when
+    fewer than ``rank`` remain.  A sketch wider than the N unknowns raises
+    ConfigInvalid.
 
     Every stage overwrites one N x k working block, from the Gaussian draw
     to A^T Q, so the sketch holds that block and the solves' column chunks.
@@ -133,16 +134,14 @@ def compute_basis(solver, fx, fy, params: RsvdParams):
         y = _apply_forward(solver, fx, fy, q)
     q = qr_thin(y)
     del y  # q lives in the same memory
-    kept = q.shape[1]
     qta = np.asfortranarray(_apply_adjoint(solver, fx, fy, q).T)  # Q^T A, column-major
     del q  # overwritten by A^T Q
     _, svals, v_big = svd_dense(qta, overwrite_a=True)
     del qta  # destroyed by the SVD
 
-    lead = svals[0] if svals.size else 0.0
-    achieved = int(np.sum(svals > TRUNCATION_RTOL * lead)) if lead > 0.0 else 0
+    achieved = int(np.sum(svals > TRUNCATION_RTOL * svals[0]))  # the QR kept all k >= 1 columns
     r_eff = min(params.rank, achieved)
-    if r_eff < min(params.rank, kept):  # qr_thin warned of the columns it dropped
+    if r_eff < params.rank:
         warnings.warn(
             f"requested rank {params.rank} but sketch found numerical rank {achieved}",
             RankDeficientWarning,
@@ -228,9 +227,7 @@ def defining_relation_errors(basis: SVDBasis, solver, fx, fy, indices=None):
     v = basis.right_vectors[:, idx]
     # G v and G* u = Pi_X^{-1} G^T Pi_Y u, each as one block of solves
     gv = solver.solve(v)
-    gstar_u = fy.apply(u)
-    for step in (fy.apply_t, solver.solve_transpose, fx.solve_t, fx.solve):
-        gstar_u = step(gstar_u, overwrite_b=True)
+    gstar_u = fx.solve(_apply_adjoint(solver, fx, fy, fy.apply(u)), overwrite_b=True)
     for key, image, target in (("forward_residual", gv, u), ("adjoint_residual", gstar_u, v)):
         residual = np.linalg.norm(image - lam * target, axis=0)
         out[key] = float((residual / (lam * np.linalg.norm(target, axis=0))).max(initial=0.0))

@@ -61,6 +61,14 @@ class ConfigInvalid(OptbasisError):
     """Experiment configuration failed validation; message names the key."""
 
 
+class InvalidArgument(OptbasisError, ValueError):
+    """A library function was given a value outside its domain.
+
+    Also a ValueError, the builtin type for such a value, so callers that
+    catch that catch this one too.
+    """
+
+
 class SidecarMismatch(OptbasisError, OSError):
     """A basis file's metadata sidecar is malformed or describes a different basis.
 
@@ -70,4 +78,4 @@ class SidecarMismatch(OptbasisError, OSError):
 
 
 class RankDeficientWarning(UserWarning):
-    """Non-fatal notice that an orthonormalization dropped dependent columns."""
+    """Non-fatal notice that a sketch's numerical rank fell below the requested rank."""

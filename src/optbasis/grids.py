@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .exceptions import InvalidArgument
+
 
 @dataclass(frozen=True)
 class Grid2D:
@@ -22,9 +24,9 @@ class Grid2D:
 
     def __post_init__(self):
         if self.m_intervals < 2:
-            raise ValueError("need at least 2 intervals per direction")
+            raise InvalidArgument("need at least 2 intervals per direction")
         if self.length <= 0:
-            raise ValueError("domain length must be positive")
+            raise InvalidArgument("domain length must be positive")
 
     @property
     def h(self) -> float:
@@ -68,7 +70,7 @@ class PhaseGrid:
 
     def __post_init__(self):
         if self.n_angles < 1:
-            raise ValueError("need at least one angle")
+            raise InvalidArgument("need at least one angle")
 
     @property
     def n_dofs(self) -> int:

@@ -1,13 +1,12 @@
 """Sparse factorization and dense decomposition helpers.
 
-Thin wrappers around scipy that add the shape checks, singularity
-detection and rank handling the rest of the package relies on.
+Thin wrappers around scipy that add the shape checks and singularity
+detection the rest of the package relies on.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -19,7 +18,6 @@ from scipy.linalg import lapack
 from .exceptions import (
     DimensionMismatch,
     NotReciprocal,
-    RankDeficientWarning,
     SingularOperator,
     SvdFailure,
 )
@@ -45,10 +43,6 @@ _SPLU_OPTIONS = dict(
     diag_pivot_thresh=0.01,
     options={"SymmetricMode": True},
 )
-
-# Columns whose pivoted-QR diagonal falls below this fraction of the leading
-# pivot are considered linearly dependent and dropped.
-QR_RANK_RTOL = 1e-12
 
 
 class FactorizedSolver:
@@ -228,34 +222,19 @@ def factorize(operator, reversal=None):
 
 
 def qr_thin(a):
-    """Thin QR factor with dependent columns dropped.
+    """Thin Q factor of an unpivoted Householder QR, with orthonormal columns.
 
-    Uses column-pivoted QR so rank deficiency shows up on the diagonal of R.
-    Returns Q whose columns are orthonormal and span the numerically detected
-    range of ``a``.  Emits a RankDeficientWarning when columns are dropped.
-    An F-ordered float64 block ``a`` is overwritten, as in lu_basis: Q is
-    formed in its memory and returned as a leading-column view of it.
+    A tall ``a`` keeps every column: Q spans range(a) when ``a`` has full
+    column rank, and a dependent or zero column still yields an orthonormal
+    column, never a warning.  Rank is the caller's to read; the sketch reads
+    it off the small SVD of Q^T A.  An F-ordered float64 block ``a`` is
+    overwritten, as in lu_basis: Q is formed in its memory and returned as
+    a view of it.
     """
     a = work_array(a, True)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d array, got shape {a.shape}")
-    if a.shape[1] == 0:
-        return a
-    q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True, overwrite_a=True)
-    diag = np.abs(np.diag(r))
-    lead = diag[0] if diag.size else 0.0
-    if lead == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(diag > QR_RANK_RTOL * lead))
-    if rank < a.shape[1]:
-        warnings.warn(
-            f"orthonormalization dropped {a.shape[1] - rank} dependent column(s)",
-            RankDeficientWarning,
-            stacklevel=2,
-        )
-        return q[:, :rank]
-    return q
+    return scipy.linalg.qr(a, mode="economic", overwrite_a=True)[0]
 
 
 def lu_basis(a):
@@ -264,10 +243,10 @@ def lu_basis(a):
     L is unit lower trapezoidal with entries at most 1 in magnitude, so P L
     has full column rank and its range contains range(a), with equality when
     a has full column rank; a zero pivot leaves a unit column, never a NaN or
-    a warning.  Several times cheaper than qr_thin, but neither orthonormal
-    nor rank-revealing.  An F-ordered float64 block ``a`` is overwritten:
-    LAPACK's getrf factors it in place and P L is built in its memory, the
-    same bits as ``scipy.linalg.lu(a, permute_l=True)[0]``.
+    a warning.  Several times cheaper than qr_thin, but not orthonormal.
+    An F-ordered float64 block ``a`` is overwritten: LAPACK's getrf factors
+    it in place and P L is built in its memory, the same bits as
+    ``scipy.linalg.lu(a, permute_l=True)[0]``.
     """
     a = work_array(a, True)
     if a.ndim != 2:

@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import SourceProjector, SVDBasis, level_block, level_blocks, reconstruct
-from .exceptions import BoundViolation, Diverged
+from .exceptions import BoundViolation, Diverged, InvalidArgument, NonFiniteResult
 from .grids import PhaseGrid
 from .linalg import factorize
 from .transport import sigma_b
@@ -169,18 +169,18 @@ def check_linear_representation_bound(basis: SVDBasis, solver, fx, f, term, u_re
     ``term`` None means N = 0, where this is the projection bound.  One
     projector at the largest n gives every level's coefficients as a prefix,
     and each block of levels is reconstructed by one GEMM.
-    Returns (n, lhs, rhs) for each checked n.  Raises ValueError if u_ref does
-    not solve the full system, RankExhausted for an n above the rank, and
-    BoundViolation at the first n whose inequality fails beyond roundoff or
-    whose sides are not finite numbers.  The
-    output norm is Euclidean, matching the identity output weight used throughout.
+    Returns (n, lhs, rhs) for each checked n.  Raises InvalidArgument if
+    u_ref does not solve the full system, RankExhausted for an n above the
+    rank, and BoundViolation at the first n whose inequality fails beyond
+    roundoff or whose sides are not finite numbers.  The output norm is
+    Euclidean, matching the identity output weight used throughout.
     """
     u_ref = np.asarray(u_ref, dtype=float)
     f = np.asarray(f, dtype=float)
     nonlinear = term(u_ref) if term is not None else np.zeros_like(u_ref)
     residual = solver.operator @ u_ref + nonlinear - f
     if np.linalg.norm(residual) > 1e-8 * (1.0 + np.linalg.norm(f)):
-        raise ValueError("u_ref does not solve the full system to reference accuracy")
+        raise InvalidArgument("u_ref does not solve the full system to reference accuracy")
 
     n_values = list(n_values)
     coeffs = SourceProjector(basis, fx, max(n_values)).coefficients(f - nonlinear)
@@ -206,12 +206,15 @@ def check_linear_representation_bound(basis: SVDBasis, solver, fx, f, term, u_re
     return checked
 
 
+# an overflowing residual is reported once, as the NonFiniteResult below, not as warnings
+@np.errstate(over="ignore", invalid="ignore")
 def newton_reference(solver, term, f, tol=1e-12, max_iter=50):
     """Damped Newton solve of the full system L u + N(u) = f.
 
     ``solver`` is the factorized L.  Starts from its linear solve, halves
     the step until the residual decreases, and stops once
-    ||residual|| <= tol (1 + ||f||).  Raises Diverged if damping stalls or
+    ||residual|| <= tol (1 + ||f||).  Raises NonFiniteResult if the
+    residual's norm overflows or is NaN, and Diverged if damping stalls or
     the iteration budget runs out.
     """
     op = solver.operator
@@ -221,6 +224,9 @@ def newton_reference(solver, term, f, tol=1e-12, max_iter=50):
     for _ in range(max_iter):
         residual = op @ u + term(u) - f
         res_norm = np.linalg.norm(residual)
+        if not np.isfinite(res_norm):
+            raise NonFiniteResult("Newton residual is not finite: the source or the "
+                                  "solution overflows")
         if res_norm <= tol * f_scale:
             return u
         jac = (op + term.jacobian(u)).tocsc()

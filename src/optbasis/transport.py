@@ -18,6 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .elliptic import kappa
+from .exceptions import InvalidArgument
 from .grids import PhaseGrid
 
 # velocity components smaller than this are treated as exactly zero
@@ -39,7 +40,7 @@ def hg_kernel_matrix(g, n_angles):
     a constant-in-angle field invariant under the scattering average.
     """
     if not 0.0 <= g < 1.0:
-        raise ValueError(f"anisotropy factor must be in [0, 1), got {g}")
+        raise InvalidArgument(f"anisotropy factor must be in [0, 1), got {g}")
     l = np.arange(n_angles)
     lag = np.minimum(l, n_angles - l)
     row = hg_phase(np.cos(2.0 * np.pi * lag / n_angles), g)
@@ -88,8 +89,18 @@ def _upwind_1d(n, h, positive):
                     offsets=[0, 1], format="csr")
 
 
+def _angle_diagonal(values, keep):
+    """diag(values) over the angles with ``keep`` set, storing no zeros for the others."""
+    idx = np.flatnonzero(keep)
+    return sp.csr_matrix((values[idx], (idx, idx)), shape=(values.size, values.size))
+
+
 def assemble_rte_from_fields(pg: PhaseGrid, sigma_a_values, sigma_s_values, kernel):
     """Assemble the transport operator from explicit coefficient samples.
+
+    Advection is four Kronecker products, one per axis and velocity sign:
+    the upwind difference along that axis times the diagonal of the
+    velocity components with that sign.
 
     Parameters
     ----------
@@ -108,17 +119,13 @@ def assemble_rte_from_fields(pg: PhaseGrid, sigma_a_values, sigma_s_values, kern
     eye_v = sp.identity(n_v, format="csr")
 
     cos_t, sin_t = pg.velocities()
-    blocks = []
-    for l in range(n_v):
-        c, s = cos_t[l], sin_t[l]
-        t_l = sp.csr_matrix((n * n, n * n))
-        if abs(c) > _V_TOL:
-            t_l = t_l + c * sp.kron(_upwind_1d(n, h, c > 0), eye_n)
-        if abs(s) > _V_TOL:
-            t_l = t_l + s * sp.kron(eye_n, _upwind_1d(n, h, s > 0))
-        unit = sp.csr_matrix(([1.0], ([l], [l])), shape=(n_v, n_v))
-        blocks.append(sp.kron(t_l, unit))
-    transport = sum(blocks)
+    terms = []
+    for positive in (True, False):
+        d = _upwind_1d(n, h, positive)
+        for spatial, v in ((sp.kron(d, eye_n), cos_t), (sp.kron(eye_n, d), sin_t)):
+            keep = v > _V_TOL if positive else v < -_V_TOL
+            terms.append(sp.kron(spatial, _angle_diagonal(v, keep)))
+    transport = sum(terms)
 
     collision = sp.kron(sp.diags(sa + ss), eye_v)
     scattering = sp.kron(sp.diags(ss), sp.csr_matrix(kernel) / n_v)

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cholesky_banded, lapack
 
-from .exceptions import DimensionMismatch, OrderTooHigh, SingularOperator
+from .exceptions import DimensionMismatch, InvalidArgument, OrderTooHigh, SingularOperator
 from .grids import Grid2D, PhaseGrid
 from .linalg import work_array
 
@@ -54,7 +54,7 @@ def fd_operator_1d(m_intervals, order, h):
         entries are the binomial stencil (-1)^(k-j) C(k, j) / h^k.
     """
     if order < 0:
-        raise ValueError("difference order must be nonnegative")
+        raise InvalidArgument("difference order must be nonnegative")
     n = m_intervals - 1
     rows = n - order
     if rows < 1:
@@ -119,7 +119,7 @@ class WeightFactor:
     def diagonal(cls, scale, dim):
         """F = scale * I; covers the order-zero weight and plain l2."""
         if scale <= 0:
-            raise ValueError("scale must be positive")
+            raise InvalidArgument("scale must be positive")
         scale = float(scale)
         gram = (scale ** 2) * sp.identity(dim, format="csr")
         return cls(np.full((1, dim), scale), gram)
@@ -132,7 +132,7 @@ class WeightFactor:
             raise DimensionMismatch("weight matrix must be square")
         asym = abs(g - g.T).max()
         if asym > 1e-12 * max(1.0, abs(g).max()):
-            raise ValueError(f"weight matrix not symmetric (defect {asym:.3e})")
+            raise InvalidArgument(f"weight matrix not symmetric (defect {asym:.3e})")
         coo = sp.triu(g).tocoo()
         u = int((coo.col - coo.row).max()) if coo.nnz else 0
         n = g.shape[0]
@@ -141,7 +141,7 @@ class WeightFactor:
         try:
             band = cholesky_banded(ab)
         except np.linalg.LinAlgError as exc:
-            raise ValueError(f"weight matrix not positive definite: {exc}") from exc
+            raise InvalidArgument(f"weight matrix not positive definite: {exc}") from exc
         return cls(band, g)
 
     def _check(self, v):
@@ -221,7 +221,7 @@ def build_sobolev_weight(p, grid: Grid2D):
     difference Gram matrix and factors it with a banded Cholesky.
     """
     if p not in (0, 1, 2):
-        raise ValueError(f"Sobolev order must be 0, 1 or 2, got {p}")
+        raise InvalidArgument(f"Sobolev order must be 0, 1 or 2, got {p}")
     if p > grid.m_intervals - 2:
         raise OrderTooHigh(f"order {p} does not fit on a {grid.m_intervals}-interval grid")
     if p == 0:

@@ -395,3 +395,37 @@ def test_10_linear_limit_positivity_and_zero_source(desk_rte, zero_term):
         f"one sweep {one_sweep}, exact equality {exact}, "
         f"beam min {float(beam.min()):.3e}, zero-source max {float(np.abs(zero).max()):.1e}",
     )
+
+
+def test_11_strongly_nonlinear_fixed_point_within_the_truncation_bound():
+    # a cubic term carrying 0.42 of L u: at every n = 1..49 the bound holds,
+    # every level's relaxed fixed point converges, and its error stays within
+    # the bound and within 1.1 x the best representation error of u_ref
+    config = make_config("semilinear_elliptic", 32, 1,
+                         problem={"eps": 0.0625, "source": {"kind": "sine", "amplitude": 1e5}},
+                         rsvd={"rank": 50, "oversample": 50, "power": 4, "seed": 0},
+                         nonlinear={"relax": 0.5})
+    setup = build_problem(config)
+    solver = factorize(setup.operator)
+    basis = compute_problem_basis(setup, solver)
+    f, term = setup.source, setup.term
+    u_ref = newton_reference(solver, term, f)
+    ratio = float(np.linalg.norm(term(u_ref)) / np.linalg.norm(setup.operator @ u_ref))
+
+    levels = list(range(1, 50))
+    checked = check_linear_representation_bound(basis, solver, setup.fx, f, term, u_ref, levels)
+    result = fixed_point_solve(basis, setup.fx, f, term, levels, config.nonlinear)
+    error = np.linalg.norm(result.solution - u_ref[:, None], axis=0)
+    lhs = np.array([c[1] for c in checked])
+    rhs = np.array([c[2] for c in checked])
+
+    ok = (ratio >= 0.4 and [c[0] for c in checked] == levels and result.converged
+          and bool(np.all(error <= rhs)) and bool(np.all(error <= 1.1 * lhs)))
+    assert report(
+        "strongly nonlinear fixed point",
+        ok,
+        f"||N(u)||/||Lu|| {ratio:.3f} (gate 0.4), converged {result.converged}, "
+        f"worst bound lhs/rhs {float(np.max(lhs / rhs)):.3f}, "
+        f"worst error/rhs {float(np.max(error / rhs)):.3f}, "
+        f"worst error/representation {float(np.max(error / lhs)):.3f} (gate 1.1)",
+    )

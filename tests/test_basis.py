@@ -237,8 +237,8 @@ class TestRandomizedBasis:
 
         fi = identity_weight(3)
         for power in (1, 2):
-            # the power passes keep the dead column; the final QR drops it
-            # and is the one place that warns
+            # the power passes and the QR keep the dead column; the small
+            # SVD cuts it and compute_basis is the one place that warns
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 basis = compute_basis(TinyTailSolver(), fi, fi, RsvdParams(3, 0, power))

@@ -539,6 +539,27 @@ class TestTruncationBound:
         assert run.returncode == 2, run.stderr
         assert run.stderr == f"error: {message}\n"
 
+    # the Newton reference of a source at 1e120 overflows: u^3 for the cubic
+    # term, the residual's norm for two-photon absorption
+    @pytest.mark.parametrize("family, extra", [
+        ("semilinear_elliptic", {"m": 8, "problem": {"source": {"kind": "sine",
+                                                                "amplitude": 1e120}}}),
+        ("semilinear_rte", {"m": 4, "grid": {"n_angles": 4},
+                            "problem": {"source": {"kind": "beam", "amplitude": 1e120}}}),
+    ], ids=["cubic", "two-photon"])
+    def test_an_overflowing_newton_reference_prints_one_line(self, tmp_path, family, extra):
+        cfg = write_config(tmp_path, family=family, rank=5, oversample=2, power=1, **extra)
+        out = tmp_path / "curve.csv"
+        run = subprocess.run(
+            [sys.executable, "-m", "optbasis.cli", "solve-nonlinear", "--config", str(cfg),
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert run.returncode == 2, run.stderr
+        assert run.stderr == ("error: Newton residual is not finite: the source or the "
+                              "solution overflows\n")
+        assert not out.exists()
+
     def test_a_rank_one_basis_has_no_level_to_check(self, tmp_path, capsys):
         cfg = write_config(tmp_path, family="rte", m=4, grid={"n_angles": 4},
                            rank=1, oversample=6)

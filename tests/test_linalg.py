@@ -1,4 +1,4 @@
-"""Factorized sparse solves, the LU span basis, rank-aware QR and the dense SVD wrapper."""
+"""Factorized sparse solves, the LU span basis, the thin QR and the dense SVD wrapper."""
 
 import sys
 import threading
@@ -15,7 +15,6 @@ from optbasis.elliptic import EllipticMedium, assemble_elliptic
 from optbasis.exceptions import (
     DimensionMismatch,
     NotReciprocal,
-    RankDeficientWarning,
     SingularOperator,
     SvdFailure,
 )
@@ -331,17 +330,17 @@ class TestQrThin:
         # span is preserved: projecting a onto q loses nothing
         np.testing.assert_allclose(q @ (q.T @ a), a, atol=1e-12)
 
-    def test_dependent_columns_dropped_with_warning(self):
-        a = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
-        with pytest.warns(RankDeficientWarning):
+    @pytest.mark.parametrize("a", [
+        np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]]),
+        np.zeros((4, 2)),
+    ], ids=["dependent", "zero"])
+    def test_degenerate_block_keeps_every_column_orthonormal_silently(self, a):
+        # rank is read off the sketch's small SVD, not here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             q = qr_thin(a)
-        assert q.shape == (3, 1)
-        np.testing.assert_allclose(np.linalg.norm(q[:, 0]), 1.0, atol=1e-14)
-
-    def test_zero_matrix_collapses_to_no_columns(self):
-        with pytest.warns(RankDeficientWarning):
-            q = qr_thin(np.zeros((4, 2)))
-        assert q.shape[1] == 0
+        assert q.shape == a.shape
+        np.testing.assert_allclose(q.T @ q, np.eye(a.shape[1]), atol=1e-14)
 
     def test_empty_input_passes_through(self):
         q = qr_thin(np.zeros((4, 0)))
@@ -475,11 +474,11 @@ class TestOverwrite:
         if dependent:
             a[:, 6] = a[:, 1] + a[:, 2]
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RankDeficientWarning)
+            warnings.simplefilter("error")
             copied = qr_thin(a)
             block = np.asfortranarray(a)
             q = qr_thin(block)
-        assert q.shape[1] == 8 - dependent
+        assert q.shape[1] == 8
         assert np.shares_memory(q, block)
         assert copied.tobytes() == q.tobytes()
 

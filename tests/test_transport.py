@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from optbasis.elliptic import kappa
 from optbasis.grids import Grid2D, PhaseGrid
 from optbasis.linalg import factorize
 from optbasis.transport import (
     RteCoefficients,
+    _upwind_1d,
     assemble_rte,
     assemble_rte_from_fields,
     eval_source_rte,
@@ -91,6 +93,26 @@ class TestCrossSections:
         assert sigma_b(x1, x2, 1.0).min() > 0
 
 
+def per_angle_assembly(pg, sa, ss, kernel):
+    """The transport operator built one angle's streaming block at a time."""
+    n, h, n_v = pg.spatial.n_per_dim, pg.spatial.h, pg.n_angles
+    eye_n = sp.identity(n, format="csr")
+    cos_t, sin_t = pg.velocities()
+    blocks = []
+    for l in range(n_v):
+        c, s = cos_t[l], sin_t[l]
+        t_l = sp.csr_matrix((n * n, n * n))
+        if abs(c) > 1e-14:
+            t_l = t_l + c * sp.kron(_upwind_1d(n, h, c > 0), eye_n)
+        if abs(s) > 1e-14:
+            t_l = t_l + s * sp.kron(eye_n, _upwind_1d(n, h, s > 0))
+        unit = sp.csr_matrix(([1.0], ([l], [l])), shape=(n_v, n_v))
+        blocks.append(sp.kron(t_l, unit))
+    collision = sp.kron(sp.diags(sa + ss), sp.identity(n_v, format="csr"))
+    scattering = sp.kron(sp.diags(ss), sp.csr_matrix(kernel) / n_v)
+    return (sum(blocks) + collision - scattering).tocsr()
+
+
 class TestAssembly:
     def test_pure_streaming_matches_upwind_recursion(self):
         # one angle pointing along +x with sigma_s = 0 decouples to a
@@ -136,6 +158,20 @@ class TestAssembly:
             hg_kernel_matrix(coeff.g, 4),
         )
         assert abs(assemble_rte(pg, coeff) - ref).max() == 0.0
+
+    @pytest.mark.parametrize("n_angles", [1, 2, 5, 8])
+    def test_kronecker_assembly_is_bitwise_the_per_angle_loop(self, n_angles):
+        pg = PhaseGrid(Grid2D(6), n_angles)
+        coeff = RteCoefficients(0.7, 0.3, 0.5)
+        x1, x2 = pg.spatial.interior_flat()
+        sa = sigma_a(x1, x2, coeff.eps1, coeff.eps2)
+        ss = sigma_s(x1, x2, coeff.eps1, coeff.eps2)
+        kernel = hg_kernel_matrix(coeff.g, n_angles)
+        op = assemble_rte_from_fields(pg, sa, ss, kernel)
+        ref = per_angle_assembly(pg, sa, ss, kernel)
+        assert op.has_sorted_indices and np.all(op.data != 0.0)
+        for part in ("indptr", "indices", "data"):
+            assert getattr(op, part).tobytes() == getattr(ref, part).tobytes()
 
     def test_beam_solution_is_strictly_positive(self):
         pg = PhaseGrid(Grid2D(8), 8)
