@@ -256,10 +256,7 @@ def lu_basis(a):
     pl = lu[:, :r]
     pl[np.triu_indices(r, 1)] = 0.0
     np.fill_diagonal(pl, 1.0)
-    for i in range(r - 1, -1, -1):  # undo getrf's row swaps, last first
-        if piv[i] != i:
-            pl[[i, piv[i]]] = pl[[piv[i], i]]
-    return pl
+    return lapack.dlaswp(pl, piv[:r], inc=-1, overwrite_a=1)  # undo the row swaps, last first
 
 
 def svd_dense(a, overwrite_a=False):

@@ -23,7 +23,7 @@ tensorized with the angular average: Pi = Pi_spatial (x) I / n_angles.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cached_property, partial
 from math import comb
 
 import numpy as np
@@ -33,6 +33,16 @@ from scipy.linalg import cholesky_banded, lapack
 from .exceptions import DimensionMismatch, InvalidArgument, OrderTooHigh, SingularOperator
 from .grids import Grid2D, PhaseGrid
 from .linalg import work_array
+
+# Fewest rows in a block of the blocked weight solves.  A factor of
+# bandwidth u is cut into row blocks of max(u, SOLVE_BLOCK) rows, so each
+# block couples only to the next and its products run as level-3 GEMMs.
+SOLVE_BLOCK = 64
+
+# Columns in every GEMM of a weight solve.  OpenBLAS picks its kernels by
+# shape, so a block is solved in panels of exactly this width, the last
+# one zero-padded, and a column's bits do not depend on the other columns.
+SOLVE_PANEL = 32
 
 
 def fd_operator_1d(m_intervals, order, h):
@@ -97,6 +107,19 @@ class WeightFactor:
     is F_s^T F_s, ``n_minor`` the number of angles k and ``scale`` the
     angular normalization 1 / sqrt(k); k = 1 and scale = 1 off transport.
     Vectors are space-major, so F acts on the (n_s, k * cols) block.
+
+    Products go through a CSR copy of F_s, and of F_s^T from the first
+    apply_t on.  Solves substitute over row blocks of b = max(u, SOLVE_BLOCK)
+    rows, where u is the bandwidth: block i keeps the inverse of its b x b
+    diagonal triangle T_i and its coupling C_i = F_s[i, i + 1] to the next
+    block, so
+
+        F_s^{-1}:  x_i = T_i^{-1} (y_i - C_i x_{i+1}),          last block first,
+        F_s^{-T}:  x_i = T_i^{-T} (y_i - C_{i-1}^T x_{i-1}),    first block first,
+
+    two GEMMs a block on panels of SOLVE_PANEL columns.  A diagonal F_s
+    divides elementwise.  A zero on the diagonal raises SingularOperator
+    here, with info the 1-based index of the first zero.
     """
 
     def __init__(self, band, gram, n_minor=1, scale=1.0):
@@ -107,13 +130,22 @@ class WeightFactor:
         self.dim = self.n_spatial * self.n_minor
         self._spatial_gram = gram
         self._gram = gram if self.n_minor == 1 and self.scale == 1.0 else None
+        zeros = np.flatnonzero(band[-1] == 0.0)
+        if zeros.size:
+            raise SingularOperator(
+                f"triangular banded weight factor is singular (info={zeros[0] + 1})")
         if band.shape[0] == 1:
-            self._factor = self._factor_t = None  # products multiply elementwise
+            self._factor = None  # products multiply and solves divide elementwise
         else:
             offsets = np.arange(band.shape[0])
             shape = (self.n_spatial, self.n_spatial)
             self._factor = sp.dia_matrix((band[::-1], offsets), shape=shape).tocsr()
-            self._factor_t = sp.csr_matrix(self._factor.T)
+            self._edges, self._inverses, self._couplings = _solve_blocks(band)
+
+    @cached_property
+    def _factor_t(self):
+        """CSR F_s^T, built on the first apply_t: a sketch alone never applies F_X^T."""
+        return None if self._factor is None else sp.csr_matrix(self._factor.T)
 
     @classmethod
     def diagonal(cls, scale, dim):
@@ -174,14 +206,50 @@ class WeightFactor:
         else:
             x[...] = factor @ x
 
-    def _tbtrs(self, trans, x):
-        if x.size == 0:  # scipy's dtbtrs wrapper crashes on zero right-hand sides
-            return
-        out, info = lapack.dtbtrs(self.band, x, trans=trans, overwrite_b=1)
-        if info != 0:
-            raise SingularOperator(f"triangular banded weight solve failed (info={info})")
-        if out is not x:  # f2py solved a copy of one angle's strided rows
-            x[...] = out
+    def _panels(self, substitute, rows):
+        """Run substitute, which overwrites a stack of (n_s, SOLVE_PANEL) panels, over rows.
+
+        numpy's matmul runs one GEMM per panel of a stack.  The full panels
+        of F-contiguous rows are solved where they lie; the other columns,
+        such as one angle's strided rows or the last few, are solved in a
+        zero-padded F-ordered buffer and copied back.  Both hand BLAS the
+        same shapes and leading dimension.
+        """
+        cols = rows.shape[1]
+        done = cols - cols % SOLVE_PANEL if rows.flags.f_contiguous else 0
+        if done:
+            substitute(_panel_stack(rows[:, :done]))
+        rest = rows[:, done:]
+        if rest.size:
+            buffer = np.zeros((self.n_spatial, -(-rest.shape[1] // SOLVE_PANEL) * SOLVE_PANEL),
+                              order="F")
+            buffer[:, :rest.shape[1]] = rest
+            substitute(_panel_stack(buffer))
+            rest[...] = buffer[:, :rest.shape[1]]
+
+    def _back_substitute(self, x):
+        """x <- F_s^{-1} x on each panel of the stack x, from the last row block up."""
+        e = self._edges
+        for i in range(len(self._inverses) - 1, -1, -1):
+            xi = x[:, e[i]:e[i + 1]]
+            if i + 1 < len(self._inverses):
+                xi -= self._couplings[i] @ x[:, e[i + 1]:e[i + 2]]
+            xi[...] = self._inverses[i] @ xi
+
+    def _forward_substitute(self, x):
+        """x <- F_s^{-T} x on each panel of the stack x, from the first row block down."""
+        e = self._edges
+        for i in range(len(self._inverses)):
+            xi = x[:, e[i]:e[i + 1]]
+            if i:
+                xi -= self._couplings[i - 1].T @ x[:, e[i - 1]:e[i]]
+            xi[...] = self._inverses[i].T @ xi
+
+    def _solve(self, substitute, x):
+        if self._factor is None:  # one-row band
+            x /= self.band[0][:, None]
+        else:
+            self._panels(substitute, x)
 
     # Each map takes ``overwrite_b`` as FactorizedSolver.solve does: with it
     # and an F-ordered float64 v, the result is written into v and v returned.
@@ -196,11 +264,13 @@ class WeightFactor:
 
     def solve(self, v, overwrite_b=False):
         """F^{-1} v."""
-        return self._map(v, partial(self._tbtrs, "N"), 1.0 / self.scale, overwrite_b)
+        return self._map(v, partial(self._solve, self._back_substitute), 1.0 / self.scale,
+                         overwrite_b)
 
     def solve_t(self, v, overwrite_b=False):
         """F^{-T} v."""
-        return self._map(v, partial(self._tbtrs, "T"), 1.0 / self.scale, overwrite_b)
+        return self._map(v, partial(self._solve, self._forward_substitute), 1.0 / self.scale,
+                         overwrite_b)
 
     def gram(self):
         """Assembled Pi as a sparse matrix, the operator of the Pi-inner products."""
@@ -212,6 +282,35 @@ class WeightFactor:
     def norm(self, v):
         """||F v||_2, the Pi-norm of a vector v."""
         return float(np.linalg.norm(self.apply(v)))
+
+
+def _panel_stack(x):
+    """(panels, n, SOLVE_PANEL) view of an F-contiguous (n, panels * SOLVE_PANEL) block."""
+    return x.reshape((x.shape[0], SOLVE_PANEL, -1), order="F").transpose(2, 0, 1)
+
+
+def _band_block(band, rows, cols):
+    """Dense F_s[rows, cols] of the upper banded F_s, for two index ranges."""
+    u = band.shape[0] - 1
+    j = np.arange(*cols)
+    offset = j - np.arange(*rows)[:, None]
+    inside = (offset >= 0) & (offset <= u)
+    return np.where(inside, band[np.clip(u - offset, 0, u), j], 0.0)
+
+
+def _solve_blocks(band):
+    """Row block edges, inverse diagonal triangles and coupling blocks of a banded F_s.
+
+    The blocks have max(u, SOLVE_BLOCK) rows, the last one ragged; F_s is
+    never formed densely.  The diagonal was checked for zeros, so each
+    triangle inverts.
+    """
+    u, n = band.shape[0] - 1, band.shape[1]
+    edges = list(range(0, n, max(u, SOLVE_BLOCK))) + [n]
+    spans = list(zip(edges, edges[1:]))
+    inverses = [lapack.dtrtri(_band_block(band, span, span))[0] for span in spans]
+    couplings = [_band_block(band, a, b) for a, b in zip(spans, spans[1:])]
+    return edges, inverses, couplings
 
 
 def build_sobolev_weight(p, grid: Grid2D):

@@ -355,6 +355,18 @@ class TestSolveThreads:
         assert lines == {1: "sparse solves: 1 thread, chunks of at most 32 columns",
                          2: "sparse solves: 2 threads, chunks of at most 32 columns"}
 
+    def test_elliptic_solve_csv_bytes_do_not_depend_on_the_thread_count(self, tmp_path,
+                                                                        monkeypatch):
+        # p = 2 and rank 40 + 10 sketch columns: the weight solves run one full
+        # 32-column panel and one padded panel, the sparse solves two chunks
+        cfg = write_config(tmp_path, family="semilinear_elliptic", m=12, p=2,
+                           rank=40, oversample=10)
+        for threads in (1, 2):
+            _solve_threads(monkeypatch, threads)
+            out = tmp_path / f"t{threads}.csv"
+            assert main(["solve-nonlinear", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
+
     @pytest.mark.parametrize("command, family", [("solve-linear", "elliptic"),
                                                  ("solve-nonlinear", "semilinear_elliptic")])
     def test_curve_commands_print_the_thread_count(self, tmp_path, capsys, monkeypatch,

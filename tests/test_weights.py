@@ -144,12 +144,17 @@ class TestSobolevWeight:
         assert w.norm(v) == pytest.approx(np.sqrt(v @ (w.gram() @ v)), rel=1e-12)
 
     def test_matrix_argument_maps_columnwise(self):
-        w = build_sobolev_weight(1, Grid2D(5))
-        rng = np.random.Generator(np.random.Philox(6))
-        block = rng.normal(size=(w.dim, 3))
-        out = w.apply(block)
-        for j in range(3):
-            np.testing.assert_array_equal(out[:, j], w.apply(block[:, j]))
+        # the solves run on fixed 32-column panels, so a column's bits do not
+        # depend on its neighbours or on where the panel edges fall
+        cases = [(build_sobolev_weight(1, Grid2D(5)), "apply", 3)] + [
+            (build_sobolev_weight(1, Grid2D(12)), method, cols)
+            for method in ("solve", "solve_t") for cols in (1, 31, 32, 33, 330)]
+        for w, method, cols in cases:
+            rng = np.random.Generator(np.random.Philox(6))
+            block = rng.normal(size=(w.dim, cols))
+            out = getattr(w, method)(block)
+            for j in range(cols):
+                np.testing.assert_array_equal(out[:, j], getattr(w, method)(block[:, j]))
 
     def test_unsupported_order_rejected(self):
         with pytest.raises(ValueError):
@@ -345,7 +350,12 @@ class TestOverwrite:
         assert in_place is block
         assert copied.tobytes() == in_place.tobytes()
         reference = row_major_map(w, method, np.ascontiguousarray(before))
-        assert copied.tobytes() == np.ascontiguousarray(reference).tobytes()
+        if method.startswith("solve") and w.band.shape[0] > 1:
+            # blocked substitution against dtbtrs: a different summation order
+            gap = np.linalg.norm(copied - reference) / np.linalg.norm(reference)
+            assert gap <= 1e-12
+        else:
+            assert copied.tobytes() == np.ascontiguousarray(reference).tobytes()
 
     @pytest.mark.parametrize("method", METHODS)
     def test_a_row_ordered_block_is_copied_even_when_overwrite_is_allowed(self, method):
@@ -366,6 +376,63 @@ class TestSingularBand:
     @pytest.mark.parametrize("overwrite", [False, True])
     def test_a_zero_on_the_diagonal_raises_singular_operator(self, band, method,
                                                              overwrite):
-        w = WeightFactor(band, sp.identity(4, format="csr"))
+        # refused when the factor is built; info is dtbtrs's 1-based global index
         with pytest.raises(SingularOperator, match=r"info=3"):
+            w = WeightFactor(band, sp.identity(4, format="csr"))
             getattr(w, method)(np.ones((4, 2), order="F"), overwrite_b=overwrite)
+
+
+def random_band(n, u, seed):
+    """Upper banded storage of a well-conditioned upper triangular factor of bandwidth u."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    band = rng.uniform(-1.0, 1.0, size=(u + 1, n))
+    band[u] = rng.uniform(2.0, 3.0, size=n) * (u + 1)
+    for d in range(1, u + 1):
+        band[u - d, :d] = 0.0  # scipy's storage leaves the top-left corner unused
+    return band
+
+
+def assert_solves_match_dtbtrs(w, cols=40, seed=51):
+    rng = np.random.Generator(np.random.Philox(seed))
+    v = rng.normal(size=(w.dim, cols))
+    for method in ("solve", "solve_t"):
+        got, ref = getattr(w, method)(v), row_major_map(w, method, v)  # dtbtrs
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), method
+
+
+class TestBlockedSolve:
+    # The blocked substitution against dtbtrs, normwise, on every weight the
+    # package builds and on the block layouts that have edge cases.
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("m", [6, 7, 12, 32, 64])
+    def test_sobolev_weights_match_dtbtrs(self, p, m):
+        assert_solves_match_dtbtrs(build_sobolev_weight(p, Grid2D(m)))
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("n_angles", [7, 8, 40])
+    def test_transport_weights_match_dtbtrs(self, p, n_angles):
+        assert_solves_match_dtbtrs(build_rte_weight(p, PhaseGrid(Grid2D(8), n_angles)))
+
+    @pytest.mark.parametrize("n, u, blocks", [
+        pytest.param(150, 10, [64, 64, 22], id="ragged-last-block"),
+        pytest.param(50, 10, [50], id="single-block"),
+        pytest.param(128, 64, [64, 64], id="band-as-wide-as-a-block"),
+        pytest.param(130, 1, [64, 64, 2], id="one-superdiagonal"),
+        pytest.param(200, 80, [80, 80, 40], id="blocks-as-wide-as-the-band"),
+    ])
+    def test_block_layouts_match_dtbtrs(self, n, u, blocks):
+        w = WeightFactor(random_band(n, u, n + u), sp.identity(n, format="csr"))
+        assert [len(t) for t in w._inverses] == blocks
+        assert_solves_match_dtbtrs(w, cols=70)
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_sobolev_weight(0, Grid2D(9)),
+        lambda: build_rte_weight(0, PhaseGrid(Grid2D(9), 6)),
+    ], ids=["sobolev", "transport"])
+    @pytest.mark.parametrize("method", ["solve", "solve_t"])
+    def test_order_zero_divides_bitwise(self, make, method):
+        w = make()
+        v = np.random.Generator(np.random.Philox(53)).normal(size=(w.dim, 35))
+        rows = v.reshape(w.n_spatial, -1) / w.band[0][:, None]
+        expected = rows.reshape(v.shape) * (1.0 / w.scale) if w.scale != 1.0 else rows
+        assert getattr(w, method)(v).tobytes() == np.ascontiguousarray(expected).tobytes()
