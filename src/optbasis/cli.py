@@ -199,8 +199,7 @@ def _curve_command(args, semilinear, what, curve):
     config = _load_config(args)
     if config.is_semilinear != semilinear:
         kind = "semilinear" if semilinear else "linear"
-        print(f"error: {args.command} needs a {kind} problem family", file=sys.stderr)
-        return 2
+        raise ConfigInvalid(f"{args.command} needs a {kind} problem family")
     setup = build_problem(config)
     solver = setup.factorize()
     _print_solve_threads()
@@ -318,8 +317,7 @@ def cmd_bayes_check(args):
 def cmd_sweep(args):
     config = _load_config(args)
     if config.pde == "identity":
-        print("error: sweep needs a PDE problem family", file=sys.stderr)
-        return 2
+        raise ConfigInvalid("sweep needs a PDE problem family")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []

@@ -254,7 +254,8 @@ def lu_basis(a):
     lu, piv, _ = lapack.dgetrf(a, overwrite_a=1)  # info > 0 only flags a zero pivot of U
     r = min(lu.shape)
     pl = lu[:, :r]
-    pl[np.triu_indices(r, 1)] = 0.0
+    for j in range(1, r):  # the strict upper triangle, one column at a time
+        pl[:j, j] = 0.0
     np.fill_diagonal(pl, 1.0)
     return lapack.dlaswp(pl, piv[:r], inc=-1, overwrite_a=1)  # undo the row swaps, last first
 

@@ -2,10 +2,9 @@
 
 The weighted inner products used everywhere else are <a, b> = a^T Pi b with
 Pi symmetric positive definite.  Each weight is one WeightFactor, an upper
-triangular F = c (F_s (x) I_k) with Pi = F^T F: F_s is a banded spatial
-factor, k the number of angles and c = 1 / sqrt(k) (k = 1 and c = 1 off
-transport).  Applying F, F^T and their inverses is all the rest of the
-package ever needs.
+triangular F = F_s (x) I_k with Pi = F^T F: F_s is a banded spatial factor
+and k the number of angles, 1 off transport.  Applying F, F^T and their
+inverses is all the rest of the package ever needs.
 
 Difference operators follow the forward-difference convention on interior
 nodes: D^0 is the identity on the m-1 interior values of one grid line and
@@ -23,7 +22,7 @@ tensorized with the angular average: Pi = Pi_spatial (x) I / n_angles.
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -39,9 +38,10 @@ from .linalg import work_array
 # block couples only to the next and its products run as level-3 GEMMs.
 SOLVE_BLOCK = 64
 
-# Columns in every GEMM of a weight solve.  OpenBLAS picks its kernels by
-# shape, so a block is solved in panels of exactly this width, the last
-# one zero-padded, and a column's bits do not depend on the other columns.
+# Columns in every GEMM of a weight solve off transport.  OpenBLAS picks
+# its kernels by shape, so a block is solved in panels of exactly this
+# width, the last one zero-padded, and a column's bits do not depend on the
+# other columns.  On transport each column is a GEMM of its own.
 SOLVE_PANEL = 32
 
 
@@ -100,36 +100,35 @@ def sobolev_gram_matrix(m_intervals, p, h):
 
 
 class WeightFactor:
-    """Factor F = scale * (F_s (x) I_k) of the weight Pi = F^T F.
+    """Factor F = F_s (x) I_k of the weight Pi = F^T F.
 
     ``band`` holds the upper triangular F_s in scipy's upper banded storage
     (row u + i - j, column j); a one-row band is a diagonal factor.  ``gram``
-    is F_s^T F_s, ``n_minor`` the number of angles k and ``scale`` the
-    angular normalization 1 / sqrt(k); k = 1 and scale = 1 off transport.
-    Vectors are space-major, so F acts on the (n_s, k * cols) block.
+    is F_s^T F_s and ``n_minor`` the number of angles k, 1 off transport.
+    Vectors are space-major, so column c of an F-ordered block, read
+    row-major, is the (n_s, k) matrix M_c, and F maps it to F_s M_c.
 
-    Products go through a CSR copy of F_s, and of F_s^T from the first
-    apply_t on.  Solves substitute over row blocks of b = max(u, SOLVE_BLOCK)
-    rows, where u is the bandwidth: block i keeps the inverse of its b x b
-    diagonal triangle T_i and its coupling C_i = F_s[i, i + 1] to the next
-    block, so
+    Products go through a CSR copy of F_s, whose transpose is a CSC view.
+    Solves substitute over row blocks of b = max(u, SOLVE_BLOCK) rows, where
+    u is the bandwidth: block i keeps the inverse of its b x b diagonal
+    triangle T_i and its coupling C_i = F_s[i, i + 1] to the next block, so
 
         F_s^{-1}:  x_i = T_i^{-1} (y_i - C_i x_{i+1}),          last block first,
         F_s^{-T}:  x_i = T_i^{-T} (y_i - C_{i-1}^T x_{i-1}),    first block first,
 
-    two GEMMs a block on panels of SOLVE_PANEL columns.  A diagonal F_s
-    divides elementwise.  A zero on the diagonal raises SingularOperator
-    here, with info the 1-based index of the first zero.
+    two GEMMs a block, each on one M_c for k > 1 and on panels of
+    SOLVE_PANEL columns for k = 1.  A diagonal F_s divides elementwise.  A
+    zero on the diagonal raises SingularOperator here, with info the 1-based
+    index of the first zero.
     """
 
-    def __init__(self, band, gram, n_minor=1, scale=1.0):
+    def __init__(self, band, gram, n_minor=1):
         self.band = band
         self.n_spatial = band.shape[1]
         self.n_minor = int(n_minor)
-        self.scale = float(scale)
         self.dim = self.n_spatial * self.n_minor
         self._spatial_gram = gram
-        self._gram = gram if self.n_minor == 1 and self.scale == 1.0 else None
+        self._gram = gram if self.n_minor == 1 else None
         zeros = np.flatnonzero(band[-1] == 0.0)
         if zeros.size:
             raise SingularOperator(
@@ -141,11 +140,6 @@ class WeightFactor:
             shape = (self.n_spatial, self.n_spatial)
             self._factor = sp.dia_matrix((band[::-1], offsets), shape=shape).tocsr()
             self._edges, self._inverses, self._couplings = _solve_blocks(band)
-
-    @cached_property
-    def _factor_t(self):
-        """CSR F_s^T, built on the first apply_t: a sketch alone never applies F_X^T."""
-        return None if self._factor is None else sp.csr_matrix(self._factor.T)
 
     @classmethod
     def diagonal(cls, scale, dim):
@@ -184,51 +178,50 @@ class WeightFactor:
             )
         return v
 
-    def _map(self, v, op, scale, overwrite_b):
-        """scale * (op (x) I_k) v, with op overwriting each (n_s, cols) block it is given.
+    def _map(self, v, op, overwrite_b):
+        """(op (x) I_k) v, with op overwriting the view of v it is given.
 
-        Entry [s k + a, c] of an F-ordered block is entry [a, s, c] of its
-        F-ordered (k, n_s, cols) view, so op runs once per angle a, in place.
-        Each column's result does not depend on the other columns, so the
-        bits do not depend on the layout.
+        For k > 1 that view is the (cols, n_s, k) stack of the M_c; for
+        k = 1 it is the F-ordered (n_s, cols) block.  Each column's result
+        does not depend on the other columns, so the bits do not depend on
+        the layout.
         """
         x = work_array(self._check(v), overwrite_b)
         cols = x.shape[1] if x.ndim == 2 else 1
-        for rows in x.reshape((self.n_minor, self.n_spatial, cols), order="F"):
-            op(rows)
-        if scale != 1.0:
-            x *= scale
+        if self.n_minor == 1:
+            op(x.reshape((self.n_spatial, cols), order="F"))
+        else:
+            op(x.T.reshape((cols, self.n_spatial, self.n_minor)))
         return x
 
     def _product(self, factor, x):
         if factor is None:  # one-row band
             x *= self.band[0][:, None]
-        else:
+        elif x.ndim == 2:
             x[...] = factor @ x
+        else:
+            for m in x:
+                m[...] = factor @ m
 
-    def _panels(self, substitute, rows):
-        """Run substitute, which overwrites a stack of (n_s, SOLVE_PANEL) panels, over rows.
+    def _panels(self, substitute, x):
+        """Run substitute, which overwrites a stack of (n_s, SOLVE_PANEL) panels, over x.
 
         numpy's matmul runs one GEMM per panel of a stack.  The full panels
-        of F-contiguous rows are solved where they lie; the other columns,
-        such as one angle's strided rows or the last few, are solved in a
-        zero-padded F-ordered buffer and copied back.  Both hand BLAS the
-        same shapes and leading dimension.
+        of the F-ordered x are solved where they lie, the last few columns
+        in one zero-padded panel that is copied back.
         """
-        cols = rows.shape[1]
-        done = cols - cols % SOLVE_PANEL if rows.flags.f_contiguous else 0
+        cols = x.shape[1]
+        done = cols - cols % SOLVE_PANEL
         if done:
-            substitute(_panel_stack(rows[:, :done]))
-        rest = rows[:, done:]
-        if rest.size:
-            buffer = np.zeros((self.n_spatial, -(-rest.shape[1] // SOLVE_PANEL) * SOLVE_PANEL),
-                              order="F")
-            buffer[:, :rest.shape[1]] = rest
-            substitute(_panel_stack(buffer))
-            rest[...] = buffer[:, :rest.shape[1]]
+            substitute(_panel_stack(x[:, :done]))
+        if done < cols:
+            panel = np.zeros((self.n_spatial, SOLVE_PANEL), order="F")
+            panel[:, :cols - done] = x[:, done:]
+            substitute(_panel_stack(panel))
+            x[:, done:] = panel[:, :cols - done]
 
     def _back_substitute(self, x):
-        """x <- F_s^{-1} x on each panel of the stack x, from the last row block up."""
+        """x <- F_s^{-1} x on each matrix of the stack x, from the last row block up."""
         e = self._edges
         for i in range(len(self._inverses) - 1, -1, -1):
             xi = x[:, e[i]:e[i + 1]]
@@ -237,7 +230,7 @@ class WeightFactor:
             xi[...] = self._inverses[i] @ xi
 
     def _forward_substitute(self, x):
-        """x <- F_s^{-T} x on each panel of the stack x, from the first row block down."""
+        """x <- F_s^{-T} x on each matrix of the stack x, from the first row block down."""
         e = self._edges
         for i in range(len(self._inverses)):
             xi = x[:, e[i]:e[i + 1]]
@@ -248,35 +241,36 @@ class WeightFactor:
     def _solve(self, substitute, x):
         if self._factor is None:  # one-row band
             x /= self.band[0][:, None]
-        else:
+        elif x.ndim == 2:
             self._panels(substitute, x)
+        else:
+            substitute(x)
 
     # Each map takes ``overwrite_b`` as FactorizedSolver.solve does: with it
     # and an F-ordered float64 v, the result is written into v and v returned.
 
     def apply(self, v, overwrite_b=False):
         """F v."""
-        return self._map(v, partial(self._product, self._factor), self.scale, overwrite_b)
+        return self._map(v, partial(self._product, self._factor), overwrite_b)
 
     def apply_t(self, v, overwrite_b=False):
         """F^T v."""
-        return self._map(v, partial(self._product, self._factor_t), self.scale, overwrite_b)
+        factor_t = None if self._factor is None else self._factor.T
+        return self._map(v, partial(self._product, factor_t), overwrite_b)
 
     def solve(self, v, overwrite_b=False):
         """F^{-1} v."""
-        return self._map(v, partial(self._solve, self._back_substitute), 1.0 / self.scale,
-                         overwrite_b)
+        return self._map(v, partial(self._solve, self._back_substitute), overwrite_b)
 
     def solve_t(self, v, overwrite_b=False):
         """F^{-T} v."""
-        return self._map(v, partial(self._solve, self._forward_substitute), 1.0 / self.scale,
-                         overwrite_b)
+        return self._map(v, partial(self._solve, self._forward_substitute), overwrite_b)
 
     def gram(self):
         """Assembled Pi as a sparse matrix, the operator of the Pi-inner products."""
         if self._gram is None:  # assembled on first use, so basis-only runs never form it
             eye = sp.identity(self.n_minor, format="csr")
-            self._gram = sp.kron(self._spatial_gram, (self.scale ** 2) * eye, format="csr")
+            self._gram = sp.kron(self._spatial_gram, eye, format="csr")
         return self._gram
 
     def norm(self, v):
@@ -329,10 +323,14 @@ def build_sobolev_weight(p, grid: Grid2D):
 
 
 def build_rte_weight(p, phase_grid: PhaseGrid):
-    """Phase-space weight: spatial Sobolev factor tensorized with the angular average."""
+    """Phase-space weight: spatial Sobolev factor tensorized with the angular average.
+
+    The average's 1 / sqrt(k) is folded into the spatial band, and 1 / k
+    into its Gram matrix.
+    """
     spatial = build_sobolev_weight(p, phase_grid.spatial)
-    return WeightFactor(spatial.band, spatial.gram(), phase_grid.n_angles,
-                        1.0 / np.sqrt(phase_grid.n_angles))
+    k = phase_grid.n_angles
+    return WeightFactor(spatial.band / np.sqrt(k), spatial.gram() / k, k)
 
 
 def identity_weight(dim):

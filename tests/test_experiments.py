@@ -42,9 +42,9 @@ def make_config(family="elliptic", m=6, p=1, **extra):
 
 
 def assert_identity_weight(weight, dim):
-    """A one-row band of ones with no angular factor: F = I."""
+    """A one-row band of ones with no angles: F = I."""
     np.testing.assert_array_equal(weight.band, np.ones((1, dim)))
-    assert (weight.n_minor, weight.scale) == (1, 1.0)
+    assert weight.n_minor == 1
 
 
 class TestBuildProblem:
@@ -53,7 +53,7 @@ class TestBuildProblem:
         assert setup.operator.shape == (25, 25)
         assert setup.n_dofs == 25
         np.testing.assert_array_equal(setup.fx.band, build_sobolev_weight(1, setup.grid).band)
-        assert (setup.fx.n_minor, setup.fx.scale) == (1, 1.0)
+        assert setup.fx.n_minor == 1
         assert_identity_weight(setup.fy, 25)
         assert setup.phase_grid is None
         assert setup.term is None
@@ -72,8 +72,8 @@ class TestBuildProblem:
         assert setup.operator.shape == (16 * 6, 16 * 6)
         # the spatial Sobolev factor tensorized with the angular average
         spatial = build_sobolev_weight(1, setup.phase_grid.spatial)
-        np.testing.assert_array_equal(setup.fx.band, spatial.band)
-        assert (setup.fx.n_minor, setup.fx.scale) == (6, 1.0 / np.sqrt(6))
+        np.testing.assert_array_equal(setup.fx.band, spatial.band / np.sqrt(6))
+        assert setup.fx.n_minor == 6
         assert_identity_weight(setup.fy, 16 * 6)
         assert setup.term is None
         np.testing.assert_array_equal(setup.source,

@@ -1,6 +1,7 @@
 """Difference operators, Sobolev weight factors and the phase-space weight."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scipy.linalg import lapack
 from optbasis.exceptions import DimensionMismatch, OrderTooHigh, SingularOperator
 from optbasis.grids import Grid2D, PhaseGrid
 from optbasis.weights import (
+    SOLVE_BLOCK,
     WeightFactor,
     build_rte_weight,
     build_sobolev_weight,
@@ -144,11 +146,17 @@ class TestSobolevWeight:
         assert w.norm(v) == pytest.approx(np.sqrt(v @ (w.gram() @ v)), rel=1e-12)
 
     def test_matrix_argument_maps_columnwise(self):
-        # the solves run on fixed 32-column panels, so a column's bits do not
-        # depend on its neighbours or on where the panel edges fall
+        # the solves run on fixed 32-column panels off transport and on one
+        # fixed-shape GEMM a column on it, so a column's bits do not depend
+        # on its neighbours or on where the panel edges fall
         cases = [(build_sobolev_weight(1, Grid2D(5)), "apply", 3)] + [
             (build_sobolev_weight(1, Grid2D(12)), method, cols)
             for method in ("solve", "solve_t") for cols in (1, 31, 32, 33, 330)]
+        cases += [
+            (build_rte_weight(p, PhaseGrid(Grid2D(10), n_angles)), method, cols)
+            for p in (1, 2) for n_angles in (7, 40)
+            for method in ("apply", "apply_t", "solve", "solve_t")
+            for cols in (1, 31, 32, 33, 100)]
         for w, method, cols in cases:
             rng = np.random.Generator(np.random.Philox(6))
             block = rng.normal(size=(w.dim, cols))
@@ -322,16 +330,13 @@ METHODS = ["apply", "apply_t", "solve", "solve_t"]
 def row_major_map(w, method, v):
     """The map on the C-ordered (n_s, k * cols) reshape of v, the layout-free reference."""
     if method in ("apply", "apply_t"):
-        factor = w._factor if method == "apply" else w._factor_t
+        factor = w._factor if method == "apply" or w._factor is None else w._factor.T
         d = w.band[0][:, None]
         op = (lambda x: x * d) if factor is None else (lambda x: factor @ x)
-        scale = w.scale
     else:
         def op(x):
             return lapack.dtbtrs(w.band, x, trans="N" if method == "solve" else "T")[0]
-        scale = 1.0 / w.scale
-    out = op(v.reshape(w.n_spatial, -1)).reshape(v.shape)
-    return out * scale if scale != 1.0 else out
+    return op(v.reshape(w.n_spatial, -1)).reshape(v.shape)
 
 
 class TestOverwrite:
@@ -400,6 +405,33 @@ def assert_solves_match_dtbtrs(w, cols=40, seed=51):
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), method
 
 
+class TestTransportSolveMemory:
+    @pytest.mark.parametrize("method", ["solve", "solve_t"])
+    def test_in_place_solve_holds_two_column_stacks_not_a_copy(self, method):
+        # each GEMM works on one column's (b, k) rows, so the temporaries are
+        # two (cols, b, k) stacks, far below one copy of the block
+        w = build_rte_weight(1, PhaseGrid(Grid2D(24), 40))
+        cols = 100
+        block = np.asfortranarray(
+            np.random.Generator(np.random.Philox(61)).normal(size=(w.dim, cols)))
+        b = max(w.band.shape[0] - 1, SOLVE_BLOCK)
+        bound = 2 * cols * b * w.n_minor * block.itemsize + 64 * 1024
+        assert bound < block.nbytes / 4
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            out = getattr(w, method)(block, overwrite_b=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert out is block
+        assert peak - start <= bound
+
+
 class TestBlockedSolve:
     # The blocked substitution against dtbtrs, normwise, on every weight the
     # package builds and on the block layouts that have edge cases.
@@ -433,6 +465,5 @@ class TestBlockedSolve:
     def test_order_zero_divides_bitwise(self, make, method):
         w = make()
         v = np.random.Generator(np.random.Philox(53)).normal(size=(w.dim, 35))
-        rows = v.reshape(w.n_spatial, -1) / w.band[0][:, None]
-        expected = rows.reshape(v.shape) * (1.0 / w.scale) if w.scale != 1.0 else rows
+        expected = (v.reshape(w.n_spatial, -1) / w.band[0][:, None]).reshape(v.shape)
         assert getattr(w, method)(v).tobytes() == np.ascontiguousarray(expected).tobytes()
