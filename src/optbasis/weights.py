@@ -197,7 +197,7 @@ class WeightFactor:
     def _product(self, factor, x):
         if factor is None:  # one-row band
             x *= self.band[0][:, None]
-        elif x.ndim == 2:
+        elif x.ndim == 2:  # k = 1: one product on the whole block
             x[...] = factor @ x
         else:
             for m in x:
@@ -241,7 +241,7 @@ class WeightFactor:
     def _solve(self, substitute, x):
         if self._factor is None:  # one-row band
             x /= self.band[0][:, None]
-        elif x.ndim == 2:
+        elif x.ndim == 2:  # k = 1: fixed-width panels of the block
             self._panels(substitute, x)
         else:
             substitute(x)
