@@ -20,7 +20,7 @@ from .config import ExperimentConfig
 from .elliptic import EllipticMedium, assemble_elliptic, eval_source_elliptic
 from .exceptions import Diverged, NonFiniteResult, VanishingReference
 from .grids import Grid2D, PhaseGrid
-from .linalg import factorize
+from .linalg import block_ordering, factorize
 from .nonlinear import CubicTerm, TwoPhotonTerm, fixed_point_solve, newton_reference
 from .transport import RteCoefficients, assemble_rte, eval_source_rte
 from .weights import build_rte_weight, build_sobolev_weight, energy_norm, identity_weight
@@ -33,6 +33,10 @@ class ProblemSetup:
     ``reversal`` is the permutation P with operator^T = P operator P exactly:
     the identity for the symmetric families, the direction reversal for
     transport with an even angle count, None where no such P is known.
+    ``ordering`` is the elimination order of its LU: for transport the
+    minimum-degree order of the spatial nodes, each expanded into its
+    angles (``linalg.block_ordering``); None, SuperLU's own minimum degree,
+    for the other families.
     """
 
     config: ExperimentConfig
@@ -44,14 +48,15 @@ class ProblemSetup:
     phase_grid: PhaseGrid | None
     term: object | None
     reversal: np.ndarray | None
+    ordering: np.ndarray | None
 
     @property
     def n_dofs(self):
         return self.operator.shape[0]
 
     def factorize(self):
-        """Sparse LU of the operator, with the reversal its transposed solves use."""
-        return factorize(self.operator, self.reversal)
+        """Sparse LU of the operator in its ordering, with its transposed solves' reversal."""
+        return factorize(self.operator, self.reversal, self.ordering)
 
 
 def build_problem(config: ExperimentConfig) -> ProblemSetup:
@@ -84,10 +89,13 @@ def build_problem(config: ExperimentConfig) -> ProblemSetup:
         source = np.zeros(operator.shape[0])
     if phase_grid is None:  # the elliptic and identity operators are symmetric
         reversal = np.arange(operator.shape[0])
+        ordering = None
     else:
         reversal = phase_grid.reversal()
+        ordering = block_ordering(operator, phase_grid.n_angles)
     fy = identity_weight(operator.shape[0])
-    return ProblemSetup(config, operator, fx, fy, source, grid, phase_grid, term, reversal)
+    return ProblemSetup(config, operator, fx, fy, source, grid, phase_grid, term, reversal,
+                        ordering)
 
 
 def compute_problem_basis(setup: ProblemSetup, solver=None) -> SVDBasis:

@@ -17,6 +17,7 @@ from scipy.linalg import lapack
 
 from .exceptions import (
     DimensionMismatch,
+    InvalidArgument,
     NotReciprocal,
     SingularOperator,
     SvdFailure,
@@ -37,12 +38,10 @@ SOLVE_CHUNK = 32
 # builds: their nonzero patterns are symmetric or nearly so and their
 # diagonals dominate, so the diagonal is kept and the fill stays low.  The
 # threshold stays positive so that a small or zero diagonal entry is still
-# pivoted away.
-_SPLU_OPTIONS = dict(
-    permc_spec="MMD_AT_PLUS_A",
-    diag_pivot_thresh=0.01,
-    options={"SymmetricMode": True},
-)
+# pivoted away.  A factor with a given ordering keeps the pivoting settings
+# and takes its columns in natural order.
+_PIVOTING = dict(diag_pivot_thresh=0.01, options={"SymmetricMode": True})
+_SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", **_PIVOTING)
 
 
 class FactorizedSolver:
@@ -61,6 +60,19 @@ class FactorizedSolver:
     is written back into that chunk's own columns of the result, so a solve
     holds the result block and a few chunks, never a second block.
 
+    Without an ordering SuperLU orders the columns itself, by minimum degree
+    on A^T + A.  With an ordering o it factors L[o][:, o] in that order, and
+    every chunk is gathered through o before its solve and scattered back
+    after it; a reciprocal transposed solve gathers and scatters through
+    the one composed index P[o].  Transport takes the block ordering of
+    ``block_ordering``, minimum degree on its (m - 1)^2 spatial nodes with
+    each node's angles kept together: at 40 angles it stores 1.32M entries
+    against SuperLU's 1.48M at m = 12, 9.36M against 12.9M at m = 24 and
+    124.5M against 181.9M at m = 64.  The elliptic operators keep
+    SuperLU's own ordering: each node holds a single unknown, so there is
+    nothing to compress, and a recomputed ordering would cost a gather and
+    a scatter per solve for no gain.
+
     Parameters
     ----------
     operator : sparse or dense square matrix
@@ -70,9 +82,12 @@ class FactorizedSolver:
         symmetric operator; for transport, the map from each direction to its
         reverse.  Checked exactly once here; None keeps SuperLU's transposed
         solve.
+    ordering : integer index array or None
+        Elimination order of the unknowns, a permutation of range(n).  None
+        lets SuperLU order them.
     """
 
-    def __init__(self, operator, reversal=None):
+    def __init__(self, operator, reversal=None, ordering=None):
         operator = sp.csc_matrix(operator)
         m, n = operator.shape
         if m != n:
@@ -88,11 +103,19 @@ class FactorizedSolver:
                     f"operator transpose differs from the reversed operator in "
                     f"{defect} entries"
                 )
-            # a symmetric operator is indexed through views, not copies
+        self.ordering = None if ordering is None else _checked_ordering(ordering, n)
+        # gather indices of the forward and the reversed solves; without an
+        # ordering a symmetric operator is indexed through views, not copies
+        self._order = slice(None) if self.ordering is None else self.ordering
+        if self.reversal is not None:
             identity = np.array_equal(self.reversal, np.arange(n))
-            self._take = slice(None) if identity else self.reversal
+            self._take = self._order if identity else self.reversal[self._order]
         try:
-            self._lu = spla.splu(operator, **_SPLU_OPTIONS)
+            if self.ordering is None:
+                self._lu = spla.splu(operator, **_SPLU_OPTIONS)
+            else:
+                self._lu = spla.splu(operator[self.ordering][:, self.ordering],
+                                     permc_spec="NATURAL", **_PIVOTING)
         except RuntimeError as exc:
             raise SingularOperator(f"LU factorization failed: {exc}") from exc
         # Hager-Higham estimate of ||L^-1||_1 from a few solves; reading the
@@ -140,10 +163,10 @@ class FactorizedSolver:
         return x
 
     def _forward(self, c):
-        c[...] = self._lu.solve(c)
+        c[self._order] = self._lu.solve(c[self._order])
 
     def _transposed(self, c):
-        c[...] = self._lu.solve(c, trans="T")
+        c[self._order] = self._lu.solve(c[self._order], trans="T")
 
     def _reversed(self, c):
         # P L^{-1} P c for the involution P: gathered and scattered per chunk
@@ -205,20 +228,56 @@ def _checked_reversal(reversal, n):
     return p
 
 
+def _checked_ordering(ordering, n):
+    o = np.asarray(ordering)
+    if (o.shape != (n,) or not np.issubdtype(o.dtype, np.integer)
+            or not np.array_equal(np.sort(o), np.arange(n))):
+        raise InvalidArgument(f"ordering must be a permutation of {n} indices")
+    return o
+
+
+def block_ordering(operator, k):
+    """Minimum-degree ordering of an operator whose unknowns come in nodes of k.
+
+    Node i holds the k contiguous unknowns k i .. k i + k - 1, the angles of
+    one spatial node for a space-major transport operator.  The operator's
+    pattern is compressed to the graph of its nodes, which SuperLU orders
+    by minimum degree on A^T + A (its ``perm_c``, read off the factor of a
+    diagonally dominant matrix with the graph's pattern, so the step never
+    meets a singular matrix), and each node then expands into its k
+    angles, in order.  Returns the elimination order for
+    ``FactorizedSolver(..., ordering=...)``.
+    """
+    a = sp.csr_matrix(operator)
+    n = a.shape[0]
+    if k < 1 or n % k:
+        raise InvalidArgument(f"{n} unknowns do not split into nodes of {k}")
+    # node rows are k consecutive CSR rows: every k-th row pointer bounds
+    # one; the pointers are copied because sum_duplicates rewrites them
+    graph = sp.csr_matrix((np.ones(a.nnz), a.indices // k, a.indptr[::k].copy()),
+                          shape=(n // k, n // k))
+    graph.sum_duplicates()
+    graph.data[:] = -1.0
+    dominant = sp.csc_matrix(graph + sp.diags(graph.getnnz(axis=1) + 1.0))
+    nodes = np.argsort(spla.splu(dominant, **_SPLU_OPTIONS).perm_c)  # perm_c maps old to new
+    return (k * nodes[:, None] + np.arange(k)).ravel()
+
+
 def reciprocity_defect(operator, reversal):
     """Number of entries where L^T and P L P differ; 0 means exactly reciprocal."""
     operator = sp.csr_matrix(operator)
     return int((operator.T.tocsr() != operator[reversal][:, reversal]).nnz)
 
 
-def factorize(operator, reversal=None):
+def factorize(operator, reversal=None, ordering=None):
     """Factorize a square sparse operator once for repeated solves.
 
     ``reversal`` is an involutive permutation P with L^T = P L P, which lets
-    transposed solves run through the blocked forward solve; see
+    transposed solves run through the blocked forward solve, and
+    ``ordering`` an elimination order such as ``block_ordering`` gives; see
     FactorizedSolver.
     """
-    return FactorizedSolver(operator, reversal)
+    return FactorizedSolver(operator, reversal, ordering)
 
 
 def qr_thin(a):

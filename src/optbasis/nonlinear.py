@@ -211,7 +211,8 @@ def check_linear_representation_bound(basis: SVDBasis, solver, fx, f, term, u_re
 def newton_reference(solver, term, f, tol=1e-12, max_iter=50):
     """Damped Newton solve of the full system L u + N(u) = f.
 
-    ``solver`` is the factorized L.  Starts from its linear solve, halves
+    ``solver`` is the factorized L.  Each Jacobian, L plus a term with L's
+    pattern, is factored in L's ordering.  Starts from its linear solve, halves
     the step until the residual decreases, and stops once
     ||residual|| <= tol (1 + ||f||).  Raises NonFiniteResult if the
     residual's norm overflows or is NaN, and Diverged if damping stalls or
@@ -230,7 +231,7 @@ def newton_reference(solver, term, f, tol=1e-12, max_iter=50):
         if res_norm <= tol * f_scale:
             return u
         jac = (op + term.jacobian(u)).tocsc()
-        direction = factorize(jac).solve(-residual)
+        direction = factorize(jac, ordering=solver.ordering).solve(-residual)
         alpha = 1.0
         while alpha >= 2.0 ** -30:
             trial = u + alpha * direction

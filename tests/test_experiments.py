@@ -24,7 +24,7 @@ from optbasis.experiments import (
     reference_solution,
     solve_linear_projection,
 )
-from optbasis.linalg import factorize
+from optbasis.linalg import block_ordering, factorize
 from optbasis.nonlinear import fixed_point_solve
 from optbasis.weights import build_sobolev_weight, energy_norm
 from optbasis.transport import eval_source_rte
@@ -132,6 +132,24 @@ class TestReversal:
         np.testing.assert_array_equal(setup.reversal, np.arange(setup.n_dofs))
         assert (setup.operator != setup.operator.T).nnz == 0
         np.testing.assert_array_equal(setup.factorize().reversal, setup.reversal)
+
+
+class TestOrdering:
+    @pytest.mark.parametrize("family", ["rte", "semilinear_rte"])
+    @pytest.mark.parametrize("n_angles", [6, 5])
+    def test_transport_carries_its_block_ordering(self, family, n_angles):
+        setup = build_problem(make_config(family, m=5, grid={"n_angles": n_angles}))
+        np.testing.assert_array_equal(setup.ordering,
+                                      block_ordering(setup.operator, n_angles))
+        np.testing.assert_array_equal(setup.factorize().ordering, setup.ordering)
+
+    @pytest.mark.parametrize("family", ["elliptic", "semilinear_elliptic", "identity"])
+    def test_other_families_keep_superlus_ordering(self, family):
+        setup = build_problem(make_config(family))
+        assert setup.ordering is None
+        solver = setup.factorize()
+        assert solver.ordering is None
+        assert solver.nnz == factorize(setup.operator).nnz
 
 
 class TestBases:

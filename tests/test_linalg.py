@@ -14,6 +14,7 @@ from optbasis import linalg
 from optbasis.elliptic import EllipticMedium, assemble_elliptic
 from optbasis.exceptions import (
     DimensionMismatch,
+    InvalidArgument,
     NotReciprocal,
     SingularOperator,
     SvdFailure,
@@ -22,6 +23,7 @@ from optbasis.grids import Grid2D, PhaseGrid
 from optbasis.linalg import (
     SOLVE_CHUNK,
     FactorizedSolver,
+    block_ordering,
     factorize,
     lu_basis,
     qr_thin,
@@ -140,6 +142,67 @@ class TestOrdering:
         assert relative_gap(solver.solve_transpose(b),
                             spla.spsolve(sp.csc_matrix(a.T), b)) <= 1e-12
 
+    def test_block_ordering_fill_stays_below_superlus_own(self, transport_operator):
+        # minimum degree on the 121 spatial nodes, each expanded into its 40
+        # angles, stores 1,323,309 entries against SuperLU's 1,480,628
+        ordered = factorize(transport_operator, ordering=block_ordering(transport_operator, 40))
+        assert ordered.nnz <= 1_400_000 < factorize(transport_operator).nnz
+
+    @pytest.mark.parametrize("n_angles", [8, 7])
+    def test_block_ordering_keeps_each_nodes_angles_together_and_in_order(self, n_angles):
+        op = assemble_rte(PhaseGrid(Grid2D(8), n_angles), RteCoefficients(0.25, 0.5, 0.7))
+        before = op.copy()
+        o = block_ordering(op, n_angles)
+        np.testing.assert_array_equal(np.sort(o), np.arange(op.shape[0]))
+        nodes = o.reshape(-1, n_angles)
+        np.testing.assert_array_equal(nodes, nodes[:, :1] + np.arange(n_angles))
+        assert np.all(nodes[:, 0] % n_angles == 0)
+        assert not np.array_equal(nodes[:, 0], np.arange(0, op.shape[0], n_angles))
+        # the operator it reads is left as it was
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(op, part), getattr(before, part))
+
+    def test_block_ordering_needs_whole_nodes(self):
+        with pytest.raises(InvalidArgument, match="nodes of 4"):
+            block_ordering(sp.identity(10, format="csr"), 4)
+
+    @pytest.mark.parametrize("n_angles", [8, 7])
+    @pytest.mark.parametrize("cols", [None, 1, 33, 100])
+    def test_ordered_solves_match_spsolve(self, n_angles, cols):
+        op, reversal, ordering = reciprocal_case(f"rte-{'odd' if n_angles % 2 else 'even'}",
+                                                 ordered=True)
+        solver = factorize(op, reversal, ordering)
+        np.testing.assert_array_equal(solver.ordering, ordering)
+        rng = np.random.Generator(np.random.Philox(23))
+        b = rng.standard_normal((op.shape[0],) if cols is None else (op.shape[0], cols))
+        x, xt = solve_both(solver, b)
+        assert x.shape == xt.shape == b.shape
+        for got, a in ((x, op), (xt, op.T)):
+            expected = spla.spsolve(sp.csc_matrix(a), b).reshape(b.shape)
+            assert relative_gap(got, expected) <= 1e-12
+
+    @pytest.mark.parametrize("case, message", [("exact", "exactly singular"),
+                                               ("numerical", "condition number")])
+    def test_a_singular_operator_with_an_ordering_raises_singular_operator(self, case,
+                                                                          message):
+        op, reversal, ordering = reciprocal_case("rte-even", ordered=True)
+        op = sp.lil_matrix(op)
+        # a zero row gives SuperLU an exactly zero pivot; a row equal to the
+        # next one up to 1e-12 is factored, and the condition estimate refuses it
+        op[5, :] = 0.0 if case == "exact" else op[6, :] * (1.0 + 1e-12)
+        with pytest.raises(SingularOperator, match=message):
+            factorize(op, ordering=ordering)
+
+    @pytest.mark.parametrize("bad", ["repeat", "short", "float", "out_of_range"])
+    def test_malformed_ordering_is_rejected(self, bad):
+        n = 6
+        ordering = {"repeat": np.array([0, 1, 2, 3, 4, 4]),
+                    "short": np.arange(n - 1),
+                    "float": np.arange(n, dtype=float),
+                    "out_of_range": np.arange(n) + 1}[bad]
+        with pytest.raises(InvalidArgument, match="permutation of 6 indices"):
+            factorize(sp.identity(n, format="csc"), ordering=ordering)
+
     @pytest.mark.parametrize("diagonal", [0.0, 1e-8])
     def test_zero_or_tiny_diagonal_is_pivoted_away(self, diagonal):
         # a nonsymmetric tridiagonal matrix with its rows rolled by three, so
@@ -157,20 +220,32 @@ class TestOrdering:
         assert relative_gap(solver.solve_transpose(b), np.linalg.solve(a.T, b)) <= 1e-12
 
 
-def reciprocal_case(name):
-    """An operator with the reversal its setup factors it with."""
+def reciprocal_case(name, ordered=False):
+    """An operator with the reversal its setup factors it with, and an ordering or None.
+
+    ``ordered`` gives transport its block ordering, as ``build_problem`` does.
+    """
     if name == "elliptic":
         op = assemble_elliptic(Grid2D(12), EllipticMedium(0.0625))
-        return op, np.arange(op.shape[0])
+        return op, np.arange(op.shape[0]), None
     pg = PhaseGrid(Grid2D(8), 8 if name == "rte-even" else 7)
-    return assemble_rte(pg, RteCoefficients(0.25, 0.5, 0.7)), pg.reversal()
+    op = assemble_rte(pg, RteCoefficients(0.25, 0.5, 0.7))
+    return op, pg.reversal(), block_ordering(op, pg.n_angles) if ordered else None
+
+
+def cases(*names):
+    """(name, ordered) parameters: each name as SuperLU orders it, with the name as id,
+    and each transport name with its block ordering, id ``<name>-ordered``."""
+    return ([pytest.param(name, False, id=name) for name in names]
+            + [pytest.param(name, True, id=f"{name}-ordered")
+               for name in names if name.startswith("rte")])
 
 
 class TestReciprocalTranspose:
     @pytest.mark.parametrize("name", ["rte-even", "rte-odd", "elliptic"])
     @pytest.mark.parametrize("cols", [None, 4])
     def test_transpose_solve_matches_spsolve(self, name, cols):
-        op, reversal = reciprocal_case(name)
+        op, reversal, _ = reciprocal_case(name)
         solver = factorize(op, reversal)
         rng = np.random.Generator(np.random.Philox(17))
         shape = (op.shape[0],) if cols is None else (op.shape[0], cols)
@@ -180,12 +255,12 @@ class TestReciprocalTranspose:
         assert relative_gap(x, spla.spsolve(sp.csc_matrix(op.T), b)) <= 1e-12
 
     def test_odd_angles_keep_superlus_transposed_solve(self):
-        op, reversal = reciprocal_case("rte-odd")
+        op, reversal, _ = reciprocal_case("rte-odd")
         assert reversal is None
         assert factorize(op, reversal).reversal is None
 
     def test_transpose_solve_bypasses_the_public_solve(self, monkeypatch):
-        op, reversal = reciprocal_case("rte-even")
+        op, reversal, _ = reciprocal_case("rte-even")
         solver = factorize(op, reversal)
         b = np.arange(1.0, op.shape[0] + 1)
         expected = spla.spsolve(sp.csc_matrix(op.T), b)
@@ -197,14 +272,14 @@ class TestReciprocalTranspose:
         assert relative_gap(solver.solve_transpose(b), expected) <= 1e-12
 
     def test_identity_is_rejected_for_transport(self):
-        op, _ = reciprocal_case("rte-even")
+        op, _, _ = reciprocal_case("rte-even")
         assert reciprocity_defect(op, np.arange(op.shape[0])) > 0
         with pytest.raises(NotReciprocal, match="differs from the reversed operator"):
             factorize(op, np.arange(op.shape[0]))
 
     @pytest.mark.parametrize("bad", ["roll", "short", "float", "out_of_range"])
     def test_malformed_reversal_is_rejected(self, bad):
-        op, _ = reciprocal_case("elliptic")
+        op, _, _ = reciprocal_case("elliptic")
         n = op.shape[0]
         reversal = {"roll": np.roll(np.arange(n), 1),  # a permutation, not an involution
                     "short": np.arange(n - 1),
@@ -242,26 +317,33 @@ class FailingFactor:
 
 
 class TestChunkedSolves:
-    @pytest.mark.parametrize("name", ["rte-even", "rte-odd", "elliptic"])
+    @pytest.mark.parametrize("name, ordered", cases("rte-even", "rte-odd", "elliptic"))
     @pytest.mark.parametrize("cols", [None, 1, 31, 32, 33, 100])
-    def test_blocks_match_column_by_column_solves(self, name, cols):
-        solver = factorize(*reciprocal_case(name))
+    def test_blocks_match_column_by_column_solves(self, name, ordered, cols):
+        solver = factorize(*reciprocal_case(name, ordered))
         rng = np.random.Generator(np.random.Philox(29))
         b = rng.standard_normal((solver.n,) if cols is None else (solver.n, cols))
         x, xt = solve_both(solver, b)
         assert x.shape == xt.shape == b.shape
         columns = b[:, None] if cols is None else b
         x, xt = x.reshape(columns.shape), xt.reshape(columns.shape)
+        # the factor is of L[o][:, o]: its solves act on the ordered unknowns;
+        # a reversed transposed solve's ordered unknowns are P[o]
+        o = np.arange(solver.n) if solver.ordering is None else solver.ordering
+        if solver.reversal is not None:
+            ot, trans = solver.reversal[o], "N"
+        else:
+            ot, trans = o, "T"
         for j in range(columns.shape[1]):
-            assert relative_gap(x[:, j], solver._lu.solve(columns[:, j])) <= 1e-14
-            assert relative_gap(xt[:, j],
-                                solver._lu.solve(columns[:, j], trans="T")) <= 1e-14
+            assert relative_gap(x[o, j], solver._lu.solve(columns[o, j])) <= 1e-14
+            assert relative_gap(xt[ot, j],
+                                solver._lu.solve(columns[ot, j], trans=trans)) <= 1e-14
 
-    @pytest.mark.parametrize("name", ["rte-even", "rte-odd", "elliptic"])
-    def test_bytes_do_not_depend_on_the_thread_count(self, name, monkeypatch):
+    @pytest.mark.parametrize("name, ordered", cases("rte-even", "rte-odd", "elliptic"))
+    def test_bytes_do_not_depend_on_the_thread_count(self, name, ordered, monkeypatch):
         # 8 threads on 11 chunks, more threads than cores, switching often:
         # the chunks write disjoint columns of one output
-        solver = factorize(*reciprocal_case(name))
+        solver = factorize(*reciprocal_case(name, ordered))
         b = np.random.Generator(np.random.Philox(31)).standard_normal((solver.n, 330))
         results = []
         interval = sys.getswitchinterval()
@@ -412,13 +494,14 @@ class TestSvdDense:
 
 
 class TestOverwrite:
-    @pytest.mark.parametrize("name", ["elliptic", "rte-even", "rte-odd"])
+    @pytest.mark.parametrize("name, ordered", cases("elliptic", "rte-even", "rte-odd"))
     @pytest.mark.parametrize("cols", [None, 1, 33, 100])
     @pytest.mark.parametrize("method", ["solve", "solve_transpose"])
-    def test_in_place_solve_is_bitwise_the_copying_solve(self, name, cols, method):
+    def test_in_place_solve_is_bitwise_the_copying_solve(self, name, ordered, cols, method):
         # identity reversal, the transport reversal, and SuperLU's own
-        # transposed solve (odd angle count, reversal None)
-        solver = factorize(*reciprocal_case(name))
+        # transposed solve (odd angle count, reversal None), each transport
+        # case also in its block ordering
+        solver = factorize(*reciprocal_case(name, ordered))
         rng = np.random.Generator(np.random.Philox(37))
         b = rng.standard_normal((solver.n,) if cols is None else (solver.n, cols))
         before = b.copy()
@@ -429,11 +512,11 @@ class TestOverwrite:
         assert in_place is block
         assert copied.tobytes() == in_place.tobytes()
 
-    @pytest.mark.parametrize("name", ["rte-even", "rte-odd"])
-    def test_in_place_bytes_do_not_depend_on_the_thread_count(self, name, monkeypatch):
+    @pytest.mark.parametrize("name, ordered", cases("rte-even", "rte-odd"))
+    def test_in_place_bytes_do_not_depend_on_the_thread_count(self, name, ordered, monkeypatch):
         # 8 threads write 11 disjoint column chunks of the caller's own block,
         # switching often; one thread's copying solve is the reference
-        solver = factorize(*reciprocal_case(name))
+        solver = factorize(*reciprocal_case(name, ordered))
         b = np.random.Generator(np.random.Philox(61)).standard_normal((solver.n, 330))
         monkeypatch.setattr(linalg, "solve_threads", lambda: 1)
         expected = solve_both(solver, b)

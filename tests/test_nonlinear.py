@@ -289,3 +289,28 @@ class TestNewtonReference:
         resid = op @ u + term(u) - f
         assert np.linalg.norm(resid) <= 1e-12 * (1 + np.linalg.norm(f))
         assert u.min() > 0  # absorption only dims the beam, never flips it
+
+    def test_each_jacobian_is_factored_in_the_operators_ordering(self, monkeypatch):
+        from optbasis import nonlinear
+        from optbasis.linalg import block_ordering
+        from optbasis.transport import RteCoefficients, assemble_rte, eval_source_rte
+
+        pg = PhaseGrid(Grid2D(6), 6)
+        op = assemble_rte(pg, RteCoefficients())
+        term = TwoPhotonTerm(pg, 1.0)
+        f = eval_source_rte(pg, 50.0)
+        solver = factorize(op, pg.reversal(), block_ordering(op, 6))
+        orderings = []
+
+        def recording(jac, reversal=None, ordering=None):
+            orderings.append(ordering)
+            return factorize(jac, reversal, ordering)
+
+        monkeypatch.setattr(nonlinear, "factorize", recording)
+        u = newton_reference(solver, term, f)
+        assert len(orderings) >= 2
+        assert all(o is solver.ordering for o in orderings)
+        # SuperLU's own ordering of each Jacobian gives the same solution
+        monkeypatch.setattr(nonlinear, "factorize", factorize)
+        expected = newton_reference(factorize(op), term, f)
+        assert np.linalg.norm(u - expected) <= 1e-12 * np.linalg.norm(expected)
