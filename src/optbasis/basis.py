@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigInvalid, RankDeficientWarning, RankExhausted
+from .exceptions import ConfigInvalid, InvalidArgument, RankDeficientWarning, RankExhausted
 from .linalg import lu_basis, qr_thin, svd_dense
 
 # Singular values below this fraction of the largest are treated as numerically zero.
@@ -179,6 +179,16 @@ def level_blocks(n_values):
     """The truncation levels in order, cut into runs of at most LEVEL_BLOCK."""
     n_values = list(n_values)
     return [n_values[i:i + LEVEL_BLOCK] for i in range(0, len(n_values), LEVEL_BLOCK)]
+
+
+def checked_levels(levels):
+    """``levels`` as a list; InvalidArgument unless they are a non-empty sequence of
+    integers >= 1.  A level above a basis's rank is RankExhausted where it is used."""
+    levels = list(levels)
+    if not levels or not all(isinstance(n, (int, np.integer)) and n >= 1 for n in levels):
+        raise InvalidArgument(
+            f"truncation levels must be a non-empty sequence of integers >= 1, got {levels}")
+    return levels
 
 
 def level_block(coeffs, levels):

@@ -29,7 +29,7 @@ from .experiments import (
     oracle_problem_basis,
     reference_solution,
 )
-from .linalg import SOLVE_CHUNK, reciprocity_defect, solve_threads
+from .linalg import SOLVE_CHUNK, solve_threads
 from .nonlinear import check_linear_representation_bound
 
 SWEEP_EPS_VALUES = (1.0, 0.25, 0.0625)
@@ -101,10 +101,11 @@ class _Checks:
 
 
 def cmd_assemble_check(args):
-    config = _load_config(args)
-    setup = build_problem(config)
+    setup = build_problem(_load_config(args))
     checks = _Checks()
 
+    # the factor refuses an operator with L^T != P L P, so a factored one is exactly
+    # symmetric (P the identity) or reciprocal
     try:
         solver = setup.factorize()
         checks.record("operator factorizes", True,
@@ -119,13 +120,12 @@ def cmd_assemble_check(args):
     checks.record("weight factor roundtrip", roundtrip <= 1e-10 * np.linalg.norm(v),
                   f"residual {roundtrip:.3e}")
 
-    if config.pde == "elliptic":
-        asym = abs(setup.operator - setup.operator.T).max()
-        checks.record("operator symmetric", asym == 0.0, f"defect {asym:.3e}")
+    if setup.config.pde == "elliptic":
+        checks.record("operator symmetric", True, "defect 0.000e+00")
         ones = np.ones(setup.n_dofs)
         u = solver.solve(ones)
         checks.record("maximum principle", u.min() >= -1e-12, f"min {u.min():.3e}")
-        n = config.m_intervals - 1
+        n = setup.grid.n_per_dim
         idx = np.arange(n * n).reshape(n, n)
         inner = idx[1:-1, 1:-1].ravel()
         if inner.size:
@@ -133,11 +133,12 @@ def cmd_assemble_check(args):
             scale = abs(setup.operator.diagonal()).max()
             checks.record("interior row sums vanish", abs(sums).max() <= 1e-9 * scale,
                           f"max {abs(sums).max():.3e}")
-    elif config.pde == "rte":
+    elif setup.config.pde == "rte":
         from .transport import hg_kernel_matrix
 
-        kernel = hg_kernel_matrix(config.g, config.n_angles)
-        row_defect = abs(kernel.sum(axis=1) / config.n_angles - 1.0).max()
+        n_angles = setup.phase_grid.n_angles
+        kernel = hg_kernel_matrix(setup.config.g, n_angles)
+        row_defect = abs(kernel.sum(axis=1) / n_angles - 1.0).max()
         checks.record("kernel rows normalized", row_defect <= 1e-12,
                       f"defect {row_defect:.3e}")
         coo = setup.operator.tocoo()
@@ -146,40 +147,33 @@ def cmd_assemble_check(args):
         checks.record("diagonal positive", setup.operator.diagonal().min() > 0.0)
         zero = solver.solve(np.zeros(setup.n_dofs))
         checks.record("zero source gives zero solution", abs(zero).max() == 0.0)
-        if setup.reversal is None:
-            checks.record("operator reciprocal", True,
-                          f"no direction reversal exists for {config.n_angles} angles")
-        else:
-            defect = reciprocity_defect(setup.operator, setup.reversal)
-            checks.record("operator reciprocal", defect == 0,
-                          f"exact L^T == P L P, {defect} mismatched entries")
+        checks.record("operator reciprocal", True,
+                      f"no direction reversal exists for {n_angles} angles"
+                      if setup.reversal is None else "exact L^T == P L P, 0 mismatched entries")
 
     return checks.exit_code()
 
 
-def _print_solve_threads():
-    """The thread count of the sparse solves; it never changes a written byte."""
+def _factor(setup):
+    """The operator's sparse LU; prints the thread count of its solves, which never
+    changes a written byte."""
+    solver = setup.factorize()
     threads = solve_threads()
     print(f"sparse solves: {threads} thread{'' if threads == 1 else 's'}, "
           f"chunks of at most {SOLVE_CHUNK} columns")
-
-
-def _relation_summary(basis, solver, setup):
-    r = basis.rank
-    sample = sorted(set([0, r // 2, r - 1]) | set(range(0, r, max(1, r // 8))))
-    return defining_relation_errors(basis, solver, setup.fx, setup.fy, sample)
+    return solver
 
 
 def cmd_basis(args):
-    config = _load_config(args)
-    setup = build_problem(config)
-    solver = setup.factorize()
-    _print_solve_threads()
+    setup = build_problem(_load_config(args))
+    solver = _factor(setup)
     basis = compute_problem_basis(setup, solver)
-    errors = _relation_summary(basis, solver, setup)
-    for name, value in errors.items():
+    r = basis.rank
+    sample = sorted(set([0, r // 2, r - 1]) | set(range(0, r, max(1, r // 8))))
+    for name, value in defining_relation_errors(basis, solver, setup.fx, setup.fy,
+                                                sample).items():
         print(f"{name}: {value:.3e}")
-    side = obf.write_basis(args.out, basis, config)
+    side = obf.write_basis(args.out, basis, setup.config)
     print(f"wrote rank-{basis.rank} basis to {args.out} (sidecar {side})")
     return 0
 
@@ -192,17 +186,16 @@ def cmd_sv_decay(args):
     return 0
 
 
-def _curve_command(args, semilinear, what, curve):
+def cmd_curve(args):
     """solve-linear and solve-nonlinear: basis and reference from one factorization,
-    the truncation bound at every n of the curve, then the CSV of
-    curve(setup, u_ref, basis, n_values, grid)."""
+    the truncation bound at every n of the curve, then the error curve's CSV."""
+    semilinear = args.command == "solve-nonlinear"
     config = _load_config(args)
     if config.is_semilinear != semilinear:
         kind = "semilinear" if semilinear else "linear"
         raise ConfigInvalid(f"{args.command} needs a {kind} problem family")
     setup = build_problem(config)
-    solver = setup.factorize()
-    _print_solve_threads()
+    solver = _factor(setup)
     basis = compute_problem_basis(setup, solver)
     u_ref = reference_solution(setup, solver)
     nmax = min(args.nmax or basis.rank, basis.rank)
@@ -210,8 +203,13 @@ def _curve_command(args, semilinear, what, curve):
     bound = check_linear_representation_bound(basis, solver, setup.fx, setup.source,
                                               setup.term, u_ref, n_values)
     grid = setup.grid if config.pde == "elliptic" else None
-    result = curve(setup, u_ref, basis, n_values, grid)
+    if semilinear:
+        result = nonlinear_error_curve(u_ref, basis, setup.fx, setup.source, setup.term,
+                                       n_values, config.nonlinear, grid=grid)
+    else:
+        result = error_curve(u_ref, basis, setup.fx, setup.source, n_values, grid=grid)
     _write_csv(args.out, result.header(), result.rows())
+    what = "fixed-point error curve" if semilinear else "error curve"
     print(f"wrote {what} for n = 1..{nmax} to {args.out}")
     if bound:
         n, lhs, rhs = max(bound, key=lambda checked: checked[1] / checked[2])
@@ -222,26 +220,10 @@ def _curve_command(args, semilinear, what, curve):
     return 0
 
 
-def cmd_solve_linear(args):
-    return _curve_command(
-        args, False, "error curve",
-        lambda setup, u_ref, basis, n_values, grid: error_curve(
-            u_ref, basis, setup.fx, setup.source, n_values, grid=grid))
-
-
-def cmd_solve_nonlinear(args):
-    return _curve_command(
-        args, True, "fixed-point error curve",
-        lambda setup, u_ref, basis, n_values, grid: nonlinear_error_curve(
-            u_ref, basis, setup.fx, setup.source, setup.term, n_values,
-            setup.config.nonlinear, grid=grid))
-
-
 def cmd_oracle_svd(args):
-    config = _load_config(args)
-    setup = build_problem(config)
+    setup = build_problem(_load_config(args))
     basis = oracle_problem_basis(setup)
-    side = obf.write_basis(args.out, basis, config)
+    side = obf.write_basis(args.out, basis, setup.config)
     head = ", ".join(f"{v:.6e}" for v in basis.singular_values[:10])
     print(f"leading singular values: {head}")
     print(f"wrote rank-{basis.rank} oracle basis to {args.out} (sidecar {side})")
@@ -258,8 +240,7 @@ def _check_green(setup):
 
 
 def cmd_nwidth_check(args):
-    config = _load_config(args)
-    setup = build_problem(config)
+    setup = build_problem(_load_config(args))
     green = _check_green(setup)
     basis = oracle_problem_basis(setup, green)
     a = weighted_operator(green, setup.fx, setup.fy)
@@ -280,8 +261,7 @@ def cmd_nwidth_check(args):
 
 
 def cmd_bayes_check(args):
-    config = _load_config(args)
-    setup = build_problem(config)
+    setup = build_problem(_load_config(args))
     green = _check_green(setup)
     checks = _Checks()
     u_left, svals, _ = np.linalg.svd(green)
@@ -332,8 +312,10 @@ def cmd_sweep(args):
     return 0
 
 
-def _add_common(sub, out_required=False, rsvd=False, nmax=False, nonlinear=False,
-                samples=None):
+def _add_command(commands, name, func, help_text, out_required=False, rsvd=False,
+                 nmax=False, nonlinear=False, samples=None):
+    sub = commands.add_parser(name, help=help_text)
+    sub.set_defaults(func=func)
     sub.add_argument("--config", required=True, help="path to a JSON experiment config")
     sub.add_argument("--paper-scale", action="store_true",
                      help="override the grid to the full-resolution setting")
@@ -365,50 +347,27 @@ def build_parser():
         description="Reduced bases for discretized PDE solution operators",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("assemble-check",
-                              help="assemble a problem and run structural checks")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_assemble_check)
-
-    sub = commands.add_parser("basis", help="compute a randomized basis and write it")
-    _add_common(sub, out_required=True, rsvd=True)
-    sub.set_defaults(func=cmd_basis)
-
-    sub = commands.add_parser("sv-decay", help="write relative singular value decay")
-    _add_common(sub, out_required=True, rsvd=True)
-    sub.set_defaults(func=cmd_sv_decay)
-
-    sub = commands.add_parser("solve-linear",
-                              help="projection error curve against a direct solve")
-    _add_common(sub, out_required=True, rsvd=True, nmax=True)
-    sub.set_defaults(func=cmd_solve_linear)
-
-    sub = commands.add_parser("solve-nonlinear",
-                              help="fixed-point error curve against a Newton solve")
-    _add_common(sub, out_required=True, rsvd=True, nmax=True, nonlinear=True)
-    sub.set_defaults(func=cmd_solve_nonlinear)
-
-    sub = commands.add_parser("oracle-svd",
-                              help="dense SVD oracle basis for small problems")
-    _add_common(sub, out_required=True)
-    sub.set_defaults(func=cmd_oracle_svd)
-
-    sub = commands.add_parser("nwidth-check",
-                              help="verify the width identity and subspace optimality")
-    _add_common(sub, samples=100)
-    sub.set_defaults(func=cmd_nwidth_check)
-
-    sub = commands.add_parser("bayes-check",
-                              help="verify the trace objective and reconstruction bound")
-    _add_common(sub, samples=100)
-    sub.set_defaults(func=cmd_bayes_check)
-
-    sub = commands.add_parser("sweep",
-                              help="singular value decay across the scale separation sweep")
-    _add_common(sub, out_required=True, rsvd=True)
-    sub.set_defaults(func=cmd_sweep)
-
+    _add_command(commands, "assemble-check", cmd_assemble_check,
+                 "assemble a problem and run structural checks")
+    _add_command(commands, "basis", cmd_basis, "compute a randomized basis and write it",
+                 out_required=True, rsvd=True)
+    _add_command(commands, "sv-decay", cmd_sv_decay, "write relative singular value decay",
+                 out_required=True, rsvd=True)
+    _add_command(commands, "solve-linear", cmd_curve,
+                 "projection error curve against a direct solve",
+                 out_required=True, rsvd=True, nmax=True)
+    _add_command(commands, "solve-nonlinear", cmd_curve,
+                 "fixed-point error curve against a Newton solve",
+                 out_required=True, rsvd=True, nmax=True, nonlinear=True)
+    _add_command(commands, "oracle-svd", cmd_oracle_svd,
+                 "dense SVD oracle basis for small problems", out_required=True)
+    _add_command(commands, "nwidth-check", cmd_nwidth_check,
+                 "verify the width identity and subspace optimality", samples=100)
+    _add_command(commands, "bayes-check", cmd_bayes_check,
+                 "verify the trace objective and reconstruction bound", samples=100)
+    _add_command(commands, "sweep", cmd_sweep,
+                 "singular value decay across the scale separation sweep",
+                 out_required=True, rsvd=True)
     return parser
 
 
@@ -416,10 +375,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OptbasisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (OptbasisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import (SourceProjector, SVDBasis, compute_basis, level_block, level_blocks,
-                    reconstruct)
+from .basis import (SourceProjector, SVDBasis, checked_levels, compute_basis, level_block,
+                    level_blocks, reconstruct)
 from .bayes import DENSE_ORACLE_GUARD, check_dense_size, dense_svd_oracle
-from .config import ExperimentConfig
+from .config import FAMILIES, ExperimentConfig
 from .elliptic import EllipticMedium, assemble_elliptic, eval_source_elliptic
-from .exceptions import Diverged, NonFiniteResult, VanishingReference
+from .exceptions import ConfigInvalid, Diverged, NonFiniteResult, VanishingReference
 from .grids import Grid2D, PhaseGrid
 from .linalg import block_ordering, factorize
 from .nonlinear import CubicTerm, TwoPhotonTerm, fixed_point_solve, newton_reference
@@ -59,8 +59,13 @@ class ProblemSetup:
         return factorize(self.operator, self.reversal, self.ordering)
 
 
+# a discretization that overflows is reported once, as the ConfigInvalid below
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def build_problem(config: ExperimentConfig) -> ProblemSetup:
-    """Assemble operator, weight factors, source and nonlinearity for a config."""
+    """Assemble operator, weight factors, source and nonlinearity for a config.
+
+    Raises ConfigInvalid naming the settings of a part that is not finite.
+    """
     grid = Grid2D(config.m_intervals, config.length)
     phase_grid = None
     term = None
@@ -87,6 +92,15 @@ def build_problem(config: ExperimentConfig) -> ProblemSetup:
         source = eval_source_rte(phase_grid, config.source.amplitude)
     else:  # zero
         source = np.zeros(operator.shape[0])
+    length = f"'grid.length' = {config.length!r}"
+    medium = [f"'problem.{key}' = {getattr(config, key)!r}"
+              for key in FAMILIES[config.family].medium]
+    for part, finite, settings in (
+            ("operator", np.isfinite(operator.data).all(), [length, *medium]),
+            ("weight", fx.is_finite(), [length]),
+            ("source", np.isfinite(source).all(), [length])):
+        if not finite:
+            raise ConfigInvalid(f"the discretized {part} is not finite at {', '.join(settings)}")
     if phase_grid is None:  # the elliptic and identity operators are symmetric
         reversal = np.arange(operator.shape[0])
         ordering = None
@@ -133,6 +147,7 @@ def solve_linear_projection(basis: SVDBasis, fx, f, levels):
     ``levels`` is a sequence of truncation levels n, solved as one N x L
     block with one column per level.
     """
+    levels = checked_levels(levels)
     coeffs = SourceProjector(basis, fx, max(levels)).coefficients(f)
     return reconstruct(basis, level_block(coeffs, levels))
 
@@ -195,7 +210,7 @@ def _curve(u_ref, n_values, grid, solutions) -> ErrorCurve:
     Each level's error is taken from its own contiguous row of the
     transposed block, so it equals the norm of that column bitwise.
     """
-    n_values = list(n_values)
+    n_values = checked_levels(n_values)
     u_ref = np.asarray(u_ref, dtype=float)
     ref_l2 = np.linalg.norm(u_ref)
     if ref_l2 == 0.0:

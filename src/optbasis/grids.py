@@ -30,7 +30,8 @@ class Grid2D:
 
     @property
     def h(self) -> float:
-        return self.length / self.m_intervals
+        """Grid spacing, a numpy float: its extreme powers give inf or 0, not OverflowError."""
+        return np.float64(self.length) / self.m_intervals
 
     @property
     def n_per_dim(self) -> int:

@@ -76,7 +76,7 @@ class FactorizedSolver:
     Parameters
     ----------
     operator : sparse or dense square matrix
-        Converted to CSC for the factorization.
+        Kept as it is, a dense one as CSR; its CSC copy lives only to factor.
     reversal : integer index array or None
         The permutation P, with P[P] the identity.  The identity for a
         symmetric operator; for transport, the map from each direction to its
@@ -88,7 +88,7 @@ class FactorizedSolver:
     """
 
     def __init__(self, operator, reversal=None, ordering=None):
-        operator = sp.csc_matrix(operator)
+        operator = operator if sp.issparse(operator) else sp.csr_matrix(operator)
         m, n = operator.shape
         if m != n:
             raise DimensionMismatch(f"operator must be square, got {m}x{n}")
@@ -110,11 +110,12 @@ class FactorizedSolver:
         if self.reversal is not None:
             identity = np.array_equal(self.reversal, np.arange(n))
             self._take = self._order if identity else self.reversal[self._order]
+        csc = sp.csc_matrix(operator)
         try:
             if self.ordering is None:
-                self._lu = spla.splu(operator, **_SPLU_OPTIONS)
+                self._lu = spla.splu(csc, **_SPLU_OPTIONS)
             else:
-                self._lu = spla.splu(operator[self.ordering][:, self.ordering],
+                self._lu = spla.splu(csc[self.ordering][:, self.ordering],
                                      permc_spec="NATURAL", **_PIVOTING)
         except RuntimeError as exc:
             raise SingularOperator(f"LU factorization failed: {exc}") from exc
@@ -123,7 +124,7 @@ class FactorizedSolver:
         inverse = spla.LinearOperator(
             (n, n), matvec=self._lu.solve, rmatvec=lambda x: self._lu.solve(x, trans="T"),
             dtype=float)
-        condition = spla.norm(operator, 1) * spla.onenormest(inverse, t=1)
+        condition = spla.norm(csc, 1) * spla.onenormest(inverse, t=1)
         if not np.isfinite(condition) or condition >= 1.0 / PIVOT_RTOL:
             raise SingularOperator(
                 f"operator numerically singular (estimated 1-norm condition number "

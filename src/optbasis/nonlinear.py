@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import SourceProjector, SVDBasis, level_block, level_blocks, reconstruct
+from .basis import (SourceProjector, SVDBasis, checked_levels, level_block, level_blocks,
+                    reconstruct)
 from .exceptions import BoundViolation, Diverged, InvalidArgument, NonFiniteResult
 from .grids import PhaseGrid
 from .linalg import factorize
@@ -118,8 +119,8 @@ def fixed_point_solve(basis: SVDBasis, fx, f, term, levels, settings):
     the given order, Diverged is raised naming it, otherwise the result
     reports ``converged`` False.
     """
+    levels = np.asarray(checked_levels(levels), dtype=int)
     relax = settings.relax
-    levels = np.asarray(levels, dtype=int)
     projector = SourceProjector(basis, fx, int(levels.max()))
     source = projector.coefficients(f)
     lam2 = basis.singular_values[:source.shape[0], None] ** 2
@@ -169,12 +170,14 @@ def check_linear_representation_bound(basis: SVDBasis, solver, fx, f, term, u_re
     ``term`` None means N = 0, where this is the projection bound.  One
     projector at the largest n gives every level's coefficients as a prefix,
     and each block of levels is reconstructed by one GEMM.
-    Returns (n, lhs, rhs) for each checked n.  Raises InvalidArgument if
-    u_ref does not solve the full system, RankExhausted for an n above the
-    rank, and BoundViolation at the first n whose inequality fails beyond
-    roundoff or whose sides are not finite numbers.  The output norm is
-    Euclidean, matching the identity output weight used throughout.
+    Returns (n, lhs, rhs) for each checked n.  Raises InvalidArgument if a
+    level is not an integer of at least 1 or u_ref does not solve the full
+    system, RankExhausted for an n above the rank, and BoundViolation at the
+    first n whose inequality fails beyond roundoff or whose sides are not
+    finite numbers.  The output norm is Euclidean, matching the identity
+    output weight used throughout.
     """
+    n_values = checked_levels(n_values)
     u_ref = np.asarray(u_ref, dtype=float)
     f = np.asarray(f, dtype=float)
     nonlinear = term(u_ref) if term is not None else np.zeros_like(u_ref)
@@ -182,7 +185,6 @@ def check_linear_representation_bound(basis: SVDBasis, solver, fx, f, term, u_re
     if np.linalg.norm(residual) > 1e-8 * (1.0 + np.linalg.norm(f)):
         raise InvalidArgument("u_ref does not solve the full system to reference accuracy")
 
-    n_values = list(n_values)
     coeffs = SourceProjector(basis, fx, max(n_values)).coefficients(f - nonlinear)
     source_norm = fx.norm(f) + fx.norm(nonlinear)
     slack = 1e-12 * (1.0 + np.linalg.norm(u_ref))

@@ -31,6 +31,8 @@ def hg_phase(mu, g):
     return (1.0 - g * g) / denom ** 1.5
 
 
+# a kernel that is not finite is reported once, as the InvalidArgument below, not as warnings
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def hg_kernel_matrix(g, n_angles):
     """Discretely normalized scattering matrix on the equispaced velocity circle.
 
@@ -38,6 +40,7 @@ def hg_kernel_matrix(g, n_angles):
     the lag min(d, n_angles - d) with d = |l - l'|, and the whole matrix is
     divided by one scalar so that (1 / n_angles) sum_l' K[l, l'] = 1, making
     a constant-in-angle field invariant under the scattering average.
+    Raises InvalidArgument for a g so close to 1 that the kernel is not finite.
     """
     if not 0.0 <= g < 1.0:
         raise InvalidArgument(f"anisotropy factor must be in [0, 1), got {g}")
@@ -45,6 +48,9 @@ def hg_kernel_matrix(g, n_angles):
     lag = np.minimum(l, n_angles - l)
     row = hg_phase(np.cos(2.0 * np.pi * lag / n_angles), g)
     row = row / (row.sum() / n_angles)
+    if not np.isfinite(row).all():
+        raise InvalidArgument(f"anisotropy factor g = {g!r} is too close to 1: the "
+                              f"Henyey-Greenstein kernel on {n_angles} angles is not finite")
     return row[(l[None, :] - l[:, None]) % n_angles]
 
 
@@ -143,7 +149,7 @@ def assemble_rte(pg: PhaseGrid, coeff: RteCoefficients):
 
 def eval_source_rte(pg: PhaseGrid, scale=1.0):
     """Gaussian beam source centered in the domain and aimed along theta = 0."""
-    length = pg.spatial.length
+    length = np.float64(pg.spatial.length)  # its square overflows to inf, not OverflowError
     x1, x2 = pg.spatial.interior_flat()
     width = (length / 4.0) ** 2
     spatial = np.exp(-((x1 - length / 2.0) ** 2 + (x2 - length / 2.0) ** 2) / width)

@@ -146,13 +146,14 @@ class WeightFactor:
         """F = scale * I; covers the order-zero weight and plain l2."""
         if scale <= 0:
             raise InvalidArgument("scale must be positive")
-        scale = float(scale)
+        scale = np.float64(scale)  # scale ** 2 overflows to inf, as for a numpy array
         gram = (scale ** 2) * sp.identity(dim, format="csr")
         return cls(np.full((1, dim), scale), gram)
 
     @classmethod
     def from_gram(cls, gram_matrix):
-        """Banded Cholesky factor of an assembled symmetric positive definite weight."""
+        """Banded Cholesky factor of an assembled symmetric positive definite weight;
+        all NaN, as ``is_finite`` reports, for a matrix that is not finite."""
         g = sp.csr_matrix(gram_matrix)
         if g.shape[0] != g.shape[1]:
             raise DimensionMismatch("weight matrix must be square")
@@ -164,6 +165,8 @@ class WeightFactor:
         n = g.shape[0]
         ab = np.zeros((u + 1, n))
         ab[u + coo.row - coo.col, coo.col] = coo.data
+        if not np.isfinite(ab).all():
+            return cls(np.full_like(ab, np.nan), g)
         try:
             band = cholesky_banded(ab)
         except np.linalg.LinAlgError as exc:
@@ -276,6 +279,10 @@ class WeightFactor:
     def norm(self, v):
         """||F v||_2, the Pi-norm of a vector v."""
         return float(np.linalg.norm(self.apply(v)))
+
+    def is_finite(self):
+        """Whether F_s and its Gram matrix hold only finite numbers."""
+        return bool(np.isfinite(self.band).all() and np.isfinite(self._spatial_gram.data).all())
 
 
 def _panel_stack(x):

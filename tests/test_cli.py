@@ -378,6 +378,57 @@ class TestSolveThreads:
         assert out[0] == "sparse solves: 2 threads, chunks of at most 32 columns"
 
 
+# the problem's operator is factored through experiments.factorize; Newton's
+# Jacobians go through nonlinear's own binding and are not counted
+@pytest.mark.parametrize("command, family, extra", [
+    ("assemble-check", "elliptic", {}),
+    ("assemble-check", "rte", {"grid": {"n_angles": 4}}),
+    ("basis", "elliptic", {}),
+    ("solve-linear", "elliptic", {}),
+    ("solve-nonlinear", "semilinear_elliptic", {}),
+    ("solve-nonlinear", "semilinear_rte", {"m": 4, "grid": {"n_angles": 4}}),
+], ids=["assemble-check-elliptic", "assemble-check-rte", "basis", "solve-linear",
+        "solve-nonlinear-elliptic", "solve-nonlinear-rte"])
+def test_each_command_factors_the_operator_once(tmp_path, monkeypatch, command, family, extra):
+    real, calls = experiments.factorize, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "factorize", counted)
+    cfg = write_config(tmp_path, family=family, **extra)
+    argv = [command, "--config", str(cfg)]
+    if command != "assemble-check":
+        argv += ["--out", str(tmp_path / ("b.obf" if command == "basis" else "c.csv"))]
+    assert main(argv) == 0
+    assert len(calls) == 1
+
+
+# each spacing or anisotropy overflows a different part of the discretization
+@pytest.mark.parametrize("family, extra, message", [
+    ("elliptic", {"p": 2, "grid": {"length": 1e-300}},
+     "the discretized operator is not finite at 'grid.length' = 1e-300, 'problem.eps' = 1.0"),
+    ("elliptic", {"p": 2, "grid": {"length": 1e300}},
+     "the discretized weight is not finite at 'grid.length' = 1e+300"),
+    ("elliptic", {"p": 0, "grid": {"length": 1e300}},
+     "the discretized weight is not finite at 'grid.length' = 1e+300"),
+    ("rte", {"grid": {"length": 1e-200, "n_angles": 4}},
+     "the discretized weight is not finite at 'grid.length' = 1e-200"),
+    ("rte", {"grid": {"n_angles": 4}, "problem": {"g": 0.999999999}},
+     "anisotropy factor g = 0.999999999 is too close to 1: the Henyey-Greenstein kernel "
+     "on 4 angles is not finite"),
+], ids=["tiny-length", "huge-length", "huge-length-p0", "rte-tiny-length", "rte-g"])
+def test_a_discretization_that_is_not_finite_prints_one_line(tmp_path, family, extra, message):
+    # a separate interpreter, so that stderr holds what numpy would print
+    cfg = write_config(tmp_path, family=family, **extra)
+    run = subprocess.run([sys.executable, "-m", "optbasis.cli", "assemble-check",
+                          "--config", str(cfg)],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", f"error: {message}\n")
+
+
 class TestMemoryError:
     def test_out_of_memory_is_one_error_line_and_exit_two(self, tmp_path, capsys,
                                                             monkeypatch):

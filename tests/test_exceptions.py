@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from optbasis.basis import checked_levels
 from optbasis.bayes import dense_svd_oracle
 from optbasis.elliptic import EllipticMedium, assemble_elliptic
 from optbasis.exceptions import InvalidArgument, OptbasisError
@@ -97,6 +98,8 @@ SITES = {
     "grid-length": lambda: Grid2D(4, length=0.0),
     "phase-angles": lambda: PhaseGrid(Grid2D(4), 0),
     "hg-anisotropy": lambda: hg_kernel_matrix(1.0, 4),
+    "hg-kernel-finite": lambda: hg_kernel_matrix(0.999999999, 4),
+    "truncation-levels": lambda: checked_levels([0]),
     "difference-order": lambda: fd_operator_1d(6, -1, 0.1),
     "weight-scale": lambda: WeightFactor.diagonal(0.0, 3),
     "weight-symmetry": lambda: WeightFactor.from_gram(np.array([[2.0, 1.0], [0.0, 2.0]])),

@@ -1,18 +1,28 @@
 """Config-to-problem wiring, reference solves and error curves."""
 
 import json
+import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optbasis import basis as basis_module
 from optbasis import obf
 from optbasis.basis import RsvdParams, compute_basis, level_blocks
-from optbasis.config import NonlinearSettings, config_from_dict, config_to_dict
+from optbasis.config import FAMILIES, NonlinearSettings, config_from_dict, config_to_dict
 from optbasis.elliptic import eval_source_elliptic
-from optbasis.exceptions import Diverged, ProblemTooLarge, RankExhausted
+from optbasis.exceptions import (
+    Diverged,
+    InvalidArgument,
+    OptbasisError,
+    ProblemTooLarge,
+    RankExhausted,
+)
 from optbasis.experiments import (
     ErrorCurve,
     build_problem,
@@ -25,7 +35,7 @@ from optbasis.experiments import (
     solve_linear_projection,
 )
 from optbasis.linalg import block_ordering, factorize
-from optbasis.nonlinear import fixed_point_solve
+from optbasis.nonlinear import check_linear_representation_bound, fixed_point_solve
 from optbasis.weights import build_sobolev_weight, energy_norm
 from optbasis.transport import eval_source_rte
 
@@ -108,6 +118,38 @@ class TestBuildProblem:
                                           problem={"source": {"kind": "zero"}},
                                           grid={"n_angles": 4}))
         np.testing.assert_array_equal(setup.source, np.zeros(9 * 4))
+
+
+@st.composite
+def discretization_sections(draw):
+    """problem, grid and weights sections of any family on a small grid, with medium
+    values, lengths and amplitudes anywhere in the float range the parser allows."""
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    spec = FAMILIES[family]
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    problem = {"family": family}
+    for key in spec.medium:
+        problem[key] = draw(st.floats(0.0, 1.0, exclude_max=True) if key == "g" else positive)
+    problem["source"] = {"kind": draw(st.sampled_from(spec.sources)),
+                         "amplitude": draw(st.floats(allow_nan=False, allow_infinity=False))}
+    grid = {"m_intervals": draw(st.integers(2, 6)), "length": draw(positive)}
+    if spec.pde == "rte":
+        grid["n_angles"] = draw(st.integers(1, 5))
+    return {"problem": problem, "grid": grid, "weights": {"p": draw(st.integers(0, 2))}}
+
+
+class TestFiniteDiscretization:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(discretization_sections())
+    def test_a_config_builds_a_finite_problem_or_raises_the_package_error(self, raw):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning is a failure too
+            try:
+                setup = build_problem(config_from_dict(raw))
+            except OptbasisError:
+                return
+        for values in (setup.operator.data, setup.fx.band, setup.fx.gram().data, setup.source):
+            assert np.isfinite(values).all()
 
 
 class TestReversal:
@@ -298,6 +340,39 @@ def column_errors(u_ref, blocks, grid):
     if grid is None:
         return l2, None
     return l2, [energy_norm(u - u_ref, grid) / energy_norm(u_ref, grid) for u in solutions]
+
+
+@pytest.fixture(scope="module")
+def level_case():
+    """semilinear_elliptic at m = 8, p = 1, rank 10 + 5, with its Newton reference."""
+    setup = build_problem(make_config("semilinear_elliptic", m=8,
+                                      rsvd={"rank": 10, "oversample": 5}))
+    solver = setup.factorize()
+    return SimpleNamespace(setup=setup, solver=solver,
+                           basis=compute_problem_basis(setup, solver),
+                           u_ref=reference_solution(setup, solver))
+
+
+LEVEL_KERNELS = {
+    "solve_linear_projection": lambda c, levels: solve_linear_projection(
+        c.basis, c.setup.fx, c.setup.source, levels),
+    "fixed_point_solve": lambda c, levels: fixed_point_solve(
+        c.basis, c.setup.fx, c.setup.source, c.setup.term, levels, c.setup.config.nonlinear),
+    "check_linear_representation_bound": lambda c, levels: check_linear_representation_bound(
+        c.basis, c.solver, c.setup.fx, c.setup.source, c.setup.term, c.u_ref, levels),
+    "error_curve": lambda c, levels: error_curve(
+        c.u_ref, c.basis, c.setup.fx, c.setup.source, levels),
+    "nonlinear_error_curve": lambda c, levels: nonlinear_error_curve(
+        c.u_ref, c.basis, c.setup.fx, c.setup.source, c.setup.term, levels,
+        c.setup.config.nonlinear),
+}
+
+
+@pytest.mark.parametrize("levels", [[-3], [0], [], [2.7], [3, -1]], ids=str)
+@pytest.mark.parametrize("kernel", list(LEVEL_KERNELS))
+def test_a_bad_truncation_level_is_an_invalid_argument(level_case, kernel, levels):
+    with pytest.raises(InvalidArgument, match="truncation levels must be a non-empty sequence"):
+        LEVEL_KERNELS[kernel](level_case, levels)
 
 
 class TestSharedCurveKernel:

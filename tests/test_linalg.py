@@ -108,6 +108,13 @@ class TestFactorizedSolver:
         assert solver.n == 3
         assert (solver.operator != sp.csc_matrix(op)).nnz == 0
 
+    def test_keeps_the_callers_sparse_operator_and_a_dense_one_as_csr(self):
+        op = dirichlet_laplacian_1d(6, 0.2)
+        assert factorize(op).operator is op
+        assert factorize(op.tocsc()).operator.format == "csc"
+        dense = factorize(op.toarray()).operator
+        assert dense.format == "csr" and (dense != op).nnz == 0
+
 
 @pytest.fixture(scope="module")
 def transport_operator():
