@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConfigInvalid, InvalidArgument, RankDeficientWarning, RankExhausted
-from .linalg import lu_basis, qr_thin, svd_dense
+from .linalg import checked_operand, lu_basis, qr_thin, svd_dense
 
 # Singular values below this fraction of the largest are treated as numerically zero.
 TRUNCATION_RTOL = 1e-14
@@ -70,12 +70,20 @@ class SVDBasis:
     adds the family and the recorded config.
     """
 
-    n_dofs: int
-    rank: int
     singular_values: np.ndarray
     left_vectors: np.ndarray
     right_vectors: np.ndarray
     meta: dict = field(default_factory=dict)
+
+    @property
+    def n_dofs(self):
+        """Unknowns of the problem, the rows of the vectors."""
+        return self.left_vectors.shape[0]
+
+    @property
+    def rank(self):
+        """Number of triplets."""
+        return self.singular_values.size
 
 
 def _apply_forward(solver, fx, fy, w):
@@ -88,6 +96,16 @@ def _apply_adjoint(solver, fx, fy, w):
     """A^T w = F_X^{-T} L^{-T} F_Y^T w, in the memory of w as for _apply_forward."""
     w = fy.apply_t(w, overwrite_b=True)
     return fx.solve_t(solver.solve_transpose(w, overwrite_b=True), overwrite_b=True)
+
+
+def sketch_width(params: RsvdParams, n):
+    """Columns of the sketch, rank + oversample; ConfigInvalid if they exceed the n unknowns."""
+    k = params.rank + params.oversample
+    if k > n:
+        raise ConfigInvalid(
+            f"'rsvd.rank' + 'rsvd.oversample' = {k} exceeds the {n} unknowns of the problem"
+        )
+    return k
 
 
 def compute_basis(solver, fx, fy, params: RsvdParams):
@@ -122,11 +140,7 @@ def compute_basis(solver, fx, fy, params: RsvdParams):
     vectors, and the lift holds the r_eff columns of V and of U.
     """
     n = solver.n
-    k = params.rank + params.oversample
-    if k > n:
-        raise ConfigInvalid(
-            f"'rsvd.rank' + 'rsvd.oversample' = {k} exceeds the {n} unknowns of the problem"
-        )
+    k = sketch_width(params, n)
     rng = np.random.Generator(np.random.Philox(params.seed))
     y = _apply_forward(solver, fx, fy, np.asfortranarray(rng.standard_normal((n, k))))
     for _ in range(params.power):
@@ -152,7 +166,7 @@ def compute_basis(solver, fx, fy, params: RsvdParams):
     del v_big  # the basis keeps r_eff columns, not k
     u_hat = solver.solve(v_hat)
     u_hat /= lam
-    return SVDBasis(n, r_eff, lam, u_hat, v_hat, {"method": "rsvd"})
+    return SVDBasis(lam, u_hat, v_hat, {"method": "rsvd"})
 
 
 class SourceProjector:
@@ -166,13 +180,12 @@ class SourceProjector:
     def __init__(self, basis: SVDBasis, fx, n):
         if n > basis.rank:
             raise RankExhausted(f"requested n = {n} but basis holds rank {basis.rank}")
-        self.fx = fx
         self._v = basis.right_vectors[:, :n]
         self._gram = fx.gram()
 
     def coefficients(self, g):
         """Inner products of g, a vector or an N x L block, with the leading n right vectors."""
-        return self._v.T @ (self._gram @ self.fx._check(g))
+        return self._v.T @ (self._gram @ checked_operand(g, self._gram.shape[0]))
 
 
 def level_blocks(n_values):
@@ -239,6 +252,10 @@ def defining_relation_errors(basis: SVDBasis, solver, fx, fy, indices=None):
     gv = solver.solve(v)
     gstar_u = fx.solve(_apply_adjoint(solver, fx, fy, fy.apply(u)), overwrite_b=True)
     for key, image, target in (("forward_residual", gv, u), ("adjoint_residual", gstar_u, v)):
+        # each column divided by a power of two just above its largest magnitude: exact,
+        # so the ratio keeps its bits, and no norm overflows at any grid length
+        scale = np.ldexp(1.0, np.frexp(np.abs(target).max(axis=0, initial=0.0))[1])
+        image, target = image / scale, target / scale
         residual = np.linalg.norm(image - lam * target, axis=0)
         out[key] = float((residual / (lam * np.linalg.norm(target, axis=0))).max(initial=0.0))
     return out

@@ -151,8 +151,7 @@ def dense_svd_oracle(green, fx, fy):
     u_unweighted, svals, v_unweighted = svd_dense(weighted_operator(green, fx, fy))
     v_hat = fx.solve(v_unweighted)
     u_hat = fy.solve(u_unweighted)
-    n = green.shape[0]
-    return SVDBasis(n, n, svals, u_hat, v_hat, {"method": "dense_oracle"})
+    return SVDBasis(svals, u_hat, v_hat, {"method": "dense_oracle"})
 
 
 def nwidth_eval(a, fx, v_n):

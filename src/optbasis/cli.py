@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import obf
-from .basis import defining_relation_errors
+from .basis import defining_relation_errors, sketch_width
 from .bayes import (
     DENSE_BAYES_GUARD,
     check_reconstruction_bound,
@@ -154,6 +154,14 @@ def cmd_assemble_check(args):
     return checks.exit_code()
 
 
+def _sketched_problem(config):
+    """The assembled problem of a command that sketches, refused before any factor when
+    the sketch is wider than its unknowns."""
+    setup = build_problem(config)
+    sketch_width(config.rsvd, setup.n_dofs)
+    return setup
+
+
 def _factor(setup):
     """The operator's sparse LU; prints the thread count of its solves, which never
     changes a written byte."""
@@ -165,7 +173,7 @@ def _factor(setup):
 
 
 def cmd_basis(args):
-    setup = build_problem(_load_config(args))
+    setup = _sketched_problem(_load_config(args))
     solver = _factor(setup)
     basis = compute_problem_basis(setup, solver)
     r = basis.rank
@@ -179,7 +187,7 @@ def cmd_basis(args):
 
 
 def cmd_sv_decay(args):
-    setup = build_problem(_load_config(args))
+    setup = _sketched_problem(_load_config(args))
     basis = compute_problem_basis(setup)
     _write_decay_csv(args.out, basis)
     print(f"wrote {basis.rank} singular value ratios to {args.out}")
@@ -194,7 +202,7 @@ def cmd_curve(args):
     if config.is_semilinear != semilinear:
         kind = "semilinear" if semilinear else "linear"
         raise ConfigInvalid(f"{args.command} needs a {kind} problem family")
-    setup = build_problem(config)
+    setup = _sketched_problem(config)
     solver = _factor(setup)
     basis = compute_problem_basis(setup, solver)
     u_ref = reference_solution(setup, solver)
@@ -303,7 +311,7 @@ def cmd_sweep(args):
     written = []
     for eps in SWEEP_EPS_VALUES:
         medium = {"eps1": eps, "eps2": eps} if config.pde == "rte" else {"eps": eps}
-        basis = compute_problem_basis(build_problem(replace(config, **medium)))
+        basis = compute_problem_basis(_sketched_problem(replace(config, **medium)))
         path = out_dir / f"sv_decay_eps{eps:g}.csv"
         _write_decay_csv(path, basis)
         written.append(path)

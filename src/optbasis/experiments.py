@@ -64,7 +64,8 @@ class ProblemSetup:
 def build_problem(config: ExperimentConfig) -> ProblemSetup:
     """Assemble operator, weight factors, source and nonlinearity for a config.
 
-    Raises ConfigInvalid naming the settings of a part that is not finite.
+    Raises ConfigInvalid naming the settings of a part that is not finite, or of
+    a weight whose Gram matrix underflowed to a singular one.
     """
     grid = Grid2D(config.m_intervals, config.length)
     phase_grid = None
@@ -95,12 +96,16 @@ def build_problem(config: ExperimentConfig) -> ProblemSetup:
     length = f"'grid.length' = {config.length!r}"
     medium = [f"'problem.{key}' = {getattr(config, key)!r}"
               for key in FAMILIES[config.family].medium]
-    for part, finite, settings in (
-            ("operator", np.isfinite(operator.data).all(), [length, *medium]),
-            ("weight", fx.is_finite(), [length]),
-            ("source", np.isfinite(source).all(), [length])):
-        if not finite:
-            raise ConfigInvalid(f"the discretized {part} is not finite at {', '.join(settings)}")
+
+    def finite(a):
+        return None if np.isfinite(a).all() else "not finite"
+
+    for part, defect, settings in (
+            ("operator", finite(operator.data), [length, *medium]),
+            ("weight", fx.defect(), [length]),
+            ("source", finite(source), [length])):
+        if defect:
+            raise ConfigInvalid(f"the discretized {part} is {defect} at {', '.join(settings)}")
     if phase_grid is None:  # the elliptic and identity operators are symmetric
         reversal = np.arange(operator.shape[0])
         ordering = None

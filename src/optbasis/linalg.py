@@ -50,21 +50,25 @@ class FactorizedSolver:
     Keeps a reference to the assembled matrix and exposes solves with both
     the operator and its transpose from the single factorization.
 
-    SuperLU solves with the transpose one right-hand side at a time, but
-    solves with the operator itself blockwise through its supernodes.  A
-    reciprocal operator, L^T = P L P for an involutive permutation P, has
-    its transposed solves done as P L^{-1} P b, through the blocked path.
-    A block of right-hand sides is solved in column chunks of at most
-    SOLVE_CHUNK on a thread pool that lives only for the call; SuperLU
-    releases the interpreter lock while it solves.  Each chunk's solution
-    is written back into that chunk's own columns of the result, so a solve
-    holds the result block and a few chunks, never a second block.
+    Every solve runs one kernel on each column chunk c of its right-hand
+    sides, c[take] = lu.solve(c[take], trans), with the gather index
+    ``take`` and SuperLU's ``trans`` flag fixed once, when the operator is
+    factored.  SuperLU solves with the transpose one right-hand side at a
+    time, but solves with the operator itself blockwise through its
+    supernodes, so a reciprocal operator, L^T = P L P for an involutive
+    permutation P, has its transposed solves done as P L^{-1} P b with
+    trans "N".  A block of right-hand sides is solved in column chunks of
+    at most SOLVE_CHUNK on a thread pool that lives only for the call;
+    SuperLU releases the interpreter lock while it solves.  Each chunk's
+    solution is written back into that chunk's own columns of the result,
+    so a solve holds the result block and a few chunks, never a second
+    block.
 
     Without an ordering SuperLU orders the columns itself, by minimum degree
-    on A^T + A.  With an ordering o it factors L[o][:, o] in that order, and
-    every chunk is gathered through o before its solve and scattered back
-    after it; a reciprocal transposed solve gathers and scatters through
-    the one composed index P[o].  Transport takes the block ordering of
+    on A^T + A, and ``take`` is the whole chunk.  With an ordering o it
+    factors L[o][:, o] in that order, and ``take`` is o; a reciprocal
+    transposed solve takes the one composed index P[o], or o when P is
+    the identity.  Transport takes the block ordering of
     ``block_ordering``, minimum degree on its (m - 1)^2 spatial nodes with
     each node's angles kept together: at 40 angles it stores 1.32M entries
     against SuperLU's 1.48M at m = 12, 9.36M against 12.9M at m = 24 and
@@ -104,12 +108,16 @@ class FactorizedSolver:
                     f"{defect} entries"
                 )
         self.ordering = None if ordering is None else _checked_ordering(ordering, n)
-        # gather indices of the forward and the reversed solves; without an
+        # the gather index and SuperLU trans flag of each solve; without an
         # ordering a symmetric operator is indexed through views, not copies
-        self._order = slice(None) if self.ordering is None else self.ordering
-        if self.reversal is not None:
-            identity = np.array_equal(self.reversal, np.arange(n))
-            self._take = self._order if identity else self.reversal[self._order]
+        order = slice(None) if self.ordering is None else self.ordering
+        self._plan = (order, "N")
+        if self.reversal is None:
+            self._plan_t = (order, "T")
+        elif np.array_equal(self.reversal, np.arange(n)):
+            self._plan_t = (order, "N")
+        else:
+            self._plan_t = (self.reversal[order], "N")  # P L^{-1} P through one index
         csc = sp.csc_matrix(operator)
         try:
             if self.ordering is None:
@@ -136,42 +144,30 @@ class FactorizedSolver:
         """Fill of the factorization: the entries SuperLU stores for L and U."""
         return self._lu.nnz
 
-    def _rhs(self, b, overwrite_b):
-        b = np.asarray(b, dtype=float)
-        if b.shape[0] != self.n:
-            raise DimensionMismatch(
-                f"right-hand side has leading dimension {b.shape[0]}, expected {self.n}"
-            )
-        return work_array(b, overwrite_b)
-
     def solve(self, b, overwrite_b=False):
         """Solve L x = b for one vector or the columns of a matrix.
 
         With ``overwrite_b`` and an F-ordered float64 ``b``, x is written
         into b and b is returned; otherwise b is left as it is.
         """
-        x = self._rhs(b, overwrite_b)
-        _chunked(self._forward, x)
-        return x
+        return self._solve(self._plan, b, overwrite_b)
 
     def solve_transpose(self, b, overwrite_b=False):
         """Solve L^T x = b using the same factorization: P L^{-1} P b when reciprocal.
 
         ``overwrite_b`` as for solve.
         """
-        x = self._rhs(b, overwrite_b)
-        _chunked(self._transposed if self.reversal is None else self._reversed, x)
+        return self._solve(self._plan_t, b, overwrite_b)
+
+    def _solve(self, plan, b, overwrite_b):
+        take, trans = plan
+        x = work_array(b, overwrite_b, self.n)
+
+        def solve_into(c):
+            c[take] = self._lu.solve(c[take], trans=trans)
+
+        _chunked(solve_into, x)
         return x
-
-    def _forward(self, c):
-        c[self._order] = self._lu.solve(c[self._order])
-
-    def _transposed(self, c):
-        c[self._order] = self._lu.solve(c[self._order], trans="T")
-
-    def _reversed(self, c):
-        # P L^{-1} P c for the involution P: gathered and scattered per chunk
-        c[self._take] = self._lu.solve(c[self._take])
 
 
 def solve_threads():
@@ -208,13 +204,23 @@ def _chunked(solve_into, x):
             list(pool.map(run, range(chunks)))
 
 
-def work_array(a, overwrite):
+def checked_operand(a, n):
+    """``a`` as a float64 array, a copy only if it is not one already;
+    DimensionMismatch unless its leading dimension is n."""
+    a = np.asarray(a, dtype=float)
+    if a.shape[0] != n:
+        raise DimensionMismatch(f"operand has leading dimension {a.shape[0]}, expected {n}")
+    return a
+
+
+def work_array(a, overwrite, n=None):
     """The array an in-place kernel writes: ``a`` itself or an F-ordered float64 copy.
 
     ``a`` itself only when ``overwrite`` is set and ``a`` is a writable
     F-ordered float64 array, so that the caller sees the result in it.
+    With ``n``, DimensionMismatch unless the leading dimension of ``a`` is n.
     """
-    a = np.asarray(a, dtype=float)
+    a = np.asarray(a, dtype=float) if n is None else checked_operand(a, n)
     if overwrite and a.flags.f_contiguous and a.flags.writeable:
         return a
     return np.array(a, order="F")

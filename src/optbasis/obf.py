@@ -129,4 +129,4 @@ def read_basis(path):
         if stored.get("config") is not None:
             meta["config"] = stored["config"]
     meta["family"] = header["family"]
-    return SVDBasis(header["n_dofs"], header["rank"], lam, left, right, meta)
+    return SVDBasis(lam, left, right, meta)

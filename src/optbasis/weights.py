@@ -38,10 +38,10 @@ from .linalg import work_array
 # block couples only to the next and its products run as level-3 GEMMs.
 SOLVE_BLOCK = 64
 
-# Columns in every GEMM of a weight solve off transport.  OpenBLAS picks
-# its kernels by shape, so a block is solved in panels of exactly this
+# Columns in every product and GEMM of a weight map off transport.  OpenBLAS
+# picks its kernels by shape, so a block is mapped in panels of exactly this
 # width, the last one zero-padded, and a column's bits do not depend on the
-# other columns.  On transport each column is a GEMM of its own.
+# other columns.  On transport each column is a matrix of its own.
 SOLVE_PANEL = 32
 
 
@@ -108,18 +108,24 @@ class WeightFactor:
     Vectors are space-major, so column c of an F-ordered block, read
     row-major, is the (n_s, k) matrix M_c, and F maps it to F_s M_c.
 
-    Products go through a CSR copy of F_s, whose transpose is a CSC view.
-    Solves substitute over row blocks of b = max(u, SOLVE_BLOCK) rows, where
-    u is the bandwidth: block i keeps the inverse of its b x b diagonal
-    triangle T_i and its coupling C_i = F_s[i, i + 1] to the next block, so
+    Every map runs on one layout, a stack of (n_s, w) matrices in the
+    memory of the block: the (cols, n_s, k) stack of the M_c for k > 1, and
+    for k = 1 the (n_s, cols) block cut into panels of SOLVE_PANEL columns,
+    the last few columns in one zero-padded panel that is copied back.
+    Products go matrix by matrix through a CSR copy of F_s, whose transpose
+    is a CSC view.  Solves substitute over row blocks of b = max(u,
+    SOLVE_BLOCK) rows, where u is the bandwidth: block i keeps the inverse
+    of its b x b diagonal triangle T_i and its coupling C_i = F_s[i, i + 1]
+    to the next block, so
 
         F_s^{-1}:  x_i = T_i^{-1} (y_i - C_i x_{i+1}),          last block first,
         F_s^{-T}:  x_i = T_i^{-T} (y_i - C_{i-1}^T x_{i-1}),    first block first,
 
-    two GEMMs a block, each on one M_c for k > 1 and on panels of
-    SOLVE_PANEL columns for k = 1.  A diagonal F_s divides elementwise.  A
-    zero on the diagonal raises SingularOperator here, with info the 1-based
-    index of the first zero.
+    two GEMMs a block on each matrix of the stack.  A CSR product and a
+    fixed-shape GEMM compute each column on its own, so a column's bits do
+    not depend on the other columns.  A diagonal F_s multiplies and divides
+    elementwise.  A zero on the diagonal raises SingularOperator here, with
+    info the 1-based index of the first zero.
     """
 
     def __init__(self, band, gram, n_minor=1):
@@ -153,7 +159,7 @@ class WeightFactor:
     @classmethod
     def from_gram(cls, gram_matrix):
         """Banded Cholesky factor of an assembled symmetric positive definite weight;
-        all NaN, as ``is_finite`` reports, for a matrix that is not finite."""
+        all NaN, as ``defect`` reports, for a matrix that is not finite."""
         g = sp.csr_matrix(gram_matrix)
         if g.shape[0] != g.shape[1]:
             raise DimensionMismatch("weight matrix must be square")
@@ -173,55 +179,30 @@ class WeightFactor:
             raise InvalidArgument(f"weight matrix not positive definite: {exc}") from exc
         return cls(band, g)
 
-    def _check(self, v):
-        v = np.asarray(v, dtype=float)
-        if v.shape[0] != self.dim:
-            raise DimensionMismatch(
-                f"vector has leading dimension {v.shape[0]}, weight expects {self.dim}"
-            )
-        return v
-
     def _map(self, v, op, overwrite_b):
-        """(op (x) I_k) v, with op overwriting the view of v it is given.
-
-        For k > 1 that view is the (cols, n_s, k) stack of the M_c; for
-        k = 1 it is the F-ordered (n_s, cols) block.  Each column's result
-        does not depend on the other columns, so the bits do not depend on
-        the layout.
-        """
-        x = work_array(self._check(v), overwrite_b)
+        """(op (x) I_k) v, with op overwriting each matrix of the stack it is given."""
+        x = work_array(v, overwrite_b, self.dim)
         cols = x.shape[1] if x.ndim == 2 else 1
-        if self.n_minor == 1:
-            op(x.reshape((self.n_spatial, cols), order="F"))
-        else:
+        if self.n_minor > 1:
             op(x.T.reshape((cols, self.n_spatial, self.n_minor)))
+            return x
+        block = x.reshape((self.n_spatial, cols), order="F")
+        done = cols - cols % SOLVE_PANEL
+        if done:
+            op(_panel_stack(block[:, :done]))
+        if done < cols:
+            panel = np.zeros((self.n_spatial, SOLVE_PANEL), order="F")
+            panel[:, :cols - done] = block[:, done:]
+            op(_panel_stack(panel))
+            block[:, done:] = panel[:, :cols - done]
         return x
 
     def _product(self, factor, x):
         if factor is None:  # one-row band
             x *= self.band[0][:, None]
-        elif x.ndim == 2:  # k = 1: one product on the whole block
-            x[...] = factor @ x
         else:
             for m in x:
                 m[...] = factor @ m
-
-    def _panels(self, substitute, x):
-        """Run substitute, which overwrites a stack of (n_s, SOLVE_PANEL) panels, over x.
-
-        numpy's matmul runs one GEMM per panel of a stack.  The full panels
-        of the F-ordered x are solved where they lie, the last few columns
-        in one zero-padded panel that is copied back.
-        """
-        cols = x.shape[1]
-        done = cols - cols % SOLVE_PANEL
-        if done:
-            substitute(_panel_stack(x[:, :done]))
-        if done < cols:
-            panel = np.zeros((self.n_spatial, SOLVE_PANEL), order="F")
-            panel[:, :cols - done] = x[:, done:]
-            substitute(_panel_stack(panel))
-            x[:, done:] = panel[:, :cols - done]
 
     def _back_substitute(self, x):
         """x <- F_s^{-1} x on each matrix of the stack x, from the last row block up."""
@@ -244,8 +225,6 @@ class WeightFactor:
     def _solve(self, substitute, x):
         if self._factor is None:  # one-row band
             x /= self.band[0][:, None]
-        elif x.ndim == 2:  # k = 1: fixed-width panels of the block
-            self._panels(substitute, x)
         else:
             substitute(x)
 
@@ -280,9 +259,13 @@ class WeightFactor:
         """||F v||_2, the Pi-norm of a vector v."""
         return float(np.linalg.norm(self.apply(v)))
 
-    def is_finite(self):
-        """Whether F_s and its Gram matrix hold only finite numbers."""
-        return bool(np.isfinite(self.band).all() and np.isfinite(self._spatial_gram.data).all())
+    def defect(self):
+        """What keeps F from serving as a weight, or None: "not finite" when F_s or
+        its Gram matrix holds a number that is not finite, "singular" when the Gram
+        matrix has a zero on its diagonal, as h^2 I has once h^2 underflows."""
+        if not (np.isfinite(self.band).all() and np.isfinite(self._spatial_gram.data).all()):
+            return "not finite"
+        return None if self._spatial_gram.diagonal().all() else "singular"
 
 
 def _panel_stack(x):

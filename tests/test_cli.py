@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optbasis import cli, experiments, linalg, obf
+from optbasis.basis import defining_relation_errors
 from optbasis.cli import build_parser, main
 from optbasis.config import config_from_dict
 
@@ -179,6 +180,31 @@ class TestOverrideValidation:
         assert f"'{token}' is not a positive integer" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, family", [
+        ("basis", "elliptic"), ("sv-decay", "elliptic"), ("solve-linear", "elliptic"),
+        ("solve-nonlinear", "semilinear_elliptic"), ("sweep", "elliptic")])
+    def test_a_too_wide_sketch_is_refused_before_the_factor(self, tmp_path, capsys,
+                                                            monkeypatch, command, family):
+        calls = []
+        monkeypatch.setattr(experiments, "factorize", lambda *args: calls.append(args))
+        cfg = write_config(tmp_path, family=family)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--rank", "30"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: 'rsvd.rank' + 'rsvd.oversample' = 36 exceeds the 25 unknowns of the "
+                "problem\n")
+        assert calls == []
+
+    @pytest.mark.parametrize("argv", [["assemble-check"], ["oracle-svd", "--out", "o.obf"],
+                                      ["nwidth-check", "--samples", "2"],
+                                      ["bayes-check", "--samples", "2"]],
+                             ids=lambda argv: argv[0])
+    def test_commands_that_do_not_sketch_accept_a_too_wide_sketch(self, tmp_path,
+                                                                   monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, rank=30)
+        assert _run_quietly([argv[0], "--config", str(cfg), *argv[1:]])[0] == 0
 
     @pytest.mark.parametrize("command", ["basis", "sv-decay", "solve-nonlinear", "sweep"])
     def test_configured_sketch_larger_than_the_problem_exits_two(self, tmp_path, capsys,
@@ -405,6 +431,10 @@ def test_each_command_factors_the_operator_once(tmp_path, monkeypatch, command, 
     assert len(calls) == 1
 
 
+# transport with the order-0 weight on a 5-interval grid and a zero source
+TINY_RTE = {"p": 0, "m": 5, "problem": {"source": {"kind": "zero"}}}
+
+
 # each spacing or anisotropy overflows a different part of the discretization
 @pytest.mark.parametrize("family, extra, message", [
     ("elliptic", {"p": 2, "grid": {"length": 1e-300}},
@@ -418,7 +448,11 @@ def test_each_command_factors_the_operator_once(tmp_path, monkeypatch, command, 
     ("rte", {"grid": {"n_angles": 4}, "problem": {"g": 0.999999999}},
      "anisotropy factor g = 0.999999999 is too close to 1: the Henyey-Greenstein kernel "
      "on 4 angles is not finite"),
-], ids=["tiny-length", "huge-length", "huge-length-p0", "rte-tiny-length", "rte-g"])
+    # h^2 underflows to 0, so the order-0 Gram matrix is exactly 0
+    ("rte", {**TINY_RTE, "grid": {"length": 1e-170, "n_angles": 4}},
+     "the discretized weight is singular at 'grid.length' = 1e-170"),
+], ids=["tiny-length", "huge-length", "huge-length-p0", "rte-tiny-length", "rte-g",
+        "rte-p0-underflow"])
 def test_a_discretization_that_is_not_finite_prints_one_line(tmp_path, family, extra, message):
     # a separate interpreter, so that stderr holds what numpy would print
     cfg = write_config(tmp_path, family=family, **extra)
@@ -427,6 +461,31 @@ def test_a_discretization_that_is_not_finite_prints_one_line(tmp_path, family, e
                          capture_output=True, text=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": str(SRC)})
     assert (run.returncode, run.stdout, run.stderr) == (2, "", f"error: {message}\n")
+
+
+def test_relation_residuals_do_not_overflow_at_the_edge_of_the_float_range(tmp_path):
+    # at 1e-160 the right vectors' squares overflow; a separate interpreter, so that
+    # stderr holds what numpy would print
+    cfg = write_config(tmp_path, family="rte", **TINY_RTE,
+                       grid={"length": 1e-160, "n_angles": 4})
+    run = subprocess.run([sys.executable, "-m", "optbasis.cli", "basis", "--config", str(cfg),
+                          "--out", str(tmp_path / "b.obf")],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert (run.returncode, run.stderr) == (0, "")
+    printed = dict(line.split(": ") for line in run.stdout.splitlines()[1:5])
+    assert np.isfinite([float(value) for value in printed.values()]).all()
+    errors = []
+    for length in (1e-100, 1e-160):
+        config = config_from_dict(json.loads(write_config(
+            tmp_path, family="rte", **TINY_RTE,
+            grid={"length": length, "n_angles": 4}).read_text()))
+        setup = experiments.build_problem(config)
+        solver = setup.factorize()
+        errors.append(defining_relation_errors(experiments.compute_problem_basis(setup, solver),
+                                               solver, setup.fx, setup.fy))
+    for key in ("left_orthonormality", "adjoint_residual"):
+        assert errors[1][key] == pytest.approx(errors[0][key], rel=1e-9)
 
 
 class TestMemoryError:

@@ -38,7 +38,7 @@ def small_basis():
 def handmade_basis():
     rng = np.random.Generator(np.random.Philox(5))
     n, r = 7, 3
-    return SVDBasis(n, r, np.array([3.0, 2.0, 1.0]),
+    return SVDBasis(np.array([3.0, 2.0, 1.0]),
                     rng.normal(size=(n, r)), rng.normal(size=(n, r)), {"method": "rsvd"})
 
 
@@ -133,8 +133,7 @@ class TestRoundTrip:
 
 class TestStaleSidecar:
     def test_elliptic_sidecar_cannot_relabel_an_rte_basis(self, tmp_path):
-        rte = SVDBasis(4, 1, np.array([2.0]), np.ones((4, 1)), np.ones((4, 1)),
-                       {"method": "rsvd"})
+        rte = SVDBasis(np.array([2.0]), np.ones((4, 1)), np.ones((4, 1)), {"method": "rsvd"})
         path = tmp_path / "rte.obf"
         obf.write_basis(path, rte, family_config("rte"))
         obf.write_basis(tmp_path / "old.obf", small_basis(), family_config("elliptic", m=5))

@@ -146,23 +146,25 @@ class TestSobolevWeight:
         assert w.norm(v) == pytest.approx(np.sqrt(v @ (w.gram() @ v)), rel=1e-12)
 
     def test_matrix_argument_maps_columnwise(self):
-        # the solves run on fixed 32-column panels off transport and on one
-        # fixed-shape GEMM a column on it, so a column's bits do not depend
-        # on its neighbours or on where the panel edges fall
-        cases = [(build_sobolev_weight(1, Grid2D(5)), "apply", 3)] + [
+        # every map runs on fixed 32-column panels off transport, the last one
+        # zero-padded, and on one matrix a column on it, so a column's bits do
+        # not depend on its neighbours or on where the panel edges fall; the
+        # layout-free reference checks every column, the tail panel's too
+        cases = [
             (build_sobolev_weight(1, Grid2D(12)), method, cols)
-            for method in ("solve", "solve_t") for cols in (1, 31, 32, 33, 330)]
+            for method in METHODS for cols in (1, 31, 32, 33, 330)]
         cases += [
             (build_rte_weight(p, PhaseGrid(Grid2D(10), n_angles)), method, cols)
             for p in (1, 2) for n_angles in (7, 40)
-            for method in ("apply", "apply_t", "solve", "solve_t")
-            for cols in (1, 31, 32, 33, 100)]
+            for method in METHODS for cols in (1, 31, 32, 33, 100)]
         for w, method, cols in cases:
             rng = np.random.Generator(np.random.Philox(6))
             block = rng.normal(size=(w.dim, cols))
             out = getattr(w, method)(block)
             for j in range(cols):
                 np.testing.assert_array_equal(out[:, j], getattr(w, method)(block[:, j]))
+            reference = row_major_map(w, method, block)
+            assert np.linalg.norm(out - reference) <= 1e-12 * np.linalg.norm(reference)
 
     def test_unsupported_order_rejected(self):
         with pytest.raises(ValueError):
