@@ -8,8 +8,10 @@ conditioning on n exact linear observations psi = M^T u gives
     cov  = C - K^T Theta^{-1} K,
 
 with K = M^T C and Theta = M^T C M.  The mean is a linear reconstruction
-W psi with W = K^T Theta^{-1}, and trace(C) splits exactly into the
-captured part trace(K^T Theta^{-1} K) and the residual trace(cov).
+W psi with W = K^T Theta^{-1}, and trace(C) = ||G||_F^2 splits exactly into
+the captured part trace(K^T Theta^{-1} K) and the residual trace(cov).
+Formed through B = M^T G, K = B G^T and Theta = B B^T cost O(n N^2);
+only the posterior covariance forms C itself.
 
 The n-width side measures the worst-case approximation error of a trial
 subspace through the weighted operator A = F_Y G F_X^{-1}: the best value
@@ -89,29 +91,28 @@ class Posterior:
     covariance: np.ndarray
 
 
+def _conditioned(green, m, context):
+    """B = M^T G, K = B G^T and Theta^{-1} K for Theta = B B^T, at O(n N^2)."""
+    b = m.T @ green
+    k = b @ green.T  # (n_obs, N)
+    return b, k, _solve_spd(b @ b.T, k, context)
+
+
 def posterior(green, obs_matrix, psi):
     """Condition the white-noise pushforward on exact observations M^T u = psi."""
     green = _as_green(green, DENSE_BAYES_GUARD)
-    n_dofs = green.shape[0]
-    m = _as_obs_matrix(obs_matrix, n_dofs)
-    psi = np.asarray(psi, dtype=float)
-
-    cov_prior = green @ green.T
-    if m.shape[1] == 0:
-        return Posterior(np.zeros(n_dofs), cov_prior)
-
-    k = m.T @ cov_prior  # (n_obs, N)
-    sol = _solve_spd(k @ m, k, "posterior")
-    cov = cov_prior - k.T @ sol
-    return Posterior(sol.T @ psi, 0.5 * (cov + cov.T))
+    m = _as_obs_matrix(obs_matrix, green.shape[0])
+    _, k, sol = _conditioned(green, m, "posterior")
+    cov = green @ green.T - k.T @ sol
+    return Posterior(sol.T @ np.asarray(psi, dtype=float), 0.5 * (cov + cov.T))
 
 
 def trace_objective(green, obs_matrix):
     """Captured-variance objective trace(K^T Theta^{-1} K)."""
     green = _as_green(green, DENSE_BAYES_GUARD)
     m = _as_obs_matrix(obs_matrix, green.shape[0])
-    k = m.T @ (green @ green.T)
-    return float(np.trace(_solve_spd(k @ m, k @ k.T, "trace objective")))
+    _, k, sol = _conditioned(green, m, "trace objective")
+    return float(np.vdot(k, sol))
 
 
 def check_reconstruction_bound(green, obs_matrix, f):
@@ -124,9 +125,9 @@ def check_reconstruction_bound(green, obs_matrix, f):
     f = np.asarray(f, dtype=float)
     u = green @ f
     m = _as_obs_matrix(obs_matrix, green.shape[0])
-    post = posterior(green, m, m.T @ u)
-    error = float(np.linalg.norm(u - post.mean))
-    residual_trace = max(float(np.trace(post.covariance)), 0.0)
+    b, k, sol = _conditioned(green, m, "posterior")
+    error = float(np.linalg.norm(u - sol.T @ (b @ f)))  # psi = M^T G f = B f
+    residual_trace = max(float(np.vdot(green, green) - np.vdot(k, sol)), 0.0)
     bound = float(np.sqrt(residual_trace) * np.linalg.norm(f))
     if error > bound * (1.0 + 1e-10) + 1e-12 * (1.0 + np.linalg.norm(u)):
         raise BoundViolation(

@@ -281,7 +281,7 @@ def cmd_bayes_check(args):
                   f"gap {abs(objective - closed):.3e}")
     # the captured trace and the posterior's own covariance trace add up to tr(G G^T)
     residual = float(np.trace(posterior(green, u_left[:, :n], np.zeros(n)).covariance))
-    total = float(np.trace(green @ green.T))
+    total = float(np.vdot(green, green))
     gap = abs(objective + residual - total)
     checks.record("trace conservation", gap <= 1e-8 * total, f"gap {gap:.3e}")
     rng = np.random.Generator(np.random.Philox(4242))

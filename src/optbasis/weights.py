@@ -22,7 +22,6 @@ tensorized with the angular average: Pi = Pi_spatial (x) I / n_angles.
 
 from __future__ import annotations
 
-from functools import partial
 from math import comb
 
 import numpy as np
@@ -112,20 +111,21 @@ class WeightFactor:
     memory of the block: the (cols, n_s, k) stack of the M_c for k > 1, and
     for k = 1 the (n_s, cols) block cut into panels of SOLVE_PANEL columns,
     the last few columns in one zero-padded panel that is copied back.
-    Products go matrix by matrix through a CSR copy of F_s, whose transpose
-    is a CSC view.  Solves substitute over row blocks of b = max(u,
-    SOLVE_BLOCK) rows, where u is the bandwidth: block i keeps the inverse
-    of its b x b diagonal triangle T_i and its coupling C_i = F_s[i, i + 1]
-    to the next block, so
+    F_s is kept once, as row blocks of b = max(u, SOLVE_BLOCK) rows, where
+    u is the bandwidth: block i keeps its b x b diagonal triangle T_i, the
+    inverse of T_i and its coupling C_i = F_s[i, i + 1] to the next block.
+    All four maps are one sweep over the blocks, on each matrix of the stack:
 
-        F_s^{-1}:  x_i = T_i^{-1} (y_i - C_i x_{i+1}),          last block first,
-        F_s^{-T}:  x_i = T_i^{-T} (y_i - C_{i-1}^T x_{i-1}),    first block first,
+        F_s:       x_i <- T_i x_i + C_i x_{i+1},                   first block first,
+        F_s^T:     x_i <- T_i^T x_i + C_{i-1}^T x_{i-1},           last block first,
+        F_s^{-1}:  x_i <- T_i^{-1} (x_i - C_i x_{i+1}),            last block first,
+        F_s^{-T}:  x_i <- T_i^{-T} (x_i - C_{i-1}^T x_{i-1}),      first block first,
 
-    two GEMMs a block on each matrix of the stack.  A CSR product and a
-    fixed-shape GEMM compute each column on its own, so a column's bits do
-    not depend on the other columns.  A diagonal F_s multiplies and divides
-    elementwise.  A zero on the diagonal raises SingularOperator here, with
-    info the 1-based index of the first zero.
+    two GEMMs a block on each matrix.  A fixed-shape GEMM computes each
+    column on its own, so a column's bits do not depend on the other
+    columns.  A diagonal F_s multiplies and divides elementwise.  A zero on
+    the diagonal raises SingularOperator here, with info the 1-based index
+    of the first zero.
     """
 
     def __init__(self, band, gram, n_minor=1):
@@ -139,13 +139,8 @@ class WeightFactor:
         if zeros.size:
             raise SingularOperator(
                 f"triangular banded weight factor is singular (info={zeros[0] + 1})")
-        if band.shape[0] == 1:
-            self._factor = None  # products multiply and solves divide elementwise
-        else:
-            offsets = np.arange(band.shape[0])
-            shape = (self.n_spatial, self.n_spatial)
-            self._factor = sp.dia_matrix((band[::-1], offsets), shape=shape).tocsr()
-            self._edges, self._inverses, self._couplings = _solve_blocks(band)
+        if band.shape[0] > 1:  # a one-row band multiplies and divides elementwise
+            self._edges, self._triangles, self._inverses, self._couplings = _row_blocks(band)
 
     @classmethod
     def diagonal(cls, scale, dim):
@@ -179,74 +174,67 @@ class WeightFactor:
             raise InvalidArgument(f"weight matrix not positive definite: {exc}") from exc
         return cls(band, g)
 
-    def _map(self, v, op, overwrite_b):
-        """(op (x) I_k) v, with op overwriting each matrix of the stack it is given."""
+    def _map(self, v, overwrite_b, transpose=False, solve=False):
+        """(op (x) I_k) v, with _sweep overwriting each matrix of the stack it is given."""
         x = work_array(v, overwrite_b, self.dim)
         cols = x.shape[1] if x.ndim == 2 else 1
         if self.n_minor > 1:
-            op(x.T.reshape((cols, self.n_spatial, self.n_minor)))
+            self._sweep(x.T.reshape((cols, self.n_spatial, self.n_minor)), transpose, solve)
             return x
         block = x.reshape((self.n_spatial, cols), order="F")
         done = cols - cols % SOLVE_PANEL
         if done:
-            op(_panel_stack(block[:, :done]))
+            self._sweep(_panel_stack(block[:, :done]), transpose, solve)
         if done < cols:
             panel = np.zeros((self.n_spatial, SOLVE_PANEL), order="F")
             panel[:, :cols - done] = block[:, done:]
-            op(_panel_stack(panel))
+            self._sweep(_panel_stack(panel), transpose, solve)
             block[:, done:] = panel[:, :cols - done]
         return x
 
-    def _product(self, factor, x):
-        if factor is None:  # one-row band
-            x *= self.band[0][:, None]
-        else:
-            for m in x:
-                m[...] = factor @ m
+    def _sweep(self, x, transpose, solve):
+        """x <- op x on each matrix of the stack x, for op = F_s, F_s^T or their inverses.
 
-    def _back_substitute(self, x):
-        """x <- F_s^{-1} x on each matrix of the stack x, from the last row block up."""
-        e = self._edges
-        for i in range(len(self._inverses) - 1, -1, -1):
+        Block i couples to block j = i + 1 through C_i, or for F_s^T to
+        j = i - 1 through C_{i-1}^T.  A product reads x_j before the sweep
+        reaches it and a solve after, which fixes the direction.
+        """
+        if self.band.shape[0] == 1:  # one-row band
+            (np.divide if solve else np.multiply)(x, self.band[0][:, None], out=x)
+            return
+        e, n = self._edges, len(self._triangles)
+        for i in range(n) if transpose == solve else range(n - 1, -1, -1):
             xi = x[:, e[i]:e[i + 1]]
-            if i + 1 < len(self._inverses):
-                xi -= self._couplings[i] @ x[:, e[i + 1]:e[i + 2]]
-            xi[...] = self._inverses[i] @ xi
-
-    def _forward_substitute(self, x):
-        """x <- F_s^{-T} x on each matrix of the stack x, from the first row block down."""
-        e = self._edges
-        for i in range(len(self._inverses)):
-            xi = x[:, e[i]:e[i + 1]]
-            if i:
-                xi -= self._couplings[i - 1].T @ x[:, e[i - 1]:e[i]]
-            xi[...] = self._inverses[i].T @ xi
-
-    def _solve(self, substitute, x):
-        if self._factor is None:  # one-row band
-            x /= self.band[0][:, None]
-        else:
-            substitute(x)
+            j = i - 1 if transpose else i + 1
+            coupled = 0 <= j < n
+            if coupled:
+                c = self._couplings[j].T if transpose else self._couplings[i]
+                xj = x[:, e[j]:e[j + 1]]
+            if coupled and solve:
+                xi -= c @ xj
+            t = self._inverses[i] if solve else self._triangles[i]
+            xi[...] = (t.T if transpose else t) @ xi
+            if coupled and not solve:
+                xi += c @ xj
 
     # Each map takes ``overwrite_b`` as FactorizedSolver.solve does: with it
     # and an F-ordered float64 v, the result is written into v and v returned.
 
     def apply(self, v, overwrite_b=False):
         """F v."""
-        return self._map(v, partial(self._product, self._factor), overwrite_b)
+        return self._map(v, overwrite_b)
 
     def apply_t(self, v, overwrite_b=False):
         """F^T v."""
-        factor_t = None if self._factor is None else self._factor.T
-        return self._map(v, partial(self._product, factor_t), overwrite_b)
+        return self._map(v, overwrite_b, transpose=True)
 
     def solve(self, v, overwrite_b=False):
         """F^{-1} v."""
-        return self._map(v, partial(self._solve, self._back_substitute), overwrite_b)
+        return self._map(v, overwrite_b, solve=True)
 
     def solve_t(self, v, overwrite_b=False):
         """F^{-T} v."""
-        return self._map(v, partial(self._solve, self._forward_substitute), overwrite_b)
+        return self._map(v, overwrite_b, transpose=True, solve=True)
 
     def gram(self):
         """Assembled Pi as a sparse matrix, the operator of the Pi-inner products."""
@@ -282,8 +270,8 @@ def _band_block(band, rows, cols):
     return np.where(inside, band[np.clip(u - offset, 0, u), j], 0.0)
 
 
-def _solve_blocks(band):
-    """Row block edges, inverse diagonal triangles and coupling blocks of a banded F_s.
+def _row_blocks(band):
+    """Row block edges, diagonal triangles, their inverses and the couplings of a banded F_s.
 
     The blocks have max(u, SOLVE_BLOCK) rows, the last one ragged; F_s is
     never formed densely.  The diagonal was checked for zeros, so each
@@ -292,9 +280,10 @@ def _solve_blocks(band):
     u, n = band.shape[0] - 1, band.shape[1]
     edges = list(range(0, n, max(u, SOLVE_BLOCK))) + [n]
     spans = list(zip(edges, edges[1:]))
-    inverses = [lapack.dtrtri(_band_block(band, span, span))[0] for span in spans]
+    triangles = [_band_block(band, span, span) for span in spans]
+    inverses = [lapack.dtrtri(t)[0] for t in triangles]
     couplings = [_band_block(band, a, b) for a, b in zip(spans, spans[1:])]
-    return edges, inverses, couplings
+    return edges, triangles, inverses, couplings
 
 
 def build_sobolev_weight(p, grid: Grid2D):

@@ -122,7 +122,7 @@ class TestSobolevWeight:
         grid = Grid2D(6)
         gram = sobolev_gram_matrix(6, p, grid.h).toarray()
         w = build_sobolev_weight(p, grid)
-        f = w._factor.toarray()
+        f = band_matrix(w.band).toarray()
         assert np.abs(f.T @ f - gram).max() <= 1e-10 * np.abs(gram).max()
 
     @pytest.mark.parametrize("p", [0, 1, 2])
@@ -194,7 +194,7 @@ class TestTriangularFactor:
     def test_factor_is_upper_triangular(self):
         gram = sobolev_gram_matrix(5, 1, 0.1)
         w = WeightFactor.from_gram(gram)
-        f = w._factor.toarray()
+        f = band_matrix(w.band).toarray()
         assert np.abs(np.tril(f, -1)).max() == 0.0
 
     @settings(max_examples=25, deadline=None)
@@ -204,7 +204,7 @@ class TestTriangularFactor:
         b = rng.normal(size=(n, n))
         gram = b.T @ b + n * np.eye(n)
         w = WeightFactor.from_gram(sp.csr_matrix(gram))
-        f = w._factor.toarray()
+        f = band_matrix(w.band).toarray()
         np.testing.assert_allclose(f.T @ f, gram, rtol=1e-10, atol=1e-10)
         v = rng.normal(size=n)
         np.testing.assert_allclose(w.solve(w.apply(v)), v, atol=1e-9)
@@ -234,7 +234,7 @@ class TestPhaseSpaceWeight:
         pg = PhaseGrid(Grid2D(4), 5)
         w = build_rte_weight(1, pg)
         spatial = build_sobolev_weight(1, pg.spatial)
-        dense = sp.kron(spatial._factor, sp.identity(5) / np.sqrt(5)).toarray()
+        dense = sp.kron(band_matrix(spatial.band), sp.identity(5) / np.sqrt(5)).toarray()
         rng = np.random.Generator(np.random.Philox(3))
         v = rng.normal(size=45)
         np.testing.assert_allclose(w.apply(v), dense @ v, atol=1e-13)
@@ -325,16 +325,26 @@ OVERWRITE_FACTORS = [
     pytest.param(lambda: build_sobolev_weight(2, Grid2D(7)), id="sobolev-p2"),
     pytest.param(lambda: build_rte_weight(1, PhaseGrid(Grid2D(7), 6)), id="transport-p1"),
     pytest.param(lambda: build_rte_weight(0, PhaseGrid(Grid2D(7), 6)), id="transport-p0"),
+    pytest.param(lambda: build_sobolev_weight(2, Grid2D(12)), id="sobolev-p2-two-blocks"),
+    pytest.param(lambda: build_rte_weight(1, PhaseGrid(Grid2D(12), 6)),
+                 id="transport-p1-two-blocks"),
 ]
 METHODS = ["apply", "apply_t", "solve", "solve_t"]
+
+
+def band_matrix(band):
+    """CSR F_s of scipy's upper banded storage, the oracle of the blocked products."""
+    n = band.shape[1]
+    return sp.dia_matrix((band[::-1], np.arange(band.shape[0])), shape=(n, n)).tocsr()
 
 
 def row_major_map(w, method, v):
     """The map on the C-ordered (n_s, k * cols) reshape of v, the layout-free reference."""
     if method in ("apply", "apply_t"):
-        factor = w._factor if method == "apply" or w._factor is None else w._factor.T
+        factor = band_matrix(w.band)
+        factor = factor.T if method == "apply_t" else factor
         d = w.band[0][:, None]
-        op = (lambda x: x * d) if factor is None else (lambda x: factor @ x)
+        op = (lambda x: x * d) if w.band.shape[0] == 1 else (lambda x: factor @ x)
     else:
         def op(x):
             return lapack.dtbtrs(w.band, x, trans="N" if method == "solve" else "T")[0]
@@ -357,10 +367,10 @@ class TestOverwrite:
         assert in_place is block
         assert copied.tobytes() == in_place.tobytes()
         reference = row_major_map(w, method, np.ascontiguousarray(before))
-        if method.startswith("solve") and w.band.shape[0] > 1:
-            # blocked substitution against dtbtrs: a different summation order
+        if w.band.shape[0] > 1:
+            # blocked GEMMs against dtbtrs and a CSR product: a different summation order
             gap = np.linalg.norm(copied - reference) / np.linalg.norm(reference)
-            assert gap <= 1e-12
+            assert gap <= (1e-12 if method.startswith("solve") else 1e-14)
         else:
             assert copied.tobytes() == np.ascontiguousarray(reference).tobytes()
 
@@ -407,8 +417,16 @@ def assert_solves_match_dtbtrs(w, cols=40, seed=51):
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), method
 
 
+def assert_products_match_band(w, cols=40, seed=52):
+    rng = np.random.Generator(np.random.Philox(seed))
+    v = rng.normal(size=(w.dim, cols))
+    for method in ("apply", "apply_t"):
+        got, ref = getattr(w, method)(v), row_major_map(w, method, v)  # CSR F_s
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref), method
+
+
 class TestTransportSolveMemory:
-    @pytest.mark.parametrize("method", ["solve", "solve_t"])
+    @pytest.mark.parametrize("method", ["solve", "solve_t", "apply", "apply_t"])
     def test_in_place_solve_holds_two_column_stacks_not_a_copy(self, method):
         # each GEMM works on one column's (b, k) rows, so the temporaries are
         # two (cols, b, k) stacks, far below one copy of the block
@@ -456,8 +474,9 @@ class TestBlockedSolve:
     ])
     def test_block_layouts_match_dtbtrs(self, n, u, blocks):
         w = WeightFactor(random_band(n, u, n + u), sp.identity(n, format="csr"))
-        assert [len(t) for t in w._inverses] == blocks
+        assert [len(t) for t in w._triangles] == blocks
         assert_solves_match_dtbtrs(w, cols=70)
+        assert_products_match_band(w, cols=70)
 
     @pytest.mark.parametrize("make", [
         lambda: build_sobolev_weight(0, Grid2D(9)),
