@@ -1,18 +1,18 @@
 """Randomized weighted SVD bases of the solution operator.
 
 For the factorizations here, the solution operator G = L^{-1} is never
-formed at large scale.  With input weight Pi_X = F_X^T F_X and output
-weight Pi_Y = F_Y^T F_Y, the weighted singular triplets of G are obtained
-from the plain SVD of A = F_Y G F_X^{-1} through
+formed at large scale.  With the source weight Pi_X = F_X^T F_X and the
+Euclidean norm on solutions, the weighted singular triplets of G are
+obtained from the plain SVD of A = G F_X^{-1} through
 
     v_hat_i = F_X^{-1} z_i,     u_hat_i = G v_hat_i / lambda_i,
 
 where A z_i = lambda_i w_i.  The triplets satisfy
 
-    U^T Pi_Y U = I,   V^T Pi_X V = I,   G V = U diag(lambda),
+    U^T U = I,   V^T Pi_X V = I,   G V = U diag(lambda),
 
 and the randomized sketch only ever touches A through solves with L, L^T
-and the weight factors.  Its power passes keep their span with a pivoted
+and the weight factor.  Its power passes keep their span with a pivoted
 LU (Li et al., ACM TOMS 43, 2017); the one orthonormal basis, a plain
 Householder QR, is taken before the small SVD of Q^T A (Halko, Martinsson
 & Tropp, SIAM Rev. 53, 2011, Alg. 4.4 and 5.1), which alone decides the
@@ -64,7 +64,7 @@ class RsvdParams:
 class SVDBasis:
     """Weighted singular triplets of a solution operator.
 
-    ``left_vectors`` are Pi_Y-orthonormal, ``right_vectors`` are
+    ``left_vectors`` are orthonormal, ``right_vectors`` are
     Pi_X-orthonormal, and G right_vectors = left_vectors diag(singular_values).
     ``meta`` names the method that computed the basis; ``obf.read_basis``
     adds the family and the recorded config.
@@ -86,15 +86,13 @@ class SVDBasis:
         return self.singular_values.size
 
 
-def _apply_forward(solver, fx, fy, w):
-    """A w with A = F_Y L^{-1} F_X^{-1}, in the memory of w if it is an F-ordered float64 block."""
-    w = fx.solve(w, overwrite_b=True)
-    return fy.apply(solver.solve(w, overwrite_b=True), overwrite_b=True)
+def _apply_forward(solver, fx, w):
+    """A w with A = L^{-1} F_X^{-1}, in the memory of w if it is an F-ordered float64 block."""
+    return solver.solve(fx.solve(w, overwrite_b=True), overwrite_b=True)
 
 
-def _apply_adjoint(solver, fx, fy, w):
-    """A^T w = F_X^{-T} L^{-T} F_Y^T w, in the memory of w as for _apply_forward."""
-    w = fy.apply_t(w, overwrite_b=True)
+def _apply_adjoint(solver, fx, w):
+    """A^T w = F_X^{-T} L^{-T} w, in the memory of w as for _apply_forward."""
     return fx.solve_t(solver.solve_transpose(w, overwrite_b=True), overwrite_b=True)
 
 
@@ -108,16 +106,16 @@ def sketch_width(params: RsvdParams, n):
     return k
 
 
-def compute_basis(solver, fx, fy, params: RsvdParams):
+def compute_basis(solver, fx, *, params: RsvdParams):
     """Randomized weighted SVD basis of the factorized operator's inverse.
 
     Parameters
     ----------
     solver : FactorizedSolver
         Factorization of the (sparse) forward operator L.
-    fx, fy : WeightFactor
-        Input and output weight factors.
-    params : RsvdParams
+    fx : WeightFactor
+        Source weight factor.
+    params : RsvdParams, keyword only
 
     Notes
     -----
@@ -142,13 +140,13 @@ def compute_basis(solver, fx, fy, params: RsvdParams):
     n = solver.n
     k = sketch_width(params, n)
     rng = np.random.Generator(np.random.Philox(params.seed))
-    y = _apply_forward(solver, fx, fy, np.asfortranarray(rng.standard_normal((n, k))))
+    y = _apply_forward(solver, fx, np.asfortranarray(rng.standard_normal((n, k))))
     for _ in range(params.power):
-        q = lu_basis(_apply_adjoint(solver, fx, fy, lu_basis(y)))
-        y = _apply_forward(solver, fx, fy, q)
+        q = lu_basis(_apply_adjoint(solver, fx, lu_basis(y)))
+        y = _apply_forward(solver, fx, q)
     q = qr_thin(y)
     del y  # q lives in the same memory
-    qta = np.asfortranarray(_apply_adjoint(solver, fx, fy, q).T)  # Q^T A, column-major
+    qta = np.asfortranarray(_apply_adjoint(solver, fx, q).T)  # Q^T A, column-major
     del q  # overwritten by A^T Q
     _, svals, v_big = svd_dense(qta, overwrite_a=True)
     del qta  # destroyed by the SVD
@@ -230,27 +228,27 @@ def reconstruct(basis: SVDBasis, coeffs):
     return block if coeffs.ndim == 2 else block[:, 0]
 
 
-def defining_relation_errors(basis: SVDBasis, solver, fx, fy, indices=None):
+def defining_relation_errors(basis: SVDBasis, solver, fx, indices=None):
     """Residuals of the four defining relations, for spot checks.
 
-    Returns a dict with the maximum deviation of left/right weighted
-    orthonormality and the relative residuals of G v_hat = lambda u_hat
+    Returns a dict with the maximum deviation of left orthonormality and
+    right Pi_X-orthonormality and the relative residuals of G v_hat = lambda u_hat
     and G* u_hat = lambda v_hat over the sampled indices, whose columns are
     solved as one forward and one adjoint block.
     """
     r = basis.rank
     idx = list(range(r) if indices is None else indices)
     out = {
-        "left_orthonormality": _orthonormality_defect(fy, basis.left_vectors),
-        "right_orthonormality": _orthonormality_defect(fx, basis.right_vectors),
+        "left_orthonormality": _orthonormality_defect(basis.left_vectors),
+        "right_orthonormality": _orthonormality_defect(fx.apply(basis.right_vectors)),
     }
 
     lam = basis.singular_values[idx]
     u = basis.left_vectors[:, idx]
     v = basis.right_vectors[:, idx]
-    # G v and G* u = Pi_X^{-1} G^T Pi_Y u, each as one block of solves
+    # G v and G* u = Pi_X^{-1} G^T u, each as one block of solves; the adjoint overwrites a copy
     gv = solver.solve(v)
-    gstar_u = fx.solve(_apply_adjoint(solver, fx, fy, fy.apply(u)), overwrite_b=True)
+    gstar_u = fx.solve(_apply_adjoint(solver, fx, np.array(u, order="F")), overwrite_b=True)
     for key, image, target in (("forward_residual", gv, u), ("adjoint_residual", gstar_u, v)):
         # each column divided by a power of two just above its largest magnitude: exact,
         # so the ratio keeps its bits, and no norm overflows at any grid length
@@ -261,7 +259,6 @@ def defining_relation_errors(basis: SVDBasis, solver, fx, fy, indices=None):
     return out
 
 
-def _orthonormality_defect(weight, vectors):
-    """max |W^T Pi W - I| for Pi = F^T F: how far the columns are from Pi-orthonormal."""
-    fw = weight.apply(vectors)
-    return float(np.abs(fw.T @ fw - np.eye(fw.shape[1])).max())
+def _orthonormality_defect(w):
+    """max |W^T W - I|: how far the columns of W are from orthonormal."""
+    return float(np.abs(w.T @ w - np.eye(w.shape[1])).max())

@@ -1,8 +1,9 @@
 """Bayesian reconstruction and Kolmogorov width checks, dense and small.
 
-Everything here is a brute-force verification path.  The prior on the
-source is white noise, so the solution u = G f has covariance C = G G^T;
-conditioning on n exact linear observations psi = M^T u gives
+Everything here is a brute-force verification path.  The functions take a
+dense operator G and put a white-noise prior on its source, so the solution
+u = G f has covariance C = G G^T; conditioning on n exact linear
+observations psi = M^T u gives
 
     mean = K^T Theta^{-1} psi,
     cov  = C - K^T Theta^{-1} K,
@@ -11,15 +12,17 @@ with K = M^T C and Theta = M^T C M.  The mean is a linear reconstruction
 W psi with W = K^T Theta^{-1}, and trace(C) = ||G||_F^2 splits exactly into
 the captured part trace(K^T Theta^{-1} K) and the residual trace(cov).
 Formed through B = M^T G, K = B G^T and Theta = B B^T cost O(n N^2);
-only the posterior covariance forms C itself.
+only the posterior covariance forms C itself.  The CLI check hands them the
+weighted operator A = G F_X^{-1} from ``weighted_operator``: white noise on
+F_X f is the prior f ~ N(0, Pi_X^{-1}), under which u has covariance A A^T,
+and the optimal observations are A's leading left singular vectors, which
+the dense SVD oracle computes.
 
 The n-width side measures the worst-case approximation error of a trial
-subspace through the weighted operator A = F_Y G F_X^{-1}: the best value
-over all n-dimensional subspaces is singular value n+1 of A, attained by
-the leading right singular subspace, which the dense SVD oracle computes.
-``nwidth_eval`` takes A, formed once per check by ``weighted_operator``, and
-reads only the largest singular value of a residual, by ARPACK; the other
-functions take the dense G itself, which ``experiments.green_matrix`` forms.
+subspace through the same A: the best value over all n-dimensional
+subspaces is singular value n+1 of A, attained by the leading right
+singular subspace.  ``nwidth_eval`` reads only the largest singular value
+of a residual, by ARPACK.  ``experiments.green_matrix`` forms the dense G.
 """
 
 from __future__ import annotations
@@ -136,32 +139,31 @@ def check_reconstruction_bound(green, obs_matrix, f):
     return error, bound
 
 
-def weighted_operator(green, fx, fy):
-    """Dense A = F_Y G F_X^{-1} for a given dense solution operator."""
-    a = fy.apply(np.asarray(green, dtype=float))
-    return fx.solve_t(a.T).T
+def weighted_operator(green, fx):
+    """Dense A = G F_X^{-1} for a given dense solution operator."""
+    return fx.solve_t(np.asarray(green, dtype=float).T).T
 
 
-def dense_svd_oracle(green, fx, fy):
+def dense_svd_oracle(green, fx):
     """All weighted singular triplets of a dense G by brute force, for verification.
 
-    Runs a full SVD of A = F_Y G F_X^{-1} and maps its vectors back through
-    the weight factors.  Refuses operators above DENSE_ORACLE_GUARD unknowns.
+    Runs a full SVD of A = G F_X^{-1}, keeps its left vectors and maps its
+    right vectors back through F_X^{-1}.  Refuses operators above
+    DENSE_ORACLE_GUARD unknowns.
     """
     green = _as_green(green, DENSE_ORACLE_GUARD)
-    u_unweighted, svals, v_unweighted = svd_dense(weighted_operator(green, fx, fy))
-    v_hat = fx.solve(v_unweighted)
-    u_hat = fy.solve(u_unweighted)
-    return SVDBasis(svals, u_hat, v_hat, {"method": "dense_oracle"})
+    u_hat, svals, z = svd_dense(weighted_operator(green, fx))
+    return SVDBasis(svals, u_hat, fx.solve(z), {"method": "dense_oracle"})
 
 
 def nwidth_eval(a, fx, v_n):
     """Worst-case weighted error of approximating from span(v_n).
 
-    ``a`` is the dense weighted operator A = F_Y G F_X^{-1} from
+    ``a`` is the dense weighted operator A = G F_X^{-1} from
     ``weighted_operator``, formed once by the caller.  Computes
-    sigma_max((I - P) A) where P projects onto the image A F_X v_n = F_Y G v_n
-    of the trial space.  An empty v_n returns the largest singular value of A.
+    sigma_max((I - Q Q^T) A) where Q is an orthonormal basis of the image
+    A F_X v_n = G v_n of the trial space; the residual is applied as two
+    products, never formed.  An empty v_n returns the largest singular value of A.
     """
     a = _as_green(a, DENSE_BAYES_GUARD)
     n_dofs = a.shape[0]
@@ -181,10 +183,15 @@ def nwidth_eval(a, fx, v_n):
         raise RankDeficient("trial basis does not have full column rank")
 
     q = np.linalg.qr(a @ fx.apply(v_n), mode="reduced")[0]
-    return _sigma_max(a - q @ (q.T @ a))
+
+    def deflate(y):
+        return y - q @ (q.T @ y)
+
+    return _sigma_max(spla.LinearOperator(a.shape, matvec=lambda x: deflate(a @ x),
+                                          rmatvec=lambda y: a.T @ deflate(y), dtype=float))
 
 
 def _sigma_max(a):
-    """Largest singular value of a square matrix by ARPACK from a fixed Philox start."""
+    """Largest singular value of a square matrix or operator, by ARPACK from a Philox start."""
     v0 = np.random.Generator(np.random.Philox(0)).standard_normal(a.shape[0])
     return float(spla.svds(a, k=1, tol=0, v0=v0, return_singular_vectors=False)[0])

@@ -178,8 +178,7 @@ def cmd_basis(args):
     basis = compute_problem_basis(setup, solver)
     r = basis.rank
     sample = sorted(set([0, r // 2, r - 1]) | set(range(0, r, max(1, r // 8))))
-    for name, value in defining_relation_errors(basis, solver, setup.fx, setup.fy,
-                                                sample).items():
+    for name, value in defining_relation_errors(basis, solver, setup.fx, sample).items():
         print(f"{name}: {value:.3e}")
     side = obf.write_basis(args.out, basis, setup.config)
     print(f"wrote rank-{basis.rank} basis to {args.out} (sidecar {side})")
@@ -238,20 +237,20 @@ def cmd_oracle_svd(args):
     return 0
 
 
-def _check_green(setup):
-    """Dense G for the optimality checks, whose subspaces need 1 <= n < N."""
+def _checked_operator(setup):
+    """Oracle basis and weighted operator A = G F_X^{-1} of the optimality checks, from
+    one dense G; their subspaces need 1 <= n < N."""
     if setup.n_dofs < 2:
         raise ConfigInvalid(
             f"the dense optimality checks need at least 2 unknowns, got {setup.n_dofs}"
         )
-    return green_matrix(setup, DENSE_BAYES_GUARD)
+    green = green_matrix(setup, DENSE_BAYES_GUARD)
+    return oracle_problem_basis(setup, green), weighted_operator(green, setup.fx)
 
 
 def cmd_nwidth_check(args):
     setup = build_problem(_load_config(args))
-    green = _check_green(setup)
-    basis = oracle_problem_basis(setup, green)
-    a = weighted_operator(green, setup.fx, setup.fy)
+    basis, a = _checked_operator(setup)
     lam = basis.singular_values
     checks = _Checks()
     rng = np.random.Generator(np.random.Philox(777))
@@ -269,19 +268,20 @@ def cmd_nwidth_check(args):
 
 
 def cmd_bayes_check(args):
+    """Trace checks under the prior f ~ N(0, Pi_X^{-1}), that is on A = G F_X^{-1}."""
     setup = build_problem(_load_config(args))
-    green = _check_green(setup)
+    basis, a = _checked_operator(setup)
     checks = _Checks()
-    u_left, svals, _ = np.linalg.svd(green)
     n = min(4, setup.n_dofs - 1)
-    objective = trace_objective(green, u_left[:, :n])
-    closed = float(np.sum(svals[:n] ** 2))
+    optimal = basis.left_vectors[:, :n]
+    objective = trace_objective(a, optimal)
+    closed = float(np.sum(basis.singular_values[:n] ** 2))
     checks.record("objective at optimum matches closed form",
                   abs(objective - closed) <= 1e-9 * closed,
                   f"gap {abs(objective - closed):.3e}")
-    # the captured trace and the posterior's own covariance trace add up to tr(G G^T)
-    residual = float(np.trace(posterior(green, u_left[:, :n], np.zeros(n)).covariance))
-    total = float(np.vdot(green, green))
+    # the captured trace and the posterior's own covariance trace add up to tr(A A^T)
+    residual = float(np.trace(posterior(a, optimal, np.zeros(n)).covariance))
+    total = float(np.vdot(a, a))
     gap = abs(objective + residual - total)
     checks.record("trace conservation", gap <= 1e-8 * total, f"gap {gap:.3e}")
     rng = np.random.Generator(np.random.Philox(4242))
@@ -289,11 +289,11 @@ def cmd_bayes_check(args):
     violations = 0
     for _ in range(args.samples):
         m = rng.standard_normal((setup.n_dofs, n))
-        if trace_objective(green, m) > objective * (1.0 + 1e-9):
+        if trace_objective(a, m) > objective * (1.0 + 1e-9):
             dominated = False
         f = rng.standard_normal(setup.n_dofs)
         try:
-            check_reconstruction_bound(green, m, f)
+            check_reconstruction_bound(a, m, f)
         except BoundViolation:
             violations += 1
     checks.record("random observations dominated", dominated)

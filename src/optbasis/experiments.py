@@ -42,7 +42,6 @@ class ProblemSetup:
     config: ExperimentConfig
     operator: sp.csr_matrix
     fx: object
-    fy: object
     source: np.ndarray
     grid: Grid2D
     phase_grid: PhaseGrid | None
@@ -53,6 +52,11 @@ class ProblemSetup:
     @property
     def n_dofs(self):
         return self.operator.shape[0]
+
+    @property
+    def fy(self):
+        """The Euclidean solution norm as a weight factor; only the benchmark's gates read it."""
+        return identity_weight(self.n_dofs)
 
     def factorize(self):
         """Sparse LU of the operator in its ordering, with its transposed solves' reversal."""
@@ -112,15 +116,13 @@ def build_problem(config: ExperimentConfig) -> ProblemSetup:
     else:
         reversal = phase_grid.reversal()
         ordering = block_ordering(operator, phase_grid.n_angles)
-    fy = identity_weight(operator.shape[0])
-    return ProblemSetup(config, operator, fx, fy, source, grid, phase_grid, term, reversal,
-                        ordering)
+    return ProblemSetup(config, operator, fx, source, grid, phase_grid, term, reversal, ordering)
 
 
 def compute_problem_basis(setup: ProblemSetup, solver=None) -> SVDBasis:
     """Randomized basis from the problem's ``config.rsvd``."""
     solver = solver if solver is not None else setup.factorize()
-    return compute_basis(solver, setup.fx, setup.fy, setup.config.rsvd)
+    return compute_basis(solver, setup.fx, params=setup.config.rsvd)
 
 
 def green_matrix(setup: ProblemSetup, size_guard) -> np.ndarray:
@@ -132,7 +134,7 @@ def green_matrix(setup: ProblemSetup, size_guard) -> np.ndarray:
 def oracle_problem_basis(setup: ProblemSetup, green=None) -> SVDBasis:
     """Dense-oracle basis for an assembled problem, from its G or one formed here."""
     green = green if green is not None else green_matrix(setup, DENSE_ORACLE_GUARD)
-    return dense_svd_oracle(green, setup.fx, setup.fy)
+    return dense_svd_oracle(green, setup.fx)
 
 
 def reference_solution(setup: ProblemSetup, solver):

@@ -174,8 +174,8 @@ def check_linear_representation_bound(basis: SVDBasis, solver, fx, f, term, u_re
     level is not an integer of at least 1 or u_ref does not solve the full
     system, RankExhausted for an n above the rank, and BoundViolation at the
     first n whose inequality fails beyond roundoff or whose sides are not
-    finite numbers.  The output norm is Euclidean, matching the identity
-    output weight used throughout.
+    finite numbers.  The solution norm is Euclidean, as everywhere in the
+    package; only sources carry the weight Pi_X.
     """
     n_values = checked_levels(n_values)
     u_ref = np.asarray(u_ref, dtype=float)

@@ -133,23 +133,23 @@ def test_02_width_identity_and_random_candidate_domination():
     setup = build_problem(make_config("elliptic", 7, 1))
     solver = factorize(setup.operator)
     toys.append(("elliptic m=7", solver.solve(np.eye(setup.n_dofs)),
-                 setup.fx, setup.fy, oracle_problem_basis(setup)))
+                 setup.fx, oracle_problem_basis(setup)))
 
     rng = np.random.Generator(np.random.Philox(101))
     green = rng.normal(size=(64, 64))
     fi = identity_weight(64)
     u, s, v = svd_dense(green)
-    toys.append(("random N=64", green, fi, fi, None))
+    toys.append(("random N=64", green, fi, None))
 
     worst_gap = 0.0
     worst_slack = 0.0
     ok = True
-    for name, green, fx, fy, oracle in toys:
+    for name, green, fx, oracle in toys:
         if oracle is not None:
             lam, vecs = oracle.singular_values, oracle.right_vectors
         else:
             lam, vecs = s, v
-        a = weighted_operator(green, fx, fy)
+        a = weighted_operator(green, fx)
         for n in range(1, 6):
             width = nwidth_eval(a, fx, vecs[:, :n])
             gap = abs(width - lam[n])
@@ -247,12 +247,10 @@ def test_05_randomized_basis_matches_the_oracle():
     oracle = oracle_problem_basis(setup)
     top = oracle.singular_values[:5]
 
-    with_power = compute_basis(solver, setup.fx, setup.fy,
-                               RsvdParams(10, 5, 2, seed=12))
+    with_power = compute_basis(solver, setup.fx, params=RsvdParams(10, 5, 2, seed=12))
     err_q2 = float(np.max(np.abs(with_power.singular_values[:5] - top) / top))
 
-    no_power = compute_basis(solver, setup.fx, setup.fy,
-                             RsvdParams(10, 5, 0, seed=12))
+    no_power = compute_basis(solver, setup.fx, params=RsvdParams(10, 5, 0, seed=12))
     err_q0 = float(np.max(np.abs(no_power.singular_values[:5] - top) / top))
 
     ok = err_q2 <= 1e-6 and err_q0 <= 1e-2
@@ -289,7 +287,7 @@ def test_06_defining_relations_across_orders_and_families():
             solvers[family] = factorize(setup.operator)
         solver = solvers[family]
         basis = compute_problem_basis(setup, solver)
-        errors = defining_relation_errors(basis, solver, setup.fx, setup.fy)
+        errors = defining_relation_errors(basis, solver, setup.fx)
         level = max(errors[key] for key in relations)
         worst = max(worst, level)
         if level > 1e-8:

@@ -52,8 +52,7 @@ def elliptic_setup(m, p):
     op = assemble_elliptic(grid, EllipticMedium(1.0))
     solver = factorize(op)
     fx = build_sobolev_weight(p, grid)
-    fy = identity_weight(op.shape[0])
-    return solver, fx, fy
+    return solver, fx
 
 
 def green_of(solver):
@@ -61,16 +60,16 @@ def green_of(solver):
     return solver.solve(np.eye(solver.n))
 
 
-def qr_every_pass_values(solver, fx, fy, params):
+def qr_every_pass_values(solver, fx, params):
     """Leading singular values of the sketch with qr_thin after every operator application."""
     rng = np.random.Generator(np.random.Philox(params.seed))
     sketch = rng.standard_normal((solver.n, params.rank + params.oversample))
-    y = _apply_forward(solver, fx, fy, sketch)
+    y = _apply_forward(solver, fx, sketch)
     for _ in range(params.power):
-        q = qr_thin(_apply_adjoint(solver, fx, fy, qr_thin(y)))
-        y = _apply_forward(solver, fx, fy, q)
+        q = qr_thin(_apply_adjoint(solver, fx, qr_thin(y)))
+        y = _apply_forward(solver, fx, q)
     q = qr_thin(y)
-    return svd_dense(_apply_adjoint(solver, fx, fy, q).T)[1][:params.rank]
+    return svd_dense(_apply_adjoint(solver, fx, q).T)[1][:params.rank]
 
 
 def random_spd_factor(n, seed):
@@ -82,20 +81,20 @@ def random_spd_factor(n, seed):
 class TestDenseOracle:
     def test_identity_operator_has_unit_spectrum(self):
         fi = identity_weight(6)
-        basis = dense_svd_oracle(green_of(factorize(sp.identity(6, format="csc"))), fi, fi)
+        basis = dense_svd_oracle(green_of(factorize(sp.identity(6, format="csc"))), fi)
         np.testing.assert_allclose(basis.singular_values, 1.0, atol=1e-14)
 
     def test_diagonal_operator_exact_triplets(self):
         fi = identity_weight(3)
-        basis = dense_svd_oracle(green_of(factorize(sp.diags([1.0, 2.0, 4.0]))), fi, fi)
+        basis = dense_svd_oracle(green_of(factorize(sp.diags([1.0, 2.0, 4.0]))), fi)
         np.testing.assert_allclose(basis.singular_values, [1.0, 0.5, 0.25], atol=1e-15)
         np.testing.assert_allclose(np.abs(basis.left_vectors), np.eye(3), atol=1e-14)
         np.testing.assert_allclose(np.abs(basis.right_vectors), np.eye(3), atol=1e-14)
 
     def test_defining_relations_hold_at_machine_precision(self):
-        solver, fx, fy = elliptic_setup(8, 1)
-        basis = dense_svd_oracle(green_of(solver), fx, fy)
-        errs = defining_relation_errors(basis, solver, fx, fy, indices=range(10))
+        solver, fx = elliptic_setup(8, 1)
+        basis = dense_svd_oracle(green_of(solver), fx)
+        errs = defining_relation_errors(basis, solver, fx, indices=range(10))
         assert errs["left_orthonormality"] < 1e-12
         assert errs["right_orthonormality"] < 1e-12
         assert errs["forward_residual"] < 1e-12
@@ -106,25 +105,24 @@ class TestDenseOracle:
         op = sp.csc_matrix(rng.normal(size=(12, 12)) + 12.0 * np.eye(12))
         solver = factorize(op)
         fx = random_spd_factor(12, 100)
-        fy = random_spd_factor(12, 101)
-        basis = dense_svd_oracle(green_of(solver), fx, fy)
-        errs = defining_relation_errors(basis, solver, fx, fy)
+        basis = dense_svd_oracle(green_of(solver), fx)
+        errs = defining_relation_errors(basis, solver, fx)
         assert max(errs.values()) < 1e-10
 
     def test_size_guard(self):
         n = DENSE_ORACLE_GUARD + 1
         fi = identity_weight(n)
         with pytest.raises(ProblemTooLarge):
-            dense_svd_oracle(np.zeros((n, n)), fi, fi)  # calloc'd: no memory committed
+            dense_svd_oracle(np.zeros((n, n)), fi)  # calloc'd: no memory committed
 
     def test_nonsquare_operator_rejected(self):
         fi = identity_weight(3)
         with pytest.raises(DimensionMismatch):
-            dense_svd_oracle(np.ones((3, 4)), fi, fi)
+            dense_svd_oracle(np.ones((3, 4)), fi)
 
     def test_values_sorted_descending(self):
-        solver, fx, fy = elliptic_setup(6, 0)
-        basis = dense_svd_oracle(green_of(solver), fx, fy)
+        solver, fx = elliptic_setup(6, 0)
+        basis = dense_svd_oracle(green_of(solver), fx)
         assert np.all(np.diff(basis.singular_values) <= 0)
 
     @settings(max_examples=20, deadline=None)
@@ -133,7 +131,7 @@ class TestDenseOracle:
         rng = np.random.Generator(np.random.Philox(seed))
         d = rng.uniform(0.5, 4.0, size=n)
         fi = identity_weight(n)
-        basis = dense_svd_oracle(green_of(factorize(sp.diags(d))), fi, fi)
+        basis = dense_svd_oracle(green_of(factorize(sp.diags(d))), fi)
         np.testing.assert_allclose(
             basis.singular_values, np.sort(1.0 / d)[::-1], rtol=1e-12
         )
@@ -143,7 +141,7 @@ class TestRandomizedBasis:
     def test_identity_operator_recovered_exactly(self):
         fi = identity_weight(12)
         solver = factorize(sp.identity(12, format="csc"))
-        basis = compute_basis(solver, fi, fi, RsvdParams(rank=5, oversample=7, power=0))
+        basis = compute_basis(solver, fi, params=RsvdParams(rank=5, oversample=7, power=0))
         np.testing.assert_allclose(basis.singular_values, 1.0, atol=1e-12)
         fu = basis.left_vectors
         np.testing.assert_allclose(fu.T @ fu, np.eye(5), atol=1e-12)
@@ -155,35 +153,35 @@ class TestRandomizedBasis:
         op = sp.diags(np.arange(1.0, 31.0)).tocsc()
         fi = identity_weight(30)
         basis = compute_basis(
-            factorize(op), fi, fi, RsvdParams(rank=6, oversample=4, power=8, seed=seed)
+            factorize(op), fi, params=RsvdParams(rank=6, oversample=4, power=8, seed=seed)
         )
         target = 1.0 / np.arange(1.0, 7.0)
         assert np.max(np.abs(basis.singular_values - target) / target) < 1e-6
 
     def test_same_seed_reproduces_bitwise(self):
-        solver, fx, fy = elliptic_setup(8, 1)
+        solver, fx = elliptic_setup(8, 1)
         params = RsvdParams(rank=6, oversample=10, power=2, seed=42)
-        a = compute_basis(solver, fx, fy, params)
-        b = compute_basis(solver, fx, fy, params)
+        a = compute_basis(solver, fx, params=params)
+        b = compute_basis(solver, fx, params=params)
         np.testing.assert_array_equal(a.singular_values, b.singular_values)
         np.testing.assert_array_equal(a.left_vectors, b.left_vectors)
         np.testing.assert_array_equal(a.right_vectors, b.right_vectors)
 
     def test_different_seeds_differ(self):
-        solver, fx, fy = elliptic_setup(8, 1)
-        a = compute_basis(solver, fx, fy, RsvdParams(6, 10, 2, seed=0))
-        b = compute_basis(solver, fx, fy, RsvdParams(6, 10, 2, seed=1))
+        solver, fx = elliptic_setup(8, 1)
+        a = compute_basis(solver, fx, params=RsvdParams(6, 10, 2, seed=0))
+        b = compute_basis(solver, fx, params=RsvdParams(6, 10, 2, seed=1))
         assert np.any(a.singular_values != b.singular_values)
 
     def test_values_sorted_descending(self):
-        solver, fx, fy = elliptic_setup(8, 2)
-        basis = compute_basis(solver, fx, fy, RsvdParams(10, 20, 2))
+        solver, fx = elliptic_setup(8, 2)
+        basis = compute_basis(solver, fx, params=RsvdParams(10, 20, 2))
         assert np.all(np.diff(basis.singular_values) <= 0)
 
     def test_defining_relations_with_generous_sketch(self):
-        solver, fx, fy = elliptic_setup(8, 1)
-        basis = compute_basis(solver, fx, fy, RsvdParams(8, 30, 4, seed=0))
-        errs = defining_relation_errors(basis, solver, fx, fy)
+        solver, fx = elliptic_setup(8, 1)
+        basis = compute_basis(solver, fx, params=RsvdParams(8, 30, 4, seed=0))
+        errs = defining_relation_errors(basis, solver, fx)
         assert errs["left_orthonormality"] < 1e-12
         assert errs["right_orthonormality"] < 1e-12
         assert errs["forward_residual"] < 1e-14
@@ -191,18 +189,18 @@ class TestRandomizedBasis:
     def test_oracle_agreement_with_two_power_passes(self):
         # the smooth weight decays fast enough that q = 2 reaches 1e-6 on
         # the leading half of the requested rank, every seed
-        solver, fx, fy = elliptic_setup(16, 1)
-        top = dense_svd_oracle(green_of(solver), fx, fy).singular_values[:5]
+        solver, fx = elliptic_setup(16, 1)
+        top = dense_svd_oracle(green_of(solver), fx).singular_values[:5]
         for seed in range(5):
-            basis = compute_basis(solver, fx, fy, RsvdParams(10, 20, 2, seed=seed))
+            basis = compute_basis(solver, fx, params=RsvdParams(10, 20, 2, seed=seed))
             rel = np.abs(basis.singular_values[:5] - top) / top
             assert rel.max() < 1e-6
 
     def test_oracle_agreement_flat_weight_needs_an_extra_pass(self):
-        solver, fx, fy = elliptic_setup(16, 0)
-        top = dense_svd_oracle(green_of(solver), fx, fy).singular_values[:5]
+        solver, fx = elliptic_setup(16, 0)
+        top = dense_svd_oracle(green_of(solver), fx).singular_values[:5]
         for seed in range(5):
-            basis = compute_basis(solver, fx, fy, RsvdParams(10, 20, 3, seed=seed))
+            basis = compute_basis(solver, fx, params=RsvdParams(10, 20, 3, seed=seed))
             rel = np.abs(basis.singular_values[:5] - top) / top
             assert rel.max() < 1e-6
 
@@ -210,17 +208,17 @@ class TestRandomizedBasis:
         # regression for the intrinsic accuracy limit: with the flat weight,
         # a 15-column sketch and q = 2 the top-5 relative error sits at the
         # 1e-4 level and no code change should silently claim 1e-6
-        solver, fx, fy = elliptic_setup(16, 0)
-        top = dense_svd_oracle(green_of(solver), fx, fy).singular_values[:5]
-        basis = compute_basis(solver, fx, fy, RsvdParams(10, 5, 2, seed=0))
+        solver, fx = elliptic_setup(16, 0)
+        top = dense_svd_oracle(green_of(solver), fx).singular_values[:5]
+        basis = compute_basis(solver, fx, params=RsvdParams(10, 5, 2, seed=0))
         rel = np.max(np.abs(basis.singular_values[:5] - top) / top)
         assert 1e-6 < rel < 1e-2
 
     def test_sketch_larger_than_problem_rejected(self):
-        solver, fx, fy = elliptic_setup(4, 0)  # N = 9
+        solver, fx = elliptic_setup(4, 0)  # N = 9
         with pytest.raises(ConfigInvalid, match="'rsvd.rank' \\+ 'rsvd.oversample' = 13 "
                                                 "exceeds the 9 unknowns of the problem"):
-            compute_basis(solver, fx, fy, RsvdParams(rank=8, oversample=5))
+            compute_basis(solver, fx, params=RsvdParams(rank=8, oversample=5))
 
     def test_numerical_rank_deficiency_truncates_with_warning(self):
         class TinyTailSolver:
@@ -241,7 +239,7 @@ class TestRandomizedBasis:
             # SVD cuts it and compute_basis is the one place that warns
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                basis = compute_basis(TinyTailSolver(), fi, fi, RsvdParams(3, 0, power))
+                basis = compute_basis(TinyTailSolver(), fi, params=RsvdParams(3, 0, power))
             assert [w.category for w in caught] == [RankDeficientWarning]
             assert basis.rank == 2
             np.testing.assert_allclose(basis.singular_values, 1.0, atol=1e-12)
@@ -260,8 +258,8 @@ class TestRandomizedBasis:
 
         for name in calls:
             monkeypatch.setattr(basis_module, name, counted(name))
-        solver, fx, fy = elliptic_setup(8, 1)
-        compute_basis(solver, fx, fy, RsvdParams(6, 4, power))
+        solver, fx = elliptic_setup(8, 1)
+        compute_basis(solver, fx, params=RsvdParams(6, 4, power))
         assert calls == {"qr_thin": 1, "lu_basis": 2 * power}
 
     @pytest.mark.parametrize("make_setup", [
@@ -269,14 +267,14 @@ class TestRandomizedBasis:
         pytest.param(lambda: rte_setup(6, 8, 1), id="rte"),
     ])
     def test_lu_power_passes_match_qr_power_passes(self, make_setup):
-        solver, fx, fy = make_setup()
+        solver, fx = make_setup()
         params = RsvdParams(20, 10, 2, seed=5)
-        basis = compute_basis(solver, fx, fy, params)
-        reference = qr_every_pass_values(solver, fx, fy, params)
+        basis = compute_basis(solver, fx, params=params)
+        reference = qr_every_pass_values(solver, fx, params)
         assert basis.rank == params.rank
         rel = np.abs(basis.singular_values - reference) / reference
         assert rel.max() < 1e-10
-        errs = defining_relation_errors(basis, solver, fx, fy)
+        errs = defining_relation_errors(basis, solver, fx)
         assert errs["forward_residual"] <= 1e-12
 
     def test_invalid_params_rejected(self):
@@ -291,21 +289,21 @@ class TestRandomizedBasis:
 
     def test_meta_records_only_the_method(self):
         # the config that ran is the record of everything else
-        solver, fx, fy = elliptic_setup(6, 1)
-        basis = compute_basis(solver, fx, fy, RsvdParams(4, 8, 1, seed=3))
+        solver, fx = elliptic_setup(6, 1)
+        basis = compute_basis(solver, fx, params=RsvdParams(4, 8, 1, seed=3))
         assert basis.meta == {"method": "rsvd"}
-        oracle = dense_svd_oracle(green_of(solver), fx, fy)
+        oracle = dense_svd_oracle(green_of(solver), fx)
         assert oracle.meta == {"method": "dense_oracle"}
 
 
-def relation_errors_column_by_column(basis, solver, fx, fy, indices):
+def relation_errors_column_by_column(basis, solver, fx, indices):
     """The forward and adjoint residuals with one solve per sampled index."""
     lam, u, v = basis.singular_values, basis.left_vectors, basis.right_vectors
     fwd = adj = 0.0
     for i in indices:
         gv = solver.solve(v[:, i])
         fwd = max(fwd, np.linalg.norm(gv - lam[i] * u[:, i]) / (lam[i] * np.linalg.norm(u[:, i])))
-        gstar_u = fx.solve(fx.solve_t(solver.solve_transpose(fy.apply_t(fy.apply(u[:, i])))))
+        gstar_u = fx.solve(fx.solve_t(solver.solve_transpose(u[:, i])))
         adj = max(adj, np.linalg.norm(gstar_u - lam[i] * v[:, i])
                   / (lam[i] * np.linalg.norm(v[:, i])))
     return fwd, adj
@@ -317,27 +315,27 @@ class TestRelationCheck:
         pytest.param(lambda: rte_setup(6, 8, 1), id="rte"),
     ])
     def test_blocked_residuals_match_a_column_loop(self, make_setup):
-        solver, fx, fy = make_setup()
-        basis = compute_basis(solver, fx, fy, RsvdParams(40, 10, 1, seed=2))
+        solver, fx = make_setup()
+        basis = compute_basis(solver, fx, params=RsvdParams(40, 10, 1, seed=2))
         sample = [0, 1, 7, 20, 33, 39]
-        errs = defining_relation_errors(basis, solver, fx, fy, sample)
-        fwd, adj = relation_errors_column_by_column(basis, solver, fx, fy, sample)
+        errs = defining_relation_errors(basis, solver, fx, sample)
+        fwd, adj = relation_errors_column_by_column(basis, solver, fx, sample)
         assert errs["adjoint_residual"] > 1e-8  # a power-1 tail, far above roundoff
         assert errs["adjoint_residual"] == pytest.approx(adj, rel=1e-12)
         # the forward residual is roundoff, so it also gets an absolute floor
         assert errs["forward_residual"] == pytest.approx(fwd, rel=1e-12, abs=1e-15)
 
     def test_no_sampled_index_gives_zero_residuals(self):
-        solver, fx, fy = elliptic_setup(6, 1)
-        basis = compute_basis(solver, fx, fy, RsvdParams(4, 4, 1))
-        errs = defining_relation_errors(basis, solver, fx, fy, [])
+        solver, fx = elliptic_setup(6, 1)
+        basis = compute_basis(solver, fx, params=RsvdParams(4, 4, 1))
+        errs = defining_relation_errors(basis, solver, fx, [])
         assert errs["forward_residual"] == errs["adjoint_residual"] == 0.0
 
 
 class TestProjectionPieces:
     def test_coefficients_recover_weighted_expansion(self):
-        solver, fx, fy = elliptic_setup(8, 1)
-        basis = dense_svd_oracle(green_of(solver), fx, fy)
+        solver, fx = elliptic_setup(8, 1)
+        basis = dense_svd_oracle(green_of(solver), fx)
         rng = np.random.Generator(np.random.Philox(17))
         c = rng.normal(size=6)
         g = basis.right_vectors[:, :6] @ c
@@ -346,8 +344,8 @@ class TestProjectionPieces:
         )
 
     def test_reconstruct_matches_manual_sum(self):
-        solver, fx, fy = elliptic_setup(6, 0)
-        basis = dense_svd_oracle(green_of(solver), fx, fy)
+        solver, fx = elliptic_setup(6, 0)
+        basis = dense_svd_oracle(green_of(solver), fx)
         c = np.arange(1.0, 5.0)
         manual = sum(
             basis.singular_values[i] * c[i] * basis.left_vectors[:, i] for i in range(4)
@@ -373,8 +371,8 @@ class TestProjectionPieces:
 
     def test_a_block_reconstructs_each_level(self):
         # one GEMM over the zero-padded block, each column to roundoff of its own sum
-        solver, fx, fy = elliptic_setup(8, 1)
-        basis = dense_svd_oracle(green_of(solver), fx, fy)
+        solver, fx = elliptic_setup(8, 1)
+        basis = dense_svd_oracle(green_of(solver), fx)
         rng = np.random.Generator(np.random.Philox(23))
         c = rng.normal(size=12)
         levels = [3, 12, 7, 1]
@@ -386,8 +384,8 @@ class TestProjectionPieces:
                                        * np.abs(basis.singular_values[:n] * c[:n]).sum())
 
     def test_projection_reproduces_direct_solve_at_full_rank(self):
-        solver, fx, fy = elliptic_setup(8, 1)
-        basis = dense_svd_oracle(green_of(solver), fx, fy)
+        solver, fx = elliptic_setup(8, 1)
+        basis = dense_svd_oracle(green_of(solver), fx)
         rng = np.random.Generator(np.random.Philox(19))
         f = rng.normal(size=solver.n)
         coeffs = SourceProjector(basis, fx, solver.n).coefficients(f)
@@ -396,16 +394,16 @@ class TestProjectionPieces:
         )
 
     def test_rank_exhaustion_raises(self):
-        solver, fx, fy = elliptic_setup(6, 0)
-        basis = compute_basis(solver, fx, fy, RsvdParams(4, 6, 1))
+        solver, fx = elliptic_setup(6, 0)
+        basis = compute_basis(solver, fx, params=RsvdParams(4, 6, 1))
         with pytest.raises(RankExhausted):
             SourceProjector(basis, fx, 5)
         with pytest.raises(RankExhausted):
             reconstruct(basis, np.ones(5))
 
     def test_wrong_length_source_raises_dimension_mismatch(self):
-        solver, fx, fy = elliptic_setup(6, 1)
-        basis = dense_svd_oracle(green_of(solver), fx, fy)
+        solver, fx = elliptic_setup(6, 1)
+        basis = dense_svd_oracle(green_of(solver), fx)
         with pytest.raises(DimensionMismatch, match="leading dimension 26"):
             SourceProjector(basis, fx, 3).coefficients(np.ones(solver.n + 1))
 
@@ -413,7 +411,7 @@ class TestProjectionPieces:
 def rte_setup(m, n_angles, p):
     phase_grid = PhaseGrid(Grid2D(m), n_angles)
     solver = factorize(assemble_rte(phase_grid, RteCoefficients(1.0, 1.0, 0.5)))
-    return solver, build_rte_weight(p, phase_grid), identity_weight(solver.n)
+    return solver, build_rte_weight(p, phase_grid)
 
 
 COEFFICIENT_CASES = [
@@ -428,8 +426,8 @@ class TestProjectionAccuracy:
     @pytest.mark.parametrize("make_setup", COEFFICIENT_CASES)
     def test_coefficients_match_an_extended_precision_reference(self, make_setup):
         # entrywise forward-error scale of V^T (Pi g): |V|^T (|Pi| |g|)
-        solver, fx, fy = make_setup()
-        basis = dense_svd_oracle(green_of(solver), fx, fy)
+        solver, fx = make_setup()
+        basis = dense_svd_oracle(green_of(solver), fx)
         g = np.random.Generator(np.random.Philox(29)).normal(size=solver.n)
         v = basis.right_vectors
         pi = fx.gram().toarray()
@@ -447,7 +445,7 @@ def configured_problem(family, m, p, rank, oversample, power, **grid):
         "problem": problem, "grid": {"m_intervals": m, **grid}, "weights": {"p": p},
         "rsvd": {"rank": rank, "oversample": oversample, "power": power},
     }))
-    return setup.factorize(), setup.fx, setup.fy, setup.config.rsvd
+    return setup.factorize(), setup.fx, setup.config.rsvd
 
 
 class TestSketchMemory:
@@ -461,7 +459,7 @@ class TestSketchMemory:
     ])
     def test_peak_above_the_inputs_is_at_most_four_working_blocks(self, problem):
         *args, grid = problem
-        solver, fx, fy, params = configured_problem(*args, **grid)
+        solver, fx, params = configured_problem(*args, **grid)
         block = solver.n * (params.rank + params.oversample) * 8
         tracing = tracemalloc.is_tracing()
         if not tracing:
@@ -469,7 +467,7 @@ class TestSketchMemory:
         try:
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            compute_basis(solver, fx, fy, params)
+            compute_basis(solver, fx, params=params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             if not tracing:
@@ -484,14 +482,14 @@ def basis_and_numpy_reference(problem):
     vectors) of the requested rank.
     """
     *args, grid = problem
-    solver, fx, fy, params = configured_problem(*args, **grid)
-    basis = compute_basis(solver, fx, fy, params)
+    solver, fx, params = configured_problem(*args, **grid)
+    basis = compute_basis(solver, fx, params=params)
     rng = np.random.Generator(np.random.Philox(params.seed))
     sketch = rng.standard_normal((solver.n, params.rank + params.oversample))
-    y = _apply_forward(solver, fx, fy, sketch)
+    y = _apply_forward(solver, fx, sketch)
     for _ in range(params.power):
-        y = _apply_forward(solver, fx, fy, lu_basis(_apply_adjoint(solver, fx, fy, lu_basis(y))))
-    _, lam, vt = np.linalg.svd(_apply_adjoint(solver, fx, fy, qr_thin(y)).T, full_matrices=False)
+        y = _apply_forward(solver, fx, lu_basis(_apply_adjoint(solver, fx, lu_basis(y))))
+    _, lam, vt = np.linalg.svd(_apply_adjoint(solver, fx, qr_thin(y)).T, full_matrices=False)
     lam, v = lam[:params.rank], fx.solve(vt[:params.rank].T)
     assert basis.rank == params.rank
     return basis, (lam, solver.solve(v) / lam, v)

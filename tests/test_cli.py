@@ -483,7 +483,7 @@ def test_relation_residuals_do_not_overflow_at_the_edge_of_the_float_range(tmp_p
         setup = experiments.build_problem(config)
         solver = setup.factorize()
         errors.append(defining_relation_errors(experiments.compute_problem_basis(setup, solver),
-                                               solver, setup.fx, setup.fy))
+                                               solver, setup.fx))
     for key in ("left_orthonormality", "adjoint_residual"):
         assert errors[1][key] == pytest.approx(errors[0][key], rel=1e-9)
 
@@ -824,6 +824,22 @@ class TestOracleAndChecks:
         assert "trace conservation" in out
         assert "reconstruction bound holds" in out
         assert "FAIL" not in out
+
+    def test_bayes_check_observes_the_weighted_optimum(self, tmp_path, monkeypatch):
+        # under the prior f ~ N(0, Pi_X^{-1}) the optimal observations span the leading
+        # left vectors of A = G F_X^{-1}, the oracle's; G's own fall short at p = 1
+        observed = []
+        real = cli.trace_objective
+        monkeypatch.setattr(cli, "trace_objective",
+                            lambda op, obs_matrix: observed.append(obs_matrix)
+                            or real(op, obs_matrix))
+        cfg = write_config(tmp_path, m=5, p=1)
+        assert main(["bayes-check", "--config", str(cfg), "--samples", "2"]) == 0
+        setup = experiments.build_problem(config_from_dict(json.loads(cfg.read_text())))
+        u_opt = experiments.oracle_problem_basis(setup).left_vectors[:, :4]
+        cosines = np.linalg.svd(np.linalg.qr(observed[0])[0].T @ np.linalg.qr(u_opt)[0],
+                                compute_uv=False)
+        assert cosines.min() >= 1.0 - 1e-12
 
     def test_bayes_check_catches_a_trace_split_that_does_not_add_up(self, tmp_path, capsys,
                                                                    monkeypatch):

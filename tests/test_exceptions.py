@@ -88,7 +88,7 @@ def test_the_scan_sees_builtin_raises_only():
 def unconverged_reference():
     solver = factorize(assemble_elliptic(Grid2D(4), EllipticMedium(1.0)))
     fx = identity_weight(solver.n)
-    basis = dense_svd_oracle(solver.solve(np.eye(solver.n)), fx, fx)
+    basis = dense_svd_oracle(solver.solve(np.eye(solver.n)), fx)
     f = np.ones(solver.n)
     check_linear_representation_bound(basis, solver, fx, f, CubicTerm(), f, [1])
 

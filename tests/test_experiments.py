@@ -201,8 +201,8 @@ class TestBases:
         basis = compute_problem_basis(setup)
         assert basis.rank == 7
         assert basis.meta == {"method": "rsvd"}
-        direct = compute_basis(setup.factorize(), setup.fx, setup.fy,
-                               RsvdParams(rank=7, oversample=5, power=3, seed=2))
+        direct = compute_basis(setup.factorize(), setup.fx,
+                               params=RsvdParams(rank=7, oversample=5, power=3, seed=2))
         np.testing.assert_array_equal(basis.singular_values, direct.singular_values)
 
     def test_rte_metadata(self, tmp_path):

@@ -28,9 +28,8 @@ def semilinear_setup(m=8, p=1, amplitude=100.0):
     op = assemble_elliptic(grid, EllipticMedium(1.0))
     solver = factorize(op)
     fx = build_sobolev_weight(p, grid)
-    fy = identity_weight(op.shape[0])
     f = eval_source_elliptic(grid, amplitude)
-    return solver, fx, fy, f
+    return solver, fx, f
 
 
 def green_of(solver):
@@ -109,23 +108,23 @@ def unresolved(basis, fx, g, n):
 class TestProjection:
     def test_split_reassembles_the_input(self):
         # the split f = V_n c + r is weighted-orthogonal, so the X-norms obey Pythagoras
-        solver, fx, fy, f = semilinear_setup()
-        basis = dense_svd_oracle(green_of(solver), fx, fy)
+        solver, fx, f = semilinear_setup()
+        basis = dense_svd_oracle(green_of(solver), fx)
         coeffs = SourceProjector(basis, fx, 10).coefficients(f)
         resid = unresolved(basis, fx, f, 10)
         assert fx.norm(f) ** 2 == pytest.approx(coeffs @ coeffs + fx.norm(resid) ** 2,
                                                 rel=1e-12)
 
     def test_residual_is_weighted_orthogonal_to_the_span(self):
-        solver, fx, fy, f = semilinear_setup()
-        basis = dense_svd_oracle(green_of(solver), fx, fy)
+        solver, fx, f = semilinear_setup()
+        basis = dense_svd_oracle(green_of(solver), fx)
         resid = unresolved(basis, fx, f, 10)
         inner = basis.right_vectors[:, :10].T @ fx.apply_t(fx.apply(resid))
         np.testing.assert_allclose(inner, 0.0, atol=1e-10)
 
     def test_projection_of_a_span_member_is_itself(self):
-        solver, fx, fy, _ = semilinear_setup()
-        basis = dense_svd_oracle(green_of(solver), fx, fy)
+        solver, fx, _ = semilinear_setup()
+        basis = dense_svd_oracle(green_of(solver), fx)
         g = basis.right_vectors[:, :5] @ np.arange(1.0, 6.0)
         np.testing.assert_allclose(SourceProjector(basis, fx, 5).coefficients(g),
                                    np.arange(1.0, 6.0), atol=1e-10)
@@ -134,8 +133,8 @@ class TestProjection:
 
 class TestFixedPoint:
     def test_linear_limit_is_one_pass_and_bitwise_equal_to_projection(self, zero_term):
-        solver, fx, fy, f = semilinear_setup()
-        basis = compute_basis(solver, fx, fy, RsvdParams(12, 20, 2, seed=0))
+        solver, fx, f = semilinear_setup()
+        basis = compute_basis(solver, fx, params=RsvdParams(12, 20, 2, seed=0))
         result = fixed_point_solve(basis, fx, f, zero_term, [12], NonlinearSettings())
         assert result.converged
         assert result.iterations == 1
@@ -144,8 +143,8 @@ class TestFixedPoint:
         np.testing.assert_array_equal(result.solution[:, 0], direct)
 
     def test_full_rank_cubic_agrees_with_newton(self):
-        solver, fx, fy, f = semilinear_setup(m=8, amplitude=100.0)
-        basis = dense_svd_oracle(green_of(solver), fx, fy)
+        solver, fx, f = semilinear_setup(m=8, amplitude=100.0)
+        basis = dense_svd_oracle(green_of(solver), fx)
         term = CubicTerm()
         result = fixed_point_solve(basis, fx, f, term, [basis.rank], NonlinearSettings(tol=1e-24))
         reference = newton_reference(solver, term, f)
@@ -155,8 +154,8 @@ class TestFixedPoint:
     def test_solution_actually_satisfies_the_reduced_equations(self):
         # at convergence the coefficients reproduce the projection of the
         # effective source f - N(u)
-        solver, fx, fy, f = semilinear_setup()
-        basis = dense_svd_oracle(green_of(solver), fx, fy)
+        solver, fx, f = semilinear_setup()
+        basis = dense_svd_oracle(green_of(solver), fx)
         n = 20
         result = fixed_point_solve(basis, fx, f, CubicTerm(), [n],
                                    NonlinearSettings(tol=1e-26, max_iter=2000))
@@ -165,8 +164,8 @@ class TestFixedPoint:
         np.testing.assert_allclose(result.coefficients[:, 0], fixed, atol=1e-11)
 
     def test_under_relaxation_reaches_the_same_fixed_point(self):
-        solver, fx, fy, f = semilinear_setup()
-        basis = dense_svd_oracle(green_of(solver), fx, fy)
+        solver, fx, f = semilinear_setup()
+        basis = dense_svd_oracle(green_of(solver), fx)
         full = fixed_point_solve(basis, fx, f, CubicTerm(), [15], NonlinearSettings(tol=1e-24))
         damped = fixed_point_solve(basis, fx, f, CubicTerm(), [15],
                                    NonlinearSettings(tol=1e-24, max_iter=2000, relax=0.5))
@@ -177,8 +176,8 @@ class TestFixedPoint:
     def test_relaxation_does_not_loosen_the_stopping_rule(self):
         # the step is the undamped one, the residual of the reduced equations:
         # from the same start a damped sweep records the full step, not relax^2 of it
-        solver, fx, fy, f = semilinear_setup()
-        basis = dense_svd_oracle(green_of(solver), fx, fy)
+        solver, fx, f = semilinear_setup()
+        basis = dense_svd_oracle(green_of(solver), fx)
         full = fixed_point_solve(basis, fx, f, CubicTerm(), [15], NonlinearSettings(max_iter=1))
         damped = fixed_point_solve(basis, fx, f, CubicTerm(), [15],
                                    NonlinearSettings(max_iter=1, relax=0.05))
@@ -190,8 +189,8 @@ class TestFixedPoint:
         assert not result.converged
 
     def test_step_history_is_recorded(self):
-        solver, fx, fy, f = semilinear_setup()
-        basis = dense_svd_oracle(green_of(solver), fx, fy)
+        solver, fx, f = semilinear_setup()
+        basis = dense_svd_oracle(green_of(solver), fx)
         result = fixed_point_solve(basis, fx, f, CubicTerm(), [10], NonlinearSettings())
         assert len(result.step_history[0]) == result.iterations
         assert result.step_history[0][-1] == result.final_step[0]
@@ -199,7 +198,7 @@ class TestFixedPoint:
     def test_divergence_is_detected(self):
         fi = identity_weight(6)
         solver = factorize(sp.identity(6, format="csc"))
-        basis = dense_svd_oracle(green_of(solver), fi, fi)
+        basis = dense_svd_oracle(green_of(solver), fi)
         f = np.full(6, 50.0)  # cubic blowup: |u| grows every sweep
         with pytest.raises(Diverged):
             fixed_point_solve(basis, fi, f, CubicTerm(), [6], NonlinearSettings(max_iter=200))
@@ -213,8 +212,8 @@ class TestFixedPoint:
 
 class TestRepresentationBound:
     def test_holds_for_converged_reference(self):
-        solver, fx, fy, f = semilinear_setup(m=8)
-        basis = dense_svd_oracle(green_of(solver), fx, fy)
+        solver, fx, f = semilinear_setup(m=8)
+        basis = dense_svd_oracle(green_of(solver), fx)
         term = CubicTerm()
         u_ref = newton_reference(solver, term, f)
         checked = check_linear_representation_bound(
@@ -228,8 +227,8 @@ class TestRepresentationBound:
     def test_each_level_projects_the_effective_source(self, term):
         # one projector's coefficient prefix equals a projector built per level;
         # without a term the bound is the projection bound of the linear problem
-        solver, fx, fy, f = semilinear_setup(m=8)
-        basis = dense_svd_oracle(green_of(solver), fx, fy)
+        solver, fx, f = semilinear_setup(m=8)
+        basis = dense_svd_oracle(green_of(solver), fx)
         u_ref = newton_reference(solver, term, f) if term else solver.solve(f)
         nonlinear = term(u_ref) if term else np.zeros_like(f)
         for n, lhs, rhs in check_linear_representation_bound(
@@ -240,24 +239,24 @@ class TestRepresentationBound:
             assert rhs == basis.singular_values[n] * (fx.norm(f) + fx.norm(nonlinear))
 
     def test_levels_at_the_rank_are_skipped(self):
-        solver, fx, fy, f = semilinear_setup(m=6)
-        basis = dense_svd_oracle(green_of(solver), fx, fy)
+        solver, fx, f = semilinear_setup(m=6)
+        basis = dense_svd_oracle(green_of(solver), fx)
         u_ref = newton_reference(solver, CubicTerm(), f)
         checked = check_linear_representation_bound(basis, solver, fx, f, CubicTerm(),
                                                     u_ref, [1, basis.rank - 1, basis.rank])
         assert [n for n, _, _ in checked] == [1, basis.rank - 1]
 
     def test_unconverged_reference_rejected(self):
-        solver, fx, fy, f = semilinear_setup()
-        basis = dense_svd_oracle(green_of(solver), fx, fy)
+        solver, fx, f = semilinear_setup()
+        basis = dense_svd_oracle(green_of(solver), fx)
         with pytest.raises(ValueError, match="reference accuracy"):
             check_linear_representation_bound(
                 basis, solver, fx, f, CubicTerm(), np.zeros(solver.n) + 1.0, [5]
             )
 
     def test_rank_exhaustion_raises(self):
-        solver, fx, fy, f = semilinear_setup()
-        basis = dense_svd_oracle(green_of(solver), fx, fy)
+        solver, fx, f = semilinear_setup()
+        basis = dense_svd_oracle(green_of(solver), fx)
         u_ref = newton_reference(solver, CubicTerm(), f)
         with pytest.raises(RankExhausted):
             check_linear_representation_bound(
@@ -267,14 +266,14 @@ class TestRepresentationBound:
 
 class TestNewtonReference:
     def test_satisfies_the_full_system(self):
-        solver, fx, fy, f = semilinear_setup(m=8, amplitude=100.0)
+        solver, fx, f = semilinear_setup(m=8, amplitude=100.0)
         term = CubicTerm()
         u = newton_reference(solver, term, f, tol=1e-13)
         resid = solver.operator @ u + term(u) - f
         assert np.linalg.norm(resid) <= 1e-13 * (1 + np.linalg.norm(f))
 
     def test_linear_problem_returns_the_direct_solve(self, zero_term):
-        solver, fx, fy, f = semilinear_setup()
+        solver, fx, f = semilinear_setup()
         u = newton_reference(solver, zero_term, f)
         np.testing.assert_allclose(u, solver.solve(f), atol=1e-12)
 

@@ -16,7 +16,7 @@ from optbasis.elliptic import EllipticMedium, assemble_elliptic
 from optbasis.exceptions import OptbasisError, SidecarMismatch
 from optbasis.grids import Grid2D
 from optbasis.linalg import factorize
-from optbasis.weights import build_sobolev_weight, identity_weight
+from optbasis.weights import build_sobolev_weight
 
 
 # A pair written when basis_meta still repeated the config: 15 entries, 12 of them copies.
@@ -32,7 +32,7 @@ def small_basis():
     grid = Grid2D(5)
     solver = factorize(assemble_elliptic(grid, EllipticMedium(1.0)))
     fx = build_sobolev_weight(1, grid)
-    return dense_svd_oracle(solver.solve(np.eye(solver.n)), fx, identity_weight(solver.n))
+    return dense_svd_oracle(solver.solve(np.eye(solver.n)), fx)
 
 
 def handmade_basis():

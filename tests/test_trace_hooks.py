@@ -3,33 +3,40 @@ and what its counters read off a hooked call still exists.
 
 A hook whose target was renamed is skipped at trace time with only a warning,
 and its per-layer metrics go missing; this check fails on the rename instead.
-The hooks are read, never installed.
+The hooks are read, never installed in this process; one traced benchmark
+child runs in a subprocess of its own, as the benchmark starts it.
 """
 
 import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "perfbench"
 
 
-def _read_hooks():
-    spec = importlib.util.spec_from_file_location("_perfbench_spans", SPANS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve annotations through it
     try:
         spec.loader.exec_module(module)
     finally:
         del sys.modules[spec.name]
-    return module.HOOKS
+    return module
 
 
-HOOKS = _read_hooks()
+spans = _load("spans")
+workloads = _load("workloads")
+HOOKS = spans.HOOKS
 
 
 def _subclasses(cls):
@@ -58,7 +65,9 @@ def test_hook_target_exists(hook):
 def test_compute_basis_takes_params_fourth():
     from optbasis.basis import compute_basis
 
-    assert list(inspect.signature(compute_basis).parameters)[3] == "params"
+    # the counter reads params as args[3] or kwargs["params"]; keyword only, it is the latter
+    param = inspect.signature(compute_basis).parameters["params"]
+    assert param.kind is inspect.Parameter.KEYWORD_ONLY
 
 
 def test_fixed_point_result_reports_iterations_and_convergence():
@@ -74,3 +83,25 @@ def test_a_factorized_solver_keeps_its_lu():
 
     lu = factorize(sp.identity(3, format="csc"))._lu
     assert all(hasattr(lu, name) for name in ("L", "U", "shape"))
+
+
+def test_a_traced_transport_basis_child_reports_every_metric(tmp_path):
+    # the toy transport-basis job through perfbench/child.py with its hooks installed,
+    # as the benchmark's traced run starts it: one BLAS thread, the package from src/
+    workload = workloads.get("transport-basis", toy=True)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(workload.config(1)))
+    job, result = tmp_path / "job.json", tmp_path / "result.json"
+    job.write_text(json.dumps({"argv": workload.argv(config, tmp_path / workload.output),
+                               "trace": True, "result": str(result)}))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, str(BENCH / "child.py"), str(job)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    record = json.loads(result.read_text())
+    assert record["rc"] == 0, record["error"]
+    values, absent = spans.layer_metrics(record["trace"])
+    assert absent == []
+    assert values["basis.rank_kept_frac"] == 1.0
+    json.dumps(values, allow_nan=False)
