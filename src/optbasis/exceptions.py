@@ -26,7 +26,8 @@ class OrderTooHigh(OptbasisError):
 
 
 class ProblemTooLarge(OptbasisError):
-    """Dense verification path refused: problem exceeds its size guard."""
+    """Refused before the work starts: a dense verification path exceeds its size guard,
+    or a block LU's entries exceed the process's address-space limit."""
 
 
 class SingularTheta(OptbasisError):

@@ -35,8 +35,9 @@ class ProblemSetup:
     transport with an even angle count, None where no such P is known.
     ``ordering`` is the elimination order of its LU: for transport the
     minimum-degree order of the spatial nodes, each expanded into its
-    angles (``linalg.block_ordering``); None, SuperLU's own minimum degree,
-    for the other families.
+    angles (``linalg.block_ordering``), whose node size makes the factor
+    one of dense node blocks; None, SuperLU's own minimum degree, for the
+    other families.
     """
 
     config: ExperimentConfig

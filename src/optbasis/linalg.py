@@ -7,18 +7,20 @@ detection the rest of the package relies on.
 from __future__ import annotations
 
 import os
+import resource
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .exceptions import (
     DimensionMismatch,
     InvalidArgument,
     NotReciprocal,
+    ProblemTooLarge,
     SingularOperator,
     SvdFailure,
 )
@@ -27,21 +29,20 @@ from .exceptions import (
 # is treated as singular.
 PIVOT_RTOL = 1e-14
 
-# Widest column chunk of a blocked sparse solve.  A block of k columns is
+# Widest column chunk of a blocked SuperLU solve.  A block of k columns is
 # solved as ceil(k / SOLVE_CHUNK) nearly equal chunks, on as many threads as
 # the process may use; the split depends on k alone, so the bytes of a solve
 # do not depend on the thread count.
 SOLVE_CHUNK = 32
 
-# SuperLU settings shared by every factorization.  Minimum degree on A^T + A
-# with a preference for diagonal pivots suits all the operators the package
-# builds: their nonzero patterns are symmetric or nearly so and their
-# diagonals dominate, so the diagonal is kept and the fill stays low.  The
-# threshold stays positive so that a small or zero diagonal entry is still
-# pivoted away.  A factor with a given ordering keeps the pivoting settings
-# and takes its columns in natural order.
-_PIVOTING = dict(diag_pivot_thresh=0.01, options={"SymmetricMode": True})
-_SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", **_PIVOTING)
+# SuperLU settings shared by every SuperLU factorization.  Minimum degree on
+# A^T + A with a preference for diagonal pivots suits all the operators the
+# package builds: their nonzero patterns are symmetric or nearly so and
+# their diagonals dominate, so the diagonal is kept and the fill stays low.
+# The threshold stays positive so that a small or zero diagonal entry is
+# still pivoted away.
+_SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
+                     options={"SymmetricMode": True})
 
 
 class FactorizedSolver:
@@ -50,44 +51,52 @@ class FactorizedSolver:
     Keeps a reference to the assembled matrix and exposes solves with both
     the operator and its transpose from the single factorization.
 
-    Every solve runs one kernel on each column chunk c of its right-hand
-    sides, c[take] = lu.solve(c[take], trans), with the gather index
-    ``take`` and SuperLU's ``trans`` flag fixed once, when the operator is
-    factored.  SuperLU solves with the transpose one right-hand side at a
-    time, but solves with the operator itself blockwise through its
-    supernodes, so a reciprocal operator, L^T = P L P for an involutive
-    permutation P, has its transposed solves done as P L^{-1} P b with
-    trans "N".  A block of right-hand sides is solved in column chunks of
-    at most SOLVE_CHUNK on a thread pool that lives only for the call;
-    SuperLU releases the interpreter lock while it solves.  Each chunk's
-    solution is written back into that chunk's own columns of the result,
-    so a solve holds the result block and a few chunks, never a second
-    block.
+    Every solve runs one kernel, c[take] = lu.solve(c[take], trans), with
+    the gather index ``take`` and the ``trans`` flag fixed once, when the
+    operator is factored.  A reciprocal operator, L^T = P L P for an
+    involutive permutation P, has its transposed solves done as
+    P L^{-1} P b with trans "N".
 
-    Without an ordering SuperLU orders the columns itself, by minimum degree
-    on A^T + A, and ``take`` is the whole chunk.  With an ordering o it
-    factors L[o][:, o] in that order, and ``take`` is o; a reciprocal
-    transposed solve takes the one composed index P[o], or o when P is
-    the identity.  Transport takes the block ordering of
+    Without an ordering, SuperLU factors the operator in its own order, by
+    minimum degree on A^T + A, and ``take`` is the whole chunk.  SuperLU
+    solves with the transpose one right-hand side at a time, and with the
+    operator itself by walking the whole factor once per column, so its
+    cost per column does not depend on the block's width.  A block of
+    right-hand sides is solved in column chunks of at most SOLVE_CHUNK on
+    a thread pool that lives only for the call; SuperLU releases the
+    interpreter lock while it solves.  Each chunk's solution is written
+    back into that chunk's own columns of the result, so a solve holds the
+    result block and a few chunks, never a second block.  The elliptic
+    operators take this path: each node holds a single unknown, so there
+    is nothing to gather into blocks.
+
+    With an ordering o, a NodeOrdering of node size k or a plain index
+    array (node size 1), L[o][:, o] is factored in dense k x k node blocks
+    by NodeBlockLU, and ``take`` is o; a reciprocal transposed solve takes
+    the one composed index P[o].  Its sweeps make one GEMM and one small
+    TRSM per node and direction, so its cost per column falls with the
+    block's width: the whole block is solved in one call on the calling
+    thread, through one gathered copy.  Transport takes the ordering of
     ``block_ordering``, minimum degree on its (m - 1)^2 spatial nodes with
-    each node's angles kept together: at 40 angles it stores 1.32M entries
-    against SuperLU's 1.48M at m = 12, 9.36M against 12.9M at m = 24 and
-    124.5M against 181.9M at m = 64.  The elliptic operators keep
-    SuperLU's own ordering: each node holds a single unknown, so there is
-    nothing to compress, and a recomputed ordering would cost a gather and
-    a scatter per solve for no gain.
+    each node's angles kept together: at m = 12 with 40 angles it has
+    1.31M nonzero entries against 1.48M for SuperLU's own ordering, and a
+    100-column solve takes about half of SuperLU's time on two threads.
+    Either way the split of a block depends on its width alone, so the
+    bytes of a solve do not depend on the thread count.
 
     Parameters
     ----------
     operator : sparse or dense square matrix
-        Kept as it is, a dense one as CSR; its CSC copy lives only to factor.
+        Kept as it is, a dense one as CSR; the copy each factor reads lives
+        only to factor.
     reversal : integer index array or None
         The permutation P, with P[P] the identity.  The identity for a
         symmetric operator; for transport, the map from each direction to its
         reverse.  Checked exactly once here; None keeps SuperLU's transposed
         solve.
     ordering : integer index array or None
-        Elimination order of the unknowns, a permutation of range(n).  None
+        Elimination order of the unknowns, a permutation of range(n), whose
+        ``node_size`` (1 for a plain array) sets the factor's blocks.  None
         lets SuperLU order them.
     """
 
@@ -108,8 +117,8 @@ class FactorizedSolver:
                     f"{defect} entries"
                 )
         self.ordering = None if ordering is None else _checked_ordering(ordering, n)
-        # the gather index and SuperLU trans flag of each solve; without an
-        # ordering a symmetric operator is indexed through views, not copies
+        # the gather index and trans flag of each solve; without an ordering a
+        # symmetric operator is indexed through views, not copies
         order = slice(None) if self.ordering is None else self.ordering
         self._plan = (order, "N")
         if self.reversal is None:
@@ -118,21 +127,20 @@ class FactorizedSolver:
             self._plan_t = (order, "N")
         else:
             self._plan_t = (self.reversal[order], "N")  # P L^{-1} P through one index
-        csc = sp.csc_matrix(operator)
-        try:
-            if self.ordering is None:
-                self._lu = spla.splu(csc, **_SPLU_OPTIONS)
-            else:
-                self._lu = spla.splu(csc[self.ordering][:, self.ordering],
-                                     permc_spec="NATURAL", **_PIVOTING)
-        except RuntimeError as exc:
-            raise SingularOperator(f"LU factorization failed: {exc}") from exc
+        if self.ordering is None:
+            try:
+                self._lu = spla.splu(sp.csc_matrix(operator), **_SPLU_OPTIONS)
+            except RuntimeError as exc:
+                raise SingularOperator(f"LU factorization failed: {exc}") from exc
+        else:
+            self._lu = NodeBlockLU(sp.csr_matrix(operator)[self.ordering][:, self.ordering],
+                                   self.ordering.node_size)
         # Hager-Higham estimate of ||L^-1||_1 from a few solves; reading the
         # pivots off self._lu.U would copy the whole factor
         inverse = spla.LinearOperator(
             (n, n), matvec=self._lu.solve, rmatvec=lambda x: self._lu.solve(x, trans="T"),
             dtype=float)
-        condition = spla.norm(csc, 1) * spla.onenormest(inverse, t=1)
+        condition = spla.norm(operator, 1) * spla.onenormest(inverse, t=1)
         if not np.isfinite(condition) or condition >= 1.0 / PIVOT_RTOL:
             raise SingularOperator(
                 f"operator numerically singular (estimated 1-norm condition number "
@@ -141,7 +149,7 @@ class FactorizedSolver:
 
     @property
     def nnz(self):
-        """Fill of the factorization: the entries SuperLU stores for L and U."""
+        """Fill of the factorization: the entries of L and U that its factor counts."""
         return self._lu.nnz
 
     def solve(self, b, overwrite_b=False):
@@ -162,12 +170,259 @@ class FactorizedSolver:
     def _solve(self, plan, b, overwrite_b):
         take, trans = plan
         x = work_array(b, overwrite_b, self.n)
+        if self.ordering is not None:  # the node-block factor sweeps the whole block at once
+            x[take] = self._lu.solve(x[take], trans, overwrite_b=True)
+            return x
 
         def solve_into(c):
             c[take] = self._lu.solve(c[take], trans=trans)
 
         _chunked(solve_into, x)
         return x
+
+
+class NodeOrdering(np.ndarray):
+    """An elimination order whose unknowns come in whole nodes of ``node_size``.
+
+    A 1-d index array, usable wherever an index is, that also tells the
+    factor the size of its dense blocks: unknowns o[k i] .. o[k i + k - 1]
+    form node i.  Views and copies keep the node size.
+    """
+
+    def __array_finalize__(self, obj):
+        self.node_size = getattr(obj, "node_size", 1)
+
+
+class NodeBlockLU:
+    """LU in dense node blocks, P^T A = L U, of a square sparse matrix in its own order.
+
+    Unknowns k i .. k i + k - 1 form node i.  Rows pivot only inside their
+    node, so P is block diagonal.  The node-level fill is found first:
+    eliminating node i joins its higher-numbered neighbours into a clique,
+    which the lowest of them inherits.  Node rows are then factored one at
+    a time: row i's entries are scattered into one dense buffer W over its
+    node pattern; each earlier node j of the pattern, in ascending order,
+    gives C_ij = W_j U_jj^-1 and the update W -= C_ij U_j; getrf factors the
+    diagonal block, W_i = P_i L_ii U_ii, and U's row is L_ii^-1 P_i^T W over
+    the later nodes.  So L_ij = P_i^T C_ij.
+
+    Diagonal blocks stay dense in getrf form.  Off-diagonal blocks keep
+    only what is not zero: an advection block couples each angle only to
+    itself, and mixing the rows of a block keeps its zero columns while
+    mixing its columns keeps its zero rows.  So each node's row of U keeps
+    its nonzero columns and each node's column of the C blocks its nonzero
+    rows, each with its indices, and a solve spends one GEMM per node and
+    direction on them.
+
+    ``solve(b, trans)`` sweeps a whole block of right-hand sides at once, so
+    its cost per column falls with the block's width, unlike SuperLU's,
+    which walks the whole factor once per column.  It speaks SuperLU's
+    object protocol: ``solve``, ``shape``, ``nnz`` and the factors ``L`` and
+    ``U`` as CSC matrices, built on each access.
+    """
+
+    def __init__(self, a, k):
+        a = sp.csr_matrix(a, dtype=float)
+        if not a.has_canonical_format:  # the scatter below needs one entry per position
+            a = a.copy()
+            a.sum_duplicates()
+        n = a.shape[0]
+        nodes = n // k
+        self.shape = (n, n)
+        self.k = k
+        upper = _node_fill(_node_graph(a, k))
+        lower = [[] for _ in range(nodes)]
+        for i, later in enumerate(upper):
+            for j in later:
+                lower[j].append(i)
+        # the entries of its blocks, were they dense: an upper bound before any numeric work
+        entries = k * k * (nodes + 2 * sum(u.size for u in upper))
+        limit = address_space_limit()
+        if limit is not None and 8 * entries > limit:
+            raise ProblemTooLarge(
+                f"the block LU needs {entries:,} float64 entries ({8 * entries:,} bytes), "
+                f"more than the address-space limit of {limit:,} bytes")
+
+        offsets = np.arange(k)
+        self.diag = np.empty((nodes, k, k))  # diag[i].T is getrf's F-ordered L_ii \ U_ii
+        self.perm = np.empty((nodes, k), dtype=np.intp)  # (P_i^T x)[j] = x[perm[i, j]]
+        self.u_index, self.u_rows = [None] * nodes, [None] * nodes
+        self.c_index, self.c_cols = [None] * nodes, [None] * nodes
+        c_index, c_cols = [[] for _ in range(nodes)], [[] for _ in range(nodes)]
+        slot = np.zeros(nodes, dtype=np.intp)
+        for i in range(nodes):
+            earlier = np.asarray(lower[i], dtype=np.intp)
+            pattern = np.concatenate((earlier, [i], upper[i]))
+            slot[pattern] = np.arange(pattern.size)
+            # W^T, so that the columns an update scatters into are contiguous rows
+            wt = np.zeros((k * pattern.size, k))
+            start, stop = a.indptr[i * k], a.indptr[i * k + k]
+            cols = a.indices[start:stop]
+            wt[slot[cols // k] * k + cols % k,
+               np.repeat(offsets, np.diff(a.indptr[i * k:i * k + k + 1]))] = a.data[start:stop]
+            for s, j in enumerate(earlier):
+                cij = blas.dtrsm(1.0, self.diag[j].T, wt[s * k:s * k + k].T, side=1)
+                if self.u_index[j].size:
+                    u = self.u_index[j]
+                    wt[slot[u // k] * k + u % k] -= self.u_rows[j].T @ cij.T
+                keep = np.flatnonzero(cij.any(axis=1))
+                c_index[j].append(i * k + keep)
+                c_cols[j].append(cij[keep])
+                if i == upper[j][-1]:  # node j's column is complete
+                    self.c_index[j] = np.concatenate(c_index[j])
+                    self.c_cols[j] = np.vstack(c_cols[j])
+                    c_index[j] = c_cols[j] = None
+            d = earlier.size * k
+            lu, piv, info = lapack.dgetrf(wt[d:d + k].T)
+            if info > 0:
+                raise SingularOperator(f"operator exactly singular: node {i} of the "
+                                       f"block LU has a zero pivot")
+            self.diag[i] = lu.T
+            self.perm[i] = _swaps_to_permutation(piv)
+            # U_i = L_ii^-1 P_i^T W over the later nodes, solved in the F-ordered (P_i^T W)
+            ui = blas.dtrsm(1.0, lu, wt[d + k:][:, self.perm[i]].T, lower=1, diag=1,
+                            overwrite_b=1)
+            keep = np.flatnonzero(ui.any(axis=0))
+            self.u_index[i] = (upper[i][:, None] * k + offsets).ravel()[keep]
+            self.u_rows[i] = ui[:, keep]
+            if not upper[i].size:
+                self.c_index[i], self.c_cols[i] = keep[:0], np.empty((0, k))
+        self.pivoted = [not np.array_equal(p, offsets) for p in self.perm]
+
+    @property
+    def nnz(self):
+        """Nonzero entries of L and U, the unit diagonal once, as SuperLU counts its fill.
+
+        The arrays hold more: a kept row or column keeps its zeros too.
+        """
+        return sum(np.count_nonzero(a) for a in (self.diag, *self.c_cols, *self.u_rows))
+
+    def solve(self, b, trans="N", overwrite_b=False):
+        """x with A x = b ("N") or A^T x = b ("T"), for a vector or the columns of a block.
+
+        With ``overwrite_b`` and a C-ordered float64 ``b``, x is written into b.
+        """
+        x = np.asarray(b, dtype=float)
+        if not (overwrite_b and x.flags.c_contiguous and x.flags.writeable):
+            x = np.array(x, order="C")
+        y = x if x.ndim == 2 else x[:, None]
+        if trans == "N":
+            self._sweep_n(y)
+        else:
+            self._sweep_t(y)
+        return x
+
+    def _sweep_n(self, y):
+        k = self.k
+        for i in range(len(self.diag)):  # z = L^-1 P^T b
+            yi = y[i * k:i * k + k]
+            if self.pivoted[i]:
+                yi[:] = yi[self.perm[i]]
+            blas.dtrsm(1.0, self.diag[i].T, yi.T, side=1, lower=1, trans_a=1, diag=1,
+                       overwrite_b=1)
+            if self.c_index[i].size:
+                y[self.c_index[i]] -= self.c_cols[i] @ yi
+        for i in range(len(self.diag) - 1, -1, -1):  # x = U^-1 z
+            yi = y[i * k:i * k + k]
+            if self.u_index[i].size:
+                yi -= self.u_rows[i] @ y[self.u_index[i]]
+            blas.dtrsm(1.0, self.diag[i].T, yi.T, side=1, trans_a=1, overwrite_b=1)
+
+    def _sweep_t(self, y):
+        k = self.k
+        for i in range(len(self.diag)):  # w = U^-T b
+            yi = y[i * k:i * k + k]
+            blas.dtrsm(1.0, self.diag[i].T, yi.T, side=1, overwrite_b=1)
+            if self.u_index[i].size:
+                y[self.u_index[i]] -= self.u_rows[i].T @ yi
+        for i in range(len(self.diag) - 1, -1, -1):  # x = P L^-T w
+            yi = y[i * k:i * k + k]
+            if self.c_index[i].size:
+                yi -= self.c_cols[i].T @ y[self.c_index[i]]
+            blas.dtrsm(1.0, self.diag[i].T, yi.T, side=1, lower=1, diag=1, overwrite_b=1)
+            if self.pivoted[i]:
+                yi[self.perm[i]] = yi.copy()
+
+    @property
+    def L(self):
+        """Unit lower factor of P^T A = L U as a CSC matrix, built on each access."""
+        k = self.k
+        tril = np.tril_indices(k, -1)
+        inverse = np.argsort(self.perm, axis=1)  # row r of node i is row inverse[i, r] of L
+        n = self.shape[0]
+        rows, cols, vals = [np.arange(n)], [np.arange(n)], [np.ones(n)]
+        for j, index in enumerate(self.c_index):
+            base = j * k
+            node = index // k
+            rows += [base + tril[0], np.repeat(node * k + inverse[node, index % k], k)]
+            cols += [base + tril[1], np.tile(base + np.arange(k), index.size)]
+            vals += [self.diag[j].T[tril], self.c_cols[j].ravel()]
+        return _csc(rows, cols, vals, self.shape)
+
+    @property
+    def U(self):
+        """Upper factor of P^T A = L U as a CSC matrix, built on each access."""
+        k = self.k
+        triu = np.triu_indices(k)
+        rows, cols, vals = [], [], []
+        for i, index in enumerate(self.u_index):
+            base = i * k
+            rows += [base + triu[0], np.repeat(base + np.arange(k), index.size)]
+            cols += [base + triu[1], np.tile(index, k)]
+            vals += [self.diag[i].T[triu], self.u_rows[i].ravel()]
+        return _csc(rows, cols, vals, self.shape)
+
+
+def _csc(rows, cols, vals, shape):
+    m = sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=shape)
+    m.eliminate_zeros()
+    return m
+
+
+def _swaps_to_permutation(piv):
+    """The row order of getrf's swaps: swapping rows j and piv[j] in turn takes row p[j] to j."""
+    p = np.arange(piv.size)
+    for j in np.flatnonzero(piv != p):
+        p[j], p[piv[j]] = p[piv[j]], p[j]
+    return p
+
+
+def _node_graph(a, k):
+    """Pattern of a CSR matrix compressed to its nodes of k consecutive unknowns."""
+    n = a.shape[0]
+    # node rows are k consecutive CSR rows: every k-th row pointer bounds
+    # one; the pointers are copied because sum_duplicates rewrites them
+    graph = sp.csr_matrix((np.ones(a.nnz), a.indices // k, a.indptr[::k].copy()),
+                          shape=(n // k, n // k))
+    graph.sum_duplicates()
+    return graph
+
+
+def _node_fill(graph):
+    """The later nodes in each node row of the block LU of a node graph, in node order.
+
+    Eliminating node i joins its later neighbours into a clique, so its
+    parent, the lowest of them, inherits the others; the pattern is that of
+    graph + graph^T, so L's block pattern is U's transposed.
+    """
+    g = sp.csr_matrix(graph + graph.T)
+    upper = []
+    for i in range(g.shape[0]):
+        row = g.indices[g.indptr[i]:g.indptr[i + 1]]
+        upper.append(set(row[row > i].tolist()))
+    for i, later in enumerate(upper):
+        if later:
+            parent = min(later)
+            upper[parent].update(later)
+            upper[parent].discard(parent)
+    return [np.array(sorted(later), dtype=np.intp) for later in upper]
+
+
+def address_space_limit():
+    """The process's address-space limit in bytes (``ulimit -v``), or None when it has none."""
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    return None if soft == resource.RLIM_INFINITY else soft
 
 
 def solve_threads():
@@ -236,10 +491,14 @@ def _checked_reversal(reversal, n):
 
 
 def _checked_ordering(ordering, n):
-    o = np.asarray(ordering)
+    o = np.asanyarray(ordering)
     if (o.shape != (n,) or not np.issubdtype(o.dtype, np.integer)
             or not np.array_equal(np.sort(o), np.arange(n))):
         raise InvalidArgument(f"ordering must be a permutation of {n} indices")
+    if not isinstance(o, NodeOrdering):
+        o = o.view(NodeOrdering)
+    if n % o.node_size:
+        raise InvalidArgument(f"{n} unknowns do not split into nodes of {o.node_size}")
     return o
 
 
@@ -252,22 +511,21 @@ def block_ordering(operator, k):
     by minimum degree on A^T + A (its ``perm_c``, read off the factor of a
     diagonally dominant matrix with the graph's pattern, so the step never
     meets a singular matrix), and each node then expands into its k
-    angles, in order.  Returns the elimination order for
-    ``FactorizedSolver(..., ordering=...)``.
+    angles, in order.  Returns the elimination order as a NodeOrdering of
+    node size k, which ``FactorizedSolver(..., ordering=...)`` factors in
+    dense k x k node blocks.
     """
     a = sp.csr_matrix(operator)
     n = a.shape[0]
     if k < 1 or n % k:
         raise InvalidArgument(f"{n} unknowns do not split into nodes of {k}")
-    # node rows are k consecutive CSR rows: every k-th row pointer bounds
-    # one; the pointers are copied because sum_duplicates rewrites them
-    graph = sp.csr_matrix((np.ones(a.nnz), a.indices // k, a.indptr[::k].copy()),
-                          shape=(n // k, n // k))
-    graph.sum_duplicates()
+    graph = _node_graph(a, k)
     graph.data[:] = -1.0
     dominant = sp.csc_matrix(graph + sp.diags(graph.getnnz(axis=1) + 1.0))
     nodes = np.argsort(spla.splu(dominant, **_SPLU_OPTIONS).perm_c)  # perm_c maps old to new
-    return (k * nodes[:, None] + np.arange(k)).ravel()
+    order = (k * nodes[:, None] + np.arange(k)).ravel().view(NodeOrdering)
+    order.node_size = k
+    return order
 
 
 def reciprocity_defect(operator, reversal):

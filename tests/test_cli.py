@@ -126,6 +126,20 @@ class TestAssembleCheck:
         assert not (tmp_path / "curve.csv").exists()
 
 
+class TestFillGuard:
+    def test_a_block_factor_beyond_the_address_space_exits_two(self, tmp_path, capsys,
+                                                               monkeypatch):
+        monkeypatch.setattr(linalg, "address_space_limit", lambda: 1024)
+        cfg = write_config(tmp_path, family="rte", m=6, grid={"n_angles": 8})
+        out = tmp_path / "b.obf"
+        assert main(["basis", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: the block LU needs ")
+        assert err[0].endswith("more than the address-space limit of 1,024 bytes")
+        assert not out.exists()
+
+
 class TestOverrideValidation:
     # m = 6 gives 25 unknowns
     @pytest.mark.parametrize("flags, message", [
@@ -378,8 +392,9 @@ class TestSolveThreads:
         one, two = tmp_path / "t1.obf", tmp_path / "t2.obf"
         assert one.read_bytes() == two.read_bytes()
         assert obf.sidecar_path(one).read_bytes() == obf.sidecar_path(two).read_bytes()
-        assert lines == {1: "sparse solves: 1 thread, chunks of at most 32 columns",
-                         2: "sparse solves: 2 threads, chunks of at most 32 columns"}
+        assert lines == {
+            1: "sparse solves: 1 thread, node blocks of 8 unknowns, all columns in one sweep",
+            2: "sparse solves: 1 thread, node blocks of 8 unknowns, all columns in one sweep"}
 
     def test_elliptic_solve_csv_bytes_do_not_depend_on_the_thread_count(self, tmp_path,
                                                                         monkeypatch):

@@ -16,6 +16,7 @@ from optbasis.exceptions import (
     DimensionMismatch,
     InvalidArgument,
     NotReciprocal,
+    ProblemTooLarge,
     SingularOperator,
     SvdFailure,
 )
@@ -23,6 +24,7 @@ from optbasis.grids import Grid2D, PhaseGrid
 from optbasis.linalg import (
     SOLVE_CHUNK,
     FactorizedSolver,
+    NodeBlockLU,
     block_ordering,
     factorize,
     lu_basis,
@@ -30,7 +32,8 @@ from optbasis.linalg import (
     reciprocity_defect,
     svd_dense,
 )
-from optbasis.transport import RteCoefficients, assemble_rte
+from optbasis.nonlinear import TwoPhotonTerm
+from optbasis.transport import RteCoefficients, assemble_rte, eval_source_rte
 
 
 def dirichlet_laplacian_1d(m, h):
@@ -225,6 +228,143 @@ class TestOrdering:
         b = rng.standard_normal(n)
         assert relative_gap(solver.solve(b), np.linalg.solve(a, b)) <= 1e-12
         assert relative_gap(solver.solve_transpose(b), np.linalg.solve(a.T, b)) <= 1e-12
+
+
+def rte_operator(n_angles, eps1=0.25, g=0.5):
+    pg = PhaseGrid(Grid2D(8), n_angles)
+    return pg, assemble_rte(pg, RteCoefficients(eps1, 1.0, g))
+
+
+def two_photon_jacobian(n_angles):
+    # the semilinear_rte Jacobian at the linear solution of a beam of amplitude 1000
+    pg, op = rte_operator(n_angles, eps1=1.0)
+    u = spla.spsolve(sp.csc_matrix(op), eval_source_rte(pg, 1000.0))
+    return (op + TwoPhotonTerm(pg, 1.0).jacobian(u)).tocsr()
+
+
+def node_rows_rolled(op, n_angles):
+    """The operator with each node's rows rolled by half a node: every diagonal
+    block then puts its largest entries off its diagonal, so getrf pivots."""
+    rows = np.arange(op.shape[0]).reshape(-1, n_angles)
+    return sp.csr_matrix(op)[np.roll(rows, n_angles // 2, axis=1).ravel()]
+
+
+def block_cases():
+    cases = [pytest.param(n_angles, eps1, g, id=f"rte-{n_angles}-eps1={eps1}-g={g}")
+             for n_angles in (8, 7) for eps1 in (1.0, 0.25, 0.0625) for g in (0.0, 0.5)]
+    return cases + [pytest.param(n_angles, None, None, id=f"jacobian-{n_angles}")
+                    for n_angles in (8, 7)]
+
+
+class TestNodeBlockLU:
+    @pytest.mark.parametrize("n_angles, eps1, g", block_cases())
+    @pytest.mark.parametrize("cols", [1, 33])
+    def test_solves_match_spsolve(self, n_angles, eps1, g, cols):
+        if eps1 is None:  # Newton factors its Jacobians with no reversal
+            op = two_photon_jacobian(n_angles)
+            reversal = None
+        else:
+            pg, op = rte_operator(n_angles, eps1, g)
+            reversal = pg.reversal()
+        solver = factorize(op, reversal, block_ordering(op, n_angles))
+        assert isinstance(solver._lu, NodeBlockLU)
+        b = np.random.Generator(np.random.Philox(71)).standard_normal((op.shape[0], cols))
+        x, xt = solve_both(solver, b)
+        assert relative_gap(x, spla.spsolve(sp.csc_matrix(op), b).reshape(b.shape)) <= 1e-12
+        assert relative_gap(xt, spla.spsolve(sp.csc_matrix(op.T), b).reshape(b.shape)) <= 1e-12
+
+    @pytest.mark.parametrize("n_angles", [8, 7])
+    def test_row_swaps_inside_a_node_are_applied(self, n_angles):
+        _, op = rte_operator(n_angles)
+        rolled = node_rows_rolled(op, n_angles)
+        solver = factorize(rolled, ordering=block_ordering(rolled, n_angles))
+        assert all(solver._lu.pivoted)
+        b = np.random.Generator(np.random.Philox(73)).standard_normal((op.shape[0], 5))
+        x, xt = solve_both(solver, b)
+        assert relative_gap(x, spla.spsolve(sp.csc_matrix(rolled), b)) <= 1e-12
+        assert relative_gap(xt, spla.spsolve(sp.csc_matrix(rolled.T), b)) <= 1e-12
+
+    @pytest.mark.parametrize("pivoting", [False, True])
+    def test_factors_reproduce_the_permuted_operator(self, pivoting):
+        _, op = rte_operator(7)
+        if pivoting:
+            op = node_rows_rolled(op, 7)
+        o = block_ordering(op, 7)
+        lu = factorize(op, ordering=o)._lu
+        rows = (7 * np.arange(op.shape[0] // 7)[:, None] + lu.perm).ravel()
+        ordered = sp.csr_matrix(op)[o][:, o][rows]
+        lower, upper = lu.L, lu.U
+        assert lower.format == upper.format == "csc"
+        assert abs(lower @ upper - ordered).max() <= 1e-12 * abs(ordered).max()
+        np.testing.assert_array_equal(lower.diagonal(), 1.0)
+        assert sp.triu(lower, 1).nnz == sp.tril(upper, -1).nnz == 0
+        assert lower.nnz + upper.nnz - op.shape[0] == lu.nnz
+        assert lu.shape == op.shape
+
+    def test_a_plain_ordering_factors_in_nodes_of_one(self):
+        _, op = rte_operator(7)
+        o = np.asarray(block_ordering(op, 7))
+        solver = factorize(op, ordering=o)
+        assert solver.ordering.node_size == solver._lu.k == 1
+        b = np.random.Generator(np.random.Philox(79)).standard_normal(op.shape[0])
+        assert relative_gap(solver.solve(b), spla.spsolve(sp.csc_matrix(op), b)) <= 1e-12
+
+    def test_a_node_size_that_does_not_divide_the_unknowns_is_rejected(self):
+        o = np.arange(6).view(linalg.NodeOrdering)
+        o.node_size = 4
+        with pytest.raises(InvalidArgument, match="nodes of 4"):
+            factorize(sp.identity(6, format="csr"), ordering=o)
+
+    def test_a_whole_block_is_one_sweep_on_the_calling_thread(self, monkeypatch):
+        pg, op = rte_operator(8)
+        solver = factorize(op, pg.reversal(), block_ordering(op, 8))
+        seen = []
+        solve = NodeBlockLU.solve
+
+        def recording(self, b, trans="N", overwrite_b=False):
+            seen.append((b.shape[1], trans, threading.get_ident()))
+            return solve(self, b, trans, overwrite_b)
+
+        monkeypatch.setattr(NodeBlockLU, "solve", recording)
+        monkeypatch.setattr(linalg, "solve_threads", lambda: 2)
+        solve_both(solver, np.ones((solver.n, 100)))
+        assert seen == [(100, "N", threading.get_ident())] * 2
+
+
+def dense_block_entries(op, ordering, k):
+    """The entries the block factor counts before its numeric work: its blocks, were
+    they dense."""
+    upper = linalg._node_fill(linalg._node_graph(sp.csr_matrix(op)[ordering][:, ordering], k))
+    return k * k * (op.shape[0] // k + 2 * sum(u.size for u in upper))
+
+
+class TestFillGuard:
+    def test_a_factor_larger_than_the_address_space_is_refused_before_it_is_built(
+            self, monkeypatch):
+        pg, op = rte_operator(8)
+        o = block_ordering(op, 8)
+        entries = dense_block_entries(op, o, 8)
+        monkeypatch.setattr(linalg, "address_space_limit", lambda: 8 * entries - 1)
+        monkeypatch.setattr(linalg.lapack, "dgetrf", None)  # no numeric work may start
+        with pytest.raises(ProblemTooLarge, match=f"{entries:,} float64 entries.*"
+                                                  f"limit of {8 * entries - 1:,} bytes"):
+            factorize(op, pg.reversal(), o)
+
+    @pytest.mark.parametrize("limit", [None, "exact"])
+    def test_a_factor_within_the_limit_is_built(self, monkeypatch, limit):
+        pg, op = rte_operator(8)
+        o = block_ordering(op, 8)
+        entries = dense_block_entries(op, o, 8)
+        monkeypatch.setattr(linalg, "address_space_limit",
+                            lambda: None if limit is None else 8 * entries)
+        assert factorize(op, pg.reversal(), o).nnz <= entries
+
+    def test_the_limit_is_read_from_the_process(self, monkeypatch):
+        monkeypatch.setattr(linalg.resource, "getrlimit",
+                            lambda which: (linalg.resource.RLIM_INFINITY,) * 2)
+        assert linalg.address_space_limit() is None
+        monkeypatch.setattr(linalg.resource, "getrlimit", lambda which: (1 << 30, 1 << 31))
+        assert linalg.address_space_limit() == 1 << 30
 
 
 def reciprocal_case(name, ordered=False):

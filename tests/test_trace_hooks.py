@@ -85,10 +85,11 @@ def test_a_factorized_solver_keeps_its_lu():
     assert all(hasattr(lu, name) for name in ("L", "U", "shape"))
 
 
-def test_a_traced_transport_basis_child_reports_every_metric(tmp_path):
-    # the toy transport-basis job through perfbench/child.py with its hooks installed,
-    # as the benchmark's traced run starts it: one BLAS thread, the package from src/
-    workload = workloads.get("transport-basis", toy=True)
+def _traced_toy_child(name, tmp_path):
+    """Per-layer metrics of the toy ``name`` job through perfbench/child.py with its hooks
+    installed, as the benchmark's traced run starts it: one BLAS thread, the package from
+    src/.  Asserts that no metric is absent and that the values are strict JSON."""
+    workload = workloads.get(name, toy=True)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(workload.config(1)))
     job, result = tmp_path / "job.json", tmp_path / "result.json"
@@ -103,5 +104,21 @@ def test_a_traced_transport_basis_child_reports_every_metric(tmp_path):
     assert record["rc"] == 0, record["error"]
     values, absent = spans.layer_metrics(record["trace"])
     assert absent == []
-    assert values["basis.rank_kept_frac"] == 1.0
     json.dumps(values, allow_nan=False)
+    return workload, values
+
+
+def test_a_traced_transport_basis_child_reports_every_metric(tmp_path):
+    from optbasis.config import config_from_dict
+    from optbasis.experiments import build_problem
+
+    workload, values = _traced_toy_child("transport-basis", tmp_path)
+    assert values["basis.rank_kept_frac"] == 1.0
+    # the traced fill is read off the factors L and U the block factor builds on demand
+    solver = build_problem(config_from_dict(workload.config(1))).factorize()
+    assert values["linalg.lu_nnz"] == solver.nnz
+
+
+def test_a_traced_elliptic_solve_child_reports_every_metric(tmp_path):
+    _, values = _traced_toy_child("elliptic-solve", tmp_path)
+    assert values["nonlinear.fixed_point_iters"] > 0
