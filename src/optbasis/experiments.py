@@ -30,9 +30,6 @@ from .weights import build_rte_weight, build_sobolev_weight, energy_norm, identi
 class ProblemSetup:
     """Assembled operator, weights and source for one experiment.
 
-    ``reversal`` is the permutation P with operator^T = P operator P exactly:
-    the identity for the symmetric families, the direction reversal for
-    transport with an even angle count, None where no such P is known.
     ``ordering`` is the elimination order of its LU: for transport the
     minimum-degree order of the spatial nodes, each expanded into its
     angles (``linalg.block_ordering``), whose node size makes the factor
@@ -47,7 +44,6 @@ class ProblemSetup:
     grid: Grid2D
     phase_grid: PhaseGrid | None
     term: object | None
-    reversal: np.ndarray | None
     ordering: np.ndarray | None
 
     @property
@@ -60,8 +56,8 @@ class ProblemSetup:
         return identity_weight(self.n_dofs)
 
     def factorize(self):
-        """Sparse LU of the operator in its ordering, with its transposed solves' reversal."""
-        return factorize(self.operator, self.reversal, self.ordering)
+        """Sparse LU of the operator in its ordering."""
+        return factorize(self.operator, self.ordering)
 
 
 # a discretization that overflows is reported once, as the ConfigInvalid below
@@ -111,13 +107,8 @@ def build_problem(config: ExperimentConfig) -> ProblemSetup:
             ("source", finite(source), [length])):
         if defect:
             raise ConfigInvalid(f"the discretized {part} is {defect} at {', '.join(settings)}")
-    if phase_grid is None:  # the elliptic and identity operators are symmetric
-        reversal = np.arange(operator.shape[0])
-        ordering = None
-    else:
-        reversal = phase_grid.reversal()
-        ordering = block_ordering(operator, phase_grid.n_angles)
-    return ProblemSetup(config, operator, fx, source, grid, phase_grid, term, reversal, ordering)
+    ordering = None if phase_grid is None else block_ordering(operator, phase_grid.n_angles)
+    return ProblemSetup(config, operator, fx, source, grid, phase_grid, term, ordering)
 
 
 def compute_problem_basis(setup: ProblemSetup, solver=None) -> SVDBasis:

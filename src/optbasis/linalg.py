@@ -1,7 +1,9 @@
 """Sparse factorization and dense decomposition helpers.
 
-Thin wrappers around scipy that add the shape checks and singularity
-detection the rest of the package relies on.
+The sparse LU of an operator, by SuperLU or by the package's own LU in
+dense node blocks (NodeBlockLU), behind one ``solve`` / ``solve_transpose``
+pair; the span bases, thin QR and dense SVD of the sketch, with the shape
+checks and singularity detection the rest of the package relies on.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from scipy.linalg import blas, lapack
 from .exceptions import (
     DimensionMismatch,
     InvalidArgument,
-    NotReciprocal,
     ProblemTooLarge,
     SingularOperator,
     SvdFailure,
@@ -51,19 +52,19 @@ class FactorizedSolver:
     Keeps a reference to the assembled matrix and exposes solves with both
     the operator and its transpose from the single factorization.
 
-    Every solve runs one kernel, c[take] = lu.solve(c[take], trans), with
-    the gather index ``take`` and the ``trans`` flag fixed once, when the
-    operator is factored.  A reciprocal operator, L^T = P L P for an
-    involutive permutation P, has its transposed solves done as
-    P L^{-1} P b with trans "N".
+    Every solve runs the factor's own solve with one flag, fixed when the
+    operator is factored: "N" for ``solve``; for ``solve_transpose`` "T",
+    or "N" when SuperLU factors an operator that equals its transpose
+    exactly.
 
     Without an ordering, SuperLU factors the operator in its own order, by
-    minimum degree on A^T + A, and ``take`` is the whole chunk.  SuperLU
-    solves with the transpose one right-hand side at a time, and with the
-    operator itself by walking the whole factor once per column, so its
-    cost per column does not depend on the block's width.  A block of
-    right-hand sides is solved in column chunks of at most SOLVE_CHUNK on
-    a thread pool that lives only for the call; SuperLU releases the
+    minimum degree on A^T + A.  SuperLU solves with the transpose one
+    right-hand side at a time, so an exactly symmetric operator, elliptic
+    or identity, has its transposed solves done as solves with the
+    operator itself.  Those walk the whole factor once per column, so
+    their cost per column does not depend on the block's width.  A block
+    of right-hand sides is solved in column chunks of at most SOLVE_CHUNK
+    on a thread pool that lives only for the call; SuperLU releases the
     interpreter lock while it solves.  Each chunk's solution is written
     back into that chunk's own columns of the result, so a solve holds the
     result block and a few chunks, never a second block.  The elliptic
@@ -72,11 +73,10 @@ class FactorizedSolver:
 
     With an ordering o, a NodeOrdering of node size k or a plain index
     array (node size 1), L[o][:, o] is factored in dense k x k node blocks
-    by NodeBlockLU, and ``take`` is o; a reciprocal transposed solve takes
-    the one composed index P[o].  Its sweeps make one GEMM and one small
-    TRSM per node and direction, so its cost per column falls with the
-    block's width: the whole block is solved in one call on the calling
-    thread, through one gathered copy.  Transport takes the ordering of
+    by NodeBlockLU.  Its "N" and "T" sweeps each make one GEMM and one
+    small TRSM per node, so their cost per column falls with the block's
+    width: the whole block is solved in one call on the calling thread,
+    through one copy gathered by o.  Transport takes the ordering of
     ``block_ordering``, minimum degree on its (m - 1)^2 spatial nodes with
     each node's angles kept together: at m = 12 with 40 angles it has
     1.31M nonzero entries against 1.48M for SuperLU's own ordering, and a
@@ -89,45 +89,24 @@ class FactorizedSolver:
     operator : sparse or dense square matrix
         Kept as it is, a dense one as CSR; the copy each factor reads lives
         only to factor.
-    reversal : integer index array or None
-        The permutation P, with P[P] the identity.  The identity for a
-        symmetric operator; for transport, the map from each direction to its
-        reverse.  Checked exactly once here; None keeps SuperLU's transposed
-        solve.
     ordering : integer index array or None
         Elimination order of the unknowns, a permutation of range(n), whose
         ``node_size`` (1 for a plain array) sets the factor's blocks.  None
         lets SuperLU order them.
     """
 
-    def __init__(self, operator, reversal=None, ordering=None):
+    def __init__(self, operator, ordering=None):
         operator = operator if sp.issparse(operator) else sp.csr_matrix(operator)
         m, n = operator.shape
         if m != n:
             raise DimensionMismatch(f"operator must be square, got {m}x{n}")
         self.operator = operator
         self.n = n
-        self.reversal = None
-        if reversal is not None:
-            self.reversal = _checked_reversal(reversal, n)
-            defect = reciprocity_defect(operator, self.reversal)
-            if defect:
-                raise NotReciprocal(
-                    f"operator transpose differs from the reversed operator in "
-                    f"{defect} entries"
-                )
         self.ordering = None if ordering is None else _checked_ordering(ordering, n)
-        # the gather index and trans flag of each solve; without an ordering a
-        # symmetric operator is indexed through views, not copies
-        order = slice(None) if self.ordering is None else self.ordering
-        self._plan = (order, "N")
-        if self.reversal is None:
-            self._plan_t = (order, "T")
-        elif np.array_equal(self.reversal, np.arange(n)):
-            self._plan_t = (order, "N")
-        else:
-            self._plan_t = (self.reversal[order], "N")  # P L^{-1} P through one index
+        self._trans_t = "T"
         if self.ordering is None:
+            if (operator != operator.T).nnz == 0:  # SuperLU's "T" goes column by column
+                self._trans_t = "N"
             try:
                 self._lu = spla.splu(sp.csc_matrix(operator), **_SPLU_OPTIONS)
             except RuntimeError as exc:
@@ -158,24 +137,24 @@ class FactorizedSolver:
         With ``overwrite_b`` and an F-ordered float64 ``b``, x is written
         into b and b is returned; otherwise b is left as it is.
         """
-        return self._solve(self._plan, b, overwrite_b)
+        return self._solve("N", b, overwrite_b)
 
     def solve_transpose(self, b, overwrite_b=False):
-        """Solve L^T x = b using the same factorization: P L^{-1} P b when reciprocal.
+        """Solve L^T x = b using the same factorization.
 
         ``overwrite_b`` as for solve.
         """
-        return self._solve(self._plan_t, b, overwrite_b)
+        return self._solve(self._trans_t, b, overwrite_b)
 
-    def _solve(self, plan, b, overwrite_b):
-        take, trans = plan
+    def _solve(self, trans, b, overwrite_b):
         x = work_array(b, overwrite_b, self.n)
-        if self.ordering is not None:  # the node-block factor sweeps the whole block at once
-            x[take] = self._lu.solve(x[take], trans, overwrite_b=True)
+        o = self.ordering
+        if o is not None:  # the node-block factor sweeps the whole block at once
+            x[o] = self._lu.solve(x[o], trans, overwrite_b=True)
             return x
 
         def solve_into(c):
-            c[take] = self._lu.solve(c[take], trans=trans)
+            c[:] = self._lu.solve(c, trans=trans)
 
         _chunked(solve_into, x)
         return x
@@ -481,15 +460,6 @@ def work_array(a, overwrite, n=None):
     return np.array(a, order="F")
 
 
-def _checked_reversal(reversal, n):
-    p = np.asarray(reversal)
-    if (p.shape != (n,) or not np.issubdtype(p.dtype, np.integer)
-            or (n and (p.min() < 0 or p.max() >= n))
-            or not np.array_equal(p[p], np.arange(n))):
-        raise NotReciprocal(f"reversal must be an involutive permutation of {n} indices")
-    return p
-
-
 def _checked_ordering(ordering, n):
     o = np.asanyarray(ordering)
     if (o.shape != (n,) or not np.issubdtype(o.dtype, np.integer)
@@ -534,15 +504,13 @@ def reciprocity_defect(operator, reversal):
     return int((operator.T.tocsr() != operator[reversal][:, reversal]).nnz)
 
 
-def factorize(operator, reversal=None, ordering=None):
+def factorize(operator, ordering=None):
     """Factorize a square sparse operator once for repeated solves.
 
-    ``reversal`` is an involutive permutation P with L^T = P L P, which lets
-    transposed solves run through the blocked forward solve, and
-    ``ordering`` an elimination order such as ``block_ordering`` gives; see
-    FactorizedSolver.
+    ``ordering`` is an elimination order such as ``block_ordering`` gives;
+    see FactorizedSolver.
     """
-    return FactorizedSolver(operator, reversal, ordering)
+    return FactorizedSolver(operator, ordering)
 
 
 def qr_thin(a):

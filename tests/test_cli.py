@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -90,6 +91,29 @@ class TestAssembleCheck:
         out = capsys.readouterr().out
         assert "ok   operator reciprocal (no direction reversal exists for 5 angles)" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("family, assemble, grid, line", [
+        ("elliptic", "assemble_elliptic", {},
+         r"FAIL operator symmetric \(defect [1-9]\S*\)"),
+        ("rte", "assemble_rte", {"n_angles": 6},
+         r"FAIL operator reciprocal \(L\^T != P L P, [1-9]\d* mismatched entries\)"),
+    ])
+    def test_an_operator_off_in_one_entry_fails_its_structural_line(
+            self, tmp_path, capsys, monkeypatch, family, assemble, grid, line):
+        original = getattr(experiments, assemble)
+
+        def perturbed(*args):
+            op = sp.csr_matrix(original(*args), copy=True)
+            j = op.indices[op.indptr[0]:op.indptr[1]].max()  # a neighbour of unknown 0
+            op[0, j] *= 1.5
+            return op
+
+        monkeypatch.setattr(experiments, assemble, perturbed)
+        cfg = write_config(tmp_path, family=family, m=5, grid=grid)
+        assert main(["assemble-check", "--config", str(cfg)]) == 1
+        out = capsys.readouterr().out
+        assert "ok   operator factorizes" in out
+        assert re.search(line, out), out
 
     def test_identity_family(self, tmp_path, capsys):
         cfg = write_config(tmp_path, family="identity", m=4)
@@ -780,6 +804,19 @@ class TestOracleAndChecks:
         margins = [float(x) for x in re.findall(r"smallest margin (\S+)\)", out)]
         assert len(margins) == 5
         assert all(margin > 0.0 for margin in margins)
+
+    def test_nwidth_check_gates_the_width_relative_to_the_next_singular_value(
+            self, tmp_path, capsys, monkeypatch):
+        # off by a relative 1e-8, a width of about 1e-2 is within an absolute
+        # 1e-9 of lambda_{n+1} but not within a relative 1e-10
+        exact = cli.nwidth_eval
+        monkeypatch.setattr(cli, "nwidth_eval",
+                            lambda *args: exact(*args) * (1.0 + 1e-8))
+        cfg = write_config(tmp_path, m=5)
+        assert main(["nwidth-check", "--config", str(cfg), "--samples", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL width at optimal n = 1 matches next singular value" in out
+        assert "FAIL random candidates dominated" not in out
 
     def test_nwidth_check_forms_the_green_matrix_once(self, tmp_path, monkeypatch):
         calls = []

@@ -15,7 +15,6 @@ from optbasis.elliptic import EllipticMedium, assemble_elliptic
 from optbasis.exceptions import (
     DimensionMismatch,
     InvalidArgument,
-    NotReciprocal,
     ProblemTooLarge,
     SingularOperator,
     SvdFailure,
@@ -179,9 +178,9 @@ class TestOrdering:
     @pytest.mark.parametrize("n_angles", [8, 7])
     @pytest.mark.parametrize("cols", [None, 1, 33, 100])
     def test_ordered_solves_match_spsolve(self, n_angles, cols):
-        op, reversal, ordering = reciprocal_case(f"rte-{'odd' if n_angles % 2 else 'even'}",
-                                                 ordered=True)
-        solver = factorize(op, reversal, ordering)
+        op, ordering = reciprocal_case(f"rte-{'odd' if n_angles % 2 else 'even'}",
+                                       ordered=True)
+        solver = factorize(op, ordering)
         np.testing.assert_array_equal(solver.ordering, ordering)
         rng = np.random.Generator(np.random.Philox(23))
         b = rng.standard_normal((op.shape[0],) if cols is None else (op.shape[0], cols))
@@ -195,7 +194,7 @@ class TestOrdering:
                                                ("numerical", "condition number")])
     def test_a_singular_operator_with_an_ordering_raises_singular_operator(self, case,
                                                                           message):
-        op, reversal, ordering = reciprocal_case("rte-even", ordered=True)
+        op, ordering = reciprocal_case("rte-even", ordered=True)
         op = sp.lil_matrix(op)
         # a zero row gives SuperLU an exactly zero pivot; a row equal to the
         # next one up to 1e-12 is factored, and the condition estimate refuses it
@@ -260,13 +259,11 @@ class TestNodeBlockLU:
     @pytest.mark.parametrize("n_angles, eps1, g", block_cases())
     @pytest.mark.parametrize("cols", [1, 33])
     def test_solves_match_spsolve(self, n_angles, eps1, g, cols):
-        if eps1 is None:  # Newton factors its Jacobians with no reversal
+        if eps1 is None:
             op = two_photon_jacobian(n_angles)
-            reversal = None
         else:
-            pg, op = rte_operator(n_angles, eps1, g)
-            reversal = pg.reversal()
-        solver = factorize(op, reversal, block_ordering(op, n_angles))
+            _, op = rte_operator(n_angles, eps1, g)
+        solver = factorize(op, block_ordering(op, n_angles))
         assert isinstance(solver._lu, NodeBlockLU)
         b = np.random.Generator(np.random.Philox(71)).standard_normal((op.shape[0], cols))
         x, xt = solve_both(solver, b)
@@ -316,8 +313,8 @@ class TestNodeBlockLU:
             factorize(sp.identity(6, format="csr"), ordering=o)
 
     def test_a_whole_block_is_one_sweep_on_the_calling_thread(self, monkeypatch):
-        pg, op = rte_operator(8)
-        solver = factorize(op, pg.reversal(), block_ordering(op, 8))
+        _, op = rte_operator(8)
+        solver = factorize(op, block_ordering(op, 8))
         seen = []
         solve = NodeBlockLU.solve
 
@@ -328,7 +325,8 @@ class TestNodeBlockLU:
         monkeypatch.setattr(NodeBlockLU, "solve", recording)
         monkeypatch.setattr(linalg, "solve_threads", lambda: 2)
         solve_both(solver, np.ones((solver.n, 100)))
-        assert seen == [(100, "N", threading.get_ident())] * 2
+        t = threading.get_ident()
+        assert seen == [(100, "N", t), (100, "T", t)]
 
 
 def dense_block_entries(op, ordering, k):
@@ -341,23 +339,23 @@ def dense_block_entries(op, ordering, k):
 class TestFillGuard:
     def test_a_factor_larger_than_the_address_space_is_refused_before_it_is_built(
             self, monkeypatch):
-        pg, op = rte_operator(8)
+        _, op = rte_operator(8)
         o = block_ordering(op, 8)
         entries = dense_block_entries(op, o, 8)
         monkeypatch.setattr(linalg, "address_space_limit", lambda: 8 * entries - 1)
         monkeypatch.setattr(linalg.lapack, "dgetrf", None)  # no numeric work may start
         with pytest.raises(ProblemTooLarge, match=f"{entries:,} float64 entries.*"
                                                   f"limit of {8 * entries - 1:,} bytes"):
-            factorize(op, pg.reversal(), o)
+            factorize(op, o)
 
     @pytest.mark.parametrize("limit", [None, "exact"])
     def test_a_factor_within_the_limit_is_built(self, monkeypatch, limit):
-        pg, op = rte_operator(8)
+        _, op = rte_operator(8)
         o = block_ordering(op, 8)
         entries = dense_block_entries(op, o, 8)
         monkeypatch.setattr(linalg, "address_space_limit",
                             lambda: None if limit is None else 8 * entries)
-        assert factorize(op, pg.reversal(), o).nnz <= entries
+        assert factorize(op, o).nnz <= entries
 
     def test_the_limit_is_read_from_the_process(self, monkeypatch):
         monkeypatch.setattr(linalg.resource, "getrlimit",
@@ -368,16 +366,16 @@ class TestFillGuard:
 
 
 def reciprocal_case(name, ordered=False):
-    """An operator with the reversal its setup factors it with, and an ordering or None.
+    """An operator and an ordering or None: an exactly symmetric elliptic operator, or a
+    transport operator, reciprocal with an even angle count and not with an odd one.
 
     ``ordered`` gives transport its block ordering, as ``build_problem`` does.
     """
     if name == "elliptic":
-        op = assemble_elliptic(Grid2D(12), EllipticMedium(0.0625))
-        return op, np.arange(op.shape[0]), None
+        return assemble_elliptic(Grid2D(12), EllipticMedium(0.0625)), None
     pg = PhaseGrid(Grid2D(8), 8 if name == "rte-even" else 7)
     op = assemble_rte(pg, RteCoefficients(0.25, 0.5, 0.7))
-    return op, pg.reversal(), block_ordering(op, pg.n_angles) if ordered else None
+    return op, block_ordering(op, pg.n_angles) if ordered else None
 
 
 def cases(*names):
@@ -392,8 +390,8 @@ class TestReciprocalTranspose:
     @pytest.mark.parametrize("name", ["rte-even", "rte-odd", "elliptic"])
     @pytest.mark.parametrize("cols", [None, 4])
     def test_transpose_solve_matches_spsolve(self, name, cols):
-        op, reversal, _ = reciprocal_case(name)
-        solver = factorize(op, reversal)
+        op, _ = reciprocal_case(name)
+        solver = factorize(op)
         rng = np.random.Generator(np.random.Philox(17))
         shape = (op.shape[0],) if cols is None else (op.shape[0], cols)
         b = rng.standard_normal(shape)
@@ -401,14 +399,30 @@ class TestReciprocalTranspose:
         assert x.shape == b.shape
         assert relative_gap(x, spla.spsolve(sp.csc_matrix(op.T), b)) <= 1e-12
 
-    def test_odd_angles_keep_superlus_transposed_solve(self):
-        op, reversal, _ = reciprocal_case("rte-odd")
-        assert reversal is None
-        assert factorize(op, reversal).reversal is None
+    def test_odd_angles_keep_superlus_transposed_solve(self, monkeypatch):
+        # no direction of an odd angle count has a reverse on the grid; the
+        # unordered operator goes to SuperLU, whose own "T" solves it
+        op, ordering = reciprocal_case("rte-odd")
+        assert PhaseGrid(Grid2D(8), 7).reversal() is None
+        solver = factorize(op, ordering)
+        assert isinstance(solver._lu, spla.SuperLU)
+        seen = []
+        lu = solver._lu
+
+        class Recording:
+            def solve(self, b, trans="N", **kwargs):
+                seen.append(trans)
+                return lu.solve(b, trans=trans, **kwargs)
+
+        solver._lu = Recording()
+        b = np.random.Generator(np.random.Philox(29)).standard_normal(op.shape[0])
+        x = solver.solve_transpose(b)
+        assert seen == ["T"]
+        assert relative_gap(x, spla.spsolve(sp.csc_matrix(op.T), b)) <= 1e-12
 
     def test_transpose_solve_bypasses_the_public_solve(self, monkeypatch):
-        op, reversal, _ = reciprocal_case("rte-even")
-        solver = factorize(op, reversal)
+        op, _ = reciprocal_case("rte-even")
+        solver = factorize(op)
         b = np.arange(1.0, op.shape[0] + 1)
         expected = spla.spsolve(sp.csc_matrix(op.T), b)
 
@@ -418,28 +432,42 @@ class TestReciprocalTranspose:
         monkeypatch.setattr(FactorizedSolver, "solve", refuse)
         assert relative_gap(solver.solve_transpose(b), expected) <= 1e-12
 
-    def test_identity_is_rejected_for_transport(self):
-        op, _, _ = reciprocal_case("rte-even")
-        assert reciprocity_defect(op, np.arange(op.shape[0])) > 0
-        with pytest.raises(NotReciprocal, match="differs from the reversed operator"):
-            factorize(op, np.arange(op.shape[0]))
-
-    @pytest.mark.parametrize("bad", ["roll", "short", "float", "out_of_range"])
-    def test_malformed_reversal_is_rejected(self, bad):
-        op, _, _ = reciprocal_case("elliptic")
-        n = op.shape[0]
-        reversal = {"roll": np.roll(np.arange(n), 1),  # a permutation, not an involution
-                    "short": np.arange(n - 1),
-                    "float": np.arange(n, dtype=float),
-                    "out_of_range": np.arange(n) + 1}[bad]
-        with pytest.raises(NotReciprocal, match="involutive permutation"):
-            factorize(op, reversal)
-
     def test_nonsymmetric_matrix_is_not_its_own_reversal(self):
         a = sp.csc_matrix(np.array([[2.0, 1.0], [0.0, 3.0]]))
-        with pytest.raises(NotReciprocal):
-            factorize(a, np.arange(2))
         assert reciprocity_defect(a, np.array([1, 0])) == 2
+
+    @pytest.mark.parametrize("name, ordered, calls", [
+        ("elliptic", False, [(25, "N")] * 4),
+        ("elliptic-perturbed", False, [(25, "T")] * 4),
+        ("rte-even", False, [(25, "T")] * 4),
+        ("rte-even", True, [(100, "T")]),
+    ], ids=["symmetric", "symmetric-but-one-entry", "unordered", "node-blocks"])
+    def test_transposed_solve_runs_the_factors_own_sweep(self, name, ordered, calls,
+                                                         monkeypatch):
+        # SuperLU solves "T" one column at a time, so an exactly symmetric
+        # operator runs its chunks "N"; the node-block factor sweeps "T"
+        if name == "elliptic-perturbed":  # one entry off by one ulp is not symmetric
+            op = sp.csr_matrix(reciprocal_case("elliptic")[0], copy=True)
+            j = op.indices[op.indptr[0]:op.indptr[1]].max()  # a neighbour of node 0
+            op[0, j] = np.nextafter(op[0, j], 0.0)
+            ordering = None
+        else:
+            op, ordering = reciprocal_case(name, ordered)
+        solver = factorize(op, ordering)
+        seen = []
+        lu = solver._lu
+
+        class Recording:
+            def solve(self, b, trans="N", **kwargs):
+                seen.append((b.shape[1], trans))
+                return lu.solve(b, trans=trans, **kwargs)
+
+        monkeypatch.setattr(linalg, "solve_threads", lambda: 1)
+        solver._lu = Recording()
+        b = np.random.Generator(np.random.Philox(19)).standard_normal((solver.n, 100))
+        x = solver.solve_transpose(b)
+        assert seen == calls
+        assert relative_gap(x, spla.spsolve(sp.csc_matrix(op.T), b)) <= 1e-12
 
 
 def solve_both(solver, b):
@@ -475,8 +503,9 @@ class TestChunkedSolves:
         columns = b[:, None] if cols is None else b
         x, xt = x.reshape(columns.shape), xt.reshape(columns.shape)
         # the factor is of L[o][:, o], so both its solves act on the ordered
-        # unknowns; SuperLU's transposed solve is the oracle with or without a
-        # reversal
+        # unknowns; the factor's own one-column solves, SuperLU's or the
+        # node-block sweeps, are the oracle, its "T" solve too where an exactly
+        # symmetric operator's blocks run "N"
         o = np.arange(solver.n) if solver.ordering is None else solver.ordering
         for j in range(columns.shape[1]):
             assert relative_gap(x[o, j], solver._lu.solve(columns[o, j])) <= 1e-14
@@ -642,9 +671,9 @@ class TestOverwrite:
     @pytest.mark.parametrize("cols", [None, 1, 33, 100])
     @pytest.mark.parametrize("method", ["solve", "solve_transpose"])
     def test_in_place_solve_is_bitwise_the_copying_solve(self, name, ordered, cols, method):
-        # identity reversal, the transport reversal, and SuperLU's own
-        # transposed solve (odd angle count, reversal None), each transport
-        # case also in its block ordering
+        # a symmetric operator's transposed solve through SuperLU's "N",
+        # SuperLU's own "T" for transport, and each transport case in its
+        # block ordering, swept by the node-block factor
         solver = factorize(*reciprocal_case(name, ordered))
         rng = np.random.Generator(np.random.Philox(37))
         b = rng.standard_normal((solver.n,) if cols is None else (solver.n, cols))

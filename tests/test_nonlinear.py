@@ -298,12 +298,12 @@ class TestNewtonReference:
         op = assemble_rte(pg, RteCoefficients())
         term = TwoPhotonTerm(pg, 1.0)
         f = eval_source_rte(pg, 50.0)
-        solver = factorize(op, pg.reversal(), block_ordering(op, 6))
+        solver = factorize(op, block_ordering(op, 6))
         orderings = []
 
-        def recording(jac, reversal=None, ordering=None):
+        def recording(jac, ordering=None):
             orderings.append(ordering)
-            return factorize(jac, reversal, ordering)
+            return factorize(jac, ordering)
 
         monkeypatch.setattr(nonlinear, "factorize", recording)
         u = newton_reference(solver, term, f)
