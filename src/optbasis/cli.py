@@ -170,12 +170,12 @@ def _factor(setup):
     """The operator's sparse LU; prints how its solves run, which never changes a
     written byte: SuperLU's column chunks on its threads, or one sweep of node blocks."""
     solver = setup.factorize()
-    if solver.ordering is None:
+    if solver.node_size == 1:
         threads = solve_threads()
         print(f"sparse solves: {threads} thread{'' if threads == 1 else 's'}, "
               f"chunks of at most {SOLVE_CHUNK} columns")
     else:
-        print(f"sparse solves: 1 thread, node blocks of {solver.ordering.node_size} unknowns, "
+        print(f"sparse solves: 1 thread, node blocks of {solver.node_size} unknowns, "
               f"all columns in one sweep")
     return solver
 

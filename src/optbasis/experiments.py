@@ -20,7 +20,7 @@ from .config import FAMILIES, ExperimentConfig
 from .elliptic import EllipticMedium, assemble_elliptic, eval_source_elliptic
 from .exceptions import ConfigInvalid, Diverged, NonFiniteResult, VanishingReference
 from .grids import Grid2D, PhaseGrid
-from .linalg import block_ordering, factorize
+from .linalg import factorize
 from .nonlinear import CubicTerm, TwoPhotonTerm, fixed_point_solve, newton_reference
 from .transport import RteCoefficients, assemble_rte, eval_source_rte
 from .weights import build_rte_weight, build_sobolev_weight, energy_norm, identity_weight
@@ -28,14 +28,7 @@ from .weights import build_rte_weight, build_sobolev_weight, energy_norm, identi
 
 @dataclass
 class ProblemSetup:
-    """Assembled operator, weights and source for one experiment.
-
-    ``ordering`` is the elimination order of its LU: for transport the
-    minimum-degree order of the spatial nodes, each expanded into its
-    angles (``linalg.block_ordering``), whose node size makes the factor
-    one of dense node blocks; None, SuperLU's own minimum degree, for the
-    other families.
-    """
+    """Assembled operator, weights and source for one experiment."""
 
     config: ExperimentConfig
     operator: sp.csr_matrix
@@ -44,7 +37,6 @@ class ProblemSetup:
     grid: Grid2D
     phase_grid: PhaseGrid | None
     term: object | None
-    ordering: np.ndarray | None
 
     @property
     def n_dofs(self):
@@ -56,8 +48,10 @@ class ProblemSetup:
         return identity_weight(self.n_dofs)
 
     def factorize(self):
-        """Sparse LU of the operator in its ordering."""
-        return factorize(self.operator, self.ordering)
+        """Sparse LU of the operator, whose nodes are a spatial node's angles for
+        transport and single unknowns for the other families."""
+        return factorize(self.operator,
+                         1 if self.phase_grid is None else self.phase_grid.n_angles)
 
 
 # a discretization that overflows is reported once, as the ConfigInvalid below
@@ -107,8 +101,7 @@ def build_problem(config: ExperimentConfig) -> ProblemSetup:
             ("source", finite(source), [length])):
         if defect:
             raise ConfigInvalid(f"the discretized {part} is {defect} at {', '.join(settings)}")
-    ordering = None if phase_grid is None else block_ordering(operator, phase_grid.n_angles)
-    return ProblemSetup(config, operator, fx, source, grid, phase_grid, term, ordering)
+    return ProblemSetup(config, operator, fx, source, grid, phase_grid, term)
 
 
 def compute_problem_basis(setup: ProblemSetup, solver=None) -> SVDBasis:

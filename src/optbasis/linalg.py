@@ -1,8 +1,9 @@
 """Sparse factorization and dense decomposition helpers.
 
-The sparse LU of an operator, by SuperLU or by the package's own LU in
-dense node blocks (NodeBlockLU), behind one ``solve`` / ``solve_transpose``
-pair; the span bases, thin QR and dense SVD of the sketch, with the shape
+The sparse LU of an operator, given only its node size: SuperLU for 1, or
+the package's own LU in dense node blocks (NodeBlockLU), which picks its
+own elimination order; either behind one ``solve`` / ``solve_transpose``
+pair.  The span bases, thin QR and dense SVD of the sketch, with the shape
 checks and singularity detection the rest of the package relies on.
 """
 
@@ -50,14 +51,15 @@ class FactorizedSolver:
     """Sparse LU factorization of a square operator.
 
     Keeps a reference to the assembled matrix and exposes solves with both
-    the operator and its transpose from the single factorization.
+    the operator and its transpose from the single factorization.  A caller
+    gives only the node size; the factor picks its own elimination order.
 
     Every solve runs the factor's own solve with one flag, fixed when the
     operator is factored: "N" for ``solve``; for ``solve_transpose`` "T",
     or "N" when SuperLU factors an operator that equals its transpose
     exactly.
 
-    Without an ordering, SuperLU factors the operator in its own order, by
+    With node size 1, SuperLU factors the operator in its own order, by
     minimum degree on A^T + A.  SuperLU solves with the transpose one
     right-hand side at a time, so an exactly symmetric operator, elliptic
     or identity, has its transposed solves done as solves with the
@@ -67,44 +69,45 @@ class FactorizedSolver:
     on a thread pool that lives only for the call; SuperLU releases the
     interpreter lock while it solves.  Each chunk's solution is written
     back into that chunk's own columns of the result, so a solve holds the
-    result block and a few chunks, never a second block.  The elliptic
-    operators take this path: each node holds a single unknown, so there
-    is nothing to gather into blocks.
+    result block and a few chunks, never a second block.
 
-    With an ordering o, a NodeOrdering of node size k or a plain index
-    array (node size 1), L[o][:, o] is factored in dense k x k node blocks
-    by NodeBlockLU.  Its "N" and "T" sweeps each make one GEMM and one
-    small TRSM per node, so their cost per column falls with the block's
-    width: the whole block is solved in one call on the calling thread,
-    through one copy gathered by o.  Transport takes the ordering of
-    ``block_ordering``, minimum degree on its (m - 1)^2 spatial nodes with
-    each node's angles kept together: at m = 12 with 40 angles it has
-    1.31M nonzero entries against 1.48M for SuperLU's own ordering, and a
-    100-column solve takes about half of SuperLU's time on two threads.
-    Either way the split of a block depends on its width alone, so the
-    bytes of a solve do not depend on the thread count.
+    With node size k > 1, NodeBlockLU factors the operator in dense k x k
+    node blocks, in its own order o.  Its "N" and "T" sweeps each make one
+    GEMM and one small TRSM per node, so their cost per column falls with
+    the block's width: the whole block is solved in one call on the
+    calling thread, through one copy gathered by o.  Transport's nodes are
+    the angles of a spatial node: at m = 12 with 40 angles the factor has
+    1.31M nonzero entries against 1.48M for SuperLU's, and a 100-column
+    solve takes about half of SuperLU's time on two threads.  Either way
+    the split of a block depends on its width alone, so the bytes of a
+    solve do not depend on the thread count.
 
     Parameters
     ----------
     operator : sparse or dense square matrix
-        Kept as it is, a dense one as CSR; the copy each factor reads lives
-        only to factor.
-    ordering : integer index array or None
-        Elimination order of the unknowns, a permutation of range(n), whose
-        ``node_size`` (1 for a plain array) sets the factor's blocks.  None
-        lets SuperLU order them.
+        Kept as it is, a dense one as CSR and one with duplicate entries as
+        a summed copy; the copy each factor reads lives only to factor.
+    node_size : int
+        Unknowns per node of the factor's dense blocks, dividing the
+        operator's size; 1 lets SuperLU factor it.
     """
 
-    def __init__(self, operator, ordering=None):
+    def __init__(self, operator, node_size=1):
         operator = operator if sp.issparse(operator) else sp.csr_matrix(operator)
         m, n = operator.shape
-        if m != n:
-            raise DimensionMismatch(f"operator must be square, got {m}x{n}")
+        if m != n or n == 0:
+            raise DimensionMismatch(f"operator must be square and not empty, got {m}x{n}")
+        if node_size < 1 or n % node_size:
+            raise InvalidArgument(f"{n} unknowns do not split into nodes of {node_size}")
+        if not getattr(operator, "has_canonical_format", True):  # duplicates, summed in a
+            operator = operator.copy()  # copy, not by scipy's norm in the caller's arrays
+            operator.sum_duplicates()
         self.operator = operator
         self.n = n
-        self.ordering = None if ordering is None else _checked_ordering(ordering, n)
+        self.node_size = node_size
         self._trans_t = "T"
-        if self.ordering is None:
+        norm = spla.norm(operator, 1)  # its copy of |L| is freed before the factor exists
+        if node_size == 1:
             if (operator != operator.T).nnz == 0:  # SuperLU's "T" goes column by column
                 self._trans_t = "N"
             try:
@@ -112,14 +115,13 @@ class FactorizedSolver:
             except RuntimeError as exc:
                 raise SingularOperator(f"LU factorization failed: {exc}") from exc
         else:
-            self._lu = NodeBlockLU(sp.csr_matrix(operator)[self.ordering][:, self.ordering],
-                                   self.ordering.node_size)
+            self._lu = NodeBlockLU(operator, node_size)
         # Hager-Higham estimate of ||L^-1||_1 from a few solves; reading the
         # pivots off self._lu.U would copy the whole factor
         inverse = spla.LinearOperator(
             (n, n), matvec=self._lu.solve, rmatvec=lambda x: self._lu.solve(x, trans="T"),
             dtype=float)
-        condition = spla.norm(operator, 1) * spla.onenormest(inverse, t=1)
+        condition = norm * spla.onenormest(inverse, t=1)
         if not np.isfinite(condition) or condition >= 1.0 / PIVOT_RTOL:
             raise SingularOperator(
                 f"operator numerically singular (estimated 1-norm condition number "
@@ -148,8 +150,8 @@ class FactorizedSolver:
 
     def _solve(self, trans, b, overwrite_b):
         x = work_array(b, overwrite_b, self.n)
-        o = self.ordering
-        if o is not None:  # the node-block factor sweeps the whole block at once
+        if self.node_size > 1:  # the node-block factor sweeps the whole block at once
+            o = self._lu.order
             x[o] = self._lu.solve(x[o], trans, overwrite_b=True)
             return x
 
@@ -160,30 +162,22 @@ class FactorizedSolver:
         return x
 
 
-class NodeOrdering(np.ndarray):
-    """An elimination order whose unknowns come in whole nodes of ``node_size``.
-
-    A 1-d index array, usable wherever an index is, that also tells the
-    factor the size of its dense blocks: unknowns o[k i] .. o[k i + k - 1]
-    form node i.  Views and copies keep the node size.
-    """
-
-    def __array_finalize__(self, obj):
-        self.node_size = getattr(obj, "node_size", 1)
-
-
 class NodeBlockLU:
-    """LU in dense node blocks, P^T A = L U, of a square sparse matrix in its own order.
+    """LU in dense node blocks, P^T A[o][:, o] = L U, of a square sparse matrix.
 
-    Unknowns k i .. k i + k - 1 form node i.  Rows pivot only inside their
-    node, so P is block diagonal.  The node-level fill is found first:
-    eliminating node i joins its higher-numbered neighbours into a clique,
-    which the lowest of them inherits.  Node rows are then factored one at
-    a time: row i's entries are scattered into one dense buffer W over its
-    node pattern; each earlier node j of the pattern, in ascending order,
-    gives C_ij = W_j U_jj^-1 and the update W -= C_ij U_j; getrf factors the
-    diagonal block, W_i = P_i L_ii U_ii, and U's row is L_ii^-1 P_i^T W over
-    the later nodes.  So L_ij = P_i^T C_ij.
+    Unknowns k i .. k i + k - 1 of A form node i.  The elimination order
+    ``order``, o, is ``block_ordering``'s of the node graph of A, built
+    once; A is never permuted: each node's rows are read in place from its
+    CSR arrays, their columns mapped to o through the nodes' positions.
+    Below, nodes are numbered in o.  Rows pivot only inside their node, so
+    P is block diagonal.  The node-level fill is found first: eliminating
+    node i joins its higher-numbered neighbours into a clique, which the
+    lowest of them inherits.  Node rows are then factored one at a time:
+    row i's entries are scattered into one dense buffer W over its node
+    pattern; each earlier node j of the pattern, in ascending order, gives
+    C_ij = W_j U_jj^-1 and the update W -= C_ij U_j; getrf factors the
+    diagonal block, W_i = P_i L_ii U_ii, and U's row is L_ii^-1 P_i^T W
+    over the later nodes.  So L_ij = P_i^T C_ij.
 
     Diagonal blocks stay dense in getrf form.  Off-diagonal blocks keep
     only what is not zero: an advection block couples each angle only to
@@ -201,15 +195,17 @@ class NodeBlockLU:
     """
 
     def __init__(self, a, k):
-        a = sp.csr_matrix(a, dtype=float)
-        if not a.has_canonical_format:  # the scatter below needs one entry per position
-            a = a.copy()
-            a.sum_duplicates()
+        a = sp.csr_matrix(a, dtype=float)  # canonical: the scatter needs one entry per position
         n = a.shape[0]
         nodes = n // k
         self.shape = (n, n)
         self.k = k
-        upper = _node_fill(_node_graph(a, k))
+        graph = _node_graph(a, k)
+        node_order = block_ordering(graph, 1)  # the graph's nodes are its unknowns
+        offsets = np.arange(k)
+        self.order = (k * node_order[:, None] + offsets).ravel()
+        position = np.argsort(node_order)  # node j of A is node position[j] of o
+        upper = _node_fill(graph[node_order][:, node_order])
         lower = [[] for _ in range(nodes)]
         for i, later in enumerate(upper):
             for j in later:
@@ -222,7 +218,6 @@ class NodeBlockLU:
                 f"the block LU needs {entries:,} float64 entries ({8 * entries:,} bytes), "
                 f"more than the address-space limit of {limit:,} bytes")
 
-        offsets = np.arange(k)
         self.diag = np.empty((nodes, k, k))  # diag[i].T is getrf's F-ordered L_ii \ U_ii
         self.perm = np.empty((nodes, k), dtype=np.intp)  # (P_i^T x)[j] = x[perm[i, j]]
         self.u_index, self.u_rows = [None] * nodes, [None] * nodes
@@ -235,10 +230,11 @@ class NodeBlockLU:
             slot[pattern] = np.arange(pattern.size)
             # W^T, so that the columns an update scatters into are contiguous rows
             wt = np.zeros((k * pattern.size, k))
-            start, stop = a.indptr[i * k], a.indptr[i * k + k]
+            r = node_order[i] * k
+            start, stop = a.indptr[r], a.indptr[r + k]
             cols = a.indices[start:stop]
-            wt[slot[cols // k] * k + cols % k,
-               np.repeat(offsets, np.diff(a.indptr[i * k:i * k + k + 1]))] = a.data[start:stop]
+            wt[slot[position[cols // k]] * k + cols % k,
+               np.repeat(offsets, np.diff(a.indptr[r:r + k + 1]))] = a.data[start:stop]
             for s, j in enumerate(earlier):
                 cij = blas.dtrsm(1.0, self.diag[j].T, wt[s * k:s * k + k].T, side=1)
                 if self.u_index[j].size:
@@ -460,18 +456,6 @@ def work_array(a, overwrite, n=None):
     return np.array(a, order="F")
 
 
-def _checked_ordering(ordering, n):
-    o = np.asanyarray(ordering)
-    if (o.shape != (n,) or not np.issubdtype(o.dtype, np.integer)
-            or not np.array_equal(np.sort(o), np.arange(n))):
-        raise InvalidArgument(f"ordering must be a permutation of {n} indices")
-    if not isinstance(o, NodeOrdering):
-        o = o.view(NodeOrdering)
-    if n % o.node_size:
-        raise InvalidArgument(f"{n} unknowns do not split into nodes of {o.node_size}")
-    return o
-
-
 def block_ordering(operator, k):
     """Minimum-degree ordering of an operator whose unknowns come in nodes of k.
 
@@ -481,9 +465,8 @@ def block_ordering(operator, k):
     by minimum degree on A^T + A (its ``perm_c``, read off the factor of a
     diagonally dominant matrix with the graph's pattern, so the step never
     meets a singular matrix), and each node then expands into its k
-    angles, in order.  Returns the elimination order as a NodeOrdering of
-    node size k, which ``FactorizedSolver(..., ordering=...)`` factors in
-    dense k x k node blocks.
+    angles, in order.  Returns the elimination order as an index array;
+    NodeBlockLU orders the node graph of its operator with k = 1.
     """
     a = sp.csr_matrix(operator)
     n = a.shape[0]
@@ -493,9 +476,7 @@ def block_ordering(operator, k):
     graph.data[:] = -1.0
     dominant = sp.csc_matrix(graph + sp.diags(graph.getnnz(axis=1) + 1.0))
     nodes = np.argsort(spla.splu(dominant, **_SPLU_OPTIONS).perm_c)  # perm_c maps old to new
-    order = (k * nodes[:, None] + np.arange(k)).ravel().view(NodeOrdering)
-    order.node_size = k
-    return order
+    return (k * nodes[:, None] + np.arange(k)).ravel()
 
 
 def reciprocity_defect(operator, reversal):
@@ -504,13 +485,13 @@ def reciprocity_defect(operator, reversal):
     return int((operator.T.tocsr() != operator[reversal][:, reversal]).nnz)
 
 
-def factorize(operator, ordering=None):
+def factorize(operator, node_size=1):
     """Factorize a square sparse operator once for repeated solves.
 
-    ``ordering`` is an elimination order such as ``block_ordering`` gives;
-    see FactorizedSolver.
+    ``node_size`` is the number of unknowns per node of the factor's dense
+    blocks, 1 for SuperLU's; see FactorizedSolver.
     """
-    return FactorizedSolver(operator, ordering)
+    return FactorizedSolver(operator, node_size)
 
 
 def qr_thin(a):

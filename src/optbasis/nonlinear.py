@@ -214,11 +214,11 @@ def newton_reference(solver, term, f, tol=1e-12, max_iter=50):
     """Damped Newton solve of the full system L u + N(u) = f.
 
     ``solver`` is the factorized L.  Each Jacobian, L plus a term with L's
-    pattern, is factored in L's ordering.  Starts from its linear solve, halves
-    the step until the residual decreases, and stops once
-    ||residual|| <= tol (1 + ||f||).  Raises NonFiniteResult if the
-    residual's norm overflows or is NaN, and Diverged if damping stalls or
-    the iteration budget runs out.
+    pattern, is factored in L's node size, so in L's node order.  Starts
+    from its linear solve, halves the step until the residual decreases,
+    and stops once ||residual|| <= tol (1 + ||f||).  Raises
+    NonFiniteResult if the residual's norm overflows or is NaN, and
+    Diverged if damping stalls or the iteration budget runs out.
     """
     op = solver.operator
     f = np.asarray(f, dtype=float)
@@ -232,8 +232,8 @@ def newton_reference(solver, term, f, tol=1e-12, max_iter=50):
                                   "solution overflows")
         if res_norm <= tol * f_scale:
             return u
-        jac = (op + term.jacobian(u)).tocsc()
-        direction = factorize(jac, ordering=solver.ordering).solve(-residual)
+        jac = op + term.jacobian(u)
+        direction = factorize(jac, solver.node_size).solve(-residual)
         alpha = 1.0
         while alpha >= 2.0 ** -30:
             trial = u + alpha * direction

@@ -420,6 +420,14 @@ class TestSolveThreads:
             1: "sparse solves: 1 thread, node blocks of 8 unknowns, all columns in one sweep",
             2: "sparse solves: 1 thread, node blocks of 8 unknowns, all columns in one sweep"}
 
+    def test_one_angle_transport_prints_superlus_chunks(self, tmp_path, capsys, monkeypatch):
+        # a node of one unknown is factored by SuperLU and solved in column chunks
+        _solve_threads(monkeypatch, 2)
+        cfg = write_config(tmp_path, family="rte", grid={"n_angles": 1})
+        assert main(["basis", "--config", str(cfg), "--out", str(tmp_path / "b.obf")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "sparse solves: 2 threads, chunks of at most 32 columns"
+
     def test_elliptic_solve_csv_bytes_do_not_depend_on_the_thread_count(self, tmp_path,
                                                                         monkeypatch):
         # p = 2 and rank 40 + 10 sketch columns: the weight solves run one full

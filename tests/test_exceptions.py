@@ -19,7 +19,7 @@ from optbasis.bayes import dense_svd_oracle
 from optbasis.elliptic import EllipticMedium, assemble_elliptic
 from optbasis.exceptions import InvalidArgument, OptbasisError
 from optbasis.grids import Grid2D, PhaseGrid
-from optbasis.linalg import block_ordering, factorize
+from optbasis.linalg import factorize
 from optbasis.nonlinear import CubicTerm, check_linear_representation_bound
 from optbasis.transport import hg_kernel_matrix
 from optbasis.weights import (
@@ -106,8 +106,7 @@ SITES = {
     "weight-definiteness": lambda: WeightFactor.from_gram(-np.eye(2)),
     "sobolev-order": lambda: build_sobolev_weight(3, Grid2D(6)),
     "reference-accuracy": unconverged_reference,
-    "factor-ordering": lambda: factorize(sp.identity(3, format="csc"), ordering=[0, 0, 1]),
-    "node-size": lambda: block_ordering(sp.identity(3, format="csr"), 2),
+    "node-size": lambda: factorize(sp.identity(3, format="csr"), 2),
 }
 
 

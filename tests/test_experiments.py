@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -194,17 +195,24 @@ class TestOrdering:
     @pytest.mark.parametrize("n_angles", [6, 5])
     def test_transport_carries_its_block_ordering(self, family, n_angles):
         setup = build_problem(make_config(family, m=5, grid={"n_angles": n_angles}))
-        np.testing.assert_array_equal(setup.ordering,
+        solver = setup.factorize()
+        assert solver.node_size == n_angles
+        np.testing.assert_array_equal(solver._lu.order,
                                       block_ordering(setup.operator, n_angles))
-        np.testing.assert_array_equal(setup.factorize().ordering, setup.ordering)
 
     @pytest.mark.parametrize("family", ["elliptic", "semilinear_elliptic", "identity"])
     def test_other_families_keep_superlus_ordering(self, family):
         setup = build_problem(make_config(family))
-        assert setup.ordering is None
         solver = setup.factorize()
-        assert solver.ordering is None
+        assert solver.node_size == 1
+        assert isinstance(solver._lu, spla.SuperLU)
         assert solver.nnz == factorize(setup.operator).nnz
+
+    @pytest.mark.parametrize("family", ["rte", "semilinear_rte"])
+    def test_one_angle_transport_factors_with_superlu(self, family):
+        # a node of one unknown has nothing to gather into blocks
+        setup = build_problem(make_config(family, m=5, grid={"n_angles": 1}))
+        assert isinstance(setup.factorize()._lu, spla.SuperLU)
 
 
 class TestBases:

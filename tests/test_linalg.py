@@ -82,6 +82,11 @@ class TestFactorizedSolver:
         with pytest.raises(DimensionMismatch):
             FactorizedSolver(sp.csr_matrix(np.ones((3, 2))))
 
+    def test_empty_operator_rejected_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(linalg.spla, "splu", None)
+        with pytest.raises(DimensionMismatch, match="not empty, got 0x0"):
+            factorize(sp.csr_matrix((0, 0)))
+
     def test_wrong_rhs_length_rejected(self):
         solver = factorize(sp.identity(4, format="csc"))
         with pytest.raises(DimensionMismatch):
@@ -116,6 +121,23 @@ class TestFactorizedSolver:
         assert factorize(op.tocsc()).operator.format == "csc"
         dense = factorize(op.toarray()).operator
         assert dense.format == "csr" and (dense != op).nnz == 0
+
+    @pytest.mark.parametrize("node_size", [1, 7])
+    def test_duplicate_entries_are_summed_in_a_copy(self, node_size):
+        # every entry split into two halves; scipy's norm, read by the condition
+        # estimate, would sum them in the caller's own arrays
+        _, op = rte_operator(7)
+        split = sp.csr_matrix((np.repeat(op.data / 2, 2), np.repeat(op.indices, 2),
+                               2 * op.indptr), shape=op.shape)
+        assert not split.has_canonical_format and split.nnz == 2 * op.nnz
+        before = {part: getattr(split, part).copy() for part in ("indptr", "indices", "data")}
+        solver = factorize(split, node_size)
+        b = np.random.Generator(np.random.Philox(83)).standard_normal((op.shape[0], 3))
+        x, xt = solve_both(solver, b)
+        assert relative_gap(x, spla.spsolve(sp.csc_matrix(op), b)) <= 1e-12
+        assert relative_gap(xt, spla.spsolve(sp.csc_matrix(op.T), b)) <= 1e-12
+        for part, values in before.items():
+            np.testing.assert_array_equal(getattr(split, part), values)
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +176,7 @@ class TestOrdering:
     def test_block_ordering_fill_stays_below_superlus_own(self, transport_operator):
         # minimum degree on the 121 spatial nodes, each expanded into its 40
         # angles, stores 1,323,309 entries against SuperLU's 1,480,628
-        ordered = factorize(transport_operator, ordering=block_ordering(transport_operator, 40))
+        ordered = factorize(transport_operator, 40)
         assert ordered.nnz <= 1_400_000 < factorize(transport_operator).nnz
 
     @pytest.mark.parametrize("n_angles", [8, 7])
@@ -178,10 +200,10 @@ class TestOrdering:
     @pytest.mark.parametrize("n_angles", [8, 7])
     @pytest.mark.parametrize("cols", [None, 1, 33, 100])
     def test_ordered_solves_match_spsolve(self, n_angles, cols):
-        op, ordering = reciprocal_case(f"rte-{'odd' if n_angles % 2 else 'even'}",
-                                       ordered=True)
-        solver = factorize(op, ordering)
-        np.testing.assert_array_equal(solver.ordering, ordering)
+        op, node_size = reciprocal_case(f"rte-{'odd' if n_angles % 2 else 'even'}",
+                                        ordered=True)
+        solver = factorize(op, node_size)
+        np.testing.assert_array_equal(solver._lu.order, block_ordering(op, n_angles))
         rng = np.random.Generator(np.random.Philox(23))
         b = rng.standard_normal((op.shape[0],) if cols is None else (op.shape[0], cols))
         x, xt = solve_both(solver, b)
@@ -194,23 +216,13 @@ class TestOrdering:
                                                ("numerical", "condition number")])
     def test_a_singular_operator_with_an_ordering_raises_singular_operator(self, case,
                                                                           message):
-        op, ordering = reciprocal_case("rte-even", ordered=True)
+        op, node_size = reciprocal_case("rte-even", ordered=True)
         op = sp.lil_matrix(op)
         # a zero row gives SuperLU an exactly zero pivot; a row equal to the
         # next one up to 1e-12 is factored, and the condition estimate refuses it
         op[5, :] = 0.0 if case == "exact" else op[6, :] * (1.0 + 1e-12)
         with pytest.raises(SingularOperator, match=message):
-            factorize(op, ordering=ordering)
-
-    @pytest.mark.parametrize("bad", ["repeat", "short", "float", "out_of_range"])
-    def test_malformed_ordering_is_rejected(self, bad):
-        n = 6
-        ordering = {"repeat": np.array([0, 1, 2, 3, 4, 4]),
-                    "short": np.arange(n - 1),
-                    "float": np.arange(n, dtype=float),
-                    "out_of_range": np.arange(n) + 1}[bad]
-        with pytest.raises(InvalidArgument, match="permutation of 6 indices"):
-            factorize(sp.identity(n, format="csc"), ordering=ordering)
+            factorize(op, node_size)
 
     @pytest.mark.parametrize("diagonal", [0.0, 1e-8])
     def test_zero_or_tiny_diagonal_is_pivoted_away(self, diagonal):
@@ -263,7 +275,7 @@ class TestNodeBlockLU:
             op = two_photon_jacobian(n_angles)
         else:
             _, op = rte_operator(n_angles, eps1, g)
-        solver = factorize(op, block_ordering(op, n_angles))
+        solver = factorize(op, n_angles)
         assert isinstance(solver._lu, NodeBlockLU)
         b = np.random.Generator(np.random.Philox(71)).standard_normal((op.shape[0], cols))
         x, xt = solve_both(solver, b)
@@ -274,7 +286,7 @@ class TestNodeBlockLU:
     def test_row_swaps_inside_a_node_are_applied(self, n_angles):
         _, op = rte_operator(n_angles)
         rolled = node_rows_rolled(op, n_angles)
-        solver = factorize(rolled, ordering=block_ordering(rolled, n_angles))
+        solver = factorize(rolled, n_angles)
         assert all(solver._lu.pivoted)
         b = np.random.Generator(np.random.Philox(73)).standard_normal((op.shape[0], 5))
         x, xt = solve_both(solver, b)
@@ -286,8 +298,9 @@ class TestNodeBlockLU:
         _, op = rte_operator(7)
         if pivoting:
             op = node_rows_rolled(op, 7)
-        o = block_ordering(op, 7)
-        lu = factorize(op, ordering=o)._lu
+        lu = factorize(op, 7)._lu
+        o = lu.order
+        np.testing.assert_array_equal(o, block_ordering(op, 7))
         rows = (7 * np.arange(op.shape[0] // 7)[:, None] + lu.perm).ravel()
         ordered = sp.csr_matrix(op)[o][:, o][rows]
         lower, upper = lu.L, lu.U
@@ -298,23 +311,40 @@ class TestNodeBlockLU:
         assert lower.nnz + upper.nnz - op.shape[0] == lu.nnz
         assert lu.shape == op.shape
 
-    def test_a_plain_ordering_factors_in_nodes_of_one(self):
-        _, op = rte_operator(7)
-        o = np.asarray(block_ordering(op, 7))
-        solver = factorize(op, ordering=o)
-        assert solver.ordering.node_size == solver._lu.k == 1
-        b = np.random.Generator(np.random.Philox(79)).standard_normal(op.shape[0])
-        assert relative_gap(solver.solve(b), spla.spsolve(sp.csc_matrix(op), b)) <= 1e-12
-
-    def test_a_node_size_that_does_not_divide_the_unknowns_is_rejected(self):
-        o = np.arange(6).view(linalg.NodeOrdering)
-        o.node_size = 4
+    def test_a_node_size_that_does_not_divide_the_unknowns_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(linalg, "NodeBlockLU", None)  # refused before any work
         with pytest.raises(InvalidArgument, match="nodes of 4"):
-            factorize(sp.identity(6, format="csr"), ordering=o)
+            factorize(sp.identity(6, format="csr"), 4)
+
+    @pytest.mark.parametrize("node_size", [0, -2])
+    def test_a_node_size_below_one_is_rejected_before_any_work(self, node_size, monkeypatch):
+        monkeypatch.setattr(linalg.spla, "splu", None)
+        monkeypatch.setattr(linalg, "NodeBlockLU", None)
+        with pytest.raises(InvalidArgument, match=f"nodes of {node_size}"):
+            factorize(sp.identity(6, format="csr"), node_size)
+
+    def test_the_operator_is_read_in_place_not_permuted(self, monkeypatch):
+        # only the node graph is indexed by the order; the operator's CSR
+        # arrays are read through the nodes' positions
+        _, op = rte_operator(8)
+        expected = factorize(op, 8)._lu
+        indexed = []
+        getitem = sp.csr_matrix.__getitem__
+
+        def recording(self, key):
+            indexed.append(self.shape)
+            return getitem(self, key)
+
+        monkeypatch.setattr(sp.csr_matrix, "__getitem__", recording)
+        lu = factorize(op, 8)._lu
+        nodes = op.shape[0] // 8
+        assert indexed and set(indexed) <= {(nodes, nodes)}
+        for got, want in ((lu.diag, expected.diag), (lu.perm, expected.perm)):
+            assert got.tobytes() == want.tobytes()
 
     def test_a_whole_block_is_one_sweep_on_the_calling_thread(self, monkeypatch):
         _, op = rte_operator(8)
-        solver = factorize(op, block_ordering(op, 8))
+        solver = factorize(op, 8)
         seen = []
         solve = NodeBlockLU.solve
 
@@ -329,10 +359,11 @@ class TestNodeBlockLU:
         assert seen == [(100, "N", t), (100, "T", t)]
 
 
-def dense_block_entries(op, ordering, k):
+def dense_block_entries(op, k):
     """The entries the block factor counts before its numeric work: its blocks, were
     they dense."""
-    upper = linalg._node_fill(linalg._node_graph(sp.csr_matrix(op)[ordering][:, ordering], k))
+    o = block_ordering(op, k)
+    upper = linalg._node_fill(linalg._node_graph(sp.csr_matrix(op)[o][:, o], k))
     return k * k * (op.shape[0] // k + 2 * sum(u.size for u in upper))
 
 
@@ -340,22 +371,20 @@ class TestFillGuard:
     def test_a_factor_larger_than_the_address_space_is_refused_before_it_is_built(
             self, monkeypatch):
         _, op = rte_operator(8)
-        o = block_ordering(op, 8)
-        entries = dense_block_entries(op, o, 8)
+        entries = dense_block_entries(op, 8)
         monkeypatch.setattr(linalg, "address_space_limit", lambda: 8 * entries - 1)
         monkeypatch.setattr(linalg.lapack, "dgetrf", None)  # no numeric work may start
         with pytest.raises(ProblemTooLarge, match=f"{entries:,} float64 entries.*"
                                                   f"limit of {8 * entries - 1:,} bytes"):
-            factorize(op, o)
+            factorize(op, 8)
 
     @pytest.mark.parametrize("limit", [None, "exact"])
     def test_a_factor_within_the_limit_is_built(self, monkeypatch, limit):
         _, op = rte_operator(8)
-        o = block_ordering(op, 8)
-        entries = dense_block_entries(op, o, 8)
+        entries = dense_block_entries(op, 8)
         monkeypatch.setattr(linalg, "address_space_limit",
                             lambda: None if limit is None else 8 * entries)
-        assert factorize(op, o).nnz <= entries
+        assert factorize(op, 8).nnz <= entries
 
     def test_the_limit_is_read_from_the_process(self, monkeypatch):
         monkeypatch.setattr(linalg.resource, "getrlimit",
@@ -366,21 +395,22 @@ class TestFillGuard:
 
 
 def reciprocal_case(name, ordered=False):
-    """An operator and an ordering or None: an exactly symmetric elliptic operator, or a
+    """An operator and its node size: an exactly symmetric elliptic operator, or a
     transport operator, reciprocal with an even angle count and not with an odd one.
 
-    ``ordered`` gives transport its block ordering, as ``build_problem`` does.
+    ``ordered`` gives transport nodes of its angles, as ``ProblemSetup.factorize``
+    does; otherwise the node size is 1, SuperLU's.
     """
     if name == "elliptic":
-        return assemble_elliptic(Grid2D(12), EllipticMedium(0.0625)), None
+        return assemble_elliptic(Grid2D(12), EllipticMedium(0.0625)), 1
     pg = PhaseGrid(Grid2D(8), 8 if name == "rte-even" else 7)
     op = assemble_rte(pg, RteCoefficients(0.25, 0.5, 0.7))
-    return op, block_ordering(op, pg.n_angles) if ordered else None
+    return op, pg.n_angles if ordered else 1
 
 
 def cases(*names):
     """(name, ordered) parameters: each name as SuperLU orders it, with the name as id,
-    and each transport name with its block ordering, id ``<name>-ordered``."""
+    and each transport name in node blocks of its angles, id ``<name>-ordered``."""
     return ([pytest.param(name, False, id=name) for name in names]
             + [pytest.param(name, True, id=f"{name}-ordered")
                for name in names if name.startswith("rte")])
@@ -402,9 +432,9 @@ class TestReciprocalTranspose:
     def test_odd_angles_keep_superlus_transposed_solve(self, monkeypatch):
         # no direction of an odd angle count has a reverse on the grid; the
         # unordered operator goes to SuperLU, whose own "T" solves it
-        op, ordering = reciprocal_case("rte-odd")
+        op, node_size = reciprocal_case("rte-odd")
         assert PhaseGrid(Grid2D(8), 7).reversal() is None
-        solver = factorize(op, ordering)
+        solver = factorize(op, node_size)
         assert isinstance(solver._lu, spla.SuperLU)
         seen = []
         lu = solver._lu
@@ -450,14 +480,16 @@ class TestReciprocalTranspose:
             op = sp.csr_matrix(reciprocal_case("elliptic")[0], copy=True)
             j = op.indices[op.indptr[0]:op.indptr[1]].max()  # a neighbour of node 0
             op[0, j] = np.nextafter(op[0, j], 0.0)
-            ordering = None
+            node_size = 1
         else:
-            op, ordering = reciprocal_case(name, ordered)
-        solver = factorize(op, ordering)
+            op, node_size = reciprocal_case(name, ordered)
+        solver = factorize(op, node_size)
         seen = []
         lu = solver._lu
 
         class Recording:
+            order = getattr(lu, "order", None)  # the node-block factor's, gathered by
+
             def solve(self, b, trans="N", **kwargs):
                 seen.append((b.shape[1], trans))
                 return lu.solve(b, trans=trans, **kwargs)
@@ -502,11 +534,11 @@ class TestChunkedSolves:
         assert x.shape == xt.shape == b.shape
         columns = b[:, None] if cols is None else b
         x, xt = x.reshape(columns.shape), xt.reshape(columns.shape)
-        # the factor is of L[o][:, o], so both its solves act on the ordered
-        # unknowns; the factor's own one-column solves, SuperLU's or the
+        # the node-block factor is of L[o][:, o], so both its solves act on the
+        # ordered unknowns; the factor's own one-column solves, SuperLU's or the
         # node-block sweeps, are the oracle, its "T" solve too where an exactly
         # symmetric operator's blocks run "N"
-        o = np.arange(solver.n) if solver.ordering is None else solver.ordering
+        o = np.arange(solver.n) if solver.node_size == 1 else solver._lu.order
         for j in range(columns.shape[1]):
             assert relative_gap(x[o, j], solver._lu.solve(columns[o, j])) <= 1e-14
             assert relative_gap(xt[o, j],

@@ -291,25 +291,29 @@ class TestNewtonReference:
 
     def test_each_jacobian_is_factored_in_the_operators_ordering(self, monkeypatch):
         from optbasis import nonlinear
-        from optbasis.linalg import block_ordering
         from optbasis.transport import RteCoefficients, assemble_rte, eval_source_rte
 
-        pg = PhaseGrid(Grid2D(6), 6)
-        op = assemble_rte(pg, RteCoefficients())
-        term = TwoPhotonTerm(pg, 1.0)
-        f = eval_source_rte(pg, 50.0)
-        solver = factorize(op, block_ordering(op, 6))
-        orderings = []
+        for n_angles in (6, 5):
+            pg = PhaseGrid(Grid2D(6), n_angles)
+            op = assemble_rte(pg, RteCoefficients())
+            term = TwoPhotonTerm(pg, 1.0)
+            f = eval_source_rte(pg, 50.0)
+            solver = factorize(op, n_angles)
+            calls, factors = [], []
 
-        def recording(jac, ordering=None):
-            orderings.append(ordering)
-            return factorize(jac, ordering)
+            def recording(jac, node_size=1):
+                calls.append((jac, node_size))
+                factors.append(factorize(jac, node_size))
+                return factors[-1]
 
-        monkeypatch.setattr(nonlinear, "factorize", recording)
-        u = newton_reference(solver, term, f)
-        assert len(orderings) >= 2
-        assert all(o is solver.ordering for o in orderings)
-        # SuperLU's own ordering of each Jacobian gives the same solution
-        monkeypatch.setattr(nonlinear, "factorize", factorize)
-        expected = newton_reference(factorize(op), term, f)
-        assert np.linalg.norm(u - expected) <= 1e-12 * np.linalg.norm(expected)
+            monkeypatch.setattr(nonlinear, "factorize", recording)
+            u = newton_reference(solver, term, f)
+            assert len(calls) >= 2
+            assert all(node_size == solver.node_size for _, node_size in calls)
+            # each Jacobian has L's node pattern, so its factor orders it as L's does
+            for factor in factors:
+                np.testing.assert_array_equal(factor._lu.order, solver._lu.order)
+            # SuperLU's own ordering of each Jacobian gives the same solution
+            monkeypatch.setattr(nonlinear, "factorize", factorize)
+            expected = newton_reference(factorize(op), term, f)
+            assert np.linalg.norm(u - expected) <= 1e-12 * np.linalg.norm(expected)
