@@ -1,12 +1,15 @@
 """Command line front end for assembling, basis building and experiment runs."""
 
 import argparse
+import contextlib
+import ctypes
 import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import obf
 from .basis import defining_relation_errors, sketch_width
@@ -29,7 +32,7 @@ from .experiments import (
     oracle_problem_basis,
     reference_solution,
 )
-from .linalg import SOLVE_CHUNK, reciprocity_defect, solve_threads
+from .linalg import SOLVE_CHUNK, reciprocity_defect
 from .nonlinear import check_linear_representation_bound
 
 SWEEP_EPS_VALUES = (1.0, 0.25, 0.0625)
@@ -167,16 +170,12 @@ def _sketched_problem(config):
 
 
 def _factor(setup):
-    """The operator's sparse LU; prints how its solves run, which never changes a
-    written byte: SuperLU's column chunks on its threads, or one sweep of node blocks."""
+    """The operator's sparse LU; prints how its solves run: SuperLU's column chunks
+    or one sweep of node blocks."""
     solver = setup.factorize()
-    if solver.node_size == 1:
-        threads = solve_threads()
-        print(f"sparse solves: {threads} thread{'' if threads == 1 else 's'}, "
-              f"chunks of at most {SOLVE_CHUNK} columns")
-    else:
-        print(f"sparse solves: 1 thread, node blocks of {solver.node_size} unknowns, "
-              f"all columns in one sweep")
+    how = (f"chunks of at most {SOLVE_CHUNK} columns" if solver.node_size == 1 else
+           f"node blocks of {solver.node_size} unknowns, all columns in one sweep")
+    print(f"sparse solves: 1 thread, {how}")
     return solver
 
 
@@ -387,7 +386,23 @@ def build_parser():
     return parser
 
 
+def _pin_blas_threads():
+    """Set the OpenBLAS that numpy and scipy each bundle to one thread, leaving alone a
+    library or setter that is missing.  Left to its own pool, OpenBLAS made node-block
+    sweeps ten times slower on two cores and changed the bytes of written files."""
+    for package, pattern, setter in (
+            (np, "libscipy_openblas64_*", "scipy_openblas_set_num_threads64_"),
+            (scipy, "libscipy_openblas*", "scipy_openblas_set_num_threads")):
+        libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
+        for path in libs.glob(pattern):
+            with contextlib.suppress(OSError, AttributeError):
+                set_threads = getattr(ctypes.CDLL(str(path)), setter)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                set_threads(1)
+
+
 def main(argv=None):
+    _pin_blas_threads()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

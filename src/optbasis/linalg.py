@@ -9,9 +9,7 @@ checks and singularity detection the rest of the package relies on.
 
 from __future__ import annotations
 
-import os
 import resource
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.linalg
@@ -32,9 +30,11 @@ from .exceptions import (
 PIVOT_RTOL = 1e-14
 
 # Widest column chunk of a blocked SuperLU solve.  A block of k columns is
-# solved as ceil(k / SOLVE_CHUNK) nearly equal chunks, on as many threads as
-# the process may use; the split depends on k alone, so the bytes of a solve
-# do not depend on the thread count.
+# solved as ceil(k / SOLVE_CHUNK) nearly equal chunks, one after another on
+# the calling thread; the split depends on k alone.  Chunks are faster than
+# one SuperLU call on the whole block: a 330-column solve took 6.2 against
+# 10.4 ms on elliptic m = 32 and 32.8 against 45.5 ms on m = 64, with
+# bitwise-equal solutions (one BLAS thread, a 2-vCPU host).
 SOLVE_CHUNK = 32
 
 # SuperLU settings shared by every SuperLU factorization.  Minimum degree on
@@ -65,11 +65,10 @@ class FactorizedSolver:
     or identity, has its transposed solves done as solves with the
     operator itself.  Those walk the whole factor once per column, so
     their cost per column does not depend on the block's width.  A block
-    of right-hand sides is solved in column chunks of at most SOLVE_CHUNK
-    on a thread pool that lives only for the call; SuperLU releases the
-    interpreter lock while it solves.  Each chunk's solution is written
-    back into that chunk's own columns of the result, so a solve holds the
-    result block and a few chunks, never a second block.
+    of right-hand sides is solved in column chunks of at most SOLVE_CHUNK,
+    in turn on the calling thread.  Each chunk's solution is written back
+    into that chunk's own columns of the result, so a solve holds the
+    result block and one chunk, never a second block.
 
     With node size k > 1, NodeBlockLU factors the operator in dense k x k
     node blocks, in its own order o.  Its "N" and "T" sweeps each make one
@@ -77,10 +76,9 @@ class FactorizedSolver:
     the block's width: the whole block is solved in one call on the
     calling thread, through one copy gathered by o.  Transport's nodes are
     the angles of a spatial node: at m = 12 with 40 angles the factor has
-    1.31M nonzero entries against 1.48M for SuperLU's, and a 100-column
-    solve takes about half of SuperLU's time on two threads.  Either way
-    the split of a block depends on its width alone, so the bytes of a
-    solve do not depend on the thread count.
+    1.31M nonzero entries against 1.48M for SuperLU's.  Either way every
+    solve runs on the calling thread, and the split of a block depends on
+    its width alone.
 
     Parameters
     ----------
@@ -155,10 +153,11 @@ class FactorizedSolver:
             x[o] = self._lu.solve(x[o], trans, overwrite_b=True)
             return x
 
-        def solve_into(c):
+        k = x.shape[1] if x.ndim == 2 else 1
+        chunks = -(-k // SOLVE_CHUNK)
+        for i in range(chunks):
+            c = x[:, k * i // chunks:k * (i + 1) // chunks] if x.ndim == 2 else x
             c[:] = self._lu.solve(c, trans=trans)
-
-        _chunked(solve_into, x)
         return x
 
 
@@ -195,7 +194,10 @@ class NodeBlockLU:
     """
 
     def __init__(self, a, k):
-        a = sp.csr_matrix(a, dtype=float)  # canonical: the scatter needs one entry per position
+        a = sp.csr_matrix(a, dtype=float)
+        if not a.has_canonical_format:  # the scatter needs one entry per position
+            raise InvalidArgument("the block LU needs a canonical CSR matrix, without "
+                                  "duplicate or unsorted entries")
         n = a.shape[0]
         nodes = n // k
         self.shape = (n, n)
@@ -398,40 +400,6 @@ def address_space_limit():
     """The process's address-space limit in bytes (``ulimit -v``), or None when it has none."""
     soft = resource.getrlimit(resource.RLIMIT_AS)[0]
     return None if soft == resource.RLIM_INFINITY else soft
-
-
-def solve_threads():
-    """Threads a blocked sparse solve may use: the cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _chunked(solve_into, x):
-    """Apply solve_into, which overwrites its argument, to x or to fixed column chunks of x.
-
-    Only ``solve_into`` runs on the worker threads, never a public method,
-    so a tracer hooked on the public solves sees one call from one thread.
-    The chunks are disjoint column ranges of x, one per thread at a time.
-    """
-    k = x.shape[1] if x.ndim == 2 else 0
-    chunks = -(-k // SOLVE_CHUNK)
-    if chunks <= 1:
-        solve_into(x)
-        return
-    edges = [k * i // chunks for i in range(chunks + 1)]
-
-    def run(i):
-        solve_into(x[:, edges[i]:edges[i + 1]])
-
-    workers = min(solve_threads(), chunks)
-    if workers == 1:
-        for i in range(chunks):
-            run(i)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(run, range(chunks)))
 
 
 def checked_operand(a, n):

@@ -396,59 +396,85 @@ class TestBasisCommand:
         assert obf.read_basis(a).rank == 50
 
 
-def _solve_threads(monkeypatch, threads):
-    monkeypatch.setattr(linalg, "solve_threads", lambda: threads)
-    monkeypatch.setattr(cli, "solve_threads", lambda: threads)
+# The thread variables OpenBLAS reads when it loads.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
+def run_child(args, threads=None, **kwargs):
+    """A separate interpreter with no BLAS thread variable set, or OPENBLAS_NUM_THREADS."""
+    env = {key: value for key, value in os.environ.items() if key not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(SRC)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=300, env=env, **kwargs)
 
 
 class TestSolveThreads:
-    def test_transport_basis_bytes_do_not_depend_on_the_thread_count(self, tmp_path,
-                                                                       capsys, monkeypatch):
-        # rank 30 + 10 sketch columns: two 20-column chunks per block solve
-        cfg = write_config(tmp_path, family="rte", m=6, grid={"n_angles": 8},
-                           rank=30, oversample=10)
-        lines = {}
-        for threads in (1, 2):
-            _solve_threads(monkeypatch, threads)
-            out = tmp_path / f"t{threads}.obf"
-            assert main(["basis", "--config", str(cfg), "--out", str(out)]) == 0
-            lines[threads] = capsys.readouterr().out.splitlines()[0]
-        one, two = tmp_path / "t1.obf", tmp_path / "t2.obf"
-        assert one.read_bytes() == two.read_bytes()
-        assert obf.sidecar_path(one).read_bytes() == obf.sidecar_path(two).read_bytes()
-        assert lines == {
-            1: "sparse solves: 1 thread, node blocks of 8 unknowns, all columns in one sweep",
-            2: "sparse solves: 1 thread, node blocks of 8 unknowns, all columns in one sweep"}
+    def test_transport_prints_one_sweep_of_node_blocks(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, family="rte", m=6, grid={"n_angles": 8})
+        assert main(["basis", "--config", str(cfg), "--out", str(tmp_path / "b.obf")]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "sparse solves: 1 thread, node blocks of 8 unknowns, all columns in one sweep")
 
-    def test_one_angle_transport_prints_superlus_chunks(self, tmp_path, capsys, monkeypatch):
+    def test_one_angle_transport_prints_superlus_chunks(self, tmp_path, capsys):
         # a node of one unknown is factored by SuperLU and solved in column chunks
-        _solve_threads(monkeypatch, 2)
         cfg = write_config(tmp_path, family="rte", grid={"n_angles": 1})
         assert main(["basis", "--config", str(cfg), "--out", str(tmp_path / "b.obf")]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert out[0] == "sparse solves: 2 threads, chunks of at most 32 columns"
-
-    def test_elliptic_solve_csv_bytes_do_not_depend_on_the_thread_count(self, tmp_path,
-                                                                        monkeypatch):
-        # p = 2 and rank 40 + 10 sketch columns: the weight solves run one full
-        # 32-column panel and one padded panel, the sparse solves two chunks
-        cfg = write_config(tmp_path, family="semilinear_elliptic", m=12, p=2,
-                           rank=40, oversample=10)
-        for threads in (1, 2):
-            _solve_threads(monkeypatch, threads)
-            out = tmp_path / f"t{threads}.csv"
-            assert main(["solve-nonlinear", "--config", str(cfg), "--out", str(out)]) == 0
-        assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
+        assert out[0] == "sparse solves: 1 thread, chunks of at most 32 columns"
 
     @pytest.mark.parametrize("command, family", [("solve-linear", "elliptic"),
                                                  ("solve-nonlinear", "semilinear_elliptic")])
-    def test_curve_commands_print_the_thread_count(self, tmp_path, capsys, monkeypatch,
-                                                   command, family):
-        _solve_threads(monkeypatch, 2)
+    def test_curve_commands_print_the_thread_count(self, tmp_path, capsys, command, family):
         cfg = write_config(tmp_path, family=family)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert out[0] == "sparse solves: 2 threads, chunks of at most 32 columns"
+        assert out[0] == "sparse solves: 1 thread, chunks of at most 32 columns"
+
+    def test_csv_bytes_do_not_depend_on_the_blas_thread_variables(self, tmp_path):
+        # the elliptic-solve benchmark shape, whose fixed points run large GEMMs;
+        # left to its own pool, OpenBLAS starts one thread per core, and 2
+        # threads are asked for in case that is one
+        cfg = write_config(tmp_path, family="semilinear_elliptic", m=32, p=2,
+                           rank=310, oversample=20, power=2, problem={"eps": 0.0625})
+        outputs = []
+        for threads in (None, 1, 2):
+            out = tmp_path / f"curve-{threads}.csv"
+            run = run_child(["-m", "optbasis.cli", "solve-nonlinear", "--config", str(cfg),
+                             "--out", str(out), "--nmax", "300"], threads)
+            assert run.returncode == 0, run.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_the_cli_pins_each_bundled_blas_to_one_thread(self, tmp_path):
+        # numpy and scipy each load an OpenBLAS of their own; each is set to two
+        # threads before the command runs
+        code = (
+            "import ctypes, sys\n"
+            "import numpy, scipy\n"
+            "from pathlib import Path\n"
+            "from optbasis import cli\n"
+            "getters = []\n"
+            "for package, pattern, suffix in ((numpy, 'libscipy_openblas64_*', '64_'),\n"
+            "                                 (scipy, 'libscipy_openblas*', '')):\n"
+            "    libs = Path(package.__file__).parents[1] / f'{package.__name__}.libs'\n"
+            "    for path in libs.glob(pattern):\n"
+            "        lib = ctypes.CDLL(str(path))\n"
+            "        getattr(lib, 'scipy_openblas_set_num_threads' + suffix)(2)\n"
+            "        getters.append(getattr(lib, 'scipy_openblas_get_num_threads' + suffix))\n"
+            "if len(getters) != 2:\n"
+            "    sys.exit(f'found {len(getters)} bundled OpenBLAS libraries, not 2')\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print(*(get() for get in getters))\n"
+        )
+        cfg = write_config(tmp_path)
+        run = run_child(["-c", code, "assemble-check", "--config", str(cfg)])
+        if run.returncode and "bundled OpenBLAS" in run.stderr:
+            pytest.skip(run.stderr.strip())
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "1 1"
 
 
 # the problem's operator is factored through experiments.factorize; Newton's

@@ -1,6 +1,5 @@
 """Factorized sparse solves, the LU span basis, the thin QR and the dense SVD wrapper."""
 
-import sys
 import threading
 import warnings
 
@@ -127,9 +126,7 @@ class TestFactorizedSolver:
         # every entry split into two halves; scipy's norm, read by the condition
         # estimate, would sum them in the caller's own arrays
         _, op = rte_operator(7)
-        split = sp.csr_matrix((np.repeat(op.data / 2, 2), np.repeat(op.indices, 2),
-                               2 * op.indptr), shape=op.shape)
-        assert not split.has_canonical_format and split.nnz == 2 * op.nnz
+        split = entries_split_in_halves(op)
         before = {part: getattr(split, part).copy() for part in ("indptr", "indices", "data")}
         solver = factorize(split, node_size)
         b = np.random.Generator(np.random.Philox(83)).standard_normal((op.shape[0], 3))
@@ -144,6 +141,14 @@ class TestFactorizedSolver:
 def transport_operator():
     # the transport-basis benchmark case: m = 12 with 40 angles, 4,840 unknowns
     return assemble_rte(PhaseGrid(Grid2D(12), 40), RteCoefficients(1.0, 1.0, 0.5))
+
+
+def entries_split_in_halves(op):
+    """op with every entry stored twice, as two halves: a CSR that is not canonical."""
+    split = sp.csr_matrix((np.repeat(op.data / 2, 2), np.repeat(op.indices, 2),
+                           2 * op.indptr), shape=op.shape)
+    assert not split.has_canonical_format and split.nnz == 2 * op.nnz
+    return split
 
 
 def relative_gap(x, ref):
@@ -311,6 +316,13 @@ class TestNodeBlockLU:
         assert lower.nnz + upper.nnz - op.shape[0] == lu.nnz
         assert lu.shape == op.shape
 
+    def test_duplicate_entries_are_rejected_before_any_work(self, monkeypatch):
+        # its scatter would keep one half of each entry; factorize sums them first
+        _, op = rte_operator(7)
+        monkeypatch.setattr(linalg, "_node_graph", None)
+        with pytest.raises(InvalidArgument, match="canonical CSR"):
+            NodeBlockLU(entries_split_in_halves(op), 7)
+
     def test_a_node_size_that_does_not_divide_the_unknowns_is_rejected(self, monkeypatch):
         monkeypatch.setattr(linalg, "NodeBlockLU", None)  # refused before any work
         with pytest.raises(InvalidArgument, match="nodes of 4"):
@@ -353,7 +365,6 @@ class TestNodeBlockLU:
             return solve(self, b, trans, overwrite_b)
 
         monkeypatch.setattr(NodeBlockLU, "solve", recording)
-        monkeypatch.setattr(linalg, "solve_threads", lambda: 2)
         solve_both(solver, np.ones((solver.n, 100)))
         t = threading.get_ident()
         assert seen == [(100, "N", t), (100, "T", t)]
@@ -472,8 +483,7 @@ class TestReciprocalTranspose:
         ("rte-even", False, [(25, "T")] * 4),
         ("rte-even", True, [(100, "T")]),
     ], ids=["symmetric", "symmetric-but-one-entry", "unordered", "node-blocks"])
-    def test_transposed_solve_runs_the_factors_own_sweep(self, name, ordered, calls,
-                                                         monkeypatch):
+    def test_transposed_solve_runs_the_factors_own_sweep(self, name, ordered, calls):
         # SuperLU solves "T" one column at a time, so an exactly symmetric
         # operator runs its chunks "N"; the node-block factor sweeps "T"
         if name == "elliptic-perturbed":  # one entry off by one ulp is not symmetric
@@ -494,7 +504,6 @@ class TestReciprocalTranspose:
                 seen.append((b.shape[1], trans))
                 return lu.solve(b, trans=trans, **kwargs)
 
-        monkeypatch.setattr(linalg, "solve_threads", lambda: 1)
         solver._lu = Recording()
         b = np.random.Generator(np.random.Philox(19)).standard_normal((solver.n, 100))
         x = solver.solve_transpose(b)
@@ -512,13 +521,10 @@ class FailingFactor:
     def __init__(self, lu):
         self.lu = lu
         self.calls = 0
-        self.lock = threading.Lock()
 
     def solve(self, b, trans="N"):
-        with self.lock:
-            self.calls += 1
-            call = self.calls
-        if call == 3:
+        self.calls += 1
+        if self.calls == 3:
             raise MemoryError("chunk 3 out of memory")
         return self.lu.solve(b, trans=trans)
 
@@ -544,32 +550,10 @@ class TestChunkedSolves:
             assert relative_gap(xt[o, j],
                                 solver._lu.solve(columns[o, j], trans="T")) <= 1e-14
 
-    @pytest.mark.parametrize("name, ordered", cases("rte-even", "rte-odd", "elliptic"))
-    def test_bytes_do_not_depend_on_the_thread_count(self, name, ordered, monkeypatch):
-        # 8 threads on 11 chunks, more threads than cores, switching often:
-        # the chunks write disjoint columns of one output
-        solver = factorize(*reciprocal_case(name, ordered))
-        b = np.random.Generator(np.random.Philox(31)).standard_normal((solver.n, 330))
-        results = []
-        interval = sys.getswitchinterval()
-        try:
-            sys.setswitchinterval(1e-6)
-            for threads in (1, 2, 8):
-                monkeypatch.setattr(linalg, "solve_threads", lambda threads=threads: threads)
-                results.append(solve_both(solver, b))
-        finally:
-            sys.setswitchinterval(interval)
-        for one, *more in zip(*results):
-            assert all(one.tobytes() == other.tobytes() for other in more)
-
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("cols, widths", [(100, [25] * 4), (330, [30] * 11),
                                               (33, [16, 17])])
-    def test_chunks_are_fixed_width_and_run_on_the_pool(self, threads, cols, widths,
-                                                        monkeypatch):
-        # the split depends on the column count alone; the chunks run on
-        # worker threads when there are two, on the calling thread when one
-        monkeypatch.setattr(linalg, "solve_threads", lambda: threads)
+    def test_chunks_are_fixed_width_and_run_on_the_calling_thread(self, cols, widths):
+        # the split depends on the column count alone
         solver = factorize(*reciprocal_case("rte-even"))
         seen = []
         lu = solver._lu
@@ -585,13 +569,10 @@ class TestChunkedSolves:
         assert threading.active_count() == before
         assert sorted(w for w, _ in seen) == widths
         assert max(widths) <= SOLVE_CHUNK
-        callers = {t for _, t in seen}
-        assert (callers == {threading.get_ident()}) == (threads == 1)
+        assert {t for _, t in seen} == {threading.get_ident()}
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("transpose", [False, True])
-    def test_an_error_in_a_chunk_reaches_the_caller(self, threads, transpose, monkeypatch):
-        monkeypatch.setattr(linalg, "solve_threads", lambda: threads)
+    def test_an_error_in_a_chunk_reaches_the_caller(self, transpose):
         solver = factorize(*reciprocal_case("rte-odd"))
         solver._lu = FailingFactor(solver._lu)
         before = threading.active_count()
@@ -599,13 +580,6 @@ class TestChunkedSolves:
         with pytest.raises(MemoryError, match="chunk 3"):
             solve(np.ones((solver.n, 100)))
         assert threading.active_count() == before
-
-    def test_thread_count_is_the_cores_the_process_may_use(self, monkeypatch):
-        assert linalg.solve_threads() >= 1
-        monkeypatch.delattr(linalg.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(linalg.os, "cpu_count", lambda: 3)
-        assert linalg.solve_threads() == 3
-
 
 class TestQrThin:
     def test_full_rank_columns_stay(self):
@@ -716,25 +690,6 @@ class TestOverwrite:
         in_place = getattr(solver, method)(block, overwrite_b=True)
         assert in_place is block
         assert copied.tobytes() == in_place.tobytes()
-
-    @pytest.mark.parametrize("name, ordered", cases("rte-even", "rte-odd"))
-    def test_in_place_bytes_do_not_depend_on_the_thread_count(self, name, ordered, monkeypatch):
-        # 8 threads write 11 disjoint column chunks of the caller's own block,
-        # switching often; one thread's copying solve is the reference
-        solver = factorize(*reciprocal_case(name, ordered))
-        b = np.random.Generator(np.random.Philox(61)).standard_normal((solver.n, 330))
-        monkeypatch.setattr(linalg, "solve_threads", lambda: 1)
-        expected = solve_both(solver, b)
-        monkeypatch.setattr(linalg, "solve_threads", lambda: 8)
-        interval = sys.getswitchinterval()
-        try:
-            sys.setswitchinterval(1e-6)
-            for method, reference in zip(("solve", "solve_transpose"), expected):
-                block = np.asfortranarray(b)
-                assert getattr(solver, method)(block, overwrite_b=True) is block
-                assert block.tobytes() == reference.tobytes()
-        finally:
-            sys.setswitchinterval(interval)
 
     def test_a_row_ordered_block_is_copied_even_when_overwrite_is_allowed(self):
         solver = factorize(*reciprocal_case("rte-even"))
