@@ -1,6 +1,8 @@
 """Command line behavior: exit codes, outputs, overrides and deterministic files."""
 
+import _ctypes
 import contextlib
+import ctypes
 import io
 import json
 import os
@@ -8,10 +10,12 @@ import re
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -475,6 +479,50 @@ class TestSolveThreads:
             pytest.skip(run.stderr.strip())
         assert run.returncode == 0, run.stderr
         assert run.stdout.splitlines()[-1] == "1 1"
+
+    @staticmethod
+    def _bundle(monkeypatch, tmp_path, name, **libraries):
+        """Stand cli's numpy or scipy in for a package whose bundled-library folder
+        holds the given files: bytes, or a path the file links to."""
+        folder = tmp_path / name / f"{name}.libs"
+        folder.mkdir(parents=True)
+        for file_name, content in libraries.items():
+            if isinstance(content, bytes):
+                (folder / file_name).write_bytes(content)
+            else:
+                (folder / file_name).symlink_to(content)
+        package = types.SimpleNamespace(__name__=name,
+                                        __file__=str(tmp_path / name / name / "__init__.py"))
+        monkeypatch.setattr(cli, {"numpy": "np"}.get(name, name), package)
+
+    def test_the_pin_leaves_packages_without_bundled_libraries_alone(self, tmp_path,
+                                                                     monkeypatch):
+        # numpy and scipy built against a system BLAS bundle none
+        self._bundle(monkeypatch, tmp_path, "numpy")
+        self._bundle(monkeypatch, tmp_path, "scipy")
+        assert cli._pin_blas_threads() is None
+
+    def test_the_pin_skips_a_file_that_does_not_load(self, tmp_path, monkeypatch):
+        self._bundle(monkeypatch, tmp_path, "numpy",
+                     **{"libscipy_openblas64_-0.so": b"not a shared library"})
+        self._bundle(monkeypatch, tmp_path, "scipy",
+                     **{"libscipy_openblas-0.so": b"not a shared library"})
+        assert cli._pin_blas_threads() is None
+
+    def test_a_library_without_the_setter_leaves_the_other_blas_pinned(self, tmp_path,
+                                                                         monkeypatch):
+        # numpy's stand-in loads but has no setter; scipy's own OpenBLAS,
+        # first set to two threads, is still set to one
+        libs = Path(scipy.__file__).parents[1] / "scipy.libs"
+        found = sorted(libs.glob("libscipy_openblas*"))
+        if not found:
+            pytest.skip("scipy bundles no OpenBLAS")
+        lib = ctypes.CDLL(str(found[0]))
+        lib.scipy_openblas_set_num_threads(2)
+        self._bundle(monkeypatch, tmp_path, "numpy",
+                     **{"libscipy_openblas64_-0.so": Path(_ctypes.__file__)})
+        assert cli._pin_blas_threads() is None
+        assert lib.scipy_openblas_get_num_threads() == 1
 
 
 # the problem's operator is factored through experiments.factorize; Newton's

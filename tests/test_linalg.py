@@ -551,7 +551,8 @@ class TestChunkedSolves:
                                 solver._lu.solve(columns[o, j], trans="T")) <= 1e-14
 
     @pytest.mark.parametrize("cols, widths", [(100, [25] * 4), (330, [30] * 11),
-                                              (33, [16, 17])])
+                                              (33, [16, 17]), (1, [1]), (32, [32]),
+                                              (64, [32, 32]), (65, [21, 22, 22])])
     def test_chunks_are_fixed_width_and_run_on_the_calling_thread(self, cols, widths):
         # the split depends on the column count alone
         solver = factorize(*reciprocal_case("rte-even"))
@@ -580,6 +581,37 @@ class TestChunkedSolves:
         with pytest.raises(MemoryError, match="chunk 3"):
             solve(np.ones((solver.n, 100)))
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("name", ["rte-even", "rte-odd", "elliptic"])
+    @pytest.mark.parametrize("cols", [33, 330])
+    def test_chunks_solve_what_one_call_on_the_whole_block_solves(self, name, cols,
+                                                                   monkeypatch):
+        # chunks are for speed: one SuperLU call on the whole block solves the
+        # same system, bitwise on the symmetric elliptic operator; the bits of
+        # a nonsymmetric factor's "N" solve may depend on the chunk's width
+        solver = factorize(*reciprocal_case(name))
+        widths = []
+        lu = solver._lu
+
+        class Recording:
+            def solve(self, b, trans="N"):
+                widths.append(b.shape[1])
+                return lu.solve(b, trans=trans)
+
+        solver._lu = Recording()
+        b = np.random.Generator(np.random.Philox(31)).standard_normal((solver.n, cols))
+        chunked = solve_both(solver, b)
+        assert len(widths) == 2 * -(-cols // SOLVE_CHUNK) and max(widths) <= SOLVE_CHUNK
+        widths.clear()
+        monkeypatch.setattr(linalg, "SOLVE_CHUNK", cols)
+        whole = solve_both(solver, b)
+        assert widths == [cols, cols]
+        for x, y in zip(chunked, whole):
+            if name == "elliptic":
+                assert x.tobytes() == y.tobytes()
+            else:
+                assert relative_gap(x, y) <= 1e-14
+
 
 class TestQrThin:
     def test_full_rank_columns_stay(self):
@@ -674,12 +706,13 @@ class TestSvdDense:
 
 class TestOverwrite:
     @pytest.mark.parametrize("name, ordered", cases("elliptic", "rte-even", "rte-odd"))
-    @pytest.mark.parametrize("cols", [None, 1, 33, 100])
+    @pytest.mark.parametrize("cols", [None, 1, 33, 100, 330])
     @pytest.mark.parametrize("method", ["solve", "solve_transpose"])
     def test_in_place_solve_is_bitwise_the_copying_solve(self, name, ordered, cols, method):
         # a symmetric operator's transposed solve through SuperLU's "N",
         # SuperLU's own "T" for transport, and each transport case in its
-        # block ordering, swept by the node-block factor
+        # block ordering, swept by the node-block factor; 330 columns are
+        # 11 SuperLU chunks written back into the caller's own block
         solver = factorize(*reciprocal_case(name, ordered))
         rng = np.random.Generator(np.random.Philox(37))
         b = rng.standard_normal((solver.n,) if cols is None else (solver.n, cols))
