@@ -13,10 +13,11 @@ where A z_i = lambda_i w_i.  The triplets satisfy
 
 and the randomized sketch only ever touches A through solves with L, L^T
 and the weight factor.  Its power passes keep their span with a pivoted
-LU (Li et al., ACM TOMS 43, 2017); the one orthonormal basis, a plain
-Householder QR, is taken before the small SVD of Q^T A (Halko, Martinsson
-& Tropp, SIAM Rev. 53, 2011, Alg. 4.4 and 5.1), which alone decides the
-numerical rank.  The dense oracle is ``bayes.dense_svd_oracle``.
+LU (Li et al., ACM TOMS 43, 2017), in float32 where the node-block factor
+allows it; the one orthonormal basis, a plain Householder QR of a block
+solved in float64, is taken before the small SVD of Q^T A (Halko,
+Martinsson & Tropp, SIAM Rev. 53, 2011, Alg. 4.4 and 5.1), which alone
+decides the numerical rank.  The dense oracle is ``bayes.dense_svd_oracle``.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ class SVDBasis:
 
 
 def _apply_forward(solver, fx, w):
-    """A w with A = L^{-1} F_X^{-1}, in the memory of w if it is an F-ordered float64 block."""
+    """A w with A = L^{-1} F_X^{-1}, in the memory of w if it is an F-ordered block of
+    float32 or float64, in the type of w."""
     return solver.solve(fx.solve(w, overwrite_b=True), overwrite_b=True)
 
 
@@ -104,6 +106,12 @@ def sketch_width(params: RsvdParams, n):
             f"'rsvd.rank' + 'rsvd.oversample' = {k} exceeds the {n} unknowns of the problem"
         )
     return k
+
+
+def span_dtype(solver, fx):
+    """The type of the sketch's span-only blocks: float32 where both the solver and the
+    weight keep a span in it, float64 otherwise."""
+    return np.result_type(solver.span_dtype, fx.span_dtype)
 
 
 def compute_basis(solver, fx, *, params: RsvdParams):
@@ -126,30 +134,42 @@ def compute_basis(solver, fx, *, params: RsvdParams):
     conditioned and never drops a column.  The one orthonormalization is
     the Householder QR of the last forward block, which keeps all k
     columns; triplets come from the SVD of the small projected matrix
-    Q^T A.  Rank is read only there: singular values below TRUNCATION_RTOL
+    Q^T A, taken as the SVD of A^T Q, whose left vectors are its right
+    ones.  Rank is read only there: singular values below TRUNCATION_RTOL
     of the largest truncate the basis, with one RankDeficientWarning when
     fewer than ``rank`` remain.  A sketch wider than the N unknowns raises
     ConfigInvalid.
 
+    The span-only blocks run in ``span_dtype(solver, fx)``: the draw, cast
+    once, and every block before the last forward one, weight maps, solves
+    and LU bases alike.  With the node-block factor that is float32 (Halko,
+    Martinsson & Tropp, Sec. 4.5: a pass keeps only a span).  The last
+    forward block, from which the QR is taken, runs in float64, as do
+    A^T Q and the lift, so the triplets keep double accuracy.  SuperLU's
+    span type is float64, and then every block is.
+
     Every stage overwrites one N x k working block, from the Gaussian draw
-    to A^T Q, so the sketch holds that block and the solves' column chunks.
-    A^T Q is then copied once into the layout in which LAPACK reads Q^T A,
-    and freed; the SVD overwrites that copy and adds its k x N right
-    vectors, and the lift holds the r_eff columns of V and of U.
+    to A^T Q, so the sketch holds that block and the solves' column chunks;
+    the block becomes float64 once, before the last forward solve, and its
+    float32 memory is freed.  The SVD overwrites A^T Q and adds its N x k
+    left vectors, and the lift holds the r_eff columns of V and of U.
     """
     n = solver.n
     k = sketch_width(params, n)
     rng = np.random.Generator(np.random.Philox(params.seed))
-    y = _apply_forward(solver, fx, np.asfortranarray(rng.standard_normal((n, k))))
-    for _ in range(params.power):
-        q = lu_basis(_apply_adjoint(solver, fx, lu_basis(y)))
-        y = _apply_forward(solver, fx, q)
+    span = span_dtype(solver, fx) if params.power else np.float64
+    y = _apply_forward(solver, fx, rng.standard_normal((n, k)).astype(span, order="F"))
+    for p in range(params.power):
+        y = lu_basis(_apply_adjoint(solver, fx, lu_basis(y)))
+        if p == params.power - 1:  # the block the QR is taken from is solved in double
+            y = y.astype(np.float64, order="F", copy=False)
+        y = _apply_forward(solver, fx, y)
     q = qr_thin(y)
     del y  # q lives in the same memory
-    qta = np.asfortranarray(_apply_adjoint(solver, fx, q).T)  # Q^T A, column-major
+    atq = _apply_adjoint(solver, fx, q)
     del q  # overwritten by A^T Q
-    _, svals, v_big = svd_dense(qta, overwrite_a=True)
-    del qta  # destroyed by the SVD
+    v_big, svals, _ = svd_dense(atq, overwrite_a=True)
+    del atq  # destroyed by the SVD
 
     achieved = int(np.sum(svals > TRUNCATION_RTOL * svals[0]))  # the QR kept all k >= 1 columns
     r_eff = min(params.rank, achieved)

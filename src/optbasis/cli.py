@@ -12,7 +12,7 @@ import numpy as np
 import scipy
 
 from . import obf
-from .basis import defining_relation_errors, sketch_width
+from .basis import defining_relation_errors, sketch_width, span_dtype
 from .bayes import (
     DENSE_BAYES_GUARD,
     check_reconstruction_bound,
@@ -170,11 +170,12 @@ def _sketched_problem(config):
 
 
 def _factor(setup):
-    """The operator's sparse LU; prints how its solves run: SuperLU's column chunks
-    or one sweep of node blocks."""
+    """The operator's sparse LU; prints how its solves run: SuperLU's column chunks,
+    or one sweep of node blocks with the type of the sketch's power passes."""
     solver = setup.factorize()
     how = (f"chunks of at most {SOLVE_CHUNK} columns" if solver.node_size == 1 else
-           f"node blocks of {solver.node_size} unknowns, all columns in one sweep")
+           f"node blocks of {solver.node_size} unknowns, all columns in one sweep, "
+           f"power passes in {span_dtype(solver, setup.fx)}")
     print(f"sparse solves: 1 thread, {how}")
     return solver
 

@@ -23,7 +23,8 @@ class OrderTooHigh(OptbasisError):
 
 class ProblemTooLarge(OptbasisError):
     """Refused before the work starts: a dense verification path exceeds its size guard,
-    or a block LU's entries exceed the process's address-space limit."""
+    or a block LU's entries exceed the process's address-space limit; or an LU factor
+    ran out of memory."""
 
 
 class SingularTheta(OptbasisError):

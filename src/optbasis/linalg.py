@@ -1,10 +1,12 @@
 """Sparse factorization and dense decomposition helpers.
 
 The sparse LU of an operator, given only its node size: SuperLU for 1, or
-the package's own LU in dense node blocks (NodeBlockLU), which picks its
-own elimination order; either behind one ``solve`` / ``solve_transpose``
-pair.  The span bases, thin QR and dense SVD of the sketch, with the shape
-checks and singularity detection the rest of the package relies on.
+the package's own block LDU factor in dense node blocks (NodeBlockLU),
+which picks its own elimination order; either behind one ``solve`` /
+``solve_transpose`` pair.  Solves and span bases keep a float32 block in
+float32, for the sketch's span-only power passes; everything else works
+in float64.  The span bases, thin QR and dense SVD of the sketch, with the
+shape checks and singularity detection the rest of the package relies on.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import blas, lapack
+from scipy.linalg import lapack
 
 from .exceptions import (
     DimensionMismatch,
@@ -36,6 +38,19 @@ PIVOT_RTOL = 1e-14
 # 10.4 ms on elliptic m = 32 and 32.8 against 45.5 ms on m = 64, with
 # bitwise-equal solutions (one BLAS thread, a 2-vCPU host).
 SOLVE_CHUNK = 32
+
+# A span-only block runs in float32 only where each map it meets has a norm
+# within 2^-SPAN_EXPONENT .. 2^SPAN_EXPONENT.  A chain of such maps on a
+# block of unit entries then stays far inside float32's range (2^-126 ..
+# 2^128): no entry overflows and none that matters underflows.
+SPAN_EXPONENT = 40
+
+# Nodes per batched product of a node-block sweep's diagonal step, which
+# applies D^-1 to this many nodes' rows at once: a chunk's product is the
+# only block the step allocates, 128 KiB for 100 float64 columns of
+# 40-angle nodes.  Chunks of 16 nodes gave the same speed and a 0.3 MiB
+# higher peak RSS on transport m = 12.
+SCALE_NODES = 4
 
 # SuperLU settings shared by every SuperLU factorization.  Minimum degree on
 # A^T + A with a preference for diagonal pivots suits all the operators the
@@ -71,14 +86,23 @@ class FactorizedSolver:
     result block and one chunk, never a second block.
 
     With node size k > 1, NodeBlockLU factors the operator in dense k x k
-    node blocks, in its own order o.  Its "N" and "T" sweeps each make one
-    GEMM and one small TRSM per node, so their cost per column falls with
-    the block's width: the whole block is solved in one call on the
-    calling thread, through one copy gathered by o.  Transport's nodes are
-    the angles of a spatial node: at m = 12 with 40 angles the factor has
-    1.31M nonzero entries against 1.48M for SuperLU's.  Either way every
-    solve runs on the calling thread, and the split of a block depends on
-    its width alone.
+    node blocks, in its own block LDU form and order o.  Its "N" and "T"
+    sweeps each make one GEMM per node and direction, so their cost per
+    column falls with the block's width: the whole block is solved in one
+    call on the calling thread, through one copy gathered by o.
+    Transport's nodes are the angles of a spatial node: at m = 12 with 40
+    angles the factor stores 1.55M entries against 1.48M for SuperLU's.
+    Either way every solve runs on the calling thread, and the split of a
+    block depends on its width alone.
+
+    A float64 block is solved in float64.  A float32 block keeps its type:
+    the node-block factor solves it in float32, rounding its float64 blocks
+    as it sweeps, and SuperLU solves it in float64 and rounds the result.
+    ``span_dtype`` is the type a caller that needs only the span of a
+    block's solution should solve in: float32 with node blocks, unless
+    ||L||_1 or the estimate of ||L^-1||_1 falls outside float32's safe
+    range (single_holds); float64 with SuperLU, where float32 saves
+    nothing.  A factor that runs out of memory raises ProblemTooLarge.
 
     Parameters
     ----------
@@ -103,17 +127,19 @@ class FactorizedSolver:
         self.operator = operator
         self.n = n
         self.node_size = node_size
-        self._trans_t = "T"
         norm = spla.norm(operator, 1)  # its copy of |L| is freed before the factor exists
-        if node_size == 1:
-            if (operator != operator.T).nnz == 0:  # SuperLU's "T" goes column by column
-                self._trans_t = "N"
-            try:
-                self._lu = spla.splu(sp.csc_matrix(operator), **_SPLU_OPTIONS)
-            except RuntimeError as exc:
-                raise SingularOperator(f"LU factorization failed: {exc}") from exc
-        else:
-            self._lu = NodeBlockLU(operator, node_size)
+        # SuperLU's "T" goes column by column, so an operator equal to its transpose takes "N"
+        symmetric = node_size == 1 and (operator != operator.T).nnz == 0
+        self._trans_t = "N" if symmetric else "T"
+        try:
+            self._lu = (NodeBlockLU(operator, node_size) if node_size > 1
+                        else spla.splu(sp.csc_matrix(operator), **_SPLU_OPTIONS))
+        except RuntimeError as exc:  # SuperLU's report of a singular matrix
+            raise SingularOperator(f"LU factorization failed: {exc}") from exc
+        except MemoryError as exc:
+            detail = f" ({exc})" if str(exc) else ""
+            raise ProblemTooLarge(
+                f"the LU factor of {n:,} unknowns ran out of memory{detail}") from exc
         # Hager-Higham estimate of ||L^-1||_1 from a few solves; reading the
         # pivots off self._lu.U would copy the whole factor
         inverse = spla.LinearOperator(
@@ -125,6 +151,8 @@ class FactorizedSolver:
                 f"operator numerically singular (estimated 1-norm condition number "
                 f"{condition:.3e})"
             )
+        single = node_size > 1 and single_holds(norm, condition / norm)
+        self.span_dtype = np.dtype(np.float32 if single else np.float64)
 
     @property
     def nnz(self):
@@ -134,7 +162,8 @@ class FactorizedSolver:
     def solve(self, b, overwrite_b=False):
         """Solve L x = b for one vector or the columns of a matrix.
 
-        With ``overwrite_b`` and an F-ordered float64 ``b``, x is written
+        x is float32 for a float32 ``b`` and float64 for any other.  With
+        ``overwrite_b`` and an F-ordered ``b`` of that type, x is written
         into b and b is returned; otherwise b is left as it is.
         """
         return self._solve("N", b, overwrite_b)
@@ -162,35 +191,39 @@ class FactorizedSolver:
 
 
 class NodeBlockLU:
-    """LU in dense node blocks, P^T A[o][:, o] = L U, of a square sparse matrix.
+    """Block LDU factor A[o][:, o] = L D U of a square sparse matrix, in dense node blocks.
 
     Unknowns k i .. k i + k - 1 of A form node i.  The elimination order
     ``order``, o, is ``block_ordering``'s of the node graph of A, built
     once; A is never permuted: each node's rows are read in place from its
     CSR arrays, their columns mapped to o through the nodes' positions.
-    Below, nodes are numbered in o.  Rows pivot only inside their node, so
-    P is block diagonal.  The node-level fill is found first: eliminating
-    node i joins its higher-numbered neighbours into a clique, which the
-    lowest of them inherits.  Node rows are then factored one at a time:
-    row i's entries are scattered into one dense buffer W over its node
-    pattern; each earlier node j of the pattern, in ascending order, gives
-    C_ij = W_j U_jj^-1 and the update W -= C_ij U_j; getrf factors the
-    diagonal block, W_i = P_i L_ii U_ii, and U's row is L_ii^-1 P_i^T W
-    over the later nodes.  So L_ij = P_i^T C_ij.
+    Below, nodes are numbered in o; L is block unit lower, D block diagonal
+    and U block unit upper.  The node-level fill is found first:
+    eliminating node i joins its higher-numbered neighbours into a clique,
+    which the lowest of them inherits.  Node rows are then factored one at
+    a time: row i's entries are scattered into one dense buffer W over its
+    node pattern; each earlier node j of the pattern, in ascending order,
+    gives L_ij = W_ij D_jj^-1 and the update W -= W_ij U_j, a GEMM each.
+    What is left of the diagonal block is D_ii, which getrf and getri
+    invert, pivoting rows only inside the node, and U's row is D_ii^-1 W
+    over the later nodes.
 
-    Diagonal blocks stay dense in getrf form.  Off-diagonal blocks keep
-    only what is not zero: an advection block couples each angle only to
-    itself, and mixing the rows of a block keeps its zero columns while
-    mixing its columns keeps its zero rows.  So each node's row of U keeps
-    its nonzero columns and each node's column of the C blocks its nonzero
-    rows, each with its indices, and a solve spends one GEMM per node and
-    direction on them.
+    D^-1 is kept in dense blocks, ``dinv``, with the pivots inside them.
+    Off-diagonal blocks keep only what is not zero: an advection block
+    couples each angle only to itself, and mixing the rows of a block keeps
+    its zero columns while mixing its columns keeps its zero rows.  So each
+    node's row of U keeps its nonzero columns and each node's column of L
+    its nonzero rows, each with its indices.
 
     ``solve(b, trans)`` sweeps a whole block of right-hand sides at once, so
     its cost per column falls with the block's width, unlike SuperLU's,
-    which walks the whole factor once per column.  It speaks SuperLU's
-    object protocol: ``solve``, ``shape``, ``nnz`` and the factors ``L`` and
-    ``U`` as CSC matrices, built on each access.
+    which walks the whole factor once per column.  Each sweep with L or U
+    is one GEMM and one gather or scatter per node, with no triangular
+    solve; D^-1 in between is one batched product per SCALE_NODES nodes.
+    A float32 block is solved in float32, each node's float64 blocks
+    rounded as the sweep reaches them.  It speaks SuperLU's object
+    protocol: ``solve``, ``shape``, ``nnz`` and the factors ``L`` and ``U``
+    as CSC matrices, built on each access.
     """
 
     def __init__(self, a, k):
@@ -220,8 +253,7 @@ class NodeBlockLU:
                 f"the block LU needs {entries:,} float64 entries ({8 * entries:,} bytes), "
                 f"more than the address-space limit of {limit:,} bytes")
 
-        self.diag = np.empty((nodes, k, k))  # diag[i].T is getrf's F-ordered L_ii \ U_ii
-        self.perm = np.empty((nodes, k), dtype=np.intp)  # (P_i^T x)[j] = x[perm[i, j]]
+        self.dinv = np.empty((nodes, k, k))  # D_ii^-1
         self.u_index, self.u_rows = [None] * nodes, [None] * nodes
         self.c_index, self.c_cols = [None] * nodes, [None] * nodes
         c_index, c_cols = [[] for _ in range(nodes)], [[] for _ in range(nodes)]
@@ -238,13 +270,13 @@ class NodeBlockLU:
             wt[slot[position[cols // k]] * k + cols % k,
                np.repeat(offsets, np.diff(a.indptr[r:r + k + 1]))] = a.data[start:stop]
             for s, j in enumerate(earlier):
-                cij = blas.dtrsm(1.0, self.diag[j].T, wt[s * k:s * k + k].T, side=1)
+                wij = wt[s * k:s * k + k]  # W_ij^T, final once the nodes before j are done
                 if self.u_index[j].size:
                     u = self.u_index[j]
-                    wt[slot[u // k] * k + u % k] -= self.u_rows[j].T @ cij.T
-                keep = np.flatnonzero(cij.any(axis=1))
+                    wt[slot[u // k] * k + u % k] -= self.u_rows[j].T @ wij
+                keep = np.flatnonzero(wij.any(axis=0))  # rows of node i where W_ij is not zero
                 c_index[j].append(i * k + keep)
-                c_cols[j].append(cij[keep])
+                c_cols[j].append(wij[:, keep].T @ self.dinv[j])
                 if i == upper[j][-1]:  # node j's column is complete
                     self.c_index[j] = np.concatenate(c_index[j])
                     self.c_cols[j] = np.vstack(c_cols[j])
@@ -254,34 +286,32 @@ class NodeBlockLU:
             if info > 0:
                 raise SingularOperator(f"operator exactly singular: node {i} of the "
                                        f"block LU has a zero pivot")
-            self.diag[i] = lu.T
-            self.perm[i] = _swaps_to_permutation(piv)
-            # U_i = L_ii^-1 P_i^T W over the later nodes, solved in the F-ordered (P_i^T W)
-            ui = blas.dtrsm(1.0, lu, wt[d + k:][:, self.perm[i]].T, lower=1, diag=1,
-                            overwrite_b=1)
-            keep = np.flatnonzero(ui.any(axis=0))
+            self.dinv[i] = lapack.dgetri(lu, piv, overwrite_lu=1)[0]
+            later = wt[d + k:]  # W^T over the later nodes
+            keep = np.flatnonzero(later.any(axis=1))
             self.u_index[i] = (upper[i][:, None] * k + offsets).ravel()[keep]
-            self.u_rows[i] = ui[:, keep]
+            self.u_rows[i] = self.dinv[i] @ later[keep].T
             if not upper[i].size:
                 self.c_index[i], self.c_cols[i] = keep[:0], np.empty((0, k))
-        self.pivoted = [not np.array_equal(p, offsets) for p in self.perm]
 
     @property
     def nnz(self):
-        """Nonzero entries of L and U, the unit diagonal once, as SuperLU counts its fill.
-
-        The arrays hold more: a kept row or column keeps its zeros too.
-        """
-        return sum(np.count_nonzero(a) for a in (self.diag, *self.c_cols, *self.u_rows))
+        """Entries the factor stores: D^-1's blocks and the kept rows of L and columns of
+        U, zeros inside them included, so that nnz(L) + nnz(U) - n of its CSC factors
+        equals it."""
+        return self.dinv.size + sum(a.size for a in (*self.c_cols, *self.u_rows))
 
     def solve(self, b, trans="N", overwrite_b=False):
         """x with A x = b ("N") or A^T x = b ("T"), for a vector or the columns of a block.
 
-        With ``overwrite_b`` and a C-ordered float64 ``b``, x is written into b.
+        A float32 ``b`` is solved in float32, anything else in float64.  With
+        ``overwrite_b`` and a C-ordered ``b`` of that type, x is written into b.
         """
-        x = np.asarray(b, dtype=float)
-        if not (overwrite_b and x.flags.c_contiguous and x.flags.writeable):
-            x = np.array(x, order="C")
+        x = np.asarray(b)
+        dtype = _float_type(x)
+        if not (overwrite_b and x.dtype == dtype and x.flags.c_contiguous
+                and x.flags.writeable):
+            x = np.array(x, dtype=dtype, order="C")
         y = x if x.ndim == 2 else x[:, None]
         if trans == "N":
             self._sweep_n(y)
@@ -290,79 +320,68 @@ class NodeBlockLU:
         return x
 
     def _sweep_n(self, y):
-        k = self.k
-        for i in range(len(self.diag)):  # z = L^-1 P^T b
-            yi = y[i * k:i * k + k]
-            if self.pivoted[i]:
-                yi[:] = yi[self.perm[i]]
-            blas.dtrsm(1.0, self.diag[i].T, yi.T, side=1, lower=1, trans_a=1, diag=1,
-                       overwrite_b=1)
-            if self.c_index[i].size:
-                y[self.c_index[i]] -= self.c_cols[i] @ yi
-        for i in range(len(self.diag) - 1, -1, -1):  # x = U^-1 z
-            yi = y[i * k:i * k + k]
-            if self.u_index[i].size:
-                yi -= self.u_rows[i] @ y[self.u_index[i]]
-            blas.dtrsm(1.0, self.diag[i].T, yi.T, side=1, trans_a=1, overwrite_b=1)
+        k, t = self.k, y.dtype
+        for i, index in enumerate(self.c_index):  # z = L^-1 b
+            if index.size:
+                y[index] -= self.c_cols[i].astype(t, copy=False) @ y[i * k:i * k + k]
+        self._scale(y, "N")  # w = D^-1 z
+        for i in range(len(self.u_index) - 1, -1, -1):  # x = U^-1 w
+            index = self.u_index[i]
+            if index.size:
+                y[i * k:i * k + k] -= self.u_rows[i].astype(t, copy=False) @ y[index]
 
     def _sweep_t(self, y):
-        k = self.k
-        for i in range(len(self.diag)):  # w = U^-T b
-            yi = y[i * k:i * k + k]
-            blas.dtrsm(1.0, self.diag[i].T, yi.T, side=1, overwrite_b=1)
-            if self.u_index[i].size:
-                y[self.u_index[i]] -= self.u_rows[i].T @ yi
-        for i in range(len(self.diag) - 1, -1, -1):  # x = P L^-T w
-            yi = y[i * k:i * k + k]
-            if self.c_index[i].size:
-                yi -= self.c_cols[i].T @ y[self.c_index[i]]
-            blas.dtrsm(1.0, self.diag[i].T, yi.T, side=1, lower=1, diag=1, overwrite_b=1)
-            if self.pivoted[i]:
-                yi[self.perm[i]] = yi.copy()
+        k, t = self.k, y.dtype
+        for i, index in enumerate(self.u_index):  # z = U^-T b
+            if index.size:
+                y[index] -= self.u_rows[i].astype(t, copy=False).T @ y[i * k:i * k + k]
+        self._scale(y, "T")  # w = D^-T z
+        for i in range(len(self.c_index) - 1, -1, -1):  # x = L^-T w
+            index = self.c_index[i]
+            if index.size:
+                y[i * k:i * k + k] -= self.c_cols[i].astype(t, copy=False).T @ y[index]
+
+    def _scale(self, y, trans):
+        """y <- D^-1 y ("N") or D^-T y ("T") for a C-ordered block y, SCALE_NODES nodes
+        at a time, so that neither D^-1 nor y is ever copied whole."""
+        stack = y.reshape(len(self.dinv), self.k, -1)
+        for s in range(0, len(stack), SCALE_NODES):
+            d = self.dinv[s:s + SCALE_NODES].astype(y.dtype, copy=False)
+            nodes = stack[s:s + SCALE_NODES]
+            nodes[...] = (d if trans == "N" else d.transpose(0, 2, 1)) @ nodes
 
     @property
     def L(self):
-        """Unit lower factor of P^T A = L U as a CSC matrix, built on each access."""
-        k = self.k
-        tril = np.tril_indices(k, -1)
-        inverse = np.argsort(self.perm, axis=1)  # row r of node i is row inverse[i, r] of L
-        n = self.shape[0]
+        """Block unit lower factor of A[o][:, o] = L D U as a CSC matrix, built on each
+        access."""
+        k, n = self.k, self.shape[0]
         rows, cols, vals = [np.arange(n)], [np.arange(n)], [np.ones(n)]
         for j, index in enumerate(self.c_index):
-            base = j * k
-            node = index // k
-            rows += [base + tril[0], np.repeat(node * k + inverse[node, index % k], k)]
-            cols += [base + tril[1], np.tile(base + np.arange(k), index.size)]
-            vals += [self.diag[j].T[tril], self.c_cols[j].ravel()]
+            rows.append(np.repeat(index, k))
+            cols.append(np.tile(j * k + np.arange(k), index.size))
+            vals.append(self.c_cols[j].ravel())
         return _csc(rows, cols, vals, self.shape)
 
     @property
     def U(self):
-        """Upper factor of P^T A = L U as a CSC matrix, built on each access."""
+        """The stored upper factor as a CSC matrix, built on each access: U of
+        A[o][:, o] = L D U above its diagonal blocks, and D^-1 in them in place of U's
+        identity blocks."""
         k = self.k
-        triu = np.triu_indices(k)
+        block = np.arange(k)
         rows, cols, vals = [], [], []
-        for i, index in enumerate(self.u_index):
-            base = i * k
-            rows += [base + triu[0], np.repeat(base + np.arange(k), index.size)]
-            cols += [base + triu[1], np.tile(index, k)]
-            vals += [self.diag[i].T[triu], self.u_rows[i].ravel()]
+        for i, index in enumerate(self.u_index):  # row by row: D_ii^-1, then U's row
+            node = i * k + block
+            rows.append(np.repeat(node, k + index.size))
+            cols.append(np.tile(np.concatenate((node, index)), k))
+            vals.append(np.concatenate((self.dinv[i], self.u_rows[i]), axis=1).ravel())
         return _csc(rows, cols, vals, self.shape)
 
 
 def _csc(rows, cols, vals, shape):
-    m = sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=shape)
-    m.eliminate_zeros()
-    return m
-
-
-def _swaps_to_permutation(piv):
-    """The row order of getrf's swaps: swapping rows j and piv[j] in turn takes row p[j] to j."""
-    p = np.arange(piv.size)
-    for j in np.flatnonzero(piv != p):
-        p[j], p[piv[j]] = p[piv[j]], p[j]
-    return p
+    """A CSC matrix of the given entries, stored zeros kept."""
+    return sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=shape)
 
 
 def _node_graph(a, k):
@@ -396,29 +415,43 @@ def _node_fill(graph):
     return [np.array(sorted(later), dtype=np.intp) for later in upper]
 
 
+def single_holds(*norms):
+    """Whether maps of these norms keep a block's span in float32: each lies within
+    2^-SPAN_EXPONENT .. 2^SPAN_EXPONENT, and none is NaN."""
+    return all(2.0 ** -SPAN_EXPONENT <= s <= 2.0 ** SPAN_EXPONENT for s in norms)
+
+
 def address_space_limit():
     """The process's address-space limit in bytes (``ulimit -v``), or None when it has none."""
     soft = resource.getrlimit(resource.RLIMIT_AS)[0]
     return None if soft == resource.RLIM_INFINITY else soft
 
 
-def checked_operand(a, n):
-    """``a`` as a float64 array, a copy only if it is not one already;
+def checked_operand(a, n, dtype=float):
+    """``a`` as an array of ``dtype``, a copy only if it is not one already;
     DimensionMismatch unless its leading dimension is n."""
-    a = np.asarray(a, dtype=float)
+    a = np.asarray(a, dtype=dtype)
     if a.shape[0] != n:
         raise DimensionMismatch(f"operand has leading dimension {a.shape[0]}, expected {n}")
     return a
 
 
-def work_array(a, overwrite, n=None):
-    """The array an in-place kernel writes: ``a`` itself or an F-ordered float64 copy.
+def _float_type(a):
+    """The type a kernel works in on array ``a``: float32 for float32, float64 for any other."""
+    return np.float32 if a.dtype == np.float32 else np.float64
 
-    ``a`` itself only when ``overwrite`` is set and ``a`` is a writable
-    F-ordered float64 array, so that the caller sees the result in it.
-    With ``n``, DimensionMismatch unless the leading dimension of ``a`` is n.
+
+def work_array(a, overwrite, n=None):
+    """The array an in-place kernel writes: ``a`` itself or an F-ordered copy.
+
+    A float32 ``a`` stays float32 and anything else becomes float64.  ``a``
+    itself only when ``overwrite`` is set and ``a`` is a writable F-ordered
+    array of that type, so that the caller sees the result in it.  With
+    ``n``, DimensionMismatch unless the leading dimension of ``a`` is n.
     """
-    a = np.asarray(a, dtype=float) if n is None else checked_operand(a, n)
+    a = np.asarray(a)
+    t = _float_type(a)
+    a = np.asarray(a, dtype=t) if n is None else checked_operand(a, n, t)
     if overwrite and a.flags.f_contiguous and a.flags.writeable:
         return a
     return np.array(a, order="F")
@@ -485,20 +518,22 @@ def lu_basis(a):
     has full column rank and its range contains range(a), with equality when
     a has full column rank; a zero pivot leaves a unit column, never a NaN or
     a warning.  Several times cheaper than qr_thin, but not orthonormal.
-    An F-ordered float64 block ``a`` is overwritten: LAPACK's getrf factors
-    it in place and P L is built in its memory, the same bits as
-    ``scipy.linalg.lu(a, permute_l=True)[0]``.
+    A float32 ``a`` is factored in float32 (sgetrf, slaswp), anything else
+    in float64.  An F-ordered block ``a`` of that type is overwritten:
+    LAPACK's getrf factors it in place and P L is built in its memory, the
+    same bits as ``scipy.linalg.lu(a, permute_l=True)[0]``.
     """
     a = work_array(a, True)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d array, got shape {a.shape}")
-    lu, piv, _ = lapack.dgetrf(a, overwrite_a=1)  # info > 0 only flags a zero pivot of U
+    getrf, laswp = lapack.get_lapack_funcs(("getrf", "laswp"), (a,))
+    lu, piv, _ = getrf(a, overwrite_a=1)  # info > 0 only flags a zero pivot of U
     r = min(lu.shape)
     pl = lu[:, :r]
     for j in range(1, r):  # the strict upper triangle, one column at a time
         pl[:j, j] = 0.0
     np.fill_diagonal(pl, 1.0)
-    return lapack.dlaswp(pl, piv[:r], inc=-1, overwrite_a=1)  # undo the row swaps, last first
+    return laswp(pl, piv[:r], inc=-1, overwrite_a=1)  # undo the row swaps, last first
 
 
 def svd_dense(a, overwrite_a=False):
@@ -508,8 +543,11 @@ def svd_dense(a, overwrite_a=False):
     each load their own OpenBLAS: at one BLAS thread the bits match numpy's
     (checked up to 4,096 x 4,096), at more they may differ in roundoff.
     With ``overwrite_a`` and an F-ordered float64 ``a``, gesdd works in
-    the memory of ``a`` and leaves it destroyed, so a wide k x N matrix
-    costs one more k x N block, V^T, where a copying SVD costs two.
+    the memory of ``a`` and leaves it destroyed, so a tall N x k matrix
+    costs one more N x k block, U, where a copying SVD costs two.  Tall is
+    the cheaper shape: gesdd first reduces it to its k x k triangle, so the
+    sketch takes the SVD of A^T Q, whose left vectors are the right vectors
+    of Q^T A.
     """
     a = work_array(a, overwrite_a)
     try:

@@ -420,7 +420,8 @@ class TestSolveThreads:
         cfg = write_config(tmp_path, family="rte", m=6, grid={"n_angles": 8})
         assert main(["basis", "--config", str(cfg), "--out", str(tmp_path / "b.obf")]) == 0
         assert capsys.readouterr().out.splitlines()[0] == (
-            "sparse solves: 1 thread, node blocks of 8 unknowns, all columns in one sweep")
+            "sparse solves: 1 thread, node blocks of 8 unknowns, all columns in one sweep, "
+            "power passes in float32")
 
     def test_one_angle_transport_prints_superlus_chunks(self, tmp_path, capsys):
         # a node of one unknown is factored by SuperLU and solved in column chunks
@@ -620,6 +621,23 @@ class TestMemoryError:
         assert main(["basis", "--config", str(cfg), "--out", str(tmp_path / "b.obf")]) == 2
         err = capsys.readouterr().err
         assert err == "error: out of memory (Unable to allocate 4.00 GiB for the LU factors)\n"
+        assert not (tmp_path / "b.obf").exists()
+
+    @pytest.mark.parametrize("family, module, name", [
+        pytest.param("elliptic", linalg.spla, "splu", id="superlu"),
+        pytest.param("rte", linalg.lapack, "dgetri", id="node-blocks-numeric-phase"),
+    ])
+    def test_a_factor_out_of_memory_is_problem_too_large(self, tmp_path, capsys, monkeypatch,
+                                                         family, module, name):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 4.00 GiB")
+
+        monkeypatch.setattr(module, name, exhausted)
+        cfg = write_config(tmp_path, family=family, grid={"n_angles": 4} if family == "rte" else {})
+        assert main(["basis", "--config", str(cfg), "--out", str(tmp_path / "b.obf")]) == 2
+        unknowns = 25 * (4 if family == "rte" else 1)
+        assert capsys.readouterr().err == (f"error: the LU factor of {unknowns} unknowns ran out "
+                                           f"of memory (Unable to allocate 4.00 GiB)\n")
         assert not (tmp_path / "b.obf").exists()
 
 

@@ -180,9 +180,14 @@ class TestOrdering:
 
     def test_block_ordering_fill_stays_below_superlus_own(self, transport_operator):
         # minimum degree on the 121 spatial nodes, each expanded into its 40
-        # angles, stores 1,323,309 entries against SuperLU's 1,480,628
-        ordered = factorize(transport_operator, 40)
-        assert ordered.nnz <= 1_400_000 < factorize(transport_operator).nnz
+        # angles: SuperLU stores 1,323,309 entries in that order against
+        # 1,480,628 in its own.  The block LDU factor stores 1,545,040, its
+        # kept rows and columns dense where an LU's triangles keep zeros.
+        o = block_ordering(transport_operator, 40)
+        in_block_order = spla.splu(sp.csc_matrix(transport_operator[o][:, o]),
+                                   **{**linalg._SPLU_OPTIONS, "permc_spec": "NATURAL"})
+        assert in_block_order.nnz <= 1_400_000 < factorize(transport_operator).nnz
+        assert factorize(transport_operator, 40).nnz == 1_545_040
 
     @pytest.mark.parametrize("n_angles", [8, 7])
     def test_block_ordering_keeps_each_nodes_angles_together_and_in_order(self, n_angles):
@@ -272,6 +277,11 @@ def block_cases():
                     for n_angles in (8, 7)]
 
 
+def lapack_pivots(block):
+    """The row swaps getrf makes on a dense block."""
+    return scipy.linalg.lapack.dgetrf(block)[1]
+
+
 class TestNodeBlockLU:
     @pytest.mark.parametrize("n_angles, eps1, g", block_cases())
     @pytest.mark.parametrize("cols", [1, 33])
@@ -292,11 +302,43 @@ class TestNodeBlockLU:
         _, op = rte_operator(n_angles)
         rolled = node_rows_rolled(op, n_angles)
         solver = factorize(rolled, n_angles)
-        assert all(solver._lu.pivoted)
+        # every diagonal block D_ii needs getrf's row swaps to be inverted
+        for block in np.linalg.inv(solver._lu.dinv):
+            assert not np.array_equal(lapack_pivots(block), np.arange(n_angles))
         b = np.random.Generator(np.random.Philox(73)).standard_normal((op.shape[0], 5))
         x, xt = solve_both(solver, b)
         assert relative_gap(x, spla.spsolve(sp.csc_matrix(rolled), b)) <= 1e-12
         assert relative_gap(xt, spla.spsolve(sp.csc_matrix(rolled.T), b)) <= 1e-12
+
+    @pytest.mark.parametrize("n_angles, eps1, g", block_cases())
+    @pytest.mark.parametrize("rolled", [False, True], ids=["in-order", "rows-rolled"])
+    def test_float32_blocks_keep_their_type_and_land_near_spsolve(self, n_angles, eps1, g,
+                                                                   rolled):
+        op = two_photon_jacobian(n_angles) if eps1 is None else rte_operator(n_angles, eps1, g)[1]
+        op = node_rows_rolled(op, n_angles) if rolled else op
+        solver = factorize(op, n_angles)
+        b = np.random.Generator(np.random.Philox(79)).standard_normal((op.shape[0], 33))
+        for solve, a in ((solver.solve, op), (solver.solve_transpose, op.T)):
+            x = solve(b.astype(np.float32))
+            assert x.dtype == np.float32
+            want = spla.spsolve(sp.csc_matrix(a), b)
+            assert relative_gap(x.astype(float), want) <= 1e-5
+
+    def test_superlu_solves_a_float32_block_in_float64_and_keeps_its_type(self):
+        _, op = rte_operator(7)
+        solver = factorize(op)
+        b = np.random.Generator(np.random.Philox(83)).standard_normal((op.shape[0], 5))
+        for solve, a in ((solver.solve, op), (solver.solve_transpose, op.T)):
+            x = solve(b.astype(np.float32))
+            assert x.dtype == np.float32
+            assert relative_gap(x.astype(float), spla.spsolve(sp.csc_matrix(a), b)) <= 1e-6
+
+    def test_span_type_is_float32_for_node_blocks_and_float64_for_superlu(self):
+        _, op = rte_operator(8)
+        assert factorize(op, 8).span_dtype == np.float32
+        assert factorize(op).span_dtype == np.float64
+        # ||L||_1 beyond 2^40: float64, however fast float32 would be
+        assert factorize(op * 2.0 ** 60, 8).span_dtype == np.float64
 
     @pytest.mark.parametrize("pivoting", [False, True])
     def test_factors_reproduce_the_permuted_operator(self, pivoting):
@@ -306,13 +348,20 @@ class TestNodeBlockLU:
         lu = factorize(op, 7)._lu
         o = lu.order
         np.testing.assert_array_equal(o, block_ordering(op, 7))
-        rows = (7 * np.arange(op.shape[0] // 7)[:, None] + lu.perm).ravel()
-        ordered = sp.csr_matrix(op)[o][:, o][rows]
+        ordered = sp.csr_matrix(op)[o][:, o]
         lower, upper = lu.L, lu.U
         assert lower.format == upper.format == "csc"
-        assert abs(lower @ upper - ordered).max() <= 1e-12 * abs(ordered).max()
+        # U's diagonal blocks hold D^-1 in place of its identity blocks
+        assert lu.dinv.shape == (op.shape[0] // 7, 7, 7)
+        blocks = sp.block_diag(list(lu.dinv), format="csc")
+        d = sp.block_diag(list(np.linalg.inv(lu.dinv)), format="csc")
+        unit_upper = upper - blocks + sp.identity(op.shape[0])
+        assert abs(lower @ d @ unit_upper - ordered).max() <= 1e-12 * abs(ordered).max()
         np.testing.assert_array_equal(lower.diagonal(), 1.0)
-        assert sp.triu(lower, 1).nnz == sp.tril(upper, -1).nnz == 0
+        assert sp.triu(lower, 1).nnz == 0
+        node = np.arange(op.shape[0]) // 7
+        coo = upper.tocoo()
+        assert np.all(node[coo.row] <= node[coo.col])
         assert lower.nnz + upper.nnz - op.shape[0] == lu.nnz
         assert lu.shape == op.shape
 
@@ -351,8 +400,9 @@ class TestNodeBlockLU:
         lu = factorize(op, 8)._lu
         nodes = op.shape[0] // 8
         assert indexed and set(indexed) <= {(nodes, nodes)}
-        for got, want in ((lu.diag, expected.diag), (lu.perm, expected.perm)):
-            assert got.tobytes() == want.tobytes()
+        for name in ("dinv", "c_index", "c_cols", "u_index", "u_rows"):
+            got, want = getattr(lu, name), getattr(expected, name)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     def test_a_whole_block_is_one_sweep_on_the_calling_thread(self, monkeypatch):
         _, op = rte_operator(8)
@@ -669,6 +719,15 @@ class TestLuBasis:
     def test_one_dimensional_input_rejected(self):
         with pytest.raises(DimensionMismatch):
             lu_basis(np.ones(3))
+
+    def test_a_float32_block_is_factored_in_float32_in_place(self):
+        # the transport sketch's shape, 4,840 x 100: sgetrf and slaswp, no copy
+        a = np.random.Generator(np.random.Philox(2)).standard_normal((4840, 100))
+        block = np.asfortranarray(a, dtype=np.float32)
+        b = lu_basis(block)
+        assert b.dtype == np.float32 and np.shares_memory(b, block)
+        expected = lu_basis(a)
+        assert np.linalg.norm(b - expected) <= 1e-6 * np.linalg.norm(expected)
 
 
 class TestSvdDense:

@@ -425,6 +425,27 @@ def assert_products_match_band(w, cols=40, seed=52):
         assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref), method
 
 
+class TestSinglePrecision:
+    # The sketch's power passes map float32 blocks: each stays float32, in
+    # its own memory, within 1e-6 of the float64 map.
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("n_angles", [7, 40])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_transport_maps_keep_float32_near_float64(self, p, n_angles, method):
+        w = build_rte_weight(p, PhaseGrid(Grid2D(12), n_angles))
+        assert w.span_dtype == np.float32
+        v = np.random.Generator(np.random.Philox(57)).normal(size=(w.dim, 9))
+        block = np.asfortranarray(v, dtype=np.float32)
+        assert getattr(w, method)(block, overwrite_b=True) is block
+        want = getattr(w, method)(v)
+        assert np.linalg.norm(block - want) <= 1e-6 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("scale, span", [(1.0, np.float32), (2.0 ** -60, np.float64),
+                                             (2.0 ** 60, np.float64)])
+    def test_a_weight_outside_float32s_range_keeps_float64_spans(self, scale, span):
+        assert WeightFactor.diagonal(scale, 9).span_dtype == span
+
+
 class TestTransportSolveMemory:
     @pytest.mark.parametrize("method", ["solve", "solve_t", "apply", "apply_t"])
     def test_in_place_solve_holds_two_column_stacks_not_a_copy(self, method):
