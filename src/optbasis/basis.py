@@ -13,11 +13,12 @@ where A z_i = lambda_i w_i.  The triplets satisfy
 
 and the randomized sketch only ever touches A through solves with L, L^T
 and the weight factor.  Its power passes keep their span with a pivoted
-LU (Li et al., ACM TOMS 43, 2017), in float32 where the node-block factor
-allows it; the one orthonormal basis, a plain Householder QR of a block
-solved in float64, is taken before the small SVD of Q^T A (Halko,
-Martinsson & Tropp, SIAM Rev. 53, 2011, Alg. 4.4 and 5.1), which alone
-decides the numerical rank.  The dense oracle is ``bayes.dense_svd_oracle``.
+LU (Li et al., ACM TOMS 43, 2017), the early ones in float32 where the
+node-block factor allows it; the one orthonormal basis, a plain
+Householder QR of a block solved in float64, is taken before the small
+SVD of Q^T A (Halko, Martinsson & Tropp, SIAM Rev. 53, 2011, Alg. 4.4
+and 5.1), which alone decides the numerical rank.  The dense oracle is
+``bayes.dense_svd_oracle``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConfigInvalid, InvalidArgument, RankDeficientWarning, RankExhausted
-from .linalg import checked_operand, lu_basis, qr_thin, svd_dense
+from .linalg import checked_operand, lu_basis, qr_thin, r_svd
 
 # Singular values below this fraction of the largest are treated as numerically zero.
 TRUNCATION_RTOL = 1e-14
@@ -37,6 +38,27 @@ TRUNCATION_RTOL = 1e-14
 # consecutive levels, one column per level, so a block's extra memory is a
 # few N x LEVEL_BLOCK arrays whatever the curve's length.
 LEVEL_BLOCK = 64
+
+# The sketch's last DOUBLE_PASSES power passes run in float64 whatever the
+# factor; only the draw's forward block and the passes before those may
+# run in float32.  Two float64 passes wash the float32 roundoff out of
+# the leading values: on configs/rte.json the first 40 lambda moved by
+# at most 8.0e-14 relative (seeds 0-3), against 9.4e-13 with one.
+DOUBLE_PASSES = 2
+
+# float32 span passes need every map they meet to have a 1-norm within
+# 2^-SPAN_EXPONENT .. 2^SPAN_EXPONENT, so that a chain of them on a block
+# of unit entries stays far inside float32's range (2^-126 .. 2^128), and
+# the operator's estimated condition number kappa to keep kappa u_32,
+# u_32 = 2^-24, at most SPAN_CONDITION: a float32 solve then still keeps
+# about three digits of every column.  Transport's kappa is 13-450
+# (m = 8-24, eps1 down to 1/16, g up to 0.99), kappa u_32 <= 2.7e-5.
+SPAN_EXPONENT = 40
+SPAN_CONDITION = 1e-3
+
+# Rows of the Gaussian draw made at a time, 400 KiB at the benchmark's
+# 100 columns.
+DRAW_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -98,6 +120,16 @@ def _apply_adjoint(solver, fx, w):
     return fx.solve_t(solver.solve_transpose(w, overwrite_b=True), overwrite_b=True)
 
 
+def _gaussian_block(rng, n, k, dtype):
+    """rng.standard_normal((n, k)) as an F-ordered block of ``dtype``, drawn DRAW_ROWS rows
+    at a time, the same numbers in the same order, so that no float64 C-ordered copy of
+    the block is ever made."""
+    block = np.empty((n, k), dtype=dtype, order="F")
+    for s in range(0, n, DRAW_ROWS):
+        block[s:s + DRAW_ROWS] = rng.standard_normal((min(DRAW_ROWS, n - s), k))
+    return block
+
+
 def sketch_width(params: RsvdParams, n):
     """Columns of the sketch, rank + oversample; ConfigInvalid if they exceed the n unknowns."""
     k = params.rank + params.oversample
@@ -108,10 +140,37 @@ def sketch_width(params: RsvdParams, n):
     return k
 
 
+def _in_float32_range(*norms):
+    """Whether each norm lies within 2^-SPAN_EXPONENT .. 2^SPAN_EXPONENT (a NaN does not)."""
+    return all(2.0 ** -SPAN_EXPONENT <= s <= 2.0 ** SPAN_EXPONENT for s in norms)
+
+
 def span_dtype(solver, fx):
-    """The type of the sketch's span-only blocks: float32 where both the solver and the
-    weight keep a span in it, float64 otherwise."""
-    return np.result_type(solver.span_dtype, fx.span_dtype)
+    """The type of the sketch's early, span-only passes.
+
+    float32 when the solver is a node-block factor (``node_size`` > 1)
+    whose ``norm`` ||L||_1 and ``inverse_norm``, the estimate of
+    ||L^-1||_1, lie in float32's safe range and whose condition estimate
+    keeps kappa 2^-24 <= SPAN_CONDITION, and the weight's largest band
+    entry and inverse smallest pivot lie in that range too; float64
+    otherwise.  SuperLU solves float32 in float64, so its passes gain
+    nothing from it.
+    """
+    if solver.node_size == 1:
+        return np.dtype(np.float64)
+    norm, inverse = solver.norm, solver.inverse_norm
+    band = np.abs(fx.band)
+    single = (_in_float32_range(norm, inverse, band.max(), 1.0 / band[-1].min())
+              and norm * inverse * 2.0 ** -24 <= SPAN_CONDITION)
+    return np.dtype(np.float32 if single else np.float64)
+
+
+def single_passes(solver, fx, params: RsvdParams):
+    """How many power passes the sketch runs in float32: all but the last
+    DOUBLE_PASSES when ``span_dtype`` is float32, else none."""
+    if params.power <= DOUBLE_PASSES or span_dtype(solver, fx) != np.float32:
+        return 0
+    return params.power - DOUBLE_PASSES
 
 
 def compute_basis(solver, fx, *, params: RsvdParams):
@@ -134,45 +193,48 @@ def compute_basis(solver, fx, *, params: RsvdParams):
     conditioned and never drops a column.  The one orthonormalization is
     the Householder QR of the last forward block, which keeps all k
     columns; triplets come from the SVD of the small projected matrix
-    Q^T A, taken as the SVD of A^T Q, whose left vectors are its right
-    ones.  Rank is read only there: singular values below TRUNCATION_RTOL
-    of the largest truncate the basis, with one RankDeficientWarning when
-    fewer than ``rank`` remain.  A sketch wider than the N unknowns raises
-    ConfigInvalid.
+    Q^T A, taken by ``r_svd`` of the tall A^T Q that the adjoint leaves
+    (QR in place, then the k x k SVD of R^T, LAPACK's own path for the
+    wide Q^T A, with no transposed copy), which forms only the r_eff
+    right vectors the basis keeps.  Rank is read only there:
+    singular values below TRUNCATION_RTOL of the largest truncate the
+    basis, with one RankDeficientWarning when fewer than ``rank`` remain.
+    A sketch wider than the N unknowns raises ConfigInvalid.
 
-    The span-only blocks run in ``span_dtype(solver, fx)``: the draw, cast
-    once, and every block before the last forward one, weight maps, solves
-    and LU bases alike.  With the node-block factor that is float32 (Halko,
-    Martinsson & Tropp, Sec. 4.5: a pass keeps only a span).  The last
-    forward block, from which the QR is taken, runs in float64, as do
-    A^T Q and the lift, so the triplets keep double accuracy.  SuperLU's
-    span type is float64, and then every block is.
+    The first ``single_passes(solver, fx, params)`` passes, and the
+    forward block of the draw before them, run in float32 where the
+    node-block factor allows it (Halko, Martinsson & Tropp, Sec. 4.5: a
+    pass keeps only a span): the draw is written into a float32 block, and
+    solves, weight maps and LU bases keep float32.  The last DOUBLE_PASSES passes, A^T Q
+    and the lift run in float64, so the leading triplets keep double
+    accuracy.  With SuperLU every block is float64.
 
     Every stage overwrites one N x k working block, from the Gaussian draw
-    to A^T Q, so the sketch holds that block and the solves' column chunks;
-    the block becomes float64 once, before the last forward solve, and its
-    float32 memory is freed.  The SVD overwrites A^T Q and adds its N x k
-    left vectors, and the lift holds the r_eff columns of V and of U.
+    to A^T Q, so the sketch holds that block and what its solves gather;
+    the block becomes float64 once, at the first double pass, and its
+    float32 memory is freed.  The QR of A^T Q runs in that block, and the
+    lift holds the r_eff columns of V and of U.
     """
     n = solver.n
     k = sketch_width(params, n)
     rng = np.random.Generator(np.random.Philox(params.seed))
-    span = span_dtype(solver, fx) if params.power else np.float64
-    y = _apply_forward(solver, fx, rng.standard_normal((n, k)).astype(span, order="F"))
+    single = single_passes(solver, fx, params)
+    draw = _gaussian_block(rng, n, k, np.float32 if single else np.float64)
+    y = _apply_forward(solver, fx, draw)  # in the draw's memory
+    del draw
     for p in range(params.power):
-        y = lu_basis(_apply_adjoint(solver, fx, lu_basis(y)))
-        if p == params.power - 1:  # the block the QR is taken from is solved in double
+        if p == single:  # the passes from here on run in double
             y = y.astype(np.float64, order="F", copy=False)
-        y = _apply_forward(solver, fx, y)
+        y = _apply_forward(solver, fx, lu_basis(_apply_adjoint(solver, fx, lu_basis(y))))
     q = qr_thin(y)
     del y  # q lives in the same memory
     atq = _apply_adjoint(solver, fx, q)
     del q  # overwritten by A^T Q
-    v_big, svals, _ = svd_dense(atq, overwrite_a=True)
-    del atq  # destroyed by the SVD
+    svals, v_hat = r_svd(atq, params.rank, TRUNCATION_RTOL, overwrite_a=True)
+    del atq  # destroyed by the QR
 
     achieved = int(np.sum(svals > TRUNCATION_RTOL * svals[0]))  # the QR kept all k >= 1 columns
-    r_eff = min(params.rank, achieved)
+    r_eff = v_hat.shape[1]
     if r_eff < params.rank:
         warnings.warn(
             f"requested rank {params.rank} but sketch found numerical rank {achieved}",
@@ -180,8 +242,7 @@ def compute_basis(solver, fx, *, params: RsvdParams):
             stacklevel=2,
         )
     lam = svals[:r_eff].copy()
-    v_hat = fx.solve(v_big[:, :r_eff])
-    del v_big  # the basis keeps r_eff columns, not k
+    v_hat = fx.solve(v_hat, overwrite_b=True)  # F_X^-1 Z in place
     u_hat = solver.solve(v_hat)
     u_hat /= lam
     return SVDBasis(lam, u_hat, v_hat, {"method": "rsvd"})

@@ -12,7 +12,7 @@ import numpy as np
 import scipy
 
 from . import obf
-from .basis import defining_relation_errors, sketch_width, span_dtype
+from .basis import defining_relation_errors, single_passes, sketch_width
 from .bayes import (
     DENSE_BAYES_GUARD,
     check_reconstruction_bound,
@@ -170,12 +170,15 @@ def _sketched_problem(config):
 
 
 def _factor(setup):
-    """The operator's sparse LU; prints how its solves run: SuperLU's column chunks,
-    or one sweep of node blocks with the type of the sketch's power passes."""
+    """The operator's sparse LU for a command that sketches; prints how its solves run:
+    SuperLU's column chunks, or one sweep of node blocks, with the number of power
+    passes the sketch runs in float32 when there are any."""
     solver = setup.factorize()
     how = (f"chunks of at most {SOLVE_CHUNK} columns" if solver.node_size == 1 else
-           f"node blocks of {solver.node_size} unknowns, all columns in one sweep, "
-           f"power passes in {span_dtype(solver, setup.fx)}")
+           f"node blocks of {solver.node_size} unknowns, all columns in one sweep")
+    single = single_passes(solver, setup.fx, setup.config.rsvd)
+    if single:
+        how += f", {single} of {setup.config.rsvd.power} power passes in float32"
     print(f"sparse solves: 1 thread, {how}")
     return solver
 

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .exceptions import (
     DimensionMismatch,
@@ -39,11 +39,10 @@ PIVOT_RTOL = 1e-14
 # bitwise-equal solutions (one BLAS thread, a 2-vCPU host).
 SOLVE_CHUNK = 32
 
-# A span-only block runs in float32 only where each map it meets has a norm
-# within 2^-SPAN_EXPONENT .. 2^SPAN_EXPONENT.  A chain of such maps on a
-# block of unit entries then stays far inside float32's range (2^-126 ..
-# 2^128): no entry overflows and none that matters underflows.
-SPAN_EXPONENT = 40
+# LAPACK's geqrf and orgqr block their work only above this many columns
+# (ilaenv's crossover); up to it qr_factors takes geqrt's one-block
+# compact WY form.
+QR_BLOCKED = 128
 
 # Nodes per batched product of a node-block sweep's diagonal step, which
 # applies D^-1 to this many nodes' rows at once: a chunk's product is the
@@ -88,21 +87,23 @@ class FactorizedSolver:
     With node size k > 1, NodeBlockLU factors the operator in dense k x k
     node blocks, in its own block LDU form and order o.  Its "N" and "T"
     sweeps each make one GEMM per node and direction, so their cost per
-    column falls with the block's width: the whole block is solved in one
-    call on the calling thread, through one copy gathered by o.
-    Transport's nodes are the angles of a spatial node: at m = 12 with 40
-    angles the factor stores 1.55M entries against 1.48M for SuperLU's.
-    Either way every solve runs on the calling thread, and the split of a
-    block depends on its width alone.
+    column falls with the block's width: a block is solved in one call
+    on the calling thread, through one copy gathered by o (two for a
+    float64 block, see below).  Transport's nodes are the angles of a
+    spatial node: at m = 12 with 40 angles the factor stores 1.55M
+    entries against 1.48M for SuperLU's.  Either way every solve runs on
+    the calling thread, and the split of a block depends on its width and
+    type alone.
 
     A float64 block is solved in float64.  A float32 block keeps its type:
     the node-block factor solves it in float32, rounding its float64 blocks
     as it sweeps, and SuperLU solves it in float64 and rounds the result.
-    ``span_dtype`` is the type a caller that needs only the span of a
-    block's solution should solve in: float32 with node blocks, unless
-    ||L||_1 or the estimate of ||L^-1||_1 falls outside float32's safe
-    range (single_holds); float64 with SuperLU, where float32 saves
-    nothing.  A factor that runs out of memory raises ProblemTooLarge.
+    The node-block factor gathers a float64 block in two column halves,
+    one after the other, so that what a solve gathers is never larger
+    than a float32 block of the same width.  ``norm`` is ||L||_1 and
+    ``inverse_norm`` the estimate of ||L^-1||_1 that the singularity
+    check reads; ``basis.span_dtype`` reads them too.  A factor that runs
+    out of memory raises ProblemTooLarge.
 
     Parameters
     ----------
@@ -127,7 +128,7 @@ class FactorizedSolver:
         self.operator = operator
         self.n = n
         self.node_size = node_size
-        norm = spla.norm(operator, 1)  # its copy of |L| is freed before the factor exists
+        self.norm = spla.norm(operator, 1)  # its copy of |L| is freed before the factor exists
         # SuperLU's "T" goes column by column, so an operator equal to its transpose takes "N"
         symmetric = node_size == 1 and (operator != operator.T).nnz == 0
         self._trans_t = "N" if symmetric else "T"
@@ -145,14 +146,13 @@ class FactorizedSolver:
         inverse = spla.LinearOperator(
             (n, n), matvec=self._lu.solve, rmatvec=lambda x: self._lu.solve(x, trans="T"),
             dtype=float)
-        condition = norm * spla.onenormest(inverse, t=1)
+        self.inverse_norm = spla.onenormest(inverse, t=1)
+        condition = self.norm * self.inverse_norm
         if not np.isfinite(condition) or condition >= 1.0 / PIVOT_RTOL:
             raise SingularOperator(
                 f"operator numerically singular (estimated 1-norm condition number "
                 f"{condition:.3e})"
             )
-        single = node_size > 1 and single_holds(norm, condition / norm)
-        self.span_dtype = np.dtype(np.float32 if single else np.float64)
 
     @property
     def nnz(self):
@@ -177,9 +177,11 @@ class FactorizedSolver:
 
     def _solve(self, trans, b, overwrite_b):
         x = work_array(b, overwrite_b, self.n)
-        if self.node_size > 1:  # the node-block factor sweeps the whole block at once
-            o = self._lu.order
-            x[o] = self._lu.solve(x[o], trans, overwrite_b=True)
+        if self.node_size > 1:  # the node-block factor sweeps all columns gathered at once,
+            o = self._lu.order  # a float64 block's in two halves
+            k = x.shape[1] if x.ndim == 2 and x.dtype == np.float64 else 1
+            for c in (x[:, :k // 2], x[:, k // 2:]) if k > 1 else (x,):
+                c[o] = self._lu.solve(c[o], trans, overwrite_b=True)
             return x
 
         k = x.shape[1] if x.ndim == 2 else 1
@@ -293,6 +295,7 @@ class NodeBlockLU:
             self.u_rows[i] = self.dinv[i] @ later[keep].T
             if not upper[i].size:
                 self.c_index[i], self.c_cols[i] = keep[:0], np.empty((0, k))
+            wt = wij = later = None  # views of W^T would keep it alive into the next node
 
     @property
     def nnz(self):
@@ -415,12 +418,6 @@ def _node_fill(graph):
     return [np.array(sorted(later), dtype=np.intp) for later in upper]
 
 
-def single_holds(*norms):
-    """Whether maps of these norms keep a block's span in float32: each lies within
-    2^-SPAN_EXPONENT .. 2^SPAN_EXPONENT, and none is NaN."""
-    return all(2.0 ** -SPAN_EXPONENT <= s <= 2.0 ** SPAN_EXPONENT for s in norms)
-
-
 def address_space_limit():
     """The process's address-space limit in bytes (``ulimit -v``), or None when it has none."""
     soft = resource.getrlimit(resource.RLIMIT_AS)[0]
@@ -503,12 +500,43 @@ def qr_thin(a):
     column, never a warning.  Rank is the caller's to read; the sketch reads
     it off the small SVD of Q^T A.  An F-ordered float64 block ``a`` is
     overwritten, as in lu_basis: Q is formed in its memory and returned as
-    a view of it.
+    a view of it.  See qr_factors.
+    """
+    return qr_factors(a)[0]
+
+
+def qr_factors(a):
+    """Thin Householder QR a = Q R: Q (m x min(m, n)) and the upper trapezoidal R.
+
+    LAPACK's geqrf and orgqr block their work only above QR_BLOCKED
+    columns, and unblocked they are slow: on the sketch's 4,840 x 100
+    block they took 30 ms.  Up to QR_BLOCKED columns geqrt factors ``a``
+    in one block of all its min(m, n) columns, with a recursive BLAS-3
+    panel, and leaves the reflectors V and the triangle T of the compact
+    WY form Q = [I; 0] - V T V_1^T, V_1 the top of V; Q is formed from it
+    in the memory of V by one small triangular product and one in-place
+    TRMM, 8.6 ms in all (one BLAS thread, a 2-vCPU host).  Wider blocks,
+    such as the elliptic sketch's 330 columns, keep geqrf and orgqr: the
+    WY form gained little there (11.4 against 12.8 ms at 961 x 330) and
+    moved the elliptic error curves by up to 2e-9 relative in roundoff.
+    An F-ordered float64 block ``a`` is overwritten: Q is formed in its
+    memory and returned as a view of it; R is a new array.
     """
     a = work_array(a, True)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d array, got shape {a.shape}")
-    return scipy.linalg.qr(a, mode="economic", overwrite_a=True)[0]
+    m, n = a.shape
+    k = min(m, n)
+    if k == 0 or k > QR_BLOCKED:
+        return scipy.linalg.qr(a, mode="economic", overwrite_a=True, check_finite=False)
+    v, t, _ = lapack.dgeqrt(k, a, overwrite_a=1)
+    r = np.triu(v[:k])
+    top = np.tril(v[:k, :k], -1)  # V_1, unit lower triangular
+    np.fill_diagonal(top, 1.0)
+    v[:k, :k] = top
+    q = blas.dtrmm(-1.0, t @ top.T, v[:, :k], side=1, overwrite_b=1)  # T V_1^T is upper
+    q[np.arange(k), np.arange(k)] += 1.0
+    return q, r
 
 
 def lu_basis(a):
@@ -543,11 +571,7 @@ def svd_dense(a, overwrite_a=False):
     each load their own OpenBLAS: at one BLAS thread the bits match numpy's
     (checked up to 4,096 x 4,096), at more they may differ in roundoff.
     With ``overwrite_a`` and an F-ordered float64 ``a``, gesdd works in
-    the memory of ``a`` and leaves it destroyed, so a tall N x k matrix
-    costs one more N x k block, U, where a copying SVD costs two.  Tall is
-    the cheaper shape: gesdd first reduces it to its k x k triangle, so the
-    sketch takes the SVD of A^T Q, whose left vectors are the right vectors
-    of Q^T A.
+    the memory of ``a`` and leaves it destroyed.
     """
     a = work_array(a, overwrite_a)
     try:
@@ -556,3 +580,26 @@ def svd_dense(a, overwrite_a=False):
     except (np.linalg.LinAlgError, ValueError) as exc:  # ValueError: a NaN or inf entry
         raise SvdFailure(f"SVD did not converge: {exc}") from exc
     return u, s, vt.T
+
+
+def r_svd(a, rank, rtol, overwrite_a=False):
+    """Chan's R-SVD of a tall N x k matrix: its k singular values and leading left vectors.
+
+    Returns (s, U_r): s all k singular values, descending, and U_r the
+    left singular vectors of the r = min(rank, #{s_i > rtol s_0}) largest,
+    an F-ordered N x r block; they are the right vectors of the wide a^T.
+    The Householder QR a = Q_b R is followed by the k x k SVD of
+    R^T = W diag(s) Z^T, the triangle that LAPACK's gesdd itself reduces a
+    wide a^T to, so the values follow the path of gesdd of a^T, and
+    U_r = Q_b Z[:, :r] is one GEMM over the r columns only (Chan, ACM TOMS
+    8, 1982).  With ``overwrite_a`` and an F-ordered float64 ``a``, Q_b is
+    formed in its memory by qr_factors.  A NaN raises SvdFailure, as in
+    svd_dense.
+    """
+    a = work_array(a, overwrite_a)
+    if a.ndim != 2 or a.shape[0] < a.shape[1]:
+        raise DimensionMismatch(f"expected a tall 2-d array, got shape {a.shape}")
+    q_b, r_factor = qr_factors(a)
+    _, s, z = svd_dense(r_factor.T)  # a NaN in a reaches R
+    r = min(rank, int(np.sum(s > rtol * s[0])))
+    return s, (z[:, :r].T @ q_b.T).T

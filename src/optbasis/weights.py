@@ -30,7 +30,7 @@ from scipy.linalg import cholesky_banded, lapack
 
 from .exceptions import DimensionMismatch, InvalidArgument, OrderTooHigh, SingularOperator
 from .grids import Grid2D, PhaseGrid
-from .linalg import single_holds, work_array
+from .linalg import work_array
 
 # Fewest rows in a block of the blocked weight solves.  A factor of
 # bandwidth u is cut into row blocks of max(u, SOLVE_BLOCK) rows, so each
@@ -42,13 +42,6 @@ SOLVE_BLOCK = 64
 # width, the last one zero-padded, and a column's bits do not depend on the
 # other columns.  On transport each column is a matrix of its own.
 SOLVE_PANEL = 32
-
-
-# Matrices of a transport stack swept at once.  A product's temporaries
-# then hold SOLVE_STACK matrices, not the whole block, and stay in cache:
-# a 100-column solve at m = 64 with 40 angles took 89 against 110 ms,
-# with the same bits, since each matrix is multiplied on its own.
-SOLVE_STACK = 16
 
 
 def fd_operator_1d(m_intervals, order, h):
@@ -186,9 +179,7 @@ class WeightFactor:
         x = work_array(v, overwrite_b, self.dim)
         cols = x.shape[1] if x.ndim == 2 else 1
         if self.n_minor > 1:
-            stack = x.T.reshape((cols, self.n_spatial, self.n_minor))
-            for s in range(0, cols, SOLVE_STACK):
-                self._sweep(stack[s:s + SOLVE_STACK], transpose, solve)
+            self._sweep(x.T.reshape((cols, self.n_spatial, self.n_minor)), transpose, solve)
             return x
         block = x.reshape((self.n_spatial, cols), order="F")
         done = cols - cols % SOLVE_PANEL
@@ -248,15 +239,6 @@ class WeightFactor:
     def solve_t(self, v, overwrite_b=False):
         """F^{-T} v."""
         return self._map(v, overwrite_b, transpose=True, solve=True)
-
-    @property
-    def span_dtype(self):
-        """The type a span-only map runs in: float32 when the largest entry of F_s
-        and the inverse of its smallest pivot both lie in float32's safe range
-        (linalg.single_holds), float64 otherwise."""
-        pivots = np.abs(self.band[-1])
-        single = single_holds(np.abs(self.band).max(), 1.0 / pivots.min())
-        return np.dtype(np.float32 if single else np.float64)
 
     def gram(self):
         """Assembled Pi as a sparse matrix, the operator of the Pi-inner products."""

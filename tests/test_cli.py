@@ -420,8 +420,16 @@ class TestSolveThreads:
         cfg = write_config(tmp_path, family="rte", m=6, grid={"n_angles": 8})
         assert main(["basis", "--config", str(cfg), "--out", str(tmp_path / "b.obf")]) == 0
         assert capsys.readouterr().out.splitlines()[0] == (
+            "sparse solves: 1 thread, node blocks of 8 unknowns, all columns in one sweep")
+
+    def test_transport_prints_its_float32_power_passes(self, tmp_path, capsys):
+        # power 2 above runs every pass in float64; at power 6 all but the last two
+        # run in float32, and the line says how many
+        cfg = write_config(tmp_path, family="rte", m=6, power=6, grid={"n_angles": 8})
+        assert main(["basis", "--config", str(cfg), "--out", str(tmp_path / "b.obf")]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
             "sparse solves: 1 thread, node blocks of 8 unknowns, all columns in one sweep, "
-            "power passes in float32")
+            "4 of 6 power passes in float32")
 
     def test_one_angle_transport_prints_superlus_chunks(self, tmp_path, capsys):
         # a node of one unknown is factored by SuperLU and solved in column chunks
@@ -633,7 +641,8 @@ class TestMemoryError:
             raise MemoryError("Unable to allocate 4.00 GiB")
 
         monkeypatch.setattr(module, name, exhausted)
-        cfg = write_config(tmp_path, family=family, grid={"n_angles": 4} if family == "rte" else {})
+        grid = {"n_angles": 4} if family == "rte" else {}
+        cfg = write_config(tmp_path, family=family, grid=grid)
         assert main(["basis", "--config", str(cfg), "--out", str(tmp_path / "b.obf")]) == 2
         unknowns = 25 * (4 if family == "rte" else 1)
         assert capsys.readouterr().err == (f"error: the LU factor of {unknowns} unknowns ran out "

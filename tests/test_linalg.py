@@ -1,6 +1,7 @@
 """Factorized sparse solves, the LU span basis, the thin QR and the dense SVD wrapper."""
 
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,7 +27,10 @@ from optbasis.linalg import (
     block_ordering,
     factorize,
     lu_basis,
+    QR_BLOCKED,
+    qr_factors,
     qr_thin,
+    r_svd,
     reciprocity_defect,
     svd_dense,
 )
@@ -333,12 +337,12 @@ class TestNodeBlockLU:
             assert x.dtype == np.float32
             assert relative_gap(x.astype(float), spla.spsolve(sp.csc_matrix(a), b)) <= 1e-6
 
-    def test_span_type_is_float32_for_node_blocks_and_float64_for_superlu(self):
+    def test_the_factor_keeps_its_norm_and_inverse_norm_estimate(self):
         _, op = rte_operator(8)
-        assert factorize(op, 8).span_dtype == np.float32
-        assert factorize(op).span_dtype == np.float64
-        # ||L||_1 beyond 2^40: float64, however fast float32 would be
-        assert factorize(op * 2.0 ** 60, 8).span_dtype == np.float64
+        solver = factorize(op, 8)
+        assert solver.norm == spla.norm(op, 1)
+        exact = np.abs(np.linalg.inv(op.toarray())).sum(axis=0).max()
+        assert 0.3 * exact <= solver.inverse_norm <= exact * (1 + 1e-12)
 
     @pytest.mark.parametrize("pivoting", [False, True])
     def test_factors_reproduce_the_permuted_operator(self, pivoting):
@@ -404,7 +408,8 @@ class TestNodeBlockLU:
             got, want = getattr(lu, name), getattr(expected, name)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
-    def test_a_whole_block_is_one_sweep_on_the_calling_thread(self, monkeypatch):
+    def test_a_block_is_two_half_sweeps_in_float64_one_in_float32_on_the_calling_thread(
+            self, monkeypatch):
         _, op = rte_operator(8)
         solver = factorize(op, 8)
         seen = []
@@ -415,9 +420,11 @@ class TestNodeBlockLU:
             return solve(self, b, trans, overwrite_b)
 
         monkeypatch.setattr(NodeBlockLU, "solve", recording)
-        solve_both(solver, np.ones((solver.n, 100)))
+        solve_both(solver, np.ones((solver.n, 101)))
+        solve_both(solver, np.ones((solver.n, 101), dtype=np.float32))
         t = threading.get_ident()
-        assert seen == [(100, "N", t), (100, "T", t)]
+        assert seen == [(50, "N", t), (51, "N", t), (50, "T", t), (51, "T", t),
+                        (101, "N", t), (101, "T", t)]
 
 
 def dense_block_entries(op, k):
@@ -531,11 +538,12 @@ class TestReciprocalTranspose:
         ("elliptic", False, [(25, "N")] * 4),
         ("elliptic-perturbed", False, [(25, "T")] * 4),
         ("rte-even", False, [(25, "T")] * 4),
-        ("rte-even", True, [(100, "T")]),
+        ("rte-even", True, [(50, "T")] * 2),
     ], ids=["symmetric", "symmetric-but-one-entry", "unordered", "node-blocks"])
     def test_transposed_solve_runs_the_factors_own_sweep(self, name, ordered, calls):
         # SuperLU solves "T" one column at a time, so an exactly symmetric
-        # operator runs its chunks "N"; the node-block factor sweeps "T"
+        # operator runs its chunks "N"; the node-block factor sweeps "T", a
+        # float64 block in two column halves
         if name == "elliptic-perturbed":  # one entry off by one ulp is not symmetric
             op = sp.csr_matrix(reciprocal_case("elliptic")[0], copy=True)
             j = op.indices[op.indptr[0]:op.indptr[1]].max()  # a neighbour of node 0
@@ -694,6 +702,31 @@ class TestQrThin:
             qr_thin(np.ones(3))
 
 
+class TestQrFactors:
+    # blocks of up to QR_BLOCKED columns take geqrt's compact WY form, wider
+    # ones geqrf and orgqr; either way Q R is numpy's QR up to the signs of
+    # Q's columns
+    @pytest.mark.parametrize("shape, wy", [((4840, 100), True), ((300, QR_BLOCKED), True),
+                                           ((300, QR_BLOCKED + 1), False), ((961, 330), False),
+                                           ((12, 30), True)])
+    def test_factors_are_numpys_and_q_is_formed_in_place(self, shape, wy, monkeypatch):
+        calls = []
+        geqrt = scipy.linalg.lapack.dgeqrt
+        monkeypatch.setattr(scipy.linalg.lapack, "dgeqrt",
+                            lambda *args, **kwargs: calls.append(1) or geqrt(*args, **kwargs))
+        a = np.random.Generator(np.random.Philox(75)).standard_normal(shape)
+        block = np.asfortranarray(a)
+        q, r = qr_factors(block)
+        assert bool(calls) == wy
+        assert np.shares_memory(q, block)
+        q0, r0 = np.linalg.qr(a)
+        signs = np.sign(np.diag(r)) * np.sign(np.diag(r0))
+        np.testing.assert_allclose(q * signs, q0, atol=1e-13)
+        np.testing.assert_allclose(r * signs[:, None], r0, atol=1e-12 * np.abs(r0).max())
+        np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-14)
+        assert np.allclose(np.tril(r, -1), 0.0, atol=0.0)
+
+
 class TestLuBasis:
     @pytest.mark.parametrize("a", [
         np.zeros((5, 3)),
@@ -761,6 +794,76 @@ class TestSvdDense:
         a = np.full((3, 3), np.nan)
         with pytest.raises(SvdFailure, match="did not converge"):
             svd_dense(a)
+
+
+class TestRSvd:
+    # Chan's R-SVD of a tall a against numpy's SVD of the wide a^T, whose LQ
+    # path reduces it to the same k x k triangle
+    @pytest.mark.parametrize("shape", [(900, 60), (961, 330), (40, 40)])
+    def test_values_and_vectors_are_the_wide_transposes(self, shape):
+        a = np.random.Generator(np.random.Philox(67)).standard_normal(shape)
+        _, s0, vt0 = np.linalg.svd(a.T, full_matrices=False)
+        s, v = r_svd(a, shape[1], 0.0)
+        assert np.all(np.abs(s - s0) <= 1e-13 * s0[0])
+        assert v.shape == shape and v.flags.f_contiguous
+        np.testing.assert_allclose(v * np.sign(np.sum(v * vt0.T, axis=0)), vt0.T, atol=1e-9)
+        np.testing.assert_allclose(v.T @ v, np.eye(shape[1]), atol=1e-12)
+
+    def test_only_the_kept_vectors_are_formed(self):
+        # rank caps them, and so does the relative floor: 1e-20 falls below 1e-14
+        rng = np.random.Generator(np.random.Philox(69))
+        basis = np.linalg.qr(rng.standard_normal((60, 3)))[0]
+        a = basis * [2.0, 1.0, 1e-20]
+        assert r_svd(a, 3, 1e-14)[1].shape == (60, 2)
+        assert r_svd(a, 1, 1e-14)[1].shape == (60, 1)
+        s, v = r_svd(a, 3, 0.0)
+        np.testing.assert_allclose(np.abs(np.sum(v[:, :2] * basis[:, :2], axis=0)), 1.0)
+        np.testing.assert_allclose(s[:2], [2.0, 1.0])
+
+    def test_in_place_runs_the_qr_in_the_block_and_is_bitwise_copying(self):
+        a = np.random.Generator(np.random.Philox(71)).standard_normal((300, 40))
+        copied = r_svd(a, 30, 1e-14)
+        block = np.asfortranarray(a)
+        s, v = r_svd(block, 30, 1e-14, overwrite_a=True)
+        assert not np.array_equal(block, a)  # destroyed: Q_b was formed in it
+        assert copied[0].tobytes() == s.tobytes() and copied[1].tobytes() == v.tobytes()
+
+    def test_a_wide_matrix_is_refused_and_a_nan_is_the_package_error(self):
+        with pytest.raises(DimensionMismatch, match="tall"):
+            r_svd(np.ones((3, 5)), 3, 0.0)
+        with pytest.raises(SvdFailure, match="did not converge"):
+            r_svd(np.full((5, 3), np.nan), 3, 0.0)
+
+
+class TestNodeBlockGather:
+    @pytest.mark.parametrize("method", ["solve", "solve_transpose"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_an_in_place_solve_gathers_half_a_float64_block(self, method, dtype):
+        # a float64 block is gathered in two column halves, a float32 one whole:
+        # either way the copy is half the bytes of a float64 block, and the
+        # sweeps' GEMMs add a few node rows' products (0.3 of it here); a
+        # whole float64 gather would add a full block
+        _, op = rte_operator(40)
+        solver = factorize(op, 40)
+        b = np.random.Generator(np.random.Philox(73)).standard_normal((solver.n, 100))
+        block = np.asfortranarray(b, dtype=dtype)
+        half = b.nbytes / 2
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            out = getattr(solver, method)(block, overwrite_b=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert out is block
+        assert half <= peak - start <= 1.5 * half
+        a = op if method == "solve" else op.T
+        want = spla.spsolve(sp.csc_matrix(a), b)
+        assert relative_gap(out.astype(float), want) <= (1e-12 if dtype == np.float64 else 1e-5)
 
 
 class TestOverwrite:
